@@ -272,6 +272,10 @@ def cmd_activation_simulate(ns: argparse.Namespace) -> int:
     (out / f"fit_{tag}.json").write_text(json.dumps(_fit_doc(fit, curve), indent=1) + "\n")
     print(f"spin={cfg['spin']} fitted beta={fit.beta:.6f} rss={fit.rss:.3e} "
           f"-> {out / f'curve_{tag}.csv'}")
+    capped = int(np.count_nonzero(~curve.converged))
+    if capped:
+        print(f"warning: {capped} of {curve.n_points} curve points hit the "
+              f"{params.n_collisions}-collision cap", file=sys.stderr)
     return EXIT_OK
 
 

@@ -232,8 +232,26 @@ class SteadyStateResult:
     converged: bool
 
 
-def _sigma_z_of(arr: np.ndarray) -> float:
-    return float(((arr[0, 0] - arr[1, 1]) / (arr[0, 0] + arr[1, 1])).real)
+# Pauli basis I, X, Y, Z: the probe is carried as r = (tr rho, <X>, <Y>, <Z>)
+# (unnormalized), so rho = sum_k r_k P_k / 2 and sigma_z = r_3 / r_0.
+PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
+                 dtype=complex)
+
+# Schedule cycles per block in evolve_collisions; a round-robin block is
+# one pair of numpy calls.
+BLOCK_CYCLES = 256
+
+
+def _transfer_matrix(unit_arr: np.ndarray, u: np.ndarray,
+                    kraus: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
+    """Real 4x4 Pauli transfer matrix T of one collision, r' = T r.
+
+    Column k is the Pauli vector of _collide applied to P_k, so the map is
+    defined by _collide alone. The truncated propagator is not trace
+    preserving; T then changes r_0, which readouts divide out.
+    """
+    images = np.array([_collide(p, unit_arr, u, kraus) for p in PAULI])
+    return np.einsum("jab,kba->jk", PAULI, images).real / 2
 
 
 def evolve_collisions(
@@ -257,6 +275,12 @@ def evolve_collisions(
     combination of maps: draws follow P_i = g_i^2 / sum g_k^2 while every
     collision uses a common rms coupling, so the probabilities alone carry
     the weights and the same g^2-weighted steady state results.
+
+    Each collision acts on the probe's Pauli vector through its reservoir's
+    transfer matrix. Steps run in blocks of BLOCK_CYCLES cycles: round-robin
+    gets a whole block from two matrix products (cycle-map powers times the
+    within-cycle prefix products), weighted-random steps the block one
+    matvec at a time.
     """
     params = params if params is not None else CollisionParams()
     if not reservoirs:
@@ -266,44 +290,69 @@ def evolve_collisions(
     if schedule not in ("round-robin", "weighted-random"):
         raise ValidationError(f"unknown schedule {schedule!r}")
 
-    units = [reservoir_unit_state(r).entries for r in reservoirs]
     kraus = _damping_kraus(params)
     cycle = len(reservoirs)
+    n_total = params.n_collisions
     if schedule == "weighted-random":
         rng = np.random.default_rng(0 if seed is None else seed)
         weights = np.array([r.g**2 for r in reservoirs])
         g_rms = math.sqrt(float(weights.mean()))
         weights = weights / weights.sum()
-        unitaries = [collision_unitary(replace(r, g=g_rms), params) for r in reservoirs]
+        reservoirs = [replace(r, g=g_rms) for r in reservoirs]
+        draws = rng.choice(cycle, size=n_total, p=weights)
+    maps = [_transfer_matrix(reservoir_unit_state(r).entries, collision_unitary(r, params), kraus)
+            for r in reservoirs]
+
+    if schedule == "round-robin":
+        prefixes = [maps[0]]
+        for s in maps[1:]:
+            prefixes.append(s @ prefixes[-1])
+        prefixes = np.array(prefixes)
+        powers = [np.eye(4)]
+        for _ in range(BLOCK_CYCLES - 1):
+            powers.append(prefixes[-1] @ powers[-1])
+        powers = np.array(powers)
+
+        def block(r: np.ndarray, start: int, size: int) -> np.ndarray:
+            cycle_starts = powers[: -(-size // cycle)] @ r
+            return np.einsum("jab,kb->kja", prefixes, cycle_starts).reshape(-1, 4)[:size]
     else:
-        unitaries = [collision_unitary(r, params) for r in reservoirs]
+        def block(r: np.ndarray, start: int, size: int) -> np.ndarray:
+            states = np.empty((size, 4))
+            for i, idx in enumerate(draws[start:start + size]):
+                r = states[i] = maps[idx] @ r
+            return states
 
-    arr = probe.entries.copy()
-    trajectory: list[float] = []
-    prev_cycle_value = _sigma_z_of(arr)
+    # Blocks hold whole cycles, so every block starts on a cycle boundary and
+    # the steady-state test looks at each block's cycle ends in turn.
+    r = np.einsum("kab,ba->k", PAULI, probe.entries).real
+    prev_cycle_value = r[3] / r[0]
+    chunks: list[np.ndarray] = []
+    used = 0
     converged = False
-    while len(trajectory) < params.n_collisions:
-        if schedule == "round-robin":
-            idx = len(trajectory) % cycle
-        else:
-            idx = int(rng.choice(cycle, p=weights))
-        arr = _collide(arr, units[idx], unitaries[idx], kraus)
-        trajectory.append(_sigma_z_of(arr))
-        if len(trajectory) % cycle == 0:
-            if abs(trajectory[-1] - prev_cycle_value) < steady_tol:
-                converged = True
-                break
-            prev_cycle_value = trajectory[-1]
+    while used < n_total and not converged:
+        states = block(r, used, min(BLOCK_CYCLES * cycle, n_total - used))
+        values = states[:, 3] / states[:, 0]
+        ends = values[cycle - 1::cycle]
+        settled = np.flatnonzero(np.abs(np.diff(ends, prepend=prev_cycle_value)) < steady_tol)
+        if settled.size:
+            converged = True
+            values = values[: (settled[0] + 1) * cycle]
+        elif ends.size:
+            prev_cycle_value = ends[-1]
+        chunks.append(values)
+        used += len(values)
+        r = states[len(values) - 1]
 
-    tail = trajectory[-cycle:] if len(trajectory) >= cycle else trajectory
-    rho = DensityMatrix(arr / np.trace(arr))
+    trajectory = np.concatenate(chunks)
+    tail = trajectory[-cycle:]
     result = SteadyStateResult(
         sigma_z=float(np.mean(tail)),
-        rho=rho,
-        collisions_used=len(trajectory),
+        rho=DensityMatrix(np.einsum("k,kab->ab", r / r[0], PAULI) / 2),
+        collisions_used=used,
         converged=converged,
     )
-    return result, np.array(trajectory)
+    return result, trajectory
 
 
 def steady_state_closed_form(reservoirs: list[ReservoirSpec]) -> float:

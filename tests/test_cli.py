@@ -1,19 +1,24 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import NETWORK_PATH
 
 NETWORK = str(NETWORK_PATH)
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def cli(*args, cwd=None):
+    pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qnpflow.cli", *map(str, args)],
         capture_output=True, text=True, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
 
@@ -133,12 +138,17 @@ def test_dataset_too_few_converged_exits_7(tmp_path):
 
 
 @pytest.fixture(scope="session")
-def curve_dir(tmp_path_factory):
+def curve_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("curve")
     res = cli("activation", "simulate", "--spin", "1/2", "--points", 5,
               "--collisions", 3000, "--out-dir", out)
     assert res.returncode == 0, res.stderr
-    return out
+    return out, res
+
+
+@pytest.fixture(scope="session")
+def curve_dir(curve_run):
+    return curve_run[0]
 
 
 def test_activation_simulate_artifacts(curve_dir):
@@ -148,6 +158,24 @@ def test_activation_simulate_artifacts(curve_dir):
     fit = json.loads((curve_dir / "fit_spin0.5.json").read_text())
     assert fit["beta"] > 0 and fit["n_points"] == 5
     assert fit["spin_j"] == 0.5
+
+
+def test_activation_simulate_warns_on_capped_points(curve_run):
+    out, res = curve_run
+    with open(out / "curve_spin0.5.csv", newline="") as fh:
+        capped = sum(row["converged"] == "0" for row in csv.DictReader(fh))
+    assert capped > 0
+    assert res.stderr == (
+        f"warning: {capped} of 5 curve points hit the 3000-collision cap\n")
+
+
+def test_activation_simulate_silent_when_converged(tmp_path):
+    res = cli("activation", "simulate", "--spin", "5/2", "--points", 5,
+              "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "curve_spin2.5.csv", newline="") as fh:
+        assert all(row["converged"] == "1" for row in csv.DictReader(fh))
+    assert res.stderr == ""
 
 
 def test_activation_fit_round_trip(curve_dir, tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,9 +13,13 @@ from qnpflow.errors import (
     ValidationError,
 )
 from qnpflow.qsim import (
+    BLOCK_CYCLES,
     SIGMA_Z,
+    STEADY_TOL,
     CollisionParams,
     DensityMatrix,
+    _collide,
+    _damping_kraus,
     PropagatorMode,
     ReservoirSpec,
     collide_once,
@@ -291,6 +296,117 @@ def test_weighted_random_matches_closed_form():
                                       schedule="weighted-random", seed=seed)
         finals.append(result.sigma_z)
     assert np.mean(finals) == pytest.approx(steady_state_closed_form(pair), abs=5e-3)
+
+
+# ------------------------------------------------------------ transfer-matrix engine
+
+def reference_evolve(probe, reservoirs, params, schedule="round-robin", seed=None,
+                     steady_tol=STEADY_TOL):
+    """evolve_collisions as one _collide per step on the 2x2 density matrix,
+    drawing one weighted-random index per step."""
+    units = [reservoir_unit_state(r).entries for r in reservoirs]
+    kraus = _damping_kraus(params)
+    cycle = len(reservoirs)
+    if schedule == "weighted-random":
+        rng = np.random.default_rng(0 if seed is None else seed)
+        weights = np.array([r.g**2 for r in reservoirs])
+        g_rms = math.sqrt(float(weights.mean()))
+        weights = weights / weights.sum()
+        reservoirs = [replace(r, g=g_rms) for r in reservoirs]
+    unitaries = [collision_unitary(r, params) for r in reservoirs]
+
+    def sigma_z(arr):
+        return float(((arr[0, 0] - arr[1, 1]) / (arr[0, 0] + arr[1, 1])).real)
+
+    arr = probe.entries.copy()
+    trajectory = []
+    prev_cycle_value = sigma_z(arr)
+    converged = False
+    while len(trajectory) < params.n_collisions:
+        if schedule == "round-robin":
+            idx = len(trajectory) % cycle
+        else:
+            idx = int(rng.choice(cycle, p=weights))
+        arr = _collide(arr, units[idx], unitaries[idx], kraus)
+        trajectory.append(sigma_z(arr))
+        if len(trajectory) % cycle == 0:
+            if abs(trajectory[-1] - prev_cycle_value) < steady_tol:
+                converged = True
+                break
+            prev_cycle_value = trajectory[-1]
+    return (float(np.mean(trajectory[-cycle:])), arr / np.trace(arr), len(trajectory),
+            converged, np.array(trajectory))
+
+
+# pole units plus one off-pole unit with a phase, at a coupling where the
+# round-robin chains settle within a few thousand collisions
+CROSS_CHECK_UNITS = [(0.0, 0.0, 1.0), (math.pi, 0.0, 0.7), (1.1, 0.4, 0.5)]
+
+
+def assert_matches_reference(probe, reservoirs, params, schedule="round-robin", seed=None,
+                             steady_tol=STEADY_TOL):
+    sigma_z, rho, used, converged, trajectory = reference_evolve(
+        probe, reservoirs, params, schedule, seed, steady_tol)
+    result, traj = evolve_collisions(probe, reservoirs, params, schedule=schedule, seed=seed,
+                                     steady_tol=steady_tol)
+    assert (result.collisions_used, result.converged) == (used, converged)
+    assert traj.shape == trajectory.shape
+    assert np.abs(traj - trajectory).max() < 1e-12
+    assert np.abs(result.rho.entries - rho).max() < 1e-12
+    assert abs(result.sigma_z - sigma_z) < 1e-12
+    return result
+
+
+@pytest.mark.parametrize("spin_j", [0.5, 1.0, 1.5, 2.5])
+@pytest.mark.parametrize("mode", [EXACT, TRUNCATED])
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_round_robin_matches_per_collision_loop(spin_j, mode, gamma):
+    converged = 0
+    for n_res in (1, 2, 3):
+        reservoirs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
+                      for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
+        # below one cycle, below one block, a cap off the cycle grid, room to settle
+        for n in (1, 7, 1001, 3000):
+            params = CollisionParams(tau=3.0, n_collisions=n, gamma=gamma,
+                                     propagator_mode=mode)
+            converged += assert_matches_reference(plus_state(), reservoirs, params).converged
+    assert converged >= 3
+
+
+@pytest.mark.parametrize("n_res", [1, 2])
+def test_settles_on_first_cycle_of_a_block(n_res):
+    # that cycle's change is measured against the previous block's last cycle
+    reservoirs = [ReservoirSpec(theta=t, phi=phi, g=0.05 * w)
+                  for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
+    params = CollisionParams(tau=3.0, n_collisions=2 * BLOCK_CYCLES * n_res)
+    *_, trajectory = reference_evolve(plus_state(), reservoirs, params, steady_tol=0.0)
+    ends = np.concatenate([[0.0], trajectory[n_res - 1::n_res]])  # |+> has sigma_z = 0
+    changes = np.abs(np.diff(ends))
+    tol = (changes[BLOCK_CYCLES - 1] + changes[BLOCK_CYCLES]) / 2
+    assert changes[BLOCK_CYCLES] < tol < changes[:BLOCK_CYCLES].min()
+    result = assert_matches_reference(plus_state(), reservoirs, params, steady_tol=tol)
+    assert result.converged and result.collisions_used == (BLOCK_CYCLES + 1) * n_res
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7, 11])
+@pytest.mark.parametrize("spin_j", [0.5, 2.5])
+def test_weighted_random_matches_per_collision_loop(seed, spin_j):
+    for n_res in (1, 2, 3):
+        reservoirs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
+                      for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
+        for n, gamma in ((1001, 0.0), (3000, 0.05)):
+            params = CollisionParams(tau=3.0, n_collisions=n, gamma=gamma)
+            assert_matches_reference(excited_state(), reservoirs, params,
+                                     schedule="weighted-random", seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+@pytest.mark.parametrize("weights", [[0.8, 0.2], [0.5, 0.3, 0.2]])
+def test_batched_choice_equals_sequential_draws(seed, weights):
+    batched = np.random.default_rng(seed).choice(len(weights), size=5000, p=weights)
+    rng = np.random.default_rng(seed)
+    sequential = [int(rng.choice(len(weights), p=weights)) for _ in range(5000)]
+    assert batched.tolist() == sequential
 
 
 # ------------------------------------------------------------ closed form
