@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activation import ActivationCurve, fit_beta, spin_beta
+from .activation import ActivationCurve, beta_table, fit_beta, spin_beta
 from .dataset import (
     GenerateOptions,
     Scaler,
@@ -81,22 +81,28 @@ class UsageError(Exception):
 
 
 def _parse_spin(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise UsageError(f"spin must be a number such as 1.5 or a fraction such as 3/2, "
+                         f"got {text!r}") from None
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _read_json_object(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
-        raise ParseError(f"{path}: config must be a JSON object")
+        raise ParseError(f"{path}: expected a JSON object")
     return doc
+
+
+def _load_config(path: str | None) -> dict:
+    return {} if path is None else _read_json_object(path)
 
 
 def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
@@ -174,7 +180,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- dataset
 
 DATASET_DEFAULTS = {
-    "n": 500, "mult_range": [0.8, 1.2], "split": 0.8, "scaler": "standard",
+    "n": 500, "mult_range": [0.8, 1.2], "split": 0.8,
     "coupled": False, "perturb_all_loads": False, "prefix": "dataset",
     "seed": 0, "out_dir": None,
 }
@@ -189,18 +195,14 @@ def cmd_dataset(ns: argparse.Namespace) -> int:
 
     usable = [s for s in samples if s.converged]
     train_s, test_s = split(usable, cfg["split"], cfg["seed"])
-    x_tr, y_tr = _arrays(train_s)
-    fs = fit_scaler(x_tr, cfg["scaler"])
-    ts = fit_scaler(y_tr, cfg["scaler"])
-    meta = replace(meta, split_ratio=cfg["split"], split_seed=cfg["seed"],
-                   scaler_kind=cfg["scaler"])
+    meta = replace(meta, split_ratio=cfg["split"], split_seed=cfg["seed"])
 
     out = _out_dir(cfg)
     _write_snapshot(out, "dataset", {**cfg, "network": str(ns.network)})
     prefix = cfg["prefix"]
     write_dataset_csv(train_s, meta, out / f"{prefix}_train.csv")
     write_dataset_csv(test_s, meta, out / f"{prefix}_test.csv")
-    write_meta_json(meta, out / f"{prefix}_meta.json", feature_scaler=fs, target_scaler=ts)
+    write_meta_json(meta, out / f"{prefix}_meta.json")
     print(f"{meta.n_converged}/{meta.n_requested} converged, "
           f"{len(train_s)} train / {len(test_s)} test rows -> {out / prefix}_*.csv")
     return EXIT_OK
@@ -269,7 +271,8 @@ def cmd_activation_simulate(ns: argparse.Namespace) -> int:
     _write_snapshot(out, "activation_simulate", cfg)
     tag = f"spin{cfg['spin']}"
     _write_curve_csv(curve, out / f"curve_{tag}.csv")
-    (out / f"fit_{tag}.json").write_text(json.dumps(_fit_doc(fit, curve), indent=1) + "\n")
+    doc = {**_fit_doc(fit, curve), "table_beta": beta_table().get(cfg["spin"])}
+    (out / f"fit_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(f"spin={cfg['spin']} fitted beta={fit.beta:.6f} rss={fit.rss:.3e} "
           f"-> {out / f'curve_{tag}.csv'}")
     capped = int(np.count_nonzero(~curve.converged))
@@ -312,10 +315,11 @@ def _resolve_beta(cfg: dict) -> float:
         spin = _parse_spin(cfg["spin"]) if isinstance(cfg["spin"], str) else cfg["spin"]
         return spin_beta(spin)
     if cfg["beta_from_fit"] is not None:
-        doc = json.loads(Path(cfg["beta_from_fit"]).read_text())
-        if "beta" not in doc:
-            raise ParseError(f"{cfg['beta_from_fit']}: no beta field")
-        return float(doc["beta"])
+        doc = _read_json_object(cfg["beta_from_fit"])
+        try:
+            return float(doc["beta"])
+        except (KeyError, TypeError, ValueError):
+            raise ParseError(f"{cfg['beta_from_fit']}: no numeric beta field") from None
     return cfg["beta"] if cfg["beta"] is not None else 2.22
 
 
@@ -343,42 +347,53 @@ def _load_split(prefix: str, which: str):
     samples = [s for s in read_dataset_csv(path, meta) if s.converged]
     if not samples:
         raise ValidationError(f"{path}: no converged rows")
-    return meta, _arrays(samples)
+    return _arrays(samples)
 
 
 def _maybe_scaler(x: np.ndarray, kind: str) -> Scaler | None:
     return None if kind == "none" else fit_scaler(x, kind)
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, TRAIN_DEFAULTS)
-    beta = _resolve_beta(cfg)
-    hyper = _resolve_hyper(cfg)
+def _train_set(prefix: str, scale_inputs: str, scale_targets: str,
+               with_test: bool) -> tuple[TrainSet, Scaler | None, Scaler | None]:
+    """Read the split CSVs under `prefix` and scale them with scalers fitted on
+    the train rows only; kind "none" leaves that side unscaled. With `with_test`,
+    the test split is included when its CSV exists."""
+    x_tr, y_tr = _load_split(prefix, "train")
+    x_te = y_te = None
+    if with_test:
+        try:
+            x_te, y_te = _load_split(prefix, "test")
+        except FileNotFoundError:
+            pass
+    fs = _maybe_scaler(x_tr, scale_inputs)
+    ts = _maybe_scaler(y_tr, scale_targets)
 
-    meta, (x_tr, y_tr) = _load_split(ns.data, "train")
-    try:
-        _, (x_te, y_te) = _load_split(ns.data, "test")
-    except FileNotFoundError:
-        x_te = y_te = None
+    def scaled(arr, scaler):
+        return scaler.transform(arr) if scaler and arr is not None else arr
 
-    fs = _maybe_scaler(x_tr, cfg["scale_inputs"])
-    ts = _maybe_scaler(y_tr, cfg["scale_targets"])
-    x = fs.transform(x_tr) if fs else x_tr
-    y = ts.transform(y_tr) if ts else y_tr
-    data = TrainSet(
-        x_train=x,
-        y_train=y,
-        x_test=(fs.transform(x_te) if fs else x_te) if x_te is not None else None,
-        y_test=(ts.transform(y_te) if ts else y_te) if y_te is not None else None,
-        invert_targets=ts.invert if ts else None,
-    )
-    topology = LayerTopology(
-        sizes=(x_tr.shape[1], *([hyper.hidden_size] * hyper.hidden_layers), y_tr.shape[1]),
+    data = TrainSet(x_train=scaled(x_tr, fs), y_train=scaled(y_tr, ts),
+                    x_test=scaled(x_te, fs), y_test=scaled(y_te, ts),
+                    invert_targets=ts.invert if ts else None)
+    return data, fs, ts
+
+
+def _topology(data: TrainSet, hyper: Hyperparams, beta: float, cfg: dict) -> LayerTopology:
+    return LayerTopology(
+        sizes=(data.x_train.shape[1], *([hyper.hidden_size] * hyper.hidden_layers),
+               data.y_train.shape[1]),
         beta=beta,
         output_beta=cfg["output_beta"],
         use_bias=cfg["bias"],
     )
-    params, report = train(data, topology, hyper)
+
+
+def cmd_train(ns: argparse.Namespace) -> int:
+    cfg = _resolve(ns, TRAIN_DEFAULTS)
+    beta = _resolve_beta(cfg)
+    hyper = _resolve_hyper(cfg)
+    data, fs, ts = _train_set(ns.data, cfg["scale_inputs"], cfg["scale_targets"], with_test=True)
+    params, report = train(data, _topology(data, hyper, beta, cfg), hyper)
 
     out = _out_dir(cfg)
     resolved = {**cfg, "data": str(ns.data), "beta": beta,
@@ -412,7 +427,7 @@ EVALUATE_DEFAULTS = {"split": "test", "out_dir": None}
 def cmd_evaluate(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, EVALUATE_DEFAULTS)
     params, scalers = load_model(ns.model)
-    _, (x, y) = _load_split(ns.data, cfg["split"])
+    x, y = _load_split(ns.data, cfg["split"])
     fs = Scaler.from_dict(scalers["inputs"]) if scalers and scalers.get("inputs") else None
     ts = Scaler.from_dict(scalers["targets"]) if scalers and scalers.get("targets") else None
     report = evaluate(
@@ -440,11 +455,8 @@ SWEEP_DEFAULTS = {"out_dir": None}
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, SWEEP_DEFAULTS)
-    try:
-        doc = json.loads(Path(ns.sweep_config).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{ns.sweep_config}: {exc}") from None
-    if not isinstance(doc, dict) or "data" not in doc:
+    doc = _read_json_object(ns.sweep_config)
+    if "data" not in doc:
         raise UsageError(f"{ns.sweep_config}: sweep config needs a 'data' prefix")
 
     betas = doc.get("betas", None)
@@ -464,11 +476,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if optimizers is None:
         optimizers = [_resolve_hyper({**base, "seed": 0}).optimizer]
 
-    meta, (x_tr, y_tr) = _load_split(doc["data"], "train")
-    fs = _maybe_scaler(x_tr, base["scale_inputs"])
-    ts = _maybe_scaler(y_tr, base["scale_targets"])
-    data = TrainSet(x_train=fs.transform(x_tr) if fs else x_tr,
-                    y_train=ts.transform(y_tr) if ts else y_tr)
+    data, _, _ = _train_set(doc["data"], base["scale_inputs"], base["scale_targets"],
+                            with_test=False)
 
     rows = []
     for beta in betas:
@@ -476,11 +485,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             finals = []
             for seed in seeds:
                 hyper = _resolve_hyper({**base, "optimizer": opt, "seed": seed})
-                topology = LayerTopology(
-                    sizes=(x_tr.shape[1], *([hyper.hidden_size] * hyper.hidden_layers),
-                           y_tr.shape[1]),
-                    beta=beta, output_beta=base["output_beta"], use_bias=base["bias"])
-                _, report = train(data, topology, hyper)
+                _, report = train(data, _topology(data, hyper, beta, base), hyper)
                 finals.append(report.final_train_mse)
             rows.append({
                 "beta": beta, "optimizer": opt, "n_seeds": len(seeds),
@@ -531,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--range", dest="mult_range", type=float, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--split", type=float)
-    p.add_argument("--scaler", choices=["minmax", "standard"])
     p.add_argument("--coupled", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--perturb-all-loads", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--prefix")

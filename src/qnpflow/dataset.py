@@ -1,4 +1,7 @@
-"""Load-perturbation dataset generation, deterministic splitting, scaling, and file I/O.
+"""Load-perturbation dataset generation, deterministic splitting, scalers, and file I/O.
+
+The dataset files hold unscaled values; `train` fits its scalers on the train
+split and stores them in the model file.
 
 Angle convention: targets are radians in memory and degrees in CSV exports
 (columns named delta_*_deg). The CSV reader converts back to radians.
@@ -21,7 +24,6 @@ from .errors import (
     ValidationError,
 )
 from .grid import BusKind, NetworkModel
-from .neuralnet import TrainSet
 from .powerflow import SolveOptions, solve
 
 CONVERGED_SHARE = 0.9
@@ -63,7 +65,6 @@ class DatasetMeta:
     target_labels: list[str]
     split_ratio: float | None = None
     split_seed: int | None = None
-    scaler_kind: str | None = None
 
 
 def _labels(net: NetworkModel, opts: GenerateOptions) -> tuple[list[str], list[str], list[str]]:
@@ -232,61 +233,10 @@ def fit_scaler(x: np.ndarray, kind: str = "minmax") -> Scaler:
     return Scaler(kind=kind, center=center, scale=scale, passthrough=scale < CONSTANT_EPS)
 
 
-@dataclass
-class ScaledDataset:
-    """Train/test arrays in scaled space plus the fitted scalers."""
-
-    x_train: np.ndarray
-    y_train: np.ndarray
-    x_test: np.ndarray
-    y_test: np.ndarray
-    feature_scaler: Scaler
-    target_scaler: Scaler
-    meta: DatasetMeta
-
-    def to_train_set(self) -> TrainSet:
-        return TrainSet(
-            x_train=self.x_train,
-            y_train=self.y_train,
-            x_test=self.x_test,
-            y_test=self.y_test,
-            invert_targets=self.target_scaler.invert,
-        )
-
-
 def _arrays(samples: list[SampleRecord]) -> tuple[np.ndarray, np.ndarray]:
     return (
         np.array([s.inputs for s in samples]),
         np.array([s.targets for s in samples]),
-    )
-
-
-def build_scaled(
-    samples: list[SampleRecord],
-    meta: DatasetMeta,
-    ratio: float = 0.8,
-    seed: int | None = None,
-    scaler_kind: str = "minmax",
-) -> ScaledDataset:
-    """Filter to converged samples, split, and fit scalers on the train part only."""
-    usable = [s for s in samples if s.converged]
-    split_seed = meta.seed if seed is None else seed
-    train, test = split(usable, ratio, split_seed)
-    if not train or not test:
-        raise ValidationError(f"split left an empty side ({len(train)} train / {len(test)} test)")
-    x_tr, y_tr = _arrays(train)
-    x_te, y_te = _arrays(test)
-    fs = fit_scaler(x_tr, scaler_kind)
-    ts = fit_scaler(y_tr, scaler_kind)
-    meta = replace(meta, split_ratio=ratio, split_seed=split_seed, scaler_kind=scaler_kind)
-    return ScaledDataset(
-        x_train=fs.transform(x_tr),
-        y_train=ts.transform(y_tr),
-        x_test=fs.transform(x_te),
-        y_test=ts.transform(y_te),
-        feature_scaler=fs,
-        target_scaler=ts,
-        meta=meta,
     )
 
 
@@ -314,9 +264,7 @@ def write_dataset_csv(samples: list[SampleRecord], meta: DatasetMeta, path: str 
             ])
 
 
-def write_meta_json(meta: DatasetMeta, path: str | Path,
-                    feature_scaler: Scaler | None = None,
-                    target_scaler: Scaler | None = None) -> None:
+def write_meta_json(meta: DatasetMeta, path: str | Path) -> None:
     doc = {
         "seed": meta.seed,
         "n_requested": meta.n_requested,
@@ -331,14 +279,13 @@ def write_meta_json(meta: DatasetMeta, path: str | Path,
         "target_labels": meta.target_labels,
         "split_ratio": meta.split_ratio,
         "split_seed": meta.split_seed,
-        "scaler_kind": meta.scaler_kind,
-        "feature_scaler": feature_scaler.to_dict() if feature_scaler else None,
-        "target_scaler": target_scaler.to_dict() if target_scaler else None,
     }
     Path(path).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def read_meta_json(path: str | Path) -> DatasetMeta:
+    """Keys other than the DatasetMeta fields are ignored, such as the scaler
+    keys that older meta files carry."""
     try:
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -347,7 +294,7 @@ def read_meta_json(path: str | Path) -> DatasetMeta:
         return DatasetMeta(**{k: doc[k] for k in (
             "seed", "n_requested", "n_converged", "mult_low", "mult_high", "coupled",
             "perturb_all_loads", "network_fingerprint", "mult_labels", "input_labels",
-            "target_labels", "split_ratio", "split_seed", "scaler_kind",
+            "target_labels", "split_ratio", "split_seed",
         )})
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None

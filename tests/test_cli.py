@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import NETWORK_PATH
+from qnpflow.dataset import read_dataset_csv, read_meta_json
 
 NETWORK = str(NETWORK_PATH)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -104,7 +106,9 @@ def test_dataset_split_sizes(dataset_dir):
     assert len(data_rows(dataset_dir / "data_test.csv")) == 8
     meta = json.loads((dataset_dir / "data_meta.json").read_text())
     assert meta["n_converged"] == 40 and meta["split_ratio"] == 0.8
-    assert meta["feature_scaler"]["kind"] == "standard"
+    assert meta["split_seed"] == 0
+    # train fits the scalers; the dataset files hold none
+    assert not {"scaler_kind", "feature_scaler", "target_scaler"} & meta.keys()
 
 
 def test_dataset_rerun_is_byte_identical(dataset_dir):
@@ -158,6 +162,15 @@ def test_activation_simulate_artifacts(curve_dir):
     fit = json.loads((curve_dir / "fit_spin0.5.json").read_text())
     assert fit["beta"] > 0 and fit["n_points"] == 5
     assert fit["spin_j"] == 0.5
+    assert fit["table_beta"] == 2.22
+
+
+def test_activation_simulate_untabulated_spin_has_null_table_beta(tmp_path):
+    res = cli("activation", "simulate", "--spin", 2, "--points", 5,
+              "--collisions", 100, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    fit = json.loads((tmp_path / "fit_spin2.0.json").read_text())
+    assert fit["spin_j"] == 2.0 and fit["table_beta"] is None
 
 
 def test_activation_simulate_warns_on_capped_points(curve_run):
@@ -199,6 +212,14 @@ def test_activation_invalid_spin_exits_8(tmp_path):
     assert res.returncode == 8
 
 
+@pytest.mark.parametrize("spin", ["abc", "1/0"])
+def test_activation_unparseable_spin_exits_2(spin, tmp_path):
+    res = cli("activation", "simulate", "--spin", spin, "--points", 5,
+              "--collisions", 100, "--out-dir", tmp_path)
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
+
+
 def test_activation_fit_rejects_bad_curve(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n1,2\n")
@@ -221,6 +242,15 @@ def test_train_writes_model_and_epoch_log(trained_dir):
     snap = json.loads((trained_dir / "train_config.json").read_text())
     assert snap["beta"] == 2.22 and snap["epochs"] == 2
     assert snap["optimizer"] == "adam" and snap["learning_rate"] == 0.001
+
+
+def test_train_model_holds_scalers_fitted_on_train_rows(trained_dir, dataset_dir):
+    model = json.loads((trained_dir / "model.json").read_text())
+    prefix = dataset_dir / "data"
+    meta = read_meta_json(f"{prefix}_meta.json")
+    x = np.array([s.inputs for s in read_dataset_csv(f"{prefix}_train.csv", meta)])
+    assert model["scalers"]["inputs"]["center"] == x.min(axis=0).tolist()
+    assert model["scalers"]["inputs"]["scale"] == (x.max(axis=0) - x.min(axis=0)).tolist()
 
 
 def test_evaluate_matches_epoch_log(trained_dir, dataset_dir, tmp_path):
@@ -255,6 +285,14 @@ def test_train_unknown_spin_exits_8(dataset_dir, tmp_path):
     assert res.returncode == 8
 
 
+@pytest.mark.parametrize("spin", ["abc", "1/0"])
+def test_train_unparseable_spin_exits_2(spin, dataset_dir, tmp_path):
+    res = cli("train", dataset_dir / "data", "--preset", "table3",
+              "--spin", spin, "--out-dir", tmp_path)
+    assert res.returncode == 2
+    assert "usage error" in res.stderr
+
+
 def test_train_without_preset_needs_explicit_sizes(dataset_dir, tmp_path):
     res = cli("train", dataset_dir / "data", "--epochs", 1, "--out-dir", tmp_path)
     assert res.returncode == 2
@@ -268,6 +306,16 @@ def test_train_beta_from_fit(dataset_dir, curve_dir, tmp_path):
     snap = json.loads((tmp_path / "train_config.json").read_text())
     fit = json.loads((curve_dir / "fit_spin0.5.json").read_text())
     assert snap["beta"] == fit["beta"]
+
+
+@pytest.mark.parametrize("text", ["{not json", "3", '{"beta": "steep"}'])
+def test_train_beta_from_bad_fit_exits_4(text, dataset_dir, tmp_path):
+    fit = tmp_path / "fit.json"
+    fit.write_text(text)
+    res = cli("train", dataset_dir / "data", "--preset", "table3", "--epochs", 1,
+              "--beta-from-fit", fit, "--out-dir", tmp_path)
+    assert res.returncode == 4
+    assert res.stderr.startswith("error:")
 
 
 def test_sweep_rows(dataset_dir, tmp_path):
@@ -285,6 +333,30 @@ def test_sweep_rows(dataset_dir, tmp_path):
     assert len(rows) == 2
     assert [r[0] for r in rows] == ["2.22", "4.1"]
     assert all(float(r[3]) > 0 for r in rows)
+
+
+def test_sweep_matches_train_for_one_beta_and_seed(trained_dir, dataset_dir, tmp_path):
+    # trained_dir is table3 at its default beta 2.22, 2 epochs, seed 0
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "data": str(dataset_dir / "data"),
+        "preset": "table3",
+        "epochs": 2,
+        "betas": [2.22],
+        "seeds": [0],
+    }))
+    res = cli("sweep", cfg, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    (row,) = data_rows(tmp_path / "sweep.csv")
+    final_train_mse = (trained_dir / "epochs.csv").read_text().splitlines()[-1].split(",")[1]
+    assert row[3] == final_train_mse
+
+
+def test_sweep_non_object_config_exits_4(tmp_path):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text("[1, 2]")
+    res = cli("sweep", cfg, "--out-dir", tmp_path)
+    assert res.returncode == 4
 
 
 def test_sweep_empty_betas_exits_2(dataset_dir, tmp_path):

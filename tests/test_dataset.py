@@ -1,4 +1,6 @@
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from qnpflow.dataset import (
     DatasetMeta,
     GenerateOptions,
     Scaler,
-    build_scaled,
+    SampleRecord,
     fit_scaler,
     generate,
     read_dataset_csv,
@@ -19,6 +21,7 @@ from qnpflow.dataset import (
     write_dataset_csv,
     write_meta_json,
 )
+from qnpflow.cli import _train_set
 from qnpflow.errors import ParseError, TooFewConverged, ValidationError
 from qnpflow.grid import NetworkModel
 from qnpflow.powerflow import StateVector, mismatch
@@ -219,40 +222,50 @@ def test_scaler_dict_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# scaled dataset assembly
+# train-set assembly: train reads the split files and fits its scalers
 
 
-def test_build_scaled_sizes_and_train_only_fit(base_net):
+def write_prefix(tmp_path, samples, meta, ratio, seed):
+    """Split the converged samples and write them under one prefix, as the
+    dataset command does."""
+    train, test = split([s for s in samples if s.converged], ratio, seed)
+    meta = replace(meta, split_ratio=ratio, split_seed=seed)
+    prefix = str(tmp_path / "data")
+    write_dataset_csv(train, meta, f"{prefix}_train.csv")
+    write_dataset_csv(test, meta, f"{prefix}_test.csv")
+    write_meta_json(meta, f"{prefix}_meta.json")
+    return prefix, meta, train, test
+
+
+def test_train_set_sizes_and_train_only_fit(base_net, tmp_path):
     samples, meta = generate(base_net, 40, seed=10)
-    ds = build_scaled(samples, meta, ratio=0.8, seed=11, scaler_kind="minmax")
-    assert ds.x_train.shape[0] == 32 and ds.x_test.shape[0] == 8
-    assert ds.meta.split_ratio == 0.8 and ds.meta.split_seed == 11
-    assert ds.meta.scaler_kind == "minmax"
+    prefix, *_ = write_prefix(tmp_path, samples, meta, 0.8, 11)
+    data, fs, ts = _train_set(prefix, "minmax", "minmax", with_test=True)
+    assert data.x_train.shape[0] == 32 and data.x_test.shape[0] == 8
+    assert fs.kind == ts.kind == "minmax"
     # scaled train columns that vary must span exactly [0, 1]; test columns
     # generally spill outside, proving the fit ignored them
-    varying = ~ds.feature_scaler.passthrough
-    assert np.allclose(ds.x_train[:, varying].min(axis=0), 0.0)
-    assert np.allclose(ds.x_train[:, varying].max(axis=0), 1.0)
+    varying = ~fs.passthrough
+    assert np.allclose(data.x_train[:, varying].min(axis=0), 0.0)
+    assert np.allclose(data.x_train[:, varying].max(axis=0), 1.0)
 
 
-def test_build_scaled_has_no_test_leakage(base_net):
+def test_train_set_has_no_test_leakage(base_net, tmp_path):
     samples, meta = generate(base_net, 30, seed=12)
-    ds_a = build_scaled(samples, meta, ratio=0.8, seed=13)
-    # mangle every record that landed in the test side, then refit
-    _, test = split([s for s in samples if s.converged], 0.8, 13)
-    test_ids = {s.sample_id for s in test}
-    tampered = [replace_sample(s, factor=100.0) if s.sample_id in test_ids else s
-                for s in samples]
-    ds_b = build_scaled(tampered, meta, ratio=0.8, seed=13)
-    assert np.array_equal(ds_a.feature_scaler.center, ds_b.feature_scaler.center)
-    assert np.array_equal(ds_a.feature_scaler.scale, ds_b.feature_scaler.scale)
-    assert np.array_equal(ds_a.target_scaler.center, ds_b.target_scaler.center)
-    assert np.array_equal(ds_a.target_scaler.scale, ds_b.target_scaler.scale)
+    prefix, meta, _, test = write_prefix(tmp_path, samples, meta, 0.8, 13)
+    _, fs_a, ts_a = _train_set(prefix, "minmax", "minmax", with_test=True)
+    # mangle every record on the test side, then refit
+    write_dataset_csv([replace_sample(s, factor=100.0) for s in test], meta,
+                      f"{prefix}_test.csv")
+    data, fs_b, ts_b = _train_set(prefix, "minmax", "minmax", with_test=True)
+    assert data.x_test[:, ~fs_b.passthrough].max() > 1.0
+    assert np.array_equal(fs_a.center, fs_b.center)
+    assert np.array_equal(fs_a.scale, fs_b.scale)
+    assert np.array_equal(ts_a.center, ts_b.center)
+    assert np.array_equal(ts_a.scale, ts_b.scale)
 
 
 def replace_sample(s, factor):
-    from qnpflow.dataset import SampleRecord
-
     return SampleRecord(
         sample_id=s.sample_id,
         scale_factors=s.scale_factors * factor,
@@ -262,21 +275,25 @@ def replace_sample(s, factor):
     )
 
 
-def test_build_scaled_to_train_set_inverts_targets(base_net):
+def test_train_set_inverts_targets(base_net, tmp_path):
     samples, meta = generate(base_net, 25, seed=14)
-    ds = build_scaled(samples, meta, ratio=0.8, seed=15)
-    data = ds.to_train_set()
-    raw = data.invert_targets(ds.y_test)
-    _, y_expected = raw_arrays(samples, ds, meta)
-    assert np.allclose(raw, y_expected, atol=1e-12)
+    prefix, _, _, test = write_prefix(tmp_path, samples, meta, 0.8, 15)
+    data, _, _ = _train_set(prefix, "minmax", "minmax", with_test=True)
+    raw = data.invert_targets(data.y_test)
+    assert np.allclose(raw, np.array([s.targets for s in test]), atol=1e-12)
 
 
-def raw_arrays(samples, ds, meta):
-    usable = [s for s in samples if s.converged]
-    train, test = split(usable, ds.meta.split_ratio, ds.meta.split_seed)
-    x = np.array([s.inputs for s in test])
-    y = np.array([s.targets for s in test])
-    return x, y
+def test_train_set_unscaled_side_and_train_only(base_net, tmp_path):
+    samples, meta = generate(base_net, 20, seed=16)
+    prefix, _, train, _ = write_prefix(tmp_path, samples, meta, 0.8, 17)
+    data, fs, ts = _train_set(prefix, "minmax", "none", with_test=False)
+    assert fs is not None and ts is None and data.invert_targets is None
+    assert data.x_test is None and data.y_test is None
+    assert np.allclose(data.y_train, np.array([s.targets for s in train]), atol=1e-12)
+    # a prefix without a test file trains on the train split alone
+    Path(f"{prefix}_test.csv").unlink()
+    data, _, _ = _train_set(prefix, "minmax", "none", with_test=True)
+    assert data.x_test is None and data.y_test is None
 
 
 # ---------------------------------------------------------------------------
@@ -321,23 +338,32 @@ def test_csv_degree_columns_are_degrees(base_net, tmp_path):
     assert stored == pytest.approx(np.degrees(samples[0].targets[-1]), rel=1e-12)
 
 
-def test_meta_json_round_trip(base_net, tmp_path):
-    samples, meta = generate(base_net, 8, seed=19)
-    ds = build_scaled(samples, meta, ratio=0.75, seed=20)
-    path = tmp_path / "meta.json"
-    write_meta_json(ds.meta, path, ds.feature_scaler, ds.target_scaler)
-    back = read_meta_json(path)
-    assert back == ds.meta
-    import json
+SCALER_KEYS = {"scaler_kind", "feature_scaler", "target_scaler"}
 
+
+def test_meta_json_round_trip(base_net, tmp_path):
+    _, meta = generate(base_net, 8, seed=19)
+    meta = replace(meta, split_ratio=0.75, split_seed=20)
+    path = tmp_path / "meta.json"
+    write_meta_json(meta, path)
+    assert read_meta_json(path) == meta
+    assert not SCALER_KEYS & json.loads(path.read_text()).keys()
+
+
+def test_meta_json_reads_files_with_scaler_keys(base_net, tmp_path):
+    # meta files from earlier releases also hold the dataset's own scalers
+    _, meta = generate(base_net, 8, seed=21)
+    meta = replace(meta, split_ratio=0.8, split_seed=21)
+    path = tmp_path / "meta.json"
+    write_meta_json(meta, path)
     doc = json.loads(path.read_text())
-    fs = Scaler.from_dict(doc["feature_scaler"])
-    assert np.array_equal(fs.center, ds.feature_scaler.center)
+    scaler = fit_scaler(np.array([[1.0, 2.0], [3.0, 2.0]]), "standard").to_dict()
+    doc.update(scaler_kind="standard", feature_scaler=scaler, target_scaler=scaler)
+    path.write_text(json.dumps(doc, indent=1) + "\n")
+    assert read_meta_json(path) == meta
 
 
 def test_meta_json_missing_key(base_net, tmp_path):
-    import json
-
     path = tmp_path / "meta.json"
     path.write_text(json.dumps({"seed": 0}))
     with pytest.raises(ParseError):
