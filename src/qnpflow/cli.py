@@ -52,9 +52,9 @@ from .errors import (
 from .grid import load_network
 from .neuralnet import (
     Hyperparams,
-    LayerTopology,
     OptimizerKind,
     TrainSet,
+    build_topology,
     evaluate,
     load_model,
     preset,
@@ -105,16 +105,42 @@ def _load_config(path: str | None) -> dict:
     return {} if path is None else _read_json_object(path)
 
 
+def _is(value, kind: type) -> bool:
+    """isinstance for JSON values: a bool is no number, an int is also a float."""
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _fits(action: argparse.Action, value) -> bool:
+    """Whether a config-file value is one the option's flag could have given."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return _is(value, bool)
+    if isinstance(action.nargs, int):
+        return (isinstance(value, list) and len(value) == action.nargs
+                and all(_is(v, action.type) for v in value))
+    if action.dest == "spin":  # a number, or text such as "3/2"
+        return _is(value, float) or _is(value, str)
+    return _is(value, action.type or str) and (action.choices is None or value in action.choices)
+
+
 def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    """CLI value if given, else config-file value, else builtin default."""
+    """CLI value if given, else config-file value, else builtin default.
+
+    A config-file value must be one the option's flag could have given, or
+    null where the default is None; otherwise ParseError names the key."""
     config = _load_config(getattr(ns, "config", None))
+    actions = {a.dest: a for a in ns.parser._actions}
     out = {}
     for key, default in defaults.items():
         cli_val = getattr(ns, key, None)
         if cli_val is not None:
             out[key] = cli_val
         elif key in config:
-            out[key] = config[key]
+            value = config[key]
+            if not (value is None and default is None) and not _fits(actions[key], value):
+                raise ParseError(f"{ns.config}: {value!r} is not a valid value for {key!r}")
+            out[key] = value
         else:
             out[key] = default
     return out
@@ -378,22 +404,14 @@ def _train_set(prefix: str, scale_inputs: str, scale_targets: str,
     return data, fs, ts
 
 
-def _topology(data: TrainSet, hyper: Hyperparams, beta: float, cfg: dict) -> LayerTopology:
-    return LayerTopology(
-        sizes=(data.x_train.shape[1], *([hyper.hidden_size] * hyper.hidden_layers),
-               data.y_train.shape[1]),
-        beta=beta,
-        output_beta=cfg["output_beta"],
-        use_bias=cfg["bias"],
-    )
-
-
 def cmd_train(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, TRAIN_DEFAULTS)
     beta = _resolve_beta(cfg)
     hyper = _resolve_hyper(cfg)
     data, fs, ts = _train_set(ns.data, cfg["scale_inputs"], cfg["scale_targets"], with_test=True)
-    params, report = train(data, _topology(data, hyper, beta, cfg), hyper)
+    topology = build_topology(data.x_train.shape[1], data.y_train.shape[1], hyper, beta,
+                              cfg["output_beta"], cfg["bias"])
+    params, report = train(data, topology, hyper)
 
     out = _out_dir(cfg)
     resolved = {**cfg, "data": str(ns.data), "beta": beta,
@@ -459,6 +477,11 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if "data" not in doc:
         raise UsageError(f"{ns.sweep_config}: sweep config needs a 'data' prefix")
 
+    for key, kind in (("betas", float), ("optimizers", str), ("seeds", int)):
+        value = doc.get(key)
+        if value is not None and not (isinstance(value, list) and all(_is(v, kind) for v in value)):
+            raise UsageError(f"{ns.sweep_config}: {key!r} must be a list of {kind.__name__} "
+                             f"values, got {value!r}")
     betas = doc.get("betas", None)
     optimizers = doc.get("optimizers", None)
     if betas == [] or optimizers == []:
@@ -485,7 +508,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             finals = []
             for seed in seeds:
                 hyper = _resolve_hyper({**base, "optimizer": opt, "seed": seed})
-                _, report = train(data, _topology(data, hyper, beta, base), hyper)
+                topology = build_topology(data.x_train.shape[1], data.y_train.shape[1], hyper,
+                                          beta, base["output_beta"], base["bias"])
+                _, report = train(data, topology, hyper)
                 finals.append(report.final_train_mse)
             rows.append({
                 "beta": beta, "optimizer": opt, "n_seeds": len(seeds),
@@ -529,7 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--flat-start", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, parser=p)
 
     p = sub.add_parser("dataset", parents=[common], help="generate a training dataset")
     p.add_argument("network")
@@ -539,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupled", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--perturb-all-loads", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument("--prefix")
-    p.set_defaults(func=cmd_dataset)
+    p.set_defaults(func=cmd_dataset, parser=p)
 
     p = sub.add_parser("activation", help="collision-model transfer curves")
     asub = p.add_subparsers(dest="subcommand", required=True)
@@ -553,11 +578,11 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--collisions", type=int)
     q.add_argument("--mode", choices=[m.value for m in PropagatorMode])
     q.add_argument("--schedule", choices=["round-robin", "weighted-random"])
-    q.set_defaults(func=cmd_activation_simulate)
+    q.set_defaults(func=cmd_activation_simulate, parser=q)
 
     q = asub.add_parser("fit", parents=[common], help="fit beta to an existing curve file")
     q.add_argument("curve", help="curve CSV with u and sigma_z columns")
-    q.set_defaults(func=cmd_activation_fit)
+    q.set_defaults(func=cmd_activation_fit, parser=q)
 
     p = sub.add_parser("train", parents=[common], help="train the feedforward network")
     p.add_argument("data", help="dataset prefix (expects <prefix>_train.csv and <prefix>_meta.json)")
@@ -577,17 +602,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scale-targets", choices=["minmax", "standard", "none"])
     p.add_argument("--output-beta", type=float, help="apply the activation on the output layer too")
     p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, parser=p)
 
     p = sub.add_parser("evaluate", parents=[common], help="evaluate a saved model on a dataset split")
     p.add_argument("model", help="model file written by train")
     p.add_argument("data", help="dataset prefix")
     p.add_argument("--split", choices=["train", "test"])
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, parser=p)
 
     p = sub.add_parser("sweep", parents=[common], help="aggregate training runs over betas/optimizers/seeds")
     p.add_argument("sweep_config", help="JSON file listing the sweep axes")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     return parser
 

@@ -23,7 +23,7 @@ from .errors import (
     TooFewConverged,
     ValidationError,
 )
-from .grid import BusKind, NetworkModel
+from .grid import NetworkModel
 from .powerflow import SolveOptions, solve
 
 CONVERGED_SHARE = 0.9
@@ -105,7 +105,7 @@ def generate(
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
 
-    perturbed = list(range(net.n)) if opts.perturb_all_loads else list(net.pq_indices)
+    perturbed = range(net.n) if opts.perturb_all_loads else net.pq_indices
     mult_labels, input_labels, target_labels = _labels(net, opts)
     n_targets = len(net.pq_indices) + len(net.non_slack_indices)
 
@@ -130,15 +130,12 @@ def generate(
         inputs = np.concatenate([
             [net.base.to_pu(b.p_load) for b in case.buses],
             [net.base.to_pu(b.q_load) for b in case.buses],
-            [case.buses[case.slack_index].v_mag],
-            [case.buses[i].v_mag for i in case.pv_indices],
+            [case.buses[net.slack_index].v_mag],
+            [case.buses[i].v_mag for i in net.pv_indices],
         ])
         try:
             sol = solve(case, opts.solver)
-            targets = np.concatenate([
-                sol.v_mag[list(case.pq_indices)],
-                sol.delta[list(case.non_slack_indices)],
-            ])
+            targets = np.concatenate([sol.v_mag[net.pq_indices], sol.delta[net.non_slack_indices]])
             converged = True
             n_converged += 1
         except (NotConverged, SingularJacobian):

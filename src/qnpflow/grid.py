@@ -4,7 +4,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ class BusRecord:
 
 @dataclass(frozen=True)
 class AdmittanceMatrix:
-    """Dense complex bus admittance matrix with polar and rectangular views."""
+    """Dense complex bus admittance matrix, read-only."""
 
     entries: np.ndarray
 
@@ -56,25 +57,6 @@ class AdmittanceMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def g(self) -> np.ndarray:
-        """Conductance G = Re(Y)."""
-        return self.entries.real
-
-    @property
-    def b(self) -> np.ndarray:
-        """Susceptance B = Im(Y)."""
-        return self.entries.imag
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.entries)
-
-    @property
-    def angle(self) -> np.ndarray:
-        """Entry angles Theta in radians."""
-        return np.angle(self.entries)
 
 
 @dataclass(frozen=True)
@@ -96,40 +78,48 @@ class PerUnitBase:
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Immutable network: ordered bus records, YBUS, power base, content hash."""
+    """Immutable network: ordered bus records, YBUS and power base.
+
+    What the solver reads on every call is computed once, at construction:
+    the bus index sets as integer arrays that index directly, and the
+    per-unit schedule (`p_sched`, `q_sched`), NaN where the quantity is an
+    unknown. The content hash is computed on first read.
+    """
 
     buses: tuple[BusRecord, ...]
     ybus: AdmittanceMatrix
     base: PerUnitBase
-    fingerprint: str = ""
+    slack_index: int = field(init=False, repr=False, compare=False)
+    pv_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    pq_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    non_slack_indices: np.ndarray = field(init=False, repr=False, compare=False)
+    p_sched: np.ndarray = field(init=False, repr=False, compare=False)
+    q_sched: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate(self.buses, self.ybus, self.base)
-        if not self.fingerprint:
-            digest = hashlib.sha256(
-                json.dumps(_payload(self), sort_keys=True).encode()
-            ).hexdigest()
-            object.__setattr__(self, "fingerprint", digest)
+        kinds = np.array([b.kind.value for b in self.buses])
+        p_sched, q_sched = zip(*scheduled_injections(self))
+        constants = {
+            "pv_indices": np.flatnonzero(kinds == BusKind.PV.value),
+            "pq_indices": np.flatnonzero(kinds == BusKind.PQ.value),
+            "non_slack_indices": np.flatnonzero(kinds != BusKind.SLACK.value),
+            "p_sched": np.array(p_sched, dtype=float),  # None becomes NaN
+            "q_sched": np.array(q_sched, dtype=float),
+        }
+        for name, value in constants.items():
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "slack_index", int(np.flatnonzero(kinds == BusKind.SLACK.value)[0]))
 
     @property
     def n(self) -> int:
         return len(self.buses)
 
-    @property
-    def slack_index(self) -> int:
-        return next(i for i, b in enumerate(self.buses) if b.kind is BusKind.SLACK)
-
-    @property
-    def pv_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.buses) if b.kind is BusKind.PV)
-
-    @property
-    def pq_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.buses) if b.kind is BusKind.PQ)
-
-    @property
-    def non_slack_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.buses) if b.kind is not BusKind.SLACK)
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 of the network file contents that save_network writes."""
+        return hashlib.sha256(json.dumps(_payload(self), sort_keys=True).encode()).hexdigest()
 
 
 def _require(obj: dict, key: str, path: str):

@@ -1,9 +1,12 @@
-"""Newton-Raphson AC power flow in polar form, plus a Gauss-Seidel cross-check solver.
+"""Newton-Raphson AC power flow, plus a Gauss-Seidel cross-check solver.
 
-State convention: angles in radians, magnitudes in per-unit. The Jacobian is
-the derivative of the mismatch vector (scheduled minus calculated), so the
-Newton correction solves J dx = -F and the analytic blocks can be checked
-directly against finite differences of mismatch().
+State convention: the state is polar, angles in radians and magnitudes in
+per-unit. Injections and their derivatives are taken in complex form,
+S = V conj(Y V), with MATPOWER's dS/d(delta) and dS/d|V| (Zimmerman, MATPOWER
+Technical Note 2, 2010). The Jacobian is the derivative of the mismatch vector
+(scheduled minus calculated), so the Newton correction solves J dx = -F and
+the analytic blocks can be checked directly against finite differences of
+mismatch().
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotConverged, SingularJacobian, ValidationError
-from .grid import NetworkModel, scheduled_injections
+from .grid import NetworkModel
 
 PIVOT_TOL = 1e-12
 
@@ -104,8 +107,8 @@ def initial_state(net: NetworkModel, flat_start: bool = True) -> StateVector:
     delta = np.zeros(net.n)
     delta[net.slack_index] = ang[net.slack_index]
     v = np.ones(net.n)
-    for i in (net.slack_index, *net.pv_indices):
-        v[i] = vm[i]
+    fixed = np.append(net.pv_indices, net.slack_index)
+    v[fixed] = vm[fixed]
     return StateVector(delta, v)
 
 
@@ -114,65 +117,45 @@ def _check_state(state: StateVector, net: NetworkModel):
         raise DimensionMismatch(f"state has {state.delta.shape[0]} buses, network has {net.n}")
 
 
+def _voltages(state: StateVector) -> np.ndarray:
+    return state.v_mag * np.exp(1j * state.delta)
+
+
 def calc_injections(state: StateVector, net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Net injected (P, Q) per bus from the polar power equations.
-
-    P_i = sum_n |V_i V_n Y_in| cos(Theta_in + d_n - d_i)
-    Q_i = -sum_n |V_i V_n Y_in| sin(Theta_in + d_n - d_i)
-    """
+    """Net injected (P, Q) per bus: S = V conj(Y V) with V = |V| exp(j delta)."""
     _check_state(state, net)
-    t = net.ybus.angle + state.delta[None, :] - state.delta[:, None]
-    a = state.v_mag[:, None] * state.v_mag[None, :] * net.ybus.magnitude
-    p = (a * np.cos(t)).sum(axis=1)
-    q = -(a * np.sin(t)).sum(axis=1)
-    return p, q
-
-
-def _sched_arrays(net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    sched = scheduled_injections(net)
-    p = np.array([math.nan if s[0] is None else s[0] for s in sched])
-    q = np.array([math.nan if s[1] is None else s[1] for s in sched])
-    return p, q
+    v = _voltages(state)
+    s = v * np.conj(net.ybus.entries @ v)
+    return s.real, s.imag
 
 
 def mismatch(state: StateVector, net: NetworkModel) -> MismatchVector:
     """Scheduled minus calculated power, over the solvable equations only."""
     p_calc, q_calc = calc_injections(state, net)
-    p_sch, q_sch = _sched_arrays(net)
-    ns = list(net.non_slack_indices)
-    pq = list(net.pq_indices)
-    return MismatchVector(dp=p_sch[ns] - p_calc[ns], dq=q_sch[pq] - q_calc[pq])
+    ns, pq = net.non_slack_indices, net.pq_indices
+    return MismatchVector(dp=net.p_sched[ns] - p_calc[ns], dq=net.q_sched[pq] - q_calc[pq])
 
 
 def jacobian(state: StateVector, net: NetworkModel) -> JacobianBlocks:
-    """Analytic mismatch Jacobian (negated injection derivatives)."""
+    """Analytic mismatch Jacobian: the negated injection derivatives.
+
+    With vy[i, k] = V_i conj(Y_ik V_k), whose row sums are S:
+        dS/d(delta)  = j (diag(S) - vy)
+        |V| dS/d|V|  = diag(S) + vy
+    P is the real part and Q the imaginary part of each.
+    """
     _check_state(state, net)
-    v = state.v_mag
-    t = net.ybus.angle + state.delta[None, :] - state.delta[:, None]
-    a = v[:, None] * v[None, :] * net.ybus.magnitude
-    s = a * np.sin(t)
-    c = a * np.cos(t)
-    off_s = s.sum(axis=1) - np.diag(s)
-    off_c = c.sum(axis=1) - np.diag(c)
-    g_diag = np.diag(net.ybus.g)
-    b_diag = np.diag(net.ybus.b)
-
-    dp_dd = -s.copy()
-    np.fill_diagonal(dp_dd, off_s)
-    dp_dv = c.copy()
-    np.fill_diagonal(dp_dv, 2.0 * v**2 * g_diag + off_c)
-    dq_dd = -c.copy()
-    np.fill_diagonal(dq_dd, off_c)
-    dq_dv = -s.copy()
-    np.fill_diagonal(dq_dv, -2.0 * v**2 * b_diag - off_s)
-
-    ns = list(net.non_slack_indices)
-    pq = list(net.pq_indices)
+    v = _voltages(state)
+    vy = v[:, None] * np.conj(net.ybus.entries * v)
+    s = np.diag(vy.sum(axis=1))
+    ds_dd = 1j * (s - vy)
+    ds_dv = s + vy
+    ns, pq = net.non_slack_indices, net.pq_indices
     return JacobianBlocks(
-        j11=-dp_dd[np.ix_(ns, ns)],
-        j12=-dp_dv[np.ix_(ns, pq)],
-        j21=-dq_dd[np.ix_(pq, ns)],
-        j22=-dq_dv[np.ix_(pq, pq)],
+        j11=-ds_dd.real[np.ix_(ns, ns)],
+        j12=-ds_dv.real[np.ix_(ns, pq)],
+        j21=-ds_dd.imag[np.ix_(pq, ns)],
+        j22=-ds_dv.imag[np.ix_(pq, pq)],
     )
 
 
@@ -189,8 +172,7 @@ def nr_step(state: StateVector, net: NetworkModel) -> tuple[StateVector, float]:
     if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
         raise SingularJacobian(f"pivot below {PIVOT_TOL} in Newton linear solve")
     dx = scipy.linalg.lu_solve((lu, piv), -mm.stacked)
-    ns = list(net.non_slack_indices)
-    pq = list(net.pq_indices)
+    ns, pq = net.non_slack_indices, net.pq_indices
     new = state.copy()
     new.delta[ns] += dx[: len(ns)]
     new.v_mag[pq] *= 1.0 + dx[len(ns):]
@@ -240,10 +222,9 @@ def gauss_seidel_oracle(
     voltage magnitude to the setpoint after each update. Convergence uses the
     same mismatch metric as solve(). Not used by solve() itself.
     """
-    p_sch, q_sch = _sched_arrays(net)
+    p_sch, q_sch = net.p_sched, net.q_sched
     y = net.ybus.entries
-    st = initial_state(net, flat_start=True)
-    volt = st.v_mag * np.exp(1j * st.delta)
+    volt = _voltages(initial_state(net, flat_start=True))
     pv = set(net.pv_indices)
     vset = {i: net.buses[i].v_mag for i in net.pv_indices}
     history: list[float] = []

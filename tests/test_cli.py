@@ -92,6 +92,20 @@ def test_solve_rejects_malformed_config(tmp_path):
     assert res.returncode == 4
 
 
+@pytest.mark.parametrize("command, config", [
+    (["activation", "simulate"], {"spin": [1]}),
+    (["dataset", NETWORK], {"n": "500"}),
+])
+def test_config_value_of_wrong_type_exits_4(tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = cli(*command, "--config", cfg, "--out-dir", tmp_path)
+    assert res.returncode == 4, res.stderr
+    (key,) = config
+    assert res.stderr.startswith("error:") and repr(key) in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # dataset
 
@@ -364,6 +378,16 @@ def test_sweep_empty_betas_exits_2(dataset_dir, tmp_path):
     cfg.write_text(json.dumps({"data": str(dataset_dir / "data"), "betas": []}))
     res = cli("sweep", cfg, "--out-dir", tmp_path)
     assert res.returncode == 2
+
+
+@pytest.mark.parametrize("axis", [{"seeds": 3}, {"betas": 2.22}, {"optimizers": "adam"}])
+def test_sweep_axis_not_a_list_exits_2(dataset_dir, tmp_path, axis):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(dataset_dir / "data"), "betas": [2.22], **axis}))
+    res = cli("sweep", cfg, "--out-dir", tmp_path)
+    assert res.returncode == 2, res.stderr
+    (key,) = axis
+    assert res.stderr.startswith("usage error:") and repr(key) in res.stderr
 
 
 def test_version_flag():

@@ -9,6 +9,7 @@ from qnpflow.errors import ParseError, ValidationError
 from qnpflow.grid import (
     AdmittanceMatrix,
     BusKind,
+    NetworkModel,
     PerUnitBase,
     load_network,
     save_network,
@@ -45,12 +46,6 @@ def test_ybus_symmetric(base_net):
     assert np.array_equal(y, y.T)
 
 
-def test_polar_rectangular_consistency(base_net):
-    y = base_net.ybus
-    assert np.allclose(y.magnitude * np.cos(y.angle), y.g, atol=1e-12)
-    assert np.allclose(y.magnitude * np.sin(y.angle), y.b, atol=1e-12)
-
-
 def test_bus_kinds(base_net):
     kinds = [b.kind for b in base_net.buses]
     assert kinds == [BusKind.SLACK, BusKind.PQ, BusKind.PQ, BusKind.PV]
@@ -84,6 +79,26 @@ def test_scheduled_injections_all_zero(network_doc, tmp_path):
     net = load_network(write_doc(network_doc, tmp_path))
     for p, q in scheduled_injections(net):
         assert p in (None, 0.0) and q in (None, 0.0)
+
+
+def test_network_constants(base_net):
+    assert base_net.non_slack_indices.tolist() == [1, 2, 3]
+    assert np.isnan(base_net.p_sched[0]) and np.isnan(base_net.q_sched[[0, 3]]).all()
+    for i, (p, q) in enumerate(scheduled_injections(base_net)):
+        assert p is None or base_net.p_sched[i] == p
+        assert q is None or base_net.q_sched[i] == q
+    for arr in (base_net.pv_indices, base_net.pq_indices, base_net.non_slack_indices,
+                base_net.p_sched, base_net.q_sched):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_fingerprint_is_derived(base_net):
+    # the SHA-256 of the shipped file's content; dataset meta files record it
+    assert base_net.fingerprint == "4ccf9cd363891eea2ad34cb14bfe784289956a8a212bc627e29c6d8b9ce7f6ac"
+    with pytest.raises(TypeError):
+        NetworkModel(buses=base_net.buses, ybus=base_net.ybus, base=base_net.base,
+                     fingerprint="set by hand")
 
 
 def test_round_trip(base_net, tmp_path):
@@ -199,13 +214,3 @@ def test_per_unit_round_trip(s_base):
 def test_per_unit_base_positive():
     with pytest.raises(ValidationError):
         PerUnitBase(s_base=0.0)
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
-def test_decomposition_identity_random(n, seed):
-    rng = np.random.default_rng(seed)
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    y = AdmittanceMatrix(m + m.T)
-    assert np.allclose(y.magnitude * np.cos(y.angle), y.g, atol=1e-12)
-    assert np.allclose(y.magnitude * np.sin(y.angle), y.b, atol=1e-12)
-    assert np.allclose(y.g + 1j * y.b, y.entries)

@@ -21,11 +21,48 @@ from qnpflow.powerflow import (
 )
 
 
-def rectangular_injections(state, net):
-    """Independent oracle: S_i = V_i (Y V)_i* in rectangular complex form."""
-    v = state.v_mag * np.exp(1j * state.delta)
-    s = v * np.conj(net.ybus.entries @ v)
-    return s.real, s.imag
+def polar_injections(state, net):
+    """Reference for the complex form: the polar power equations as trig sums.
+
+    P_i = sum_n |V_i V_n Y_in| cos(Theta_in + d_n - d_i)
+    Q_i = -sum_n |V_i V_n Y_in| sin(Theta_in + d_n - d_i)
+    """
+    y = net.ybus.entries
+    t = np.angle(y) + state.delta[None, :] - state.delta[:, None]
+    a = state.v_mag[:, None] * state.v_mag[None, :] * np.abs(y)
+    return (a * np.cos(t)).sum(axis=1), -(a * np.sin(t)).sum(axis=1)
+
+
+def polar_jacobian(state, net):
+    """Reference mismatch Jacobian from the four trig blocks, assembled."""
+    y, v = net.ybus.entries, state.v_mag
+    t = np.angle(y) + state.delta[None, :] - state.delta[:, None]
+    a = v[:, None] * v[None, :] * np.abs(y)
+    s = a * np.sin(t)
+    c = a * np.cos(t)
+    off_s = s.sum(axis=1) - np.diag(s)
+    off_c = c.sum(axis=1) - np.diag(c)
+
+    dp_dd = -s.copy()
+    np.fill_diagonal(dp_dd, off_s)
+    dp_dv = c.copy()
+    np.fill_diagonal(dp_dv, 2.0 * v**2 * np.diag(y.real) + off_c)
+    dq_dd = -c.copy()
+    np.fill_diagonal(dq_dd, off_c)
+    dq_dv = -s.copy()
+    np.fill_diagonal(dq_dv, -2.0 * v**2 * np.diag(y.imag) - off_s)
+
+    ns, pq = list(net.non_slack_indices), list(net.pq_indices)
+    return -np.block([[dp_dd[np.ix_(ns, ns)], dp_dv[np.ix_(ns, pq)]],
+                      [dq_dd[np.ix_(pq, ns)], dq_dv[np.ix_(pq, pq)]]])
+
+
+def assert_matches_polar_reference(state, net, atol=1e-12):
+    p, q = calc_injections(state, net)
+    p_ref, q_ref = polar_injections(state, net)
+    assert np.abs(p - p_ref).max() < atol
+    assert np.abs(q - q_ref).max() < atol
+    assert np.abs(jacobian(state, net).assembled - polar_jacobian(state, net)).max() < atol
 
 
 def make_net(buses, ybus, s_base=100.0):
@@ -58,22 +95,29 @@ def random_state(net, rng):
 
 # ------------------------------------------------------------ injections
 
-def test_flat_start_matches_rectangular_oracle(base_net):
-    state = initial_state(base_net)
-    p, q = calc_injections(state, base_net)
-    p_ref, q_ref = rectangular_injections(state, base_net)
-    assert np.allclose(p, p_ref, atol=1e-10)
-    assert np.allclose(q, q_ref, atol=1e-10)
+def test_flat_start_matches_polar_reference(base_net):
+    assert_matches_polar_reference(initial_state(base_net), base_net)
 
 
-def test_random_states_match_rectangular_oracle(base_net):
+def test_random_states_match_polar_reference(base_net):
     rng = np.random.default_rng(11)
     for _ in range(50):
-        state = random_state(base_net, rng)
-        p, q = calc_injections(state, base_net)
-        p_ref, q_ref = rectangular_injections(state, base_net)
-        assert np.allclose(p, p_ref, atol=1e-10)
-        assert np.allclose(q, q_ref, atol=1e-10)
+        assert_matches_polar_reference(random_state(base_net, rng), base_net)
+
+
+def test_two_bus_matches_polar_reference(two_bus):
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        assert_matches_polar_reference(random_state(two_bus, rng), two_bus)
+
+
+@given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_random_networks_match_polar_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    net = make_net([slack(1), *(pq(i) for i in range(2, n + 1))], m + m.T)
+    assert_matches_polar_reference(random_state(net, rng), net)
 
 
 def test_diagonal_ybus_injections():
@@ -103,7 +147,7 @@ def test_mismatch_order_and_value_at_flat(base_net):
     m = mismatch(state, base_net)
     assert m.dp.shape == (3,) and m.dq.shape == (2,)
     assert m.stacked.shape == (5,)
-    p_ref, q_ref = rectangular_injections(state, base_net)
+    p_ref, q_ref = polar_injections(state, base_net)
     sched_p = np.array([-1.70, -2.00, 2.38])
     sched_q = np.array([-1.0535, -1.2394])
     assert m.dp == pytest.approx(sched_p - p_ref[1:], abs=1e-12)
@@ -264,7 +308,7 @@ def test_power_balance_nonnegative_loss(base_net):
 def test_converged_flags_and_injections(base_net):
     sol = solve(base_net)
     state = StateVector(delta=sol.delta, v_mag=sol.v_mag)
-    p_ref, q_ref = rectangular_injections(state, base_net)
+    p_ref, q_ref = polar_injections(state, base_net)
     assert sol.p_calc == pytest.approx(p_ref, abs=1e-12)
     assert sol.q_calc == pytest.approx(q_ref, abs=1e-12)
     assert sol.v_mag[3] == pytest.approx(1.02)  # PV setpoint held
