@@ -175,7 +175,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
         rows.append({
             "bus_id": bus.id,
             "kind": bus.kind.value,
-            "v_mag_pu": sol.v_mag[i],
+            "v_mag_pu": float(sol.v_mag[i]),
             "delta_deg": float(np.degrees(sol.delta[i])),
             "p_inj_mw": float(net.base.from_pu(sol.p_calc[i])),
             "q_inj_mvar": float(net.base.from_pu(sol.q_calc[i])),

@@ -11,20 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    NotConverged,
-    ParseError,
-    SingularJacobian,
-    TooFewConverged,
-    ValidationError,
-)
+from .errors import ParseError, TooFewConverged, ValidationError
 from .grid import NetworkModel
-from .powerflow import SolveOptions, solve
+# `solve` is not called here; the benchmark's span table looks it up on this module.
+from .powerflow import SolveOptions, initial_state, solve, solve_batch  # noqa: F401
 
 CONVERGED_SHARE = 0.9
 CONSTANT_EPS = 1e-12
@@ -91,11 +86,12 @@ def generate(
     seed: int = 0,
     opts: GenerateOptions | None = None,
 ) -> tuple[list[SampleRecord], DatasetMeta]:
-    """Draw uniform load multipliers, solve each case, and record the map.
+    """Draw uniform load multipliers, solve every case, and record the map.
 
     Each sample uses its own generator seeded by (seed, index), so sample i
-    is identical no matter how many samples are requested. Non-converged
-    cases are kept with converged=False and NaN targets. Raises
+    is identical no matter how many samples are requested. The cases differ
+    only in their loads, so one solve_batch call solves them all.
+    Non-converged cases are kept with converged=False and NaN targets. Raises
     TooFewConverged when fewer than 90% of the cases solve.
     """
     opts = opts if opts is not None else GenerateOptions()
@@ -105,49 +101,32 @@ def generate(
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
 
-    perturbed = range(net.n) if opts.perturb_all_loads else net.pq_indices
+    perturbed = np.arange(net.n) if opts.perturb_all_loads else net.pq_indices
     mult_labels, input_labels, target_labels = _labels(net, opts)
-    n_targets = len(net.pq_indices) + len(net.non_slack_indices)
 
-    samples: list[SampleRecord] = []
-    n_converged = 0
-    for idx in range(n):
-        rng = np.random.default_rng([seed, idx])
-        factors = []
-        buses = list(net.buses)
-        for i in perturbed:
-            if opts.coupled:
-                m = rng.uniform(low, high)
-                mp, mq = m, m
-                factors.append(m)
-            else:
-                mp = rng.uniform(low, high)
-                mq = rng.uniform(low, high)
-                factors.extend([mp, mq])
-            buses[i] = replace(buses[i], p_load=buses[i].p_load * mp, q_load=buses[i].q_load * mq)
-        case = NetworkModel(buses=tuple(buses), ybus=net.ybus, base=net.base)
+    # One draw per perturbed bus when coupled, else a (P, Q) pair per bus.
+    per_bus = 1 if opts.coupled else 2
+    factors = np.array([
+        np.random.default_rng([seed, idx]).uniform(low, high, per_bus * len(perturbed))
+        for idx in range(n)
+    ])
+    p_load = np.tile([b.p_load for b in net.buses], (n, 1))
+    q_load = np.tile([b.q_load for b in net.buses], (n, 1))
+    p_load[:, perturbed] *= factors[:, 0::per_bus]
+    q_load[:, perturbed] *= factors[:, per_bus - 1::per_bus]
 
-        inputs = np.concatenate([
-            [net.base.to_pu(b.p_load) for b in case.buses],
-            [net.base.to_pu(b.q_load) for b in case.buses],
-            [case.buses[net.slack_index].v_mag],
-            [case.buses[i].v_mag for i in net.pv_indices],
-        ])
-        try:
-            sol = solve(case, opts.solver)
-            targets = np.concatenate([sol.v_mag[net.pq_indices], sol.delta[net.non_slack_indices]])
-            converged = True
-            n_converged += 1
-        except (NotConverged, SingularJacobian):
-            targets = np.full(n_targets, np.nan)
-            converged = False
-        samples.append(SampleRecord(
-            sample_id=idx,
-            scale_factors=np.array(factors),
-            inputs=inputs,
-            targets=targets,
-            converged=converged,
-        ))
+    fixed_v = [net.buses[i].v_mag for i in (net.slack_index, *net.pv_indices)]
+    inputs = np.hstack([net.base.to_pu(p_load), net.base.to_pu(q_load), np.tile(fixed_v, (n, 1))])
+    res = solve_batch(net, initial_state(net, flat_start=opts.solver.flat_start),
+                      *net.schedule(p_load, q_load), opts.solver.tol, opts.solver.max_iter)
+    targets = np.hstack([res.v_mag[:, net.pq_indices], res.delta[:, net.non_slack_indices]])
+    targets[~res.converged] = np.nan
+    samples = [
+        SampleRecord(sample_id=idx, scale_factors=factors[idx], inputs=inputs[idx],
+                     targets=targets[idx], converged=bool(res.converged[idx]))
+        for idx in range(n)
+    ]
+    n_converged = int(res.converged.sum())
 
     if n_converged < CONVERGED_SHARE * n:
         raise TooFewConverged(

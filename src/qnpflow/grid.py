@@ -99,13 +99,14 @@ class NetworkModel:
     def __post_init__(self):
         _validate(self.buses, self.ybus, self.base)
         kinds = np.array([b.kind.value for b in self.buses])
-        p_sched, q_sched = zip(*scheduled_injections(self))
+        p_sched, q_sched = self.schedule(np.array([b.p_load for b in self.buses]),
+                                         np.array([b.q_load for b in self.buses]))
         constants = {
             "pv_indices": np.flatnonzero(kinds == BusKind.PV.value),
             "pq_indices": np.flatnonzero(kinds == BusKind.PQ.value),
             "non_slack_indices": np.flatnonzero(kinds != BusKind.SLACK.value),
-            "p_sched": np.array(p_sched, dtype=float),  # None becomes NaN
-            "q_sched": np.array(q_sched, dtype=float),
+            "p_sched": p_sched,
+            "q_sched": q_sched,
         }
         for name, value in constants.items():
             value.setflags(write=False)
@@ -115,6 +116,17 @@ class NetworkModel:
     @property
     def n(self) -> int:
         return len(self.buses)
+
+    def schedule(self, p_load: np.ndarray, q_load: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per-unit scheduled (P, Q) of this network's buses under other loads.
+
+        `p_load`/`q_load` are MW/Mvar per bus along the last axis, optionally
+        stacked along leading axes. P_sch = (p_gen - p_load) / s_base, NaN
+        where the generation is an unknown (slack P and Q, PV-bus Q).
+        """
+        p_gen = np.array([b.p_gen for b in self.buses], dtype=float)  # None becomes NaN
+        q_gen = np.array([b.q_gen for b in self.buses], dtype=float)
+        return self.base.to_pu(p_gen - p_load), self.base.to_pu(q_gen - q_load)
 
     @cached_property
     def fingerprint(self) -> str:
@@ -259,21 +271,3 @@ def save_network(net: NetworkModel, path: str | Path):
     """Write a network file that round-trips to bit-identical bus records."""
     Path(path).write_text(json.dumps(_payload(net), indent=2) + "\n")
 
-
-def scheduled_injections(net: NetworkModel) -> list[tuple[float | None, float | None]]:
-    """Per-bus scheduled (P, Q) in per-unit; None where the quantity is unknown.
-
-    P_sch = (p_gen - p_load) / s_base. Slack P and Q and PV-bus Q have no
-    schedule and come back as None.
-    """
-    out: list[tuple[float | None, float | None]] = []
-    for b in net.buses:
-        if b.kind is BusKind.SLACK:
-            out.append((None, None))
-        elif b.kind is BusKind.PV:
-            out.append((net.base.to_pu(b.p_gen - b.p_load), None))
-        else:
-            out.append(
-                (net.base.to_pu(b.p_gen - b.p_load), net.base.to_pu(b.q_gen - b.q_load))
-            )
-    return out

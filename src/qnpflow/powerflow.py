@@ -1,7 +1,9 @@
 """Newton-Raphson AC power flow, plus a Gauss-Seidel cross-check solver.
 
 State convention: the state is polar, angles in radians and magnitudes in
-per-unit. Injections and their derivatives are taken in complex form,
+per-unit, with the buses along the last axis; leading axes stack load cases
+of one network. solve_batch runs Newton on such a stack, and solve() is its
+one-case form. Injections and their derivatives are taken in complex form,
 S = V conj(Y V), with MATPOWER's dS/d(delta) and dS/d|V| (Zimmerman, MATPOWER
 Technical Note 2, 2010). The Jacobian is the derivative of the mismatch vector
 (scheduled minus calculated), so the Newton correction solves J dx = -F and
@@ -11,7 +13,6 @@ mismatch().
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,10 @@ class SolveOptions:
 
 @dataclass
 class StateVector:
-    """Bus voltage state: full-length arrays with slack/PV entries held fixed."""
+    """Bus voltage state: full-length arrays with slack/PV entries held fixed.
+
+    The arrays are (n,) for one case or (B, n) for a stack of B cases.
+    """
 
     delta: np.ndarray
     v_mag: np.ndarray
@@ -46,13 +50,10 @@ class StateVector:
     def __post_init__(self):
         self.delta = np.asarray(self.delta, dtype=float)
         self.v_mag = np.asarray(self.v_mag, dtype=float)
-        if self.delta.shape != self.v_mag.shape or self.delta.ndim != 1:
+        if self.delta.shape != self.v_mag.shape or self.delta.ndim not in (1, 2):
             raise DimensionMismatch(
-                f"state arrays must be 1-D and equal length, got {self.delta.shape} and {self.v_mag.shape}"
+                f"state arrays must be 1-D or 2-D and equal shape, got {self.delta.shape} and {self.v_mag.shape}"
             )
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.delta.copy(), self.v_mag.copy())
 
 
 @dataclass
@@ -64,7 +65,7 @@ class MismatchVector:
 
     @property
     def stacked(self) -> np.ndarray:
-        return np.concatenate([self.dp, self.dq])
+        return np.concatenate([self.dp, self.dq], axis=-1)
 
     @property
     def inf_norm(self) -> float:
@@ -98,6 +99,31 @@ class PowerFlowSolution:
     converged: bool
 
 
+@dataclass
+class BatchSolution:
+    """Per-case results of solve_batch, stacked along the first axis.
+
+    `norms[b, k]` is case b's mismatch norm after k Newton steps (column 0 at
+    the start state), NaN past its last state; `iterations[b]` counts its
+    steps. The state and injections are those of the last state reached. A
+    case is `singular` when it stopped at a pivot below PIVOT_TOL.
+    """
+
+    delta: np.ndarray
+    v_mag: np.ndarray
+    p_calc: np.ndarray
+    q_calc: np.ndarray
+    iterations: np.ndarray
+    norms: np.ndarray
+    converged: np.ndarray
+    singular: np.ndarray
+
+    def history(self, b: int) -> list[float]:
+        """Case b's norms after each step, or its start norm if it took none."""
+        k = int(self.iterations[b])
+        return self.norms[b, 1:k + 1].tolist() if k else self.norms[b, :1].tolist()
+
+
 def initial_state(net: NetworkModel, flat_start: bool = True) -> StateVector:
     """Flat start: zero angles and unit PQ magnitudes; fixed values elsewhere."""
     ang = np.array([math.radians(b.v_angle) for b in net.buses])
@@ -113,8 +139,8 @@ def initial_state(net: NetworkModel, flat_start: bool = True) -> StateVector:
 
 
 def _check_state(state: StateVector, net: NetworkModel):
-    if state.delta.shape[0] != net.n:
-        raise DimensionMismatch(f"state has {state.delta.shape[0]} buses, network has {net.n}")
+    if state.delta.shape[-1] != net.n:
+        raise DimensionMismatch(f"state has {state.delta.shape[-1]} buses, network has {net.n}")
 
 
 def _voltages(state: StateVector) -> np.ndarray:
@@ -125,15 +151,23 @@ def calc_injections(state: StateVector, net: NetworkModel) -> tuple[np.ndarray, 
     """Net injected (P, Q) per bus: S = V conj(Y V) with V = |V| exp(j delta)."""
     _check_state(state, net)
     v = _voltages(state)
-    s = v * np.conj(net.ybus.entries @ v)
+    s = v * np.conj((net.ybus.entries @ v[..., None])[..., 0])
     return s.real, s.imag
+
+
+def _mismatch(p_calc, q_calc, p_sched, q_sched, net: NetworkModel) -> MismatchVector:
+    ns, pq = net.non_slack_indices, net.pq_indices
+    return MismatchVector(dp=p_sched[..., ns] - p_calc[..., ns], dq=q_sched[..., pq] - q_calc[..., pq])
+
+
+def _inf_norms(f: np.ndarray) -> np.ndarray:
+    return np.abs(f).max(axis=-1, initial=0.0)
 
 
 def mismatch(state: StateVector, net: NetworkModel) -> MismatchVector:
     """Scheduled minus calculated power, over the solvable equations only."""
     p_calc, q_calc = calc_injections(state, net)
-    ns, pq = net.non_slack_indices, net.pq_indices
-    return MismatchVector(dp=net.p_sched[ns] - p_calc[ns], dq=net.q_sched[pq] - q_calc[pq])
+    return _mismatch(p_calc, q_calc, net.p_sched, net.q_sched, net)
 
 
 def jacobian(state: StateVector, net: NetworkModel) -> JacobianBlocks:
@@ -146,17 +180,37 @@ def jacobian(state: StateVector, net: NetworkModel) -> JacobianBlocks:
     """
     _check_state(state, net)
     v = _voltages(state)
-    vy = v[:, None] * np.conj(net.ybus.entries * v)
-    s = np.diag(vy.sum(axis=1))
+    vy = v[..., :, None] * np.conj(net.ybus.entries * v[..., None, :])
+    s = np.zeros_like(vy)
+    diag = np.arange(net.n)
+    s[..., diag, diag] = vy.sum(axis=-1)
     ds_dd = 1j * (s - vy)
     ds_dv = s + vy
     ns, pq = net.non_slack_indices, net.pq_indices
     return JacobianBlocks(
-        j11=-ds_dd.real[np.ix_(ns, ns)],
-        j12=-ds_dv.real[np.ix_(ns, pq)],
-        j21=-ds_dd.imag[np.ix_(pq, ns)],
-        j22=-ds_dv.imag[np.ix_(pq, pq)],
+        j11=-ds_dd.real[..., ns[:, None], ns],
+        j12=-ds_dv.real[..., ns[:, None], pq],
+        j21=-ds_dd.imag[..., pq[:, None], ns],
+        j22=-ds_dv.imag[..., pq[:, None], pq],
     )
+
+
+def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tuple[StateVector, np.ndarray]:
+    """Newton corrections for a stack of states (B, n) with stacked mismatches
+    f (B, m): solve J dx = -F and apply the angle/magnitude update.
+
+    Returns the corrected states of the cases whose LU pivots all reach
+    PIVOT_TOL, and the mask of those cases.
+    """
+    jac = jacobian(state, net).assembled
+    u = scipy.linalg.lu(jac, permute_l=True, check_finite=False)[1]
+    ok = ~(np.abs(np.diagonal(u, axis1=-2, axis2=-1)).min(axis=-1) < PIVOT_TOL)
+    dx = np.linalg.solve(jac[ok], -f[ok][..., None])[..., 0]
+    ns, pq = net.non_slack_indices, net.pq_indices
+    delta, v_mag = state.delta[ok], state.v_mag[ok]
+    delta[:, ns] += dx[:, :len(ns)]
+    v_mag[:, pq] *= 1.0 + dx[:, len(ns):]
+    return StateVector(delta, v_mag), ok
 
 
 def nr_step(state: StateVector, net: NetworkModel) -> tuple[StateVector, float]:
@@ -165,18 +219,10 @@ def nr_step(state: StateVector, net: NetworkModel) -> tuple[StateVector, float]:
     Returns the new state and the mismatch infinity norm at the input state.
     """
     mm = mismatch(state, net)
-    jac = jacobian(state, net).assembled
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(jac)
-    if np.min(np.abs(np.diag(lu))) < PIVOT_TOL:
+    new, ok = _newton_update(StateVector(state.delta[None], state.v_mag[None]), net, mm.stacked[None])
+    if not ok[0]:
         raise SingularJacobian(f"pivot below {PIVOT_TOL} in Newton linear solve")
-    dx = scipy.linalg.lu_solve((lu, piv), -mm.stacked)
-    ns, pq = net.non_slack_indices, net.pq_indices
-    new = state.copy()
-    new.delta[ns] += dx[: len(ns)]
-    new.v_mag[pq] *= 1.0 + dx[len(ns):]
-    return new, mm.inf_norm
+    return StateVector(new.delta[0], new.v_mag[0]), mm.inf_norm
 
 
 def _solution(net, state, iterations, history, converged) -> PowerFlowSolution:
@@ -192,24 +238,73 @@ def _solution(net, state, iterations, history, converged) -> PowerFlowSolution:
     )
 
 
+def solve_batch(
+    net: NetworkModel,
+    start: StateVector,
+    p_sched: np.ndarray,
+    q_sched: np.ndarray,
+    tol: float,
+    max_iter: int | np.ndarray,
+) -> BatchSolution:
+    """Newton-Raphson on B load cases of one network at once.
+
+    Row b of `p_sched`/`q_sched` (B, n) is case b's per-unit schedule, NaN
+    where unknown. `start` and the step cap `max_iter` broadcast to the
+    cases. A case leaves the active set when its mismatch infinity norm drops
+    below tol, when its Jacobian has a pivot below PIVOT_TOL, or at its cap;
+    the others step on. Injections are evaluated once per state. Each row of
+    the result is bit for bit what a batch of that case alone gives.
+    """
+    b = len(p_sched)
+    caps = np.broadcast_to(max_iter, (b,))
+    state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
+                        np.broadcast_to(start.v_mag, p_sched.shape).copy())
+    p, q = calc_injections(state, net)
+    f = _mismatch(p, q, p_sched, q_sched, net).stacked
+    norms = np.full((b, int(caps.max(initial=0)) + 1), np.nan)
+    norms[:, 0] = _inf_norms(f)
+    iterations = np.zeros(b, dtype=int)
+    singular = np.zeros(b, dtype=bool)
+    active = np.flatnonzero(~(norms[:, 0] < tol))
+    k = 0
+    while active.size:
+        k += 1
+        new, ok = _newton_update(StateVector(state.delta[active], state.v_mag[active]), net, f[active])
+        singular[active[~ok]] = True
+        active = active[ok]
+        state.delta[active], state.v_mag[active] = new.delta, new.v_mag
+        p[active], q[active] = calc_injections(new, net)
+        f[active] = _mismatch(p[active], q[active], p_sched[active], q_sched[active], net).stacked
+        norms[active, k] = _inf_norms(f[active])
+        iterations[active] = k
+        active = active[~(norms[active, k] < tol) & (k < caps[active])]
+    converged = norms[np.arange(b), iterations] < tol
+    return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)
+
+
 def solve(net: NetworkModel, opts: SolveOptions | None = None) -> PowerFlowSolution:
     """Newton-Raphson from the configured start until the mismatch infinity
-    norm drops below tol. Raises NotConverged (with norm history) otherwise."""
+    norm drops below tol: solve_batch on the one case. Raises NotConverged
+    (with norm history) or SingularJacobian otherwise."""
     opts = opts if opts is not None else SolveOptions()
-    state = initial_state(net, flat_start=opts.flat_start)
-    norm = mismatch(state, net).inf_norm
-    if norm < opts.tol:
-        return _solution(net, state, 0, [norm], True)
-    history: list[float] = []
-    for k in range(1, opts.max_iter + 1):
-        state, _ = nr_step(state, net)
-        norm = mismatch(state, net).inf_norm
-        history.append(norm)
-        if norm < opts.tol:
-            return _solution(net, state, k, history, True)
-    raise NotConverged(
-        f"mismatch norm {norm:.3e} after {opts.max_iter} iterations (tol {opts.tol:.1e})",
-        history,
+    start = initial_state(net, flat_start=opts.flat_start)
+    res = solve_batch(net, start, net.p_sched[None], net.q_sched[None], opts.tol, opts.max_iter)
+    if res.singular[0]:
+        raise SingularJacobian(f"pivot below {PIVOT_TOL} in Newton linear solve")
+    history = res.history(0)
+    if not res.converged[0]:
+        raise NotConverged(
+            f"mismatch norm {history[-1]:.3e} after {opts.max_iter} iterations (tol {opts.tol:.1e})",
+            history,
+        )
+    return PowerFlowSolution(
+        v_mag=res.v_mag[0],
+        delta=res.delta[0],
+        p_calc=res.p_calc[0],
+        q_calc=res.q_calc[0],
+        iterations=int(res.iterations[0]),
+        mismatch_history=history,
+        converged=True,
     )
 
 

@@ -57,6 +57,11 @@ def test_solve_writes_artifacts(tmp_path):
     rows = (tmp_path / "solution.csv").read_text().splitlines()
     assert rows[0] == "bus_id,kind,v_mag_pu,delta_deg,p_inj_mw,q_inj_mvar"
     assert len(rows) == 5
+    for row in rows[1:]:
+        bus_id, _, *numbers = row.split(",")
+        int(bus_id)
+        for cell in numbers:
+            float(cell)  # plain numbers, e.g. no np.float64(...) wrapper
     snap = json.loads((tmp_path / "solve_config.json").read_text())
     assert snap["command"] == "solve" and snap["tol"] == 1e-8
 

@@ -21,10 +21,17 @@ from qnpflow.dataset import (
     write_dataset_csv,
     write_meta_json,
 )
+from qnpflow import dataset
 from qnpflow.cli import _train_set
-from qnpflow.errors import ParseError, TooFewConverged, ValidationError
+from qnpflow.errors import (
+    NotConverged,
+    ParseError,
+    SingularJacobian,
+    TooFewConverged,
+    ValidationError,
+)
 from qnpflow.grid import NetworkModel
-from qnpflow.powerflow import StateVector, mismatch
+from qnpflow.powerflow import StateVector, mismatch, solve
 
 # ---------------------------------------------------------------------------
 # generation
@@ -39,6 +46,79 @@ def test_generation_is_deterministic_and_prefix_stable(base_net):
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets, equal_nan=True)
         assert a.converged == b.converged
+
+
+def per_sample_reference(net, n, mult_range, seed, opts):
+    """The per-sample path that the batched generate replaced: a NetworkModel
+    per sample, then solve(). Returns each sample's draws, inputs, targets,
+    converged flag and Newton step count (None after a singular Jacobian)."""
+    low, high = mult_range
+    perturbed = range(net.n) if opts.perturb_all_loads else net.pq_indices
+    n_targets = len(net.pq_indices) + len(net.non_slack_indices)
+    rows = []
+    for idx in range(n):
+        rng = np.random.default_rng([seed, idx])
+        factors = []
+        buses = list(net.buses)
+        for i in perturbed:
+            if opts.coupled:
+                mp = mq = rng.uniform(low, high)
+                factors.append(mp)
+            else:
+                mp = rng.uniform(low, high)
+                mq = rng.uniform(low, high)
+                factors.extend([mp, mq])
+            buses[i] = replace(buses[i], p_load=buses[i].p_load * mp, q_load=buses[i].q_load * mq)
+        case = NetworkModel(buses=tuple(buses), ybus=net.ybus, base=net.base)
+        inputs = np.concatenate([
+            [net.base.to_pu(b.p_load) for b in case.buses],
+            [net.base.to_pu(b.q_load) for b in case.buses],
+            [case.buses[net.slack_index].v_mag],
+            [case.buses[i].v_mag for i in net.pv_indices],
+        ])
+        targets, converged, steps = np.full(n_targets, np.nan), False, None
+        try:
+            sol = solve(case, opts.solver)
+            targets = np.concatenate([sol.v_mag[net.pq_indices], sol.delta[net.non_slack_indices]])
+            converged, steps = True, sol.iterations
+        except NotConverged as exc:
+            steps = len(exc.history)
+        except SingularJacobian:
+            pass
+        rows.append((np.array(factors), inputs, targets, converged, steps))
+    return rows
+
+
+@pytest.mark.parametrize("mult_range, opts", [
+    ((0.8, 1.2), GenerateOptions()),
+    ((1.0, 5.5), GenerateOptions()),
+    ((0.8, 1.2), GenerateOptions(coupled=True)),
+    ((0.8, 1.2), GenerateOptions(perturb_all_loads=True)),
+], ids=["nominal", "stressed", "coupled", "perturb_all_loads"])
+def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_range, opts):
+    batches = []
+    original = dataset.solve_batch
+
+    def capture(*args):
+        batches.append(original(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(dataset, "solve_batch", capture)
+    samples, meta = generate(base_net, 500, mult_range=mult_range, seed=5, opts=opts)
+    (res,) = batches
+    reference = per_sample_reference(base_net, 500, mult_range, 5, opts)
+    for s, (factors, inputs, targets, converged, steps) in zip(samples, reference, strict=True):
+        assert np.array_equal(s.scale_factors, factors)
+        assert np.array_equal(s.inputs, inputs)
+        assert np.array_equal(s.targets, targets, equal_nan=True)
+        assert s.converged is converged
+        if steps is None:
+            assert res.singular[s.sample_id]
+        else:
+            assert res.iterations[s.sample_id] == steps
+    if mult_range == (1.0, 5.5):
+        # near voltage collapse some cases hit the step cap
+        assert 0 < meta.n_requested - meta.n_converged < 0.05 * meta.n_requested
 
 
 def test_samples_satisfy_power_balance(base_net):

@@ -13,7 +13,6 @@ from qnpflow.grid import (
     PerUnitBase,
     load_network,
     save_network,
-    scheduled_injections,
 )
 
 from conftest import NETWORK_PATH, write_doc
@@ -61,12 +60,11 @@ def test_absent_markers(base_net):
 
 
 def test_scheduled_injections(base_net):
-    sched = scheduled_injections(base_net)
-    assert sched[0] == (None, None)
-    assert sched[1][0] == pytest.approx(-1.70)
-    assert sched[1][1] == pytest.approx(-1.0535)
-    assert sched[3][0] == pytest.approx(2.38)
-    assert sched[3][1] is None
+    # NaN where the quantity is an unknown: slack P and Q, PV-bus Q
+    assert np.isnan([base_net.p_sched[0], base_net.q_sched[0], base_net.q_sched[3]]).all()
+    assert base_net.p_sched[1] == pytest.approx(-1.70)
+    assert base_net.q_sched[1] == pytest.approx(-1.0535)
+    assert base_net.p_sched[3] == pytest.approx(2.38)
 
 
 def test_scheduled_injections_all_zero(network_doc, tmp_path):
@@ -77,16 +75,21 @@ def test_scheduled_injections_all_zero(network_doc, tmp_path):
         if "q_gen" in bus:
             bus["q_gen"] = 0.0
     net = load_network(write_doc(network_doc, tmp_path))
-    for p, q in scheduled_injections(net):
-        assert p in (None, 0.0) and q in (None, 0.0)
+    sched = np.concatenate([net.p_sched, net.q_sched])
+    assert np.all(np.isnan(sched) | (sched == 0.0))
 
 
 def test_network_constants(base_net):
     assert base_net.non_slack_indices.tolist() == [1, 2, 3]
     assert np.isnan(base_net.p_sched[0]) and np.isnan(base_net.q_sched[[0, 3]]).all()
-    for i, (p, q) in enumerate(scheduled_injections(base_net)):
-        assert p is None or base_net.p_sched[i] == p
-        assert q is None or base_net.q_sched[i] == q
+    # stacked loads give one schedule row per case, bit for bit the network's own
+    # at its own loads
+    p_load = np.array([b.p_load for b in base_net.buses])
+    q_load = np.array([b.q_load for b in base_net.buses])
+    p, q = base_net.schedule(p_load * [[1.0], [2.0]], q_load * [[1.0], [2.0]])
+    assert np.array_equal(p[0], base_net.p_sched, equal_nan=True)
+    assert np.array_equal(q[0], base_net.q_sched, equal_nan=True)
+    assert p[1, 1] == pytest.approx(-3.40) and q[1, 2] == pytest.approx(-2.4788)
     for arr in (base_net.pv_indices, base_net.pq_indices, base_net.non_slack_indices,
                 base_net.p_sched, base_net.q_sched):
         with pytest.raises(ValueError):

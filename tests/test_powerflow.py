@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnpflow import powerflow
 from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian
 from qnpflow.grid import AdmittanceMatrix, BusKind, BusRecord, NetworkModel, PerUnitBase
 from qnpflow.powerflow import (
@@ -18,6 +19,7 @@ from qnpflow.powerflow import (
     mismatch,
     nr_step,
     solve,
+    solve_batch,
 )
 
 
@@ -313,6 +315,80 @@ def test_converged_flags_and_injections(base_net):
     assert sol.q_calc == pytest.approx(q_ref, abs=1e-12)
     assert sol.v_mag[3] == pytest.approx(1.02)  # PV setpoint held
     assert sol.delta[0] == 0.0
+
+
+def test_solve_evaluates_injections_once_per_state(base_net, monkeypatch):
+    states = []
+    original = powerflow.calc_injections
+
+    def counting(state, net):
+        states.append(len(np.atleast_2d(state.delta)))
+        return original(state, net)
+
+    monkeypatch.setattr(powerflow, "calc_injections", counting)
+    sol = solve(base_net)
+    assert sol.iterations == 3
+    assert sum(states) == sol.iterations + 1
+
+
+# ------------------------------------------------------------ batched solve
+
+def perturbed_schedules(net, rng, b):
+    """Schedules (B, n) of `net` with every load scaled by a draw in [0.8, 1.2]."""
+    p_load = np.array([bus.p_load for bus in net.buses]) * rng.uniform(0.8, 1.2, (b, net.n))
+    q_load = np.array([bus.q_load for bus in net.buses]) * rng.uniform(0.8, 1.2, (b, net.n))
+    return p_load, q_load, *net.schedule(p_load, q_load)
+
+
+def test_batch_retires_singular_and_capped_cases(base_net):
+    b, singular_case, capped_case = 12, 4, 7
+    p_load, q_load, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(3), b)
+    start = initial_state(base_net)
+    delta, v = np.tile(start.delta, (b, 1)), np.tile(start.v_mag, (b, 1))
+    v[singular_case, base_net.pq_indices[0]] = 0.0  # a PQ bus at |V| = 0
+    caps = np.full(b, 20)
+    caps[capped_case] = 1
+    res = solve_batch(base_net, StateVector(delta, v), p_sched, q_sched, 1e-8, caps)
+
+    assert np.flatnonzero(res.singular).tolist() == [singular_case]
+    assert np.flatnonzero(~res.converged).tolist() == [singular_case, capped_case]
+    assert res.iterations[singular_case] == 0 and res.iterations[capped_case] == 1
+    for i in range(b):
+        one = solve_batch(base_net, StateVector(delta[i], v[i]), p_sched[i:i + 1],
+                          q_sched[i:i + 1], 1e-8, caps[i])
+        for name in ("delta", "v_mag", "p_calc", "q_calc", "iterations", "converged", "singular"):
+            assert np.array_equal(getattr(res, name)[i], getattr(one, name)[0], equal_nan=True), name
+        assert res.history(i) == one.history(0)
+        assert np.isnan(res.norms[i, res.iterations[i] + 1:]).all()
+
+    # the failing cases raise from solve() as their own networks
+    def case(i, **pq0):
+        buses = [replace(bus, p_load=p_load[i, k], q_load=q_load[i, k])
+                 for k, bus in enumerate(base_net.buses)]
+        k = base_net.pq_indices[0]
+        buses[k] = replace(buses[k], **pq0)
+        return NetworkModel(buses=tuple(buses), ybus=base_net.ybus, base=base_net.base)
+
+    with pytest.raises(SingularJacobian):
+        solve(case(singular_case, v_mag=0.0), SolveOptions(flat_start=False))
+    with pytest.raises(NotConverged) as err:
+        solve(case(capped_case), SolveOptions(max_iter=1))
+    assert err.value.history == res.history(capped_case)
+    sol = solve(case(0))
+    assert np.array_equal(sol.v_mag, res.v_mag[0]) and np.array_equal(sol.delta, res.delta[0])
+    assert sol.iterations == res.iterations[0]
+
+
+def test_batched_calls_match_single_states(base_net):
+    rng = np.random.default_rng(17)
+    states = [random_state(base_net, rng) for _ in range(8)]
+    stack = StateVector(np.array([s.delta for s in states]), np.array([s.v_mag for s in states]))
+    p, q = calc_injections(stack, base_net)
+    jac = jacobian(stack, base_net).assembled
+    for i, state in enumerate(states):
+        p_i, q_i = calc_injections(state, base_net)
+        assert np.array_equal(p[i], p_i) and np.array_equal(q[i], q_i)
+        assert np.array_equal(jac[i], jacobian(state, base_net).assembled)
 
 
 # ------------------------------------------------------------ oracle equivalence
