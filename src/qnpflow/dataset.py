@@ -223,21 +223,14 @@ def _is_angle(label: str) -> bool:
 def write_dataset_csv(samples: list[SampleRecord], meta: DatasetMeta, path: str | Path) -> None:
     """One row per sample; angle targets converted to degrees per the labels."""
     header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    angle = np.array([_is_angle(lab) for lab in meta.target_labels], dtype=bool)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for s in samples:
-            targets = [
-                math.degrees(v) if _is_angle(lab) else v
-                for lab, v in zip(meta.target_labels, s.targets)
-            ]
-            writer.writerow([
-                s.sample_id,
-                *(repr(float(v)) for v in s.scale_factors),
-                *(repr(float(v)) for v in s.inputs),
-                *(repr(float(v)) for v in targets),
-                int(s.converged),
-            ])
+            targets = np.where(angle, np.degrees(s.targets), s.targets)
+            values = np.concatenate([s.scale_factors, s.inputs, targets]).tolist()
+            writer.writerow([s.sample_id, *map(repr, values), int(s.converged)])
 
 
 def write_meta_json(meta: DatasetMeta, path: str | Path) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -141,8 +142,10 @@ def _require(obj: dict, key: str, path: str):
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParseError(f"{where}: expected a number, got {value!r}")
+    """A finite JSON number. json also reads NaN, Infinity and integers beyond
+    the float range, which no field takes."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ParseError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NotConverged, SingularJacobian, ValidationError
 from .grid import NetworkModel
@@ -195,16 +194,35 @@ def jacobian(state: StateVector, net: NetworkModel) -> JacobianBlocks:
     )
 
 
+def _lu_pivots(a: np.ndarray) -> np.ndarray:
+    """Pivots of partial-pivot LU on a stack (B, m, m): the diagonal of U.
+
+    Each column takes the first row of largest magnitude, as LAPACK's getrf
+    does. After an exact zero pivot the later pivots are inf or NaN.
+    """
+    a = a.copy()
+    rows = np.arange(len(a))
+    piv = np.empty(a.shape[:-1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(a.shape[-1]):
+            p = k + np.abs(a[:, k:, k]).argmax(axis=-1)
+            a[rows, k], a[rows, p] = a[rows, p], a[rows, k]
+            piv[:, k] = a[:, k, k]
+            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k:k + 1] / a[:, k:k + 1, k:k + 1] * a[:, k:k + 1, k + 1:]
+    return piv
+
+
 def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tuple[StateVector, np.ndarray]:
     """Newton corrections for a stack of states (B, n) with stacked mismatches
     f (B, m): solve J dx = -F and apply the angle/magnitude update.
 
     Returns the corrected states of the cases whose LU pivots all reach
-    PIVOT_TOL, and the mask of those cases.
+    PIVOT_TOL, and the mask of those cases. The steps come from
+    np.linalg.solve; _lu_pivots serves only the check.
     """
     jac = jacobian(state, net).assembled
-    u = scipy.linalg.lu(jac, permute_l=True, check_finite=False)[1]
-    ok = ~(np.abs(np.diagonal(u, axis1=-2, axis2=-1)).min(axis=-1) < PIVOT_TOL)
+    # any(), not min(): the pivots after an exact zero are NaN
+    ok = ~np.any(np.abs(_lu_pivots(jac)) < PIVOT_TOL, axis=-1)
     dx = np.linalg.solve(jac[ok], -f[ok][..., None])[..., 0]
     ns, pq = net.non_slack_indices, net.pq_indices
     delta, v_mag = state.delta[ok], state.v_mag[ok]

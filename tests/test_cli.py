@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NETWORK_PATH
+from conftest import NETWORK_PATH, write_doc
 from qnpflow.dataset import read_dataset_csv, read_meta_json
 
 NETWORK = str(NETWORK_PATH)
@@ -95,6 +95,26 @@ def test_solve_rejects_malformed_config(tmp_path):
     cfg.write_text("{ not json")
     res = cli("solve", NETWORK, "--config", cfg, "--out-dir", tmp_path)
     assert res.returncode == 4
+
+
+def nan_load(doc):
+    doc["buses"][1]["p_load"] = float("nan")
+
+
+def infinite_ybus_entry(doc):
+    doc["ybus"][1][1][1] = float("inf")  # a diagonal entry, so YBUS stays symmetric
+
+
+@pytest.mark.parametrize("spoil, text", [(nan_load, "NaN"), (infinite_ybus_entry, "Infinity")],
+                         ids=["nan-load", "infinite-ybus"])
+@pytest.mark.parametrize("command", [["solve"], ["dataset", "--n", 20]], ids=["solve", "dataset"])
+def test_non_finite_network_number_exits_4(network_doc, tmp_path, spoil, text, command):
+    spoil(network_doc)
+    path = write_doc(network_doc, tmp_path)
+    assert text in path.read_text()  # json writes and reads these tokens
+    res = cli(command[0], path, *command[1:], "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "finite number" in res.stderr
 
 
 @pytest.mark.parametrize("command, config", [

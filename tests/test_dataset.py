@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -416,6 +417,29 @@ def test_csv_degree_columns_are_degrees(base_net, tmp_path):
     n_pq = len(base_net.pq_indices)
     stored = float(first[col])
     assert stored == pytest.approx(np.degrees(samples[0].targets[-1]), rel=1e-12)
+
+
+def reference_dataset_csv(samples, meta):
+    """The CSV text cell by cell: repr of each float, angle targets in degrees."""
+    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    lines = [",".join(header)]
+    for s in samples:
+        targets = [math.degrees(v) if lab.startswith("delta_") and lab.endswith("_deg") else v
+                   for lab, v in zip(meta.target_labels, s.targets)]
+        cells = [str(s.sample_id)]
+        cells += [repr(float(v)) for v in (*s.scale_factors, *s.inputs, *targets)]
+        cells.append(str(int(s.converged)))
+        lines.append(",".join(cells))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+def test_csv_writer_matches_per_cell_reference(base_net, tmp_path):
+    samples, meta = generate(base_net, 300, mult_range=(1.0, 5.5), seed=5)
+    assert any(not s.converged for s in samples)  # NaN target rows
+    assert {lab.endswith("_deg") for lab in meta.target_labels} == {True, False}
+    path = tmp_path / "data.csv"
+    write_dataset_csv(samples, meta, path)
+    assert path.read_bytes() == reference_dataset_csv(samples, meta)
 
 
 SCALER_KEYS = {"scaler_kind", "feature_scaler", "target_scaler"}

@@ -193,6 +193,14 @@ def test_missing_key_rejected(network_doc, tmp_path):
         load_network(write_doc(network_doc, tmp_path))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-beyond-float"])
+def test_non_finite_number_rejected(network_doc, tmp_path, value):
+    network_doc["buses"][2]["q_load"] = value
+    with pytest.raises(ParseError, match="finite number"):
+        load_network(write_doc(network_doc, tmp_path))
+
+
 def test_missing_file():
     with pytest.raises(FileNotFoundError):
         load_network(NETWORK_PATH.with_name("does_not_exist"))

@@ -1,5 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from qnpflow import powerflow
 from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian
 from qnpflow.grid import AdmittanceMatrix, BusKind, BusRecord, NetworkModel, PerUnitBase
 from qnpflow.powerflow import (
+    PIVOT_TOL,
     SolveOptions,
     StateVector,
     calc_injections,
@@ -258,6 +265,81 @@ def test_singular_jacobian():
     net = make_net([slack(1), pq(2)], np.zeros((2, 2)))
     with pytest.raises(SingularJacobian):
         nr_step(initial_state(net), net)
+
+
+# ------------------------------------------------------------ pivot check
+
+def reference_pivots(a):
+    """Partial-pivot elimination of one matrix, one scalar at a time: the
+    first row of largest magnitude pivots each column."""
+    a = [[float(x) for x in row] for row in a]
+    m = len(a)
+    pivots = []
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(a[i][k]))
+        a[k], a[p] = a[p], a[k]
+        pivots.append(a[k][k])
+        for i in range(k + 1, m):
+            factor = a[i][k] / a[k][k]
+            for j in range(k + 1, m):
+                a[i][j] -= factor * a[k][j]
+    return np.array(pivots)
+
+
+def assert_pivots_match_reference(stack):
+    pivots = powerflow._lu_pivots(stack)
+    assert pivots.shape == stack.shape[:-1]
+    for a, piv in zip(stack, pivots):
+        ref = reference_pivots(a)
+        assert np.all(np.abs(piv - ref) <= 1e-12 * np.abs(ref))
+        assert abs(np.prod(piv)) == pytest.approx(abs(np.linalg.det(a)), rel=1e-9)
+
+
+def test_pivot_scan_matches_reference_on_jacobians(base_net):
+    rng = np.random.default_rng(23)
+    states = [random_state(base_net, rng) for _ in range(200)]
+    stack = StateVector(np.array([s.delta for s in states]), np.array([s.v_mag for s in states]))
+    assert_pivots_match_reference(jacobian(stack, base_net).assembled)
+
+
+@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6),
+       st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=50, deadline=None)
+def test_pivot_scan_matches_reference_on_random_stacks(b, m, seed):
+    assert_pivots_match_reference(np.random.default_rng(seed).normal(size=(b, m, m)))
+
+
+def test_pivot_scan_takes_first_of_tied_rows():
+    stack = np.array([[[1.0, 2.0], [-1.0, 3.0]], [[-1.0, 3.0], [1.0, 2.0]]])
+    assert powerflow._lu_pivots(stack).tolist() == [[1.0, 5.0], [-1.0, 5.0]]
+    assert_pivots_match_reference(stack)
+
+
+def test_newton_update_flags_any_pivot_below_tol(base_net, monkeypatch):
+    stack = np.random.default_rng(29).normal(size=(3, 5, 5))
+    stack[1, :, 2] = 0.0  # all-zero column: one exact zero pivot, NaN after it
+    stack[2, 3, 1] = np.nan  # NaN pivots, none below PIVOT_TOL
+    monkeypatch.setattr(powerflow, "jacobian", lambda state, net: SimpleNamespace(assembled=stack))
+    start = initial_state(base_net)
+    states = StateVector(np.tile(start.delta, (3, 1)), np.tile(start.v_mag, (3, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pivots = powerflow._lu_pivots(stack)
+        _, ok = powerflow._newton_update(states, base_net, np.ones((3, 5)))
+    assert ok.tolist() == [True, False, True]
+    assert np.isnan(pivots[1]).any() and np.isnan(pivots[2]).any()
+    assert not np.min(np.abs(pivots[1])) < PIVOT_TOL  # why the check takes any(), not min()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import sys, qnpflow.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    res = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ solve
