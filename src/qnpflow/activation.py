@@ -60,6 +60,13 @@ def _rss(curve: ActivationCurve, beta: float) -> float:
     return float(r @ r)
 
 
+def _scan_rss(curve: ActivationCurve, betas: np.ndarray) -> np.ndarray:
+    """_rss at every beta in one pass; each residual dot product is the
+    1x1 matmul r @ r, so the losses equal _rss bit for bit."""
+    r = curve.outputs - np.tanh(betas[:, None] * curve.inputs)
+    return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+
+
 def fit_beta(curve: ActivationCurve, beta_lo: float = BETA_LO, beta_hi: float = BETA_HI) -> BetaFit:
     """Least-squares steepness of tanh(beta u) against the sampled curve.
 
@@ -73,7 +80,7 @@ def fit_beta(curve: ActivationCurve, beta_lo: float = BETA_LO, beta_hi: float = 
         raise DegenerateCurve("curve inputs must span both signs of u")
 
     grid = np.geomspace(beta_lo, beta_hi, 400)
-    losses = [_rss(curve, b) for b in grid]
+    losses = _scan_rss(curve, grid)
     k = int(np.argmin(losses))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid.size - 1)]

@@ -237,8 +237,8 @@ class SteadyStateResult:
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
                  dtype=complex)
 
-# Schedule cycles per block in evolve_collisions; a round-robin block is
-# one pair of numpy calls.
+# Schedule cycles per block in evolve_collisions, where a round-robin block is
+# one pair of numpy calls, and in the settle test of steady_states.
 BLOCK_CYCLES = 256
 
 
@@ -252,6 +252,44 @@ def _transfer_matrix(unit_arr: np.ndarray, u: np.ndarray,
     """
     images = np.array([_collide(p, unit_arr, u, kraus) for p in PAULI])
     return np.einsum("jab,kba->jk", PAULI, images).real / 2
+
+
+def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> np.ndarray:
+    """Transfer matrices of many reservoirs, shape (len(specs), 4, 4).
+
+    The stacked form of _transfer_matrix(reservoir_unit_state(r).entries,
+    collision_unitary(r, params), kraus), equal to it bit for bit. Reservoirs
+    of one spin share the bare exchange Hamiltonian H0, so their propagators
+    come from one stacked eigh of g H0 (or the stacked truncated polynomial)
+    and the Pauli images of all of them from one pass of _collide's steps.
+    """
+    kraus = _damping_kraus(params)
+    tau = params.tau
+    maps = np.empty((len(specs), 4, 4))
+    for spin_j in sorted({r.spin_j for r in specs}):
+        idx = [i for i, r in enumerate(specs) if r.spin_j == spin_j]
+        ops = spin_ladder(spin_j)
+        dim = ops.dim
+        h0 = np.kron(SIGMA_PLUS, ops.j_minus) + np.kron(SIGMA_MINUS, ops.j_plus)
+        ham = np.array([specs[i].g for i in idx])[:, None, None] * h0
+        if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
+            eye = np.eye(2 * dim, dtype=complex)
+            u = eye - 1j * tau * ham - 0.5 * tau**2 * (ham @ ham)
+        else:
+            w, v = np.linalg.eigh(ham)
+            u = (v * np.exp(-1j * w * tau)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        units = np.array([reservoir_unit_state(specs[i]).entries for i in idx])
+        # joint[n, k] = kron(P_k, unit_n)
+        joint = (PAULI[None, :, :, None, :, None] * units[:, None, None, :, None, :])
+        joint = joint.reshape(len(idx), 4, 2 * dim, 2 * dim)
+        u = u[:, None]
+        evolved = u @ joint @ u.conj().swapaxes(-1, -2)
+        images = np.einsum("...ikjk->...ij", evolved.reshape(len(idx), 4, 2, dim, 2, dim))
+        if kraus is not None:
+            k0, k1 = kraus
+            images = k0 @ images @ k0.conj().T + k1 @ images @ k1.conj().T
+        maps[idx] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
+    return maps
 
 
 def evolve_collisions(
@@ -355,6 +393,132 @@ def evolve_collisions(
     return result, trajectory
 
 
+# Eigenvalues of a cycle map count as one when they differ by at most
+# MODE_TOL, and as of equal modulus when their moduli do.
+MODE_TOL = 1e-12
+
+
+def steady_states(
+    probe: DensityMatrix,
+    reservoir_sets: list[list[ReservoirSpec]],
+    params: CollisionParams | None = None,
+    schedule: str = "round-robin",
+    steady_tol: float = STEADY_TOL,
+) -> list[SteadyStateResult]:
+    """Exact steady states of many collision chains, one per reservoir set.
+
+    Every set holds the same number n of reservoirs, so one schedule cycle is
+    n collisions. Round-robin's cycle map is C = S_n...S_1. Weighted-random's
+    is M^n, where M = sum_i P_i S_i(g_rms) is the mean of the maps that
+    evolve_collisions draws from (same P_i and g_rms); seeds play no part.
+    The result's rho is the fixed point of C, and sigma_z averages the
+    within-cycle prefixes applied to it, as evolve_collisions averages the
+    final cycle; neither depends on the cap.
+
+    collisions_used and converged keep their meaning from evolve_collisions:
+    the first cycle k at which |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops
+    below steady_tol, capped at params.n_collisions. Raises ValidationError
+    when sigma_z has no limit.
+    """
+    params = params if params is not None else CollisionParams()
+    if schedule not in ("round-robin", "weighted-random"):
+        raise ValidationError(f"unknown schedule {schedule!r}")
+    sizes = {len(rs) for rs in reservoir_sets}
+    if not sizes or 0 in sizes:
+        raise ValidationError("at least one reservoir is required")
+    if len(sizes) > 1:
+        raise ValidationError(f"reservoir sets must all have one length, got {sorted(sizes)}")
+    if any(all(r.g == 0 for r in rs) for rs in reservoir_sets):
+        raise NoCoupling("all reservoir couplings are zero")
+
+    n_sets, cycle = len(reservoir_sets), sizes.pop()
+    g2 = np.array([[r.g**2 for r in rs] for rs in reservoir_sets])
+    if schedule == "weighted-random":
+        reservoir_sets = [[replace(r, g=float(g)) for r in rs]
+                          for rs, g in zip(reservoir_sets, np.sqrt(g2.mean(axis=1)))]
+    specs = [r for rs in reservoir_sets for r in rs]
+    maps = _transfer_matrices(specs, params).reshape(n_sets, cycle, 4, 4)
+    if schedule == "weighted-random":
+        mean = np.einsum("bi,bijk->bjk", g2 / g2.sum(axis=1, keepdims=True), maps)
+        maps = np.broadcast_to(mean[:, None], maps.shape)
+    prefixes = [maps[:, 0]]
+    for j in range(1, cycle):
+        prefixes.append(maps[:, j] @ prefixes[-1])
+    prefixes = np.stack(prefixes, axis=1)
+
+    r0 = np.einsum("kab,ba->k", PAULI, probe.entries).real
+    lam, parts, fixed = _cycle_modes(r0, prefixes)
+    states = (prefixes @ fixed[:, None, :, None])[..., 0]
+    sigma_z = np.mean(states[..., 3] / states[..., 0], axis=1)
+    settle = _settle_cycles(r0, lam, parts, params.n_collisions // cycle, steady_tol)
+    converged = settle > 0
+    used = np.where(converged, settle * cycle, params.n_collisions)
+    return [
+        SteadyStateResult(
+            sigma_z=float(sigma_z[b]),
+            rho=DensityMatrix(np.einsum("k,kab->ab", fixed[b] / fixed[b, 0], PAULI) / 2),
+            collisions_used=int(used[b]),
+            converged=bool(converged[b]),
+        )
+        for b in range(n_sets)
+    ]
+
+
+def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
+    """Eigenmodes of the cycle maps prefixes[:, -1] as seen from r0, and the
+    fixed points they lead to.
+
+    Returns the eigenvalues (B, 4), the modes parts[b, :, i] = c_i v_i with
+    r0 = sum_i c_i v_i, and the real fixed points (B, 4): r0 projected onto
+    every mode at the positive eigenvalue of maximal modulus. Raises
+    ValidationError when another mode of that modulus moves r_0 or r_3 under
+    some prefix, since sigma_z then oscillates without a limit.
+    """
+    lam, vecs = np.linalg.eig(prefixes[:, -1])    # real where every eigenvalue is
+    coef = np.linalg.solve(vecs, np.broadcast_to(r0[:, None], vecs.shape[:-1] + (1,)))
+    parts = vecs * coef[..., 0][:, None, :]
+    radius = np.abs(lam).max(axis=1, keepdims=True)
+    fixed = np.abs(lam - radius) <= MODE_TOL
+    moving = (np.abs(np.abs(lam) - radius) <= MODE_TOL) & ~fixed
+    readout = np.abs(prefixes @ parts[:, None])[:, :, [0, 3], :]
+    reaches = np.any(readout > MODE_TOL * np.abs(r0).max(), axis=(1, 2))
+    if np.any(moving & reaches) or not np.all(fixed.any(axis=1)):
+        raise ValidationError("sigma_z has no limit: a cycle map has modes of equal "
+                              "modulus and different eigenvalues that reach the readout")
+    return lam, parts, (parts * fixed[:, None, :]).sum(axis=2).real
+
+
+def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray, max_cycles: int,
+                   steady_tol: float) -> np.ndarray:
+    """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
+    than steady_tol from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
+
+    Cycles run in blocks of BLOCK_CYCLES over the points not yet settled.
+    Returns k per point, 0 where it does not settle.
+    """
+    cycles = np.zeros(lam.shape[0], dtype=int)
+    active = np.arange(lam.shape[0])
+    table = lam[:, None, :] ** np.arange(1, BLOCK_CYCLES + 1)[:, None]   # lam^k
+    readout = parts[:, [0, 3], :].swapaxes(1, 2)                         # (B, modes, 2)
+    base = np.ones_like(lam)                                             # lam^start
+    prev = np.full(lam.shape[0], r0[3] / r0[0])
+    start = 0
+    while active.size and start < max_cycles:
+        size = min(BLOCK_CYCLES, max_cycles - start)
+        ends = (table[:, :size] @ (base[:, :, None] * readout)).real
+        values = ends[..., 1] / ends[..., 0]
+        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < steady_tol
+        hit = small.any(axis=1)
+        cycles[active[hit]] = start + small[hit].argmax(axis=1) + 1
+        base, prev = base * table[:, size - 1], values[:, -1]
+        if hit.any():
+            keep = ~hit
+            active, table, readout, base, prev = (
+                x[keep] for x in (active, table, readout, base, prev))
+        start += size
+    return cycles
+
+
 def steady_state_closed_form(reservoirs: list[ReservoirSpec]) -> float:
     """Coupling-weighted mean of the unit magnetizations:
     sum_i g_i^2 cos(theta_i) / sum_i g_i^2."""
@@ -376,36 +540,26 @@ def transfer_curve(
 
     For each u in [-1, 1], two reservoirs at theta = 0 and theta = pi split
     the total coupling as g1^2 = g^2 (1+u)/2, g2^2 = g^2 (1-u)/2, and the
-    probe starts in |+>.
+    probe starts in |+>. All points are solved exactly by one steady_states
+    call; seed is recorded in the provenance and changes nothing.
     """
     params = params if params is not None else CollisionParams()
     _check_spin(spin_j)
     if n_points < 5 or n_points % 2 == 0:
         raise ValidationError(f"n_points must be odd and at least 5, got {n_points}")
     us = np.linspace(-1.0, 1.0, n_points)
-    outputs = np.zeros(n_points)
-    used = np.zeros(n_points, dtype=int)
-    flags = np.zeros(n_points, dtype=bool)
-    for i, u in enumerate(us):
-        g1 = g * math.sqrt((1.0 + u) / 2.0)
-        g2 = g * math.sqrt((1.0 - u) / 2.0)
-        reservoirs = [
-            ReservoirSpec(theta=0.0, phi=0.0, spin_j=spin_j, g=g1),
-            ReservoirSpec(theta=math.pi, phi=0.0, spin_j=spin_j, g=g2),
-        ]
-        point_seed = None if seed is None else int(np.random.default_rng([seed, i]).integers(2**31))
-        result, _ = evolve_collisions(
-            plus_state(), reservoirs, params, schedule=schedule, seed=point_seed
-        )
-        outputs[i] = result.sigma_z
-        used[i] = result.collisions_used
-        flags[i] = result.converged
+    reservoir_sets = [
+        [ReservoirSpec(theta=0.0, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 + u) / 2.0)),
+         ReservoirSpec(theta=math.pi, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 - u) / 2.0))]
+        for u in us
+    ]
+    results = steady_states(plus_state(), reservoir_sets, params, schedule=schedule)
     return ActivationCurve(
         inputs=us,
-        outputs=outputs,
+        outputs=np.array([r.sigma_z for r in results]),
         spin_j=spin_j,
-        collisions_used=used,
-        converged=flags,
+        collisions_used=np.array([r.collisions_used for r in results]),
+        converged=np.array([r.converged for r in results]),
         provenance={
             "g": g,
             "tau": params.tau,

@@ -6,7 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qnpflow.activation import (
+    BETA_HI,
+    BETA_LO,
     ActivationCurve,
+    _rss,
+    _scan_rss,
     activate,
     activate_deriv,
     beta_table,
@@ -14,6 +18,7 @@ from qnpflow.activation import (
     spin_beta,
 )
 from qnpflow.errors import DegenerateCurve, UnknownSpin, ValidationError
+from qnpflow.qsim import CollisionParams, transfer_curve
 
 U41 = np.linspace(-1.0, 1.0, 41)
 
@@ -171,3 +176,16 @@ def test_activate_vectorized():
     x = np.linspace(-2, 2, 7)
     assert np.allclose(activate(x, 2.22), np.tanh(2.22 * x))
     assert np.allclose(activate_deriv(x, 2.22), 2.22 * (1 - np.tanh(2.22 * x) ** 2))
+
+
+def test_scan_losses_equal_per_beta_rss():
+    # the coarse scan's argmin, and so beta and rss, stay those of the per-beta loop
+    grid = np.geomspace(BETA_LO, BETA_HI, 400)
+    curves = [transfer_curve(j, CollisionParams(tau=3.0), n_points=41) for j in (0.5, 1.0, 1.5, 2.5)]
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        u = np.unique(rng.uniform(-1.0, 1.0, int(rng.integers(2, 60))))
+        y = np.clip(np.tanh(rng.uniform(0.5, 5.0) * u) + rng.normal(0, 0.05, u.size), -1, 1)
+        curves.append(ActivationCurve(inputs=u, outputs=y))
+    for curve in curves:
+        assert np.array_equal(_scan_rss(curve, grid), [_rss(curve, b) for b in grid])

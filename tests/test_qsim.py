@@ -19,7 +19,10 @@ from qnpflow.qsim import (
     CollisionParams,
     DensityMatrix,
     _collide,
+    _cycle_modes,
     _damping_kraus,
+    _transfer_matrices,
+    _transfer_matrix,
     PropagatorMode,
     ReservoirSpec,
     collide_once,
@@ -31,6 +34,7 @@ from qnpflow.qsim import (
     reservoir_unit_state,
     spin_ladder,
     steady_state_closed_form,
+    steady_states,
     transfer_curve,
 )
 
@@ -490,3 +494,146 @@ def test_collision_params_validation():
         CollisionParams(n_collisions=0)
     with pytest.raises(ValidationError):
         CollisionParams(gamma=-1e-5)
+
+
+# ------------------------------------------------------------ exact steady states
+
+def curve_sets(spin_j, n_points, g=0.01):
+    """The reservoir pairs of transfer_curve, one per point."""
+    return [[ReservoirSpec(theta=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 + u) / 2.0)),
+             ReservoirSpec(theta=math.pi, spin_j=spin_j, g=g * math.sqrt((1.0 - u) / 2.0))]
+            for u in np.linspace(-1.0, 1.0, n_points)]
+
+
+@pytest.mark.parametrize("mode", [EXACT, TRUNCATED])
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_stacked_transfer_matrices_equal_per_reservoir(mode, gamma):
+    params = CollisionParams(tau=3.0, gamma=gamma, propagator_mode=mode)
+    rng = np.random.default_rng(4)
+    specs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
+             for spin_j in (0.5, 1.0, 1.5, 2.5) for t, phi, w in CROSS_CHECK_UNITS]
+    specs += [ReservoirSpec(theta=float(rng.uniform(0, math.pi)), phi=float(rng.uniform(-3, 3)),
+                            spin_j=float(rng.choice([0.5, 2.0])), g=float(rng.uniform(0, 0.5)))
+              for _ in range(8)]
+    specs.append(ReservoirSpec(theta=0.0, spin_j=1.0, g=0.0))
+    stacked = _transfer_matrices(specs, params)
+    for maps, spec in zip(stacked, specs):
+        reference = _transfer_matrix(reservoir_unit_state(spec).entries,
+                                     collision_unitary(spec, params), _damping_kraus(params))
+        assert np.array_equal(maps, reference)
+
+
+@pytest.mark.parametrize("spin_j", [0.5, 1.0, 1.5, 2.5])
+def test_exact_curve_settles_like_iteration(spin_j):
+    # collisions_used and converged follow the iterated cycle-to-cycle test at
+    # every point; where the iteration settled, its sigma_z is within
+    # steady_tol / (1 - |lambda_2|) of the fixed point
+    settled = 0
+    for cap in (20000, 3000, 777):
+        for mode in (EXACT, TRUNCATED):
+            for gamma in (0.0, 0.05):
+                params = CollisionParams(tau=3.0, n_collisions=cap, gamma=gamma,
+                                         propagator_mode=mode)
+                curve = transfer_curve(spin_j, params, n_points=11)
+                for i, reservoirs in enumerate(curve_sets(spin_j, 11)):
+                    result, _ = evolve_collisions(plus_state(), reservoirs, params)
+                    assert curve.collisions_used[i] == result.collisions_used
+                    assert curve.converged[i] == result.converged
+                    if result.converged:
+                        settled += 1
+                        assert abs(curve.outputs[i] - result.sigma_z) < 2e-6
+    assert settled > 0
+
+
+@pytest.mark.parametrize("n_res", [1, 2, 3])
+def test_exact_engine_settles_like_iteration_on_mixed_units(n_res):
+    reservoirs = [ReservoirSpec(theta=t, phi=phi, spin_j=1.5, g=0.05 * w)
+                  for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
+    for n, gamma, mode in ((7, 0.0, EXACT), (1001, 0.05, TRUNCATED), (3000, 0.0, EXACT)):
+        params = CollisionParams(tau=3.0, n_collisions=n, gamma=gamma, propagator_mode=mode)
+        (exact,) = steady_states(plus_state(), [reservoirs], params)
+        iterated, _ = evolve_collisions(plus_state(), reservoirs, params)
+        assert (exact.collisions_used, exact.converged) == (
+            iterated.collisions_used, iterated.converged)
+        if iterated.converged:
+            assert abs(exact.sigma_z - iterated.sigma_z) < 2e-6
+
+
+@pytest.mark.parametrize("spin_j", [0.5, 2.5])
+@pytest.mark.parametrize("mode", [EXACT, TRUNCATED])
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_fixed_point_matches_long_iteration(spin_j, mode, gamma):
+    pair = curve_sets(spin_j, 5)[3]                    # u = 0.5
+    mixed = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
+             for t, phi, w in CROSS_CHECK_UNITS]
+    for reservoirs in (pair, mixed):
+        params = CollisionParams(tau=3.0, n_collisions=200000 - 200000 % len(reservoirs),
+                                 gamma=gamma, propagator_mode=mode)
+        iterated, _ = evolve_collisions(plus_state(), reservoirs, params, steady_tol=0.0)
+        (exact,) = steady_states(plus_state(), [reservoirs], params)
+        assert abs(exact.sigma_z - iterated.sigma_z) < 1e-12
+        assert np.abs(exact.rho.entries - iterated.rho.entries).max() < 1e-12
+
+
+def test_degenerate_cycle_map_curve_matches_iteration():
+    # g tau = pi at u = +-1: the coupled map is diag(1, -1, -1, 1) and the
+    # other one the identity, so the populations stay put while <X> of |+>
+    # flips sign every cycle. sigma_z stays 0; no single eigenvector says so.
+    g = math.pi / 3
+    params = CollisionParams(tau=3.0)
+    curve = transfer_curve(0.5, params, n_points=5, g=g)
+    long_run = CollisionParams(tau=3.0, n_collisions=2000)
+    for i, reservoirs in enumerate(curve_sets(0.5, 5, g=g)):
+        settled, _ = evolve_collisions(plus_state(), reservoirs, params)
+        assert (curve.collisions_used[i], curve.converged[i]) == (
+            settled.collisions_used, settled.converged)
+        iterated, _ = evolve_collisions(plus_state(), reservoirs, long_run, steady_tol=0.0)
+        assert abs(curve.outputs[i] - iterated.sigma_z) < 1e-12
+    assert abs(curve.outputs[0]) < 1e-12 and abs(curve.outputs[-1]) < 1e-12
+    assert curve.collisions_used[0] == curve.collisions_used[-1] == 2
+
+
+def test_oscillating_modes_reaching_the_readout_raise():
+    # an X flip per cycle: eigenvalues 1, 1, -1, -1 with <Y> and <Z> flipping
+    flip = np.diag([1.0, 1.0, -1.0, -1.0])[None, None]
+    plus = np.array([1.0, 1.0, 0.0, 0.0])
+    _, _, fixed = _cycle_modes(plus, flip)
+    assert np.array_equal(fixed[0], plus)
+    with pytest.raises(ValidationError):
+        _cycle_modes(np.array([1.0, 0.0, 0.0, 1.0]), flip)      # excited: sigma_z = +-1
+
+
+def test_weighted_random_is_the_mean_map():
+    pairs = [
+        [ReservoirSpec(theta=0.0, g=0.01), ReservoirSpec(theta=math.pi, g=0.005)],
+        [ReservoirSpec(theta=0.0, g=0.01 * math.sqrt(3.0)), ReservoirSpec(theta=math.pi, g=0.01)],
+    ]
+    results = steady_states(plus_state(), pairs, CollisionParams(tau=3.0),
+                            schedule="weighted-random")
+    for result, pair in zip(results, pairs):
+        assert result.sigma_z == pytest.approx(steady_state_closed_form(pair), abs=1e-9)
+
+
+def test_weighted_random_curve_ignores_seed():
+    params = CollisionParams(tau=3.0)
+    curves = [transfer_curve(2.5, params, n_points=5, schedule="weighted-random", seed=seed)
+              for seed in (1, 2)]
+    assert np.array_equal(curves[0].outputs, curves[1].outputs)
+    assert [c.provenance["seed"] for c in curves] == [1, 2]
+    assert np.abs(curves[0].outputs - curves[0].inputs).max() < 1e-9   # the closed form, u
+    # every point settles; interior ones as fast as round-robin's
+    assert curves[0].converged.all()
+    round_robin = transfer_curve(2.5, params, n_points=5)
+    assert np.array_equal(curves[0].collisions_used[[1, 3]], round_robin.collisions_used[[1, 3]])
+
+
+def test_steady_states_validation():
+    one = [ReservoirSpec(theta=0.0, g=0.01)]
+    with pytest.raises(ValidationError):
+        steady_states(plus_state(), [one, one * 2])
+    with pytest.raises(ValidationError):
+        steady_states(plus_state(), [])
+    with pytest.raises(ValidationError):
+        steady_states(plus_state(), [one], schedule="alternating")
+    with pytest.raises(NoCoupling):
+        steady_states(plus_state(), [one, [ReservoirSpec(theta=0.0, g=0.0)]])
