@@ -242,26 +242,16 @@ PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, 
 BLOCK_CYCLES = 256
 
 
-def _transfer_matrix(unit_arr: np.ndarray, u: np.ndarray,
-                    kraus: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Real 4x4 Pauli transfer matrix T of one collision, r' = T r.
-
-    Column k is the Pauli vector of _collide applied to P_k, so the map is
-    defined by _collide alone. The truncated propagator is not trace
-    preserving; T then changes r_0, which readouts divide out.
-    """
-    images = np.array([_collide(p, unit_arr, u, kraus) for p in PAULI])
-    return np.einsum("jab,kba->jk", PAULI, images).real / 2
-
-
 def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> np.ndarray:
     """Transfer matrices of many reservoirs, shape (len(specs), 4, 4).
 
-    The stacked form of _transfer_matrix(reservoir_unit_state(r).entries,
-    collision_unitary(r, params), kraus), equal to it bit for bit. Reservoirs
-    of one spin share the bare exchange Hamiltonian H0, so their propagators
-    come from one stacked eigh of g H0 (or the stacked truncated polynomial)
-    and the Pauli images of all of them from one pass of _collide's steps.
+    Column k of a reservoir's real 4x4 map T (r' = T r) is the Pauli vector
+    of _collide applied to P_k with collision_unitary(r, params), so the map
+    is defined by _collide alone. Reservoirs of one spin share the bare
+    exchange Hamiltonian H0, so their propagators come from one stacked eigh
+    of g H0 (or the stacked truncated polynomial) and the Pauli images of all
+    of them from one pass of _collide's steps. The truncated propagator is
+    not trace preserving; T then changes r_0, which readouts divide out.
     """
     kraus = _damping_kraus(params)
     tau = params.tau
@@ -292,6 +282,34 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
     return maps
 
 
+def _collision_maps(reservoir_sets: list[list[ReservoirSpec]], params: CollisionParams,
+                    schedule: str) -> tuple[np.ndarray, np.ndarray]:
+    """Transfer matrices (B, n, 4, 4) of the collisions of each reservoir set,
+    and the weighted-random draw probabilities (B, n).
+
+    Round-robin carries each reservoir's coupling in its own unitary (pull
+    rates scale as g_i^2). Weighted-random instead realizes the convex
+    combination of maps: draws follow P_i = g_i^2 / sum g_k^2 while every
+    collision uses a common rms coupling, so the probabilities alone carry
+    the weights and the same g^2-weighted steady state results.
+    """
+    g2 = np.array([[r.g**2 for r in rs] for rs in reservoir_sets])
+    if schedule == "weighted-random":
+        reservoir_sets = [[replace(r, g=float(g)) for r in rs]
+                          for rs, g in zip(reservoir_sets, np.sqrt(g2.mean(axis=1)))]
+    specs = [r for rs in reservoir_sets for r in rs]
+    maps = _transfer_matrices(specs, params).reshape(g2.shape + (4, 4))
+    return maps, g2 / g2.sum(axis=1, keepdims=True)
+
+
+def _prefix_products(maps: np.ndarray) -> np.ndarray:
+    """Within-cycle prefix products S_j...S_1 of maps (B, n, 4, 4), same shape."""
+    prefixes = [maps[:, 0]]
+    for j in range(1, maps.shape[1]):
+        prefixes.append(maps[:, j] @ prefixes[-1])
+    return np.stack(prefixes, axis=1)
+
+
 def evolve_collisions(
     probe: DensityMatrix,
     reservoirs: list[ReservoirSpec],
@@ -306,13 +324,8 @@ def evolve_collisions(
     schedule cycle drops below steady_tol, capped at params.n_collisions.
     The reported sigma_z averages the final cycle, which removes the
     within-cycle readout bias of multi-reservoir schedules. Returns the
-    result plus the full per-collision <sigma_z> trajectory.
-
-    Round-robin carries each reservoir's coupling in its own unitary (pull
-    rates scale as g_i^2). Weighted-random instead realizes the convex
-    combination of maps: draws follow P_i = g_i^2 / sum g_k^2 while every
-    collision uses a common rms coupling, so the probabilities alone carry
-    the weights and the same g^2-weighted steady state results.
+    result plus the full per-collision <sigma_z> trajectory. The schedules
+    are those of _collision_maps.
 
     Each collision acts on the probe's Pauli vector through its reservoir's
     transfer matrix. Steps run in blocks of BLOCK_CYCLES cycles: round-robin
@@ -328,24 +341,11 @@ def evolve_collisions(
     if schedule not in ("round-robin", "weighted-random"):
         raise ValidationError(f"unknown schedule {schedule!r}")
 
-    kraus = _damping_kraus(params)
     cycle = len(reservoirs)
     n_total = params.n_collisions
-    if schedule == "weighted-random":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        weights = np.array([r.g**2 for r in reservoirs])
-        g_rms = math.sqrt(float(weights.mean()))
-        weights = weights / weights.sum()
-        reservoirs = [replace(r, g=g_rms) for r in reservoirs]
-        draws = rng.choice(cycle, size=n_total, p=weights)
-    maps = [_transfer_matrix(reservoir_unit_state(r).entries, collision_unitary(r, params), kraus)
-            for r in reservoirs]
-
+    maps, probs = _collision_maps([reservoirs], params, schedule)
     if schedule == "round-robin":
-        prefixes = [maps[0]]
-        for s in maps[1:]:
-            prefixes.append(s @ prefixes[-1])
-        prefixes = np.array(prefixes)
+        prefixes = _prefix_products(maps)[0]
         powers = [np.eye(4)]
         for _ in range(BLOCK_CYCLES - 1):
             powers.append(prefixes[-1] @ powers[-1])
@@ -355,10 +355,13 @@ def evolve_collisions(
             cycle_starts = powers[: -(-size // cycle)] @ r
             return np.einsum("jab,kb->kja", prefixes, cycle_starts).reshape(-1, 4)[:size]
     else:
+        rng = np.random.default_rng(0 if seed is None else seed)
+        draws = rng.choice(cycle, size=n_total, p=probs[0])
+
         def block(r: np.ndarray, start: int, size: int) -> np.ndarray:
             states = np.empty((size, 4))
             for i, idx in enumerate(draws[start:start + size]):
-                r = states[i] = maps[idx] @ r
+                r = states[i] = maps[0, idx] @ r
             return states
 
     # Blocks hold whole cycles, so every block starts on a cycle boundary and
@@ -399,13 +402,12 @@ MODE_TOL = 1e-12
 
 
 def steady_states(
-    probe: DensityMatrix,
     reservoir_sets: list[list[ReservoirSpec]],
     params: CollisionParams | None = None,
     schedule: str = "round-robin",
-    steady_tol: float = STEADY_TOL,
 ) -> list[SteadyStateResult]:
-    """Exact steady states of many collision chains, one per reservoir set.
+    """Exact steady states of many collision chains started from |+>, one per
+    reservoir set.
 
     Every set holds the same number n of reservoirs, so one schedule cycle is
     n collisions. Round-robin's cycle map is C = S_n...S_1. Weighted-random's
@@ -417,7 +419,7 @@ def steady_states(
 
     collisions_used and converged keep their meaning from evolve_collisions:
     the first cycle k at which |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops
-    below steady_tol, capped at params.n_collisions. Raises ValidationError
+    below STEADY_TOL, capped at params.n_collisions. Raises ValidationError
     when sigma_z has no limit.
     """
     params = params if params is not None else CollisionParams()
@@ -432,25 +434,17 @@ def steady_states(
         raise NoCoupling("all reservoir couplings are zero")
 
     n_sets, cycle = len(reservoir_sets), sizes.pop()
-    g2 = np.array([[r.g**2 for r in rs] for rs in reservoir_sets])
+    maps, probs = _collision_maps(reservoir_sets, params, schedule)
     if schedule == "weighted-random":
-        reservoir_sets = [[replace(r, g=float(g)) for r in rs]
-                          for rs, g in zip(reservoir_sets, np.sqrt(g2.mean(axis=1)))]
-    specs = [r for rs in reservoir_sets for r in rs]
-    maps = _transfer_matrices(specs, params).reshape(n_sets, cycle, 4, 4)
-    if schedule == "weighted-random":
-        mean = np.einsum("bi,bijk->bjk", g2 / g2.sum(axis=1, keepdims=True), maps)
+        mean = np.einsum("bi,bijk->bjk", probs, maps)
         maps = np.broadcast_to(mean[:, None], maps.shape)
-    prefixes = [maps[:, 0]]
-    for j in range(1, cycle):
-        prefixes.append(maps[:, j] @ prefixes[-1])
-    prefixes = np.stack(prefixes, axis=1)
+    prefixes = _prefix_products(maps)
 
-    r0 = np.einsum("kab,ba->k", PAULI, probe.entries).real
+    r0 = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
     lam, parts, fixed = _cycle_modes(r0, prefixes)
     states = (prefixes @ fixed[:, None, :, None])[..., 0]
     sigma_z = np.mean(states[..., 3] / states[..., 0], axis=1)
-    settle = _settle_cycles(r0, lam, parts, params.n_collisions // cycle, steady_tol)
+    settle = _settle_cycles(r0, lam, parts, params.n_collisions // cycle)
     converged = settle > 0
     used = np.where(converged, settle * cycle, params.n_collisions)
     return [
@@ -488,10 +482,10 @@ def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
     return lam, parts, (parts * fixed[:, None, :]).sum(axis=2).real
 
 
-def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray, max_cycles: int,
-                   steady_tol: float) -> np.ndarray:
+def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
+                   max_cycles: int) -> np.ndarray:
     """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
-    than steady_tol from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
+    than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
 
     Cycles run in blocks of BLOCK_CYCLES over the points not yet settled.
     Returns k per point, 0 where it does not settle.
@@ -507,7 +501,7 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray, max_cycle
         size = min(BLOCK_CYCLES, max_cycles - start)
         ends = (table[:, :size] @ (base[:, :, None] * readout)).real
         values = ends[..., 1] / ends[..., 0]
-        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < steady_tol
+        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < STEADY_TOL
         hit = small.any(axis=1)
         cycles[active[hit]] = start + small[hit].argmax(axis=1) + 1
         base, prev = base * table[:, size - 1], values[:, -1]
@@ -553,7 +547,7 @@ def transfer_curve(
          ReservoirSpec(theta=math.pi, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 - u) / 2.0))]
         for u in us
     ]
-    results = steady_states(plus_state(), reservoir_sets, params, schedule=schedule)
+    results = steady_states(reservoir_sets, params, schedule=schedule)
     return ActivationCurve(
         inputs=us,
         outputs=np.array([r.sigma_z for r in results]),

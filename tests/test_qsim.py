@@ -14,6 +14,7 @@ from qnpflow.errors import (
 )
 from qnpflow.qsim import (
     BLOCK_CYCLES,
+    PAULI,
     SIGMA_Z,
     STEADY_TOL,
     CollisionParams,
@@ -22,7 +23,6 @@ from qnpflow.qsim import (
     _cycle_modes,
     _damping_kraus,
     _transfer_matrices,
-    _transfer_matrix,
     PropagatorMode,
     ReservoirSpec,
     collide_once,
@@ -505,6 +505,15 @@ def curve_sets(spin_j, n_points, g=0.01):
             for u in np.linspace(-1.0, 1.0, n_points)]
 
 
+def per_reservoir_transfer_matrix(spec, params):
+    """One reservoir's transfer matrix, column k the Pauli vector of _collide
+    applied to P_k."""
+    unit = reservoir_unit_state(spec).entries
+    u = collision_unitary(spec, params)
+    images = np.array([_collide(p, unit, u, _damping_kraus(params)) for p in PAULI])
+    return np.einsum("jab,kba->jk", PAULI, images).real / 2
+
+
 @pytest.mark.parametrize("mode", [EXACT, TRUNCATED])
 @pytest.mark.parametrize("gamma", [0.0, 0.05])
 def test_stacked_transfer_matrices_equal_per_reservoir(mode, gamma):
@@ -518,9 +527,7 @@ def test_stacked_transfer_matrices_equal_per_reservoir(mode, gamma):
     specs.append(ReservoirSpec(theta=0.0, spin_j=1.0, g=0.0))
     stacked = _transfer_matrices(specs, params)
     for maps, spec in zip(stacked, specs):
-        reference = _transfer_matrix(reservoir_unit_state(spec).entries,
-                                     collision_unitary(spec, params), _damping_kraus(params))
-        assert np.array_equal(maps, reference)
+        assert np.array_equal(maps, per_reservoir_transfer_matrix(spec, params))
 
 
 @pytest.mark.parametrize("spin_j", [0.5, 1.0, 1.5, 2.5])
@@ -551,7 +558,7 @@ def test_exact_engine_settles_like_iteration_on_mixed_units(n_res):
                   for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
     for n, gamma, mode in ((7, 0.0, EXACT), (1001, 0.05, TRUNCATED), (3000, 0.0, EXACT)):
         params = CollisionParams(tau=3.0, n_collisions=n, gamma=gamma, propagator_mode=mode)
-        (exact,) = steady_states(plus_state(), [reservoirs], params)
+        (exact,) = steady_states([reservoirs], params)
         iterated, _ = evolve_collisions(plus_state(), reservoirs, params)
         assert (exact.collisions_used, exact.converged) == (
             iterated.collisions_used, iterated.converged)
@@ -570,7 +577,7 @@ def test_fixed_point_matches_long_iteration(spin_j, mode, gamma):
         params = CollisionParams(tau=3.0, n_collisions=200000 - 200000 % len(reservoirs),
                                  gamma=gamma, propagator_mode=mode)
         iterated, _ = evolve_collisions(plus_state(), reservoirs, params, steady_tol=0.0)
-        (exact,) = steady_states(plus_state(), [reservoirs], params)
+        (exact,) = steady_states([reservoirs], params)
         assert abs(exact.sigma_z - iterated.sigma_z) < 1e-12
         assert np.abs(exact.rho.entries - iterated.rho.entries).max() < 1e-12
 
@@ -608,7 +615,7 @@ def test_weighted_random_is_the_mean_map():
         [ReservoirSpec(theta=0.0, g=0.01), ReservoirSpec(theta=math.pi, g=0.005)],
         [ReservoirSpec(theta=0.0, g=0.01 * math.sqrt(3.0)), ReservoirSpec(theta=math.pi, g=0.01)],
     ]
-    results = steady_states(plus_state(), pairs, CollisionParams(tau=3.0),
+    results = steady_states(pairs, CollisionParams(tau=3.0),
                             schedule="weighted-random")
     for result, pair in zip(results, pairs):
         assert result.sigma_z == pytest.approx(steady_state_closed_form(pair), abs=1e-9)
@@ -630,10 +637,10 @@ def test_weighted_random_curve_ignores_seed():
 def test_steady_states_validation():
     one = [ReservoirSpec(theta=0.0, g=0.01)]
     with pytest.raises(ValidationError):
-        steady_states(plus_state(), [one, one * 2])
+        steady_states([one, one * 2])
     with pytest.raises(ValidationError):
-        steady_states(plus_state(), [])
+        steady_states([])
     with pytest.raises(ValidationError):
-        steady_states(plus_state(), [one], schedule="alternating")
+        steady_states([one], schedule="alternating")
     with pytest.raises(NoCoupling):
-        steady_states(plus_state(), [one, [ReservoirSpec(theta=0.0, g=0.0)]])
+        steady_states([one, [ReservoirSpec(theta=0.0, g=0.0)]])
