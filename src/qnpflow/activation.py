@@ -52,7 +52,6 @@ class BetaFit:
     beta: float
     rss: float
     n_points: int
-    provenance: dict = field(default_factory=dict)
 
 
 def _rss(curve: ActivationCurve, beta: float) -> float:
@@ -67,10 +66,10 @@ def _scan_rss(curve: ActivationCurve, betas: np.ndarray) -> np.ndarray:
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
 
-def fit_beta(curve: ActivationCurve, beta_lo: float = BETA_LO, beta_hi: float = BETA_HI) -> BetaFit:
+def fit_beta(curve: ActivationCurve) -> BetaFit:
     """Least-squares steepness of tanh(beta u) against the sampled curve.
 
-    Coarse geometric scan over [beta_lo, beta_hi] to bracket the minimum,
+    Coarse geometric scan over [BETA_LO, BETA_HI] to bracket the minimum,
     golden-section search inside the bracket, then one parabolic refinement.
     Raises DegenerateCurve when the samples carry no slope information.
     """
@@ -79,7 +78,7 @@ def fit_beta(curve: ActivationCurve, beta_lo: float = BETA_LO, beta_hi: float = 
     if curve.inputs.min() >= 0 or curve.inputs.max() <= 0:
         raise DegenerateCurve("curve inputs must span both signs of u")
 
-    grid = np.geomspace(beta_lo, beta_hi, 400)
+    grid = np.geomspace(BETA_LO, BETA_HI, 400)
     losses = _scan_rss(curve, grid)
     k = int(np.argmin(losses))
     lo = grid[max(k - 1, 0)]
@@ -106,15 +105,10 @@ def fit_beta(curve: ActivationCurve, beta_lo: float = BETA_LO, beta_hi: float = 
     denom = f0 - 2.0 * f1 + f2
     if denom > 0:
         candidate = beta + 0.5 * h * (f0 - f2) / denom
-        if beta_lo <= candidate <= beta_hi and _rss(curve, candidate) <= f1:
+        if BETA_LO <= candidate <= BETA_HI and _rss(curve, candidate) <= f1:
             beta = candidate
 
-    return BetaFit(
-        beta=float(beta),
-        rss=_rss(curve, beta),
-        n_points=curve.n_points,
-        provenance=dict(curve.provenance),
-    )
+    return BetaFit(beta=float(beta), rss=_rss(curve, beta), n_points=curve.n_points)
 
 
 def beta_table() -> dict[float, float]:

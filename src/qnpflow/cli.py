@@ -48,6 +48,7 @@ from .errors import (
     UnknownSpin,
     ValidationError,
     VersionMismatch,
+    read_json_object,
 )
 from .grid import load_network
 from .neuralnet import (
@@ -91,18 +92,8 @@ def _parse_spin(text: str) -> float:
                          f"got {text!r}") from None
 
 
-def _read_json_object(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    return doc
-
-
 def _load_config(path: str | None) -> dict:
-    return {} if path is None else _read_json_object(path)
+    return {} if path is None else read_json_object(path)
 
 
 def _is(value, kind: type) -> bool:
@@ -303,8 +294,9 @@ def cmd_activation_simulate(ns: argparse.Namespace) -> int:
           f"-> {out / f'curve_{tag}.csv'}")
     capped = int(np.count_nonzero(~curve.converged))
     if capped:
-        print(f"warning: {capped} of {curve.n_points} curve points hit the "
-              f"{params.n_collisions}-collision cap", file=sys.stderr)
+        print(f"note: {capped} of {curve.n_points} curve points did not settle within the "
+              f"{params.n_collisions}-collision cap; sigma_z is exact, only collisions_used "
+              f"is capped", file=sys.stderr)
     return EXIT_OK
 
 
@@ -341,7 +333,7 @@ def _resolve_beta(cfg: dict) -> float:
         spin = _parse_spin(cfg["spin"]) if isinstance(cfg["spin"], str) else cfg["spin"]
         return spin_beta(spin)
     if cfg["beta_from_fit"] is not None:
-        doc = _read_json_object(cfg["beta_from_fit"])
+        doc = read_json_object(cfg["beta_from_fit"])
         try:
             return float(doc["beta"])
         except (KeyError, TypeError, ValueError):
@@ -473,7 +465,7 @@ SWEEP_DEFAULTS = {"out_dir": None}
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, SWEEP_DEFAULTS)
-    doc = _read_json_object(ns.sweep_config)
+    doc = read_json_object(ns.sweep_config)
     if "data" not in doc:
         raise UsageError(f"{ns.sweep_config}: sweep config needs a 'data' prefix")
 
@@ -539,9 +531,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="master random seed")
     common.add_argument("--out-dir", default=None, help="directory for output artifacts")
     common.add_argument("--config", default=None, help="JSON config file with option defaults")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
+    seeded.add_argument("--seed", type=int, default=None, help="master random seed")
 
     parser = argparse.ArgumentParser(
         prog="qnpflow",
@@ -556,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flat-start", action=argparse.BooleanOptionalAction, default=None)
     p.set_defaults(func=cmd_solve, parser=p)
 
-    p = sub.add_parser("dataset", parents=[common], help="generate a training dataset")
+    p = sub.add_parser("dataset", parents=[seeded], help="generate a training dataset")
     p.add_argument("network")
     p.add_argument("--n", type=int)
     p.add_argument("--range", dest="mult_range", type=float, nargs=2, metavar=("LO", "HI"))
@@ -569,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("activation", help="collision-model transfer curves")
     asub = p.add_subparsers(dest="subcommand", required=True)
 
-    q = asub.add_parser("simulate", parents=[common], help="simulate a transfer curve and fit it")
+    q = asub.add_parser("simulate", parents=[seeded], help="simulate a transfer curve and fit it")
     q.add_argument("--spin", type=str)
     q.add_argument("--g", type=float)
     q.add_argument("--tau", type=float)
@@ -584,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("curve", help="curve CSV with u and sigma_z columns")
     q.set_defaults(func=cmd_activation_fit, parser=q)
 
-    p = sub.add_parser("train", parents=[common], help="train the feedforward network")
+    p = sub.add_parser("train", parents=[seeded], help="train the feedforward network")
     p.add_argument("data", help="dataset prefix (expects <prefix>_train.csv and <prefix>_meta.json)")
     p.add_argument("--preset", choices=["table3", "table4"])
     p.add_argument("--beta", type=float)

@@ -11,12 +11,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TooFewConverged, ValidationError
+from .errors import ParseError, TooFewConverged, ValidationError, read_json_object
 from .grid import NetworkModel
 # `solve` is not called here; the benchmark's span table looks it up on this module.
 from .powerflow import SolveOptions, initial_state, solve, solve_batch  # noqa: F401
@@ -27,11 +27,10 @@ CONSTANT_EPS = 1e-12
 
 @dataclass(frozen=True)
 class GenerateOptions:
-    """Knobs for the perturbation scheme and the embedded solver."""
+    """Knobs for the perturbation scheme."""
 
     coupled: bool = False
     perturb_all_loads: bool = False
-    solver: SolveOptions = field(default_factory=SolveOptions)
 
 
 @dataclass
@@ -90,7 +89,8 @@ def generate(
 
     Each sample uses its own generator seeded by (seed, index), so sample i
     is identical no matter how many samples are requested. The cases differ
-    only in their loads, so one solve_batch call solves them all.
+    only in their loads, so one solve_batch call solves them all, from a
+    flat start with the default SolveOptions.
     Non-converged cases are kept with converged=False and NaN targets. Raises
     TooFewConverged when fewer than 90% of the cases solve.
     """
@@ -117,8 +117,9 @@ def generate(
 
     fixed_v = [net.buses[i].v_mag for i in (net.slack_index, *net.pv_indices)]
     inputs = np.hstack([net.base.to_pu(p_load), net.base.to_pu(q_load), np.tile(fixed_v, (n, 1))])
-    res = solve_batch(net, initial_state(net, flat_start=opts.solver.flat_start),
-                      *net.schedule(p_load, q_load), opts.solver.tol, opts.solver.max_iter)
+    solver = SolveOptions()
+    res = solve_batch(net, initial_state(net), *net.schedule(p_load, q_load),
+                      solver.tol, solver.max_iter)
     targets = np.hstack([res.v_mag[:, net.pq_indices], res.delta[:, net.non_slack_indices]])
     targets[~res.converged] = np.nan
     samples = [
@@ -255,10 +256,7 @@ def write_meta_json(meta: DatasetMeta, path: str | Path) -> None:
 def read_meta_json(path: str | Path) -> DatasetMeta:
     """Keys other than the DatasetMeta fields are ignored, such as the scaler
     keys that older meta files carry."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    doc = read_json_object(path)
     try:
         return DatasetMeta(**{k: doc[k] for k in (
             "seed", "n_requested", "n_converged", "mult_low", "mult_high", "coupled",

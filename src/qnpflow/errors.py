@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON-file reader that raises them."""
+import json
+from pathlib import Path
 
 
 class QnpflowError(Exception):
@@ -70,3 +72,15 @@ class TooFewConverged(QnpflowError):
 
 class VersionMismatch(QnpflowError):
     """Raised when a serialized model declares an unsupported format version."""
+
+
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object in the file at `path`; ParseError when the file is not
+    valid JSON or holds another kind of value at the top level."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    return doc

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_json_object
 
 SYMMETRY_TOL = 1e-9
 
@@ -231,13 +231,7 @@ def load_network(path: str | Path) -> NetworkModel:
     Raises ParseError for malformed content and ValidationError for semantic
     violations (no or multiple slack buses, asymmetric YBUS, bad ids).
     """
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
+    doc = read_json_object(path)
     base = PerUnitBase(_number(_require(doc, "base_mva", str(path)), "base_mva"))
     bus_objs = _require(doc, "buses", str(path))
     if not isinstance(bus_objs, list):

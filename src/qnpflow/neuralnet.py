@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -22,12 +22,17 @@ from .errors import (
     ShapeMismatch,
     ValidationError,
     VersionMismatch,
+    read_json_object,
 )
 
 FORMAT_VERSION = 1
 
 OPTIMIZER_NAMES = ("sgd", "adam", "adamax", "nadam")
 DEFAULT_LR = {"sgd": 0.01, "adam": 0.001, "adamax": 0.001, "nadam": 0.001}
+# Adam-family moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -228,13 +233,10 @@ def backward(params: MLPParams, trace: ForwardTrace, targets: np.ndarray,
 
 @dataclass(frozen=True)
 class OptimizerKind:
-    """Optimizer selector with step size and Adam-family decay constants."""
+    """Optimizer selector with step size."""
 
     name: str
     learning_rate: float | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.name not in OPTIMIZER_NAMES:
@@ -247,17 +249,15 @@ class OptimizerKind:
 
 @dataclass
 class OptState:
-    t: int
     m_w: list[np.ndarray]
     v_w: list[np.ndarray]
     m_b: list[np.ndarray]
     v_b: list[np.ndarray]
 
 
-def init_optimizer_state(kind: OptimizerKind, params: MLPParams) -> OptState:
+def init_optimizer_state(params: MLPParams) -> OptState:
     zeros_like = lambda arrs: [np.zeros_like(a) for a in arrs]
     return OptState(
-        t=0,
         m_w=zeros_like(params.weights),
         v_w=zeros_like(params.weights),
         m_b=zeros_like(params.biases),
@@ -265,9 +265,9 @@ def init_optimizer_state(kind: OptimizerKind, params: MLPParams) -> OptState:
     )
 
 
-def _apply_update(kind: OptimizerKind, t: int, w, g, m, v):
+def _apply_update(kind: OptimizerKind, t: int, g, m, v):
     """Return the parameter delta and update moment arrays in place."""
-    lr, b1, b2, eps = kind.lr, kind.beta1, kind.beta2, kind.eps
+    lr, b1, b2, eps = kind.lr, BETA1, BETA2, EPS
     if kind.name == "sgd":
         return -lr * g
     m *= b1
@@ -292,13 +292,10 @@ def optimizer_step(kind: OptimizerKind, state: OptState, params: MLPParams,
     """Apply one update step (1-based step index t) in place."""
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
-    state.t = t
     for l in range(params.topology.n_layers):
-        params.weights[l] += _apply_update(kind, t, params.weights[l], grads.weights[l],
-                                           state.m_w[l], state.v_w[l])
+        params.weights[l] += _apply_update(kind, t, grads.weights[l], state.m_w[l], state.v_w[l])
         if params.topology.use_bias:
-            params.biases[l] += _apply_update(kind, t, params.biases[l], grads.biases[l],
-                                              state.m_b[l], state.v_b[l])
+            params.biases[l] += _apply_update(kind, t, grads.biases[l], state.m_b[l], state.v_b[l])
 
 
 @dataclass(frozen=True)
@@ -366,7 +363,6 @@ class TrainReport:
     final_test_mse: float | None
     mape: np.ndarray | None
     wall_time: float
-    seed: int
 
 
 def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[MLPParams, TrainReport]:
@@ -385,7 +381,7 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
     start = time.perf_counter()
     params = glorot_init(topology, hyper.seed)
     kind = OptimizerKind(hyper.optimizer, learning_rate=hyper.learning_rate)
-    state = init_optimizer_state(kind, params)
+    state = init_optimizer_state(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 1])
     initial_mse = mse(forward(params, x).outputs, y)
 
@@ -427,7 +423,6 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
         final_test_mse=test_log[-1] if has_test else None,
         mape=final_mape,
         wall_time=time.perf_counter() - start,
-        seed=hyper.seed,
     )
     return params, report
 
@@ -478,12 +473,7 @@ def save_model(params: MLPParams, scalers: dict | None, path: str | Path) -> Non
 
 
 def load_model(path: str | Path) -> tuple[MLPParams, dict | None]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: top level must be an object")
+    doc = read_json_object(path)
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: format_version {version!r}, expected {FORMAT_VERSION}")
@@ -498,6 +488,6 @@ def load_model(path: str | Path) -> tuple[MLPParams, dict | None]:
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         scalers = doc["scalers"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from None
     return MLPParams(topology=topo, weights=weights, biases=biases), scalers

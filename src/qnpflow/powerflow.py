@@ -56,38 +56,6 @@ class StateVector:
 
 
 @dataclass
-class MismatchVector:
-    """Power mismatches: dp over non-slack buses, dq over PQ buses, in bus order."""
-
-    dp: np.ndarray
-    dq: np.ndarray
-
-    @property
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.dp, self.dq], axis=-1)
-
-    @property
-    def inf_norm(self) -> float:
-        s = self.stacked
-        return float(np.max(np.abs(s))) if s.size else 0.0
-
-
-@dataclass
-class JacobianBlocks:
-    """Mismatch derivatives. j12/j22 carry the |V| d/d|V| scaling that pairs
-    with the multiplicative dV/|V| update."""
-
-    j11: np.ndarray
-    j12: np.ndarray
-    j21: np.ndarray
-    j22: np.ndarray
-
-    @property
-    def assembled(self) -> np.ndarray:
-        return np.block([[self.j11, self.j12], [self.j21, self.j22]])
-
-
-@dataclass
 class PowerFlowSolution:
     v_mag: np.ndarray
     delta: np.ndarray
@@ -154,25 +122,32 @@ def calc_injections(state: StateVector, net: NetworkModel) -> tuple[np.ndarray, 
     return s.real, s.imag
 
 
-def _mismatch(p_calc, q_calc, p_sched, q_sched, net: NetworkModel) -> MismatchVector:
+def _mismatch(p_calc, q_calc, p_sched, q_sched, net: NetworkModel) -> np.ndarray:
     ns, pq = net.non_slack_indices, net.pq_indices
-    return MismatchVector(dp=p_sched[..., ns] - p_calc[..., ns], dq=q_sched[..., pq] - q_calc[..., pq])
+    dp = p_sched[..., ns] - p_calc[..., ns]
+    dq = q_sched[..., pq] - q_calc[..., pq]
+    return np.concatenate([dp, dq], axis=-1)
 
 
 def _inf_norms(f: np.ndarray) -> np.ndarray:
     return np.abs(f).max(axis=-1, initial=0.0)
 
 
-def mismatch(state: StateVector, net: NetworkModel) -> MismatchVector:
-    """Scheduled minus calculated power, over the solvable equations only."""
+def mismatch(state: StateVector, net: NetworkModel) -> np.ndarray:
+    """Scheduled minus calculated power over the solvable equations, (..., m):
+    P at the non-slack buses, then Q at the PQ buses, each in bus order."""
     p_calc, q_calc = calc_injections(state, net)
     return _mismatch(p_calc, q_calc, net.p_sched, net.q_sched, net)
 
 
-def jacobian(state: StateVector, net: NetworkModel) -> JacobianBlocks:
-    """Analytic mismatch Jacobian: the negated injection derivatives.
+def jacobian(state: StateVector, net: NetworkModel) -> np.ndarray:
+    """Analytic mismatch Jacobian (..., m, m): the negated injection derivatives.
 
-    With vy[i, k] = V_i conj(Y_ik V_k), whose row sums are S:
+    Rows follow mismatch() (P at the non-slack buses, then Q at the PQ
+    buses); columns are delta at the non-slack buses, then |V| at the PQ
+    buses. The |V| columns carry the |V| d/d|V| scaling that pairs with the
+    multiplicative dV/|V| update. With vy[i, k] = V_i conj(Y_ik V_k), whose
+    row sums are S:
         dS/d(delta)  = j (diag(S) - vy)
         |V| dS/d|V|  = diag(S) + vy
     P is the real part and Q the imaginary part of each.
@@ -186,12 +161,8 @@ def jacobian(state: StateVector, net: NetworkModel) -> JacobianBlocks:
     ds_dd = 1j * (s - vy)
     ds_dv = s + vy
     ns, pq = net.non_slack_indices, net.pq_indices
-    return JacobianBlocks(
-        j11=-ds_dd.real[..., ns[:, None], ns],
-        j12=-ds_dv.real[..., ns[:, None], pq],
-        j21=-ds_dd.imag[..., pq[:, None], ns],
-        j22=-ds_dv.imag[..., pq[:, None], pq],
-    )
+    return np.block([[-ds_dd.real[..., ns[:, None], ns], -ds_dv.real[..., ns[:, None], pq]],
+                     [-ds_dd.imag[..., pq[:, None], ns], -ds_dv.imag[..., pq[:, None], pq]]])
 
 
 def _lu_pivots(a: np.ndarray) -> np.ndarray:
@@ -220,7 +191,7 @@ def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tupl
     PIVOT_TOL, and the mask of those cases. The steps come from
     np.linalg.solve; _lu_pivots serves only the check.
     """
-    jac = jacobian(state, net).assembled
+    jac = jacobian(state, net)
     # any(), not min(): the pivots after an exact zero are NaN
     ok = ~np.any(np.abs(_lu_pivots(jac)) < PIVOT_TOL, axis=-1)
     dx = np.linalg.solve(jac[ok], -f[ok][..., None])[..., 0]
@@ -236,11 +207,11 @@ def nr_step(state: StateVector, net: NetworkModel) -> tuple[StateVector, float]:
 
     Returns the new state and the mismatch infinity norm at the input state.
     """
-    mm = mismatch(state, net)
-    new, ok = _newton_update(StateVector(state.delta[None], state.v_mag[None]), net, mm.stacked[None])
+    f = mismatch(state, net)
+    new, ok = _newton_update(StateVector(state.delta[None], state.v_mag[None]), net, f[None])
     if not ok[0]:
         raise SingularJacobian(f"pivot below {PIVOT_TOL} in Newton linear solve")
-    return StateVector(new.delta[0], new.v_mag[0]), mm.inf_norm
+    return StateVector(new.delta[0], new.v_mag[0]), float(_inf_norms(f))
 
 
 def _solution(net, state, iterations, history, converged) -> PowerFlowSolution:
@@ -278,7 +249,7 @@ def solve_batch(
     state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
     p, q = calc_injections(state, net)
-    f = _mismatch(p, q, p_sched, q_sched, net).stacked
+    f = _mismatch(p, q, p_sched, q_sched, net)
     norms = np.full((b, int(caps.max(initial=0)) + 1), np.nan)
     norms[:, 0] = _inf_norms(f)
     iterations = np.zeros(b, dtype=int)
@@ -292,7 +263,7 @@ def solve_batch(
         active = active[ok]
         state.delta[active], state.v_mag[active] = new.delta, new.v_mag
         p[active], q[active] = calc_injections(new, net)
-        f[active] = _mismatch(p[active], q[active], p_sched[active], q_sched[active], net).stacked
+        f[active] = _mismatch(p[active], q[active], p_sched[active], q_sched[active], net)
         norms[active, k] = _inf_norms(f[active])
         iterations[active] = k
         active = active[~(norms[active, k] < tol) & (k < caps[active])]
@@ -353,7 +324,7 @@ def gauss_seidel_oracle(
             if i in pv:
                 volt[i] = vset[i] * volt[i] / abs(volt[i])
         state = StateVector(np.angle(volt), np.abs(volt))
-        norm = mismatch(state, net).inf_norm
+        norm = float(_inf_norms(mismatch(state, net)))
         history.append(norm)
         if norm < tol:
             return _solution(net, state, k, history, True)

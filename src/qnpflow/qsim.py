@@ -20,6 +20,10 @@ from .activation import ActivationCurve
 from .errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationError
 
 STEADY_TOL = 1e-9
+# DensityMatrix.validate: largest trace and hermiticity defects, lowest eigenvalue
+TRACE_TOL = 1e-10
+HERM_TOL = 1e-10
+EIG_FLOOR = -1e-9
 
 SIGMA_Z = np.diag([1.0, -1.0])
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -88,25 +92,20 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def validate(self, trace_tol: float = 1e-10, herm_tol: float = 1e-10,
-                 eig_floor: float = -1e-9) -> "DensityMatrix":
+    def validate(self) -> "DensityMatrix":
         """Check unit trace, hermiticity and spectrum; raise InvalidDensityMatrix."""
         tr = np.trace(self.entries)
-        if abs(tr - 1.0) > trace_tol:
-            raise InvalidDensityMatrix(f"trace {tr} deviates from 1 beyond {trace_tol}")
+        if abs(tr - 1.0) > TRACE_TOL:
+            raise InvalidDensityMatrix(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
         herm = np.max(np.abs(self.entries - self.entries.conj().T))
-        if herm > herm_tol:
-            raise InvalidDensityMatrix(f"hermiticity defect {herm:.3e} exceeds {herm_tol}")
+        if herm > HERM_TOL:
+            raise InvalidDensityMatrix(f"hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
         lo = float(np.min(np.linalg.eigvalsh(self.entries)))
-        if lo < eig_floor:
-            raise InvalidDensityMatrix(f"eigenvalue {lo:.3e} below floor {eig_floor}")
+        if lo < EIG_FLOOR:
+            raise InvalidDensityMatrix(f"eigenvalue {lo:.3e} below floor {EIG_FLOOR}")
         return self
 
     def expect(self, op: np.ndarray) -> float:
@@ -139,10 +138,6 @@ class SpinOperators:
     j_plus: np.ndarray
     j_minus: np.ndarray
     j_z: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.j_z.shape[0]
 
 
 def spin_ladder(spin_j: float) -> SpinOperators:
@@ -187,13 +182,20 @@ def collision_unitary(spec: ReservoirSpec, params: CollisionParams) -> np.ndarra
     polynomial 1 - i tau H - (tau^2/2) H^2, which is not exactly unitary and
     exists to mirror the truncated propagator form.
     """
-    ops = spin_ladder(spec.spin_j)
-    ham = spec.g * (np.kron(SIGMA_PLUS, ops.j_minus) + np.kron(SIGMA_MINUS, ops.j_plus))
+    return _unitaries(np.asarray(spec.g), spec.spin_j, params)
+
+
+def _unitaries(g: np.ndarray, spin_j: float, params: CollisionParams) -> np.ndarray:
+    """collision_unitary for couplings g of any shape at one spin, stacked
+    along g's axes. The reservoirs share the bare exchange Hamiltonian H0,
+    so the stack takes one eigh of g H0 (or one truncated polynomial)."""
+    ops = spin_ladder(spin_j)
+    ham = g[..., None, None] * (np.kron(SIGMA_PLUS, ops.j_minus) + np.kron(SIGMA_MINUS, ops.j_plus))
     if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
-        eye = np.eye(ham.shape[0], dtype=complex)
+        eye = np.eye(ham.shape[-1], dtype=complex)
         return eye - 1j * params.tau * ham - 0.5 * params.tau**2 * (ham @ ham)
     w, v = np.linalg.eigh(ham)
-    return (v * np.exp(-1j * w * params.tau)) @ v.conj().T
+    return (v * np.exp(-1j * w * params.tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def _damping_kraus(params: CollisionParams) -> tuple[np.ndarray, np.ndarray] | None:
@@ -207,10 +209,15 @@ def _damping_kraus(params: CollisionParams) -> tuple[np.ndarray, np.ndarray] | N
 
 def _collide(probe_arr: np.ndarray, unit_arr: np.ndarray, u: np.ndarray,
              kraus: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    dim = unit_arr.shape[0]
-    joint = np.kron(probe_arr, unit_arr)
-    evolved = u @ joint @ u.conj().T
-    reduced = np.einsum("ikjk->ij", evolved.reshape(2, dim, 2, dim))
+    """Probe state after one collision: the joint state kron(probe, unit)
+    conjugated by u, the unit traced out, then the damping Kraus pair.
+    Leading axes of the probe (..., 2, 2), unit (..., d, d) and u
+    (..., 2d, 2d) arrays broadcast against each other."""
+    dim = unit_arr.shape[-1]
+    joint = probe_arr[..., :, None, :, None] * unit_arr[..., None, :, None, :]
+    joint = joint.reshape(joint.shape[:-4] + (2 * dim, 2 * dim))
+    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
+    reduced = np.einsum("...ikjk->...ij", evolved.reshape(evolved.shape[:-2] + (2, dim, 2, dim)))
     if kraus is not None:
         k0, k1 = kraus
         reduced = k0 @ reduced @ k0.conj().T + k1 @ reduced @ k1.conj().T
@@ -247,37 +254,17 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
 
     Column k of a reservoir's real 4x4 map T (r' = T r) is the Pauli vector
     of _collide applied to P_k with collision_unitary(r, params), so the map
-    is defined by _collide alone. Reservoirs of one spin share the bare
-    exchange Hamiltonian H0, so their propagators come from one stacked eigh
-    of g H0 (or the stacked truncated polynomial) and the Pauli images of all
-    of them from one pass of _collide's steps. The truncated propagator is
-    not trace preserving; T then changes r_0, which readouts divide out.
+    is defined by _collide alone. Reservoirs of one spin go through
+    _unitaries and _collide as one stack. The truncated propagator is not
+    trace preserving; T then changes r_0, which readouts divide out.
     """
     kraus = _damping_kraus(params)
-    tau = params.tau
     maps = np.empty((len(specs), 4, 4))
     for spin_j in sorted({r.spin_j for r in specs}):
         idx = [i for i, r in enumerate(specs) if r.spin_j == spin_j]
-        ops = spin_ladder(spin_j)
-        dim = ops.dim
-        h0 = np.kron(SIGMA_PLUS, ops.j_minus) + np.kron(SIGMA_MINUS, ops.j_plus)
-        ham = np.array([specs[i].g for i in idx])[:, None, None] * h0
-        if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
-            eye = np.eye(2 * dim, dtype=complex)
-            u = eye - 1j * tau * ham - 0.5 * tau**2 * (ham @ ham)
-        else:
-            w, v = np.linalg.eigh(ham)
-            u = (v * np.exp(-1j * w * tau)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+        u = _unitaries(np.array([specs[i].g for i in idx]), spin_j, params)
         units = np.array([reservoir_unit_state(specs[i]).entries for i in idx])
-        # joint[n, k] = kron(P_k, unit_n)
-        joint = (PAULI[None, :, :, None, :, None] * units[:, None, None, :, None, :])
-        joint = joint.reshape(len(idx), 4, 2 * dim, 2 * dim)
-        u = u[:, None]
-        evolved = u @ joint @ u.conj().swapaxes(-1, -2)
-        images = np.einsum("...ikjk->...ij", evolved.reshape(len(idx), 4, 2, dim, 2, dim))
-        if kraus is not None:
-            k0, k1 = kraus
-            images = k0 @ images @ k0.conj().T + k1 @ images @ k1.conj().T
+        images = _collide(PAULI, units[:, None], u[:, None], kraus)
         maps[idx] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
     return maps
 

@@ -94,7 +94,7 @@ def test_criterion_2_jacobian_vs_finite_differences(net):
     worst = 0.0
     for _ in range(100):
         state = random_state(net, rng)
-        err = max_rel_error(jacobian(state, net).assembled, fd_jacobian(state, net))
+        err = max_rel_error(jacobian(state, net), fd_jacobian(state, net))
         worst = max(worst, float(err))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-5 and elapsed < 5.0
@@ -292,7 +292,7 @@ def test_criterion_8_dataset_targets_solve_the_power_flow(net):
         v[pq] = s.targets[: len(pq)]
         delta = np.zeros(n)
         delta[ns] = s.targets[len(pq):]
-        worst = max(worst, mismatch(StateVector(delta, v), case).inf_norm)
+        worst = max(worst, np.abs(mismatch(StateVector(delta, v), case)).max())
     ok = worst < tol
     report(8, ok, f"100 samples, worst re-evaluated mismatch {worst:.2e} < {tol:.0e}")
 

@@ -90,6 +90,13 @@ def test_solve_config_file_and_cli_precedence(tmp_path):
     assert snap["max_iter"] == 20 and snap["tol"] == 1e-12
 
 
+def test_solve_has_no_seed_option(tmp_path):
+    # --seed exists only where a run reads it: dataset, activation simulate, train
+    res = cli("solve", NETWORK, "--seed", 1, "--out-dir", tmp_path)
+    assert res.returncode == 2
+    assert "unrecognized arguments: --seed" in res.stderr
+
+
 def test_solve_rejects_malformed_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{ not json")
@@ -218,7 +225,8 @@ def test_activation_simulate_warns_on_capped_points(curve_run):
         capped = sum(row["converged"] == "0" for row in csv.DictReader(fh))
     assert capped > 0
     assert res.stderr == (
-        f"warning: {capped} of 5 curve points hit the 3000-collision cap\n")
+        f"note: {capped} of 5 curve points did not settle within the 3000-collision cap; "
+        "sigma_z is exact, only collisions_used is capped\n")
 
 
 def test_activation_simulate_silent_when_converged(tmp_path):
@@ -309,6 +317,37 @@ def test_evaluate_truncated_model_exits_4(trained_dir, dataset_dir, tmp_path):
     broken.write_text(text[: len(text) // 2])
     res = cli("evaluate", broken, dataset_dir / "data", "--out-dir", tmp_path)
     assert res.returncode == 4
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_meta_file_not_an_object_exits_4(command, trained_dir, dataset_dir, tmp_path):
+    for split in ("train", "test"):
+        (tmp_path / f"data_{split}.csv").write_bytes((dataset_dir / f"data_{split}.csv").read_bytes())
+    (tmp_path / "data_meta.json").write_text("[1]")
+    args = {"train": ["train", tmp_path / "data", "--preset", "table3", "--epochs", 1],
+            "evaluate": ["evaluate", trained_dir / "model.json", tmp_path / "data"]}[command]
+    res = cli(*args, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+def non_numeric_sizes(doc):
+    doc["topology"]["sizes"] = "ab"
+
+
+def non_numeric_weight(doc):
+    doc["weights"][0][0][0] = "x"
+
+
+@pytest.mark.parametrize("spoil", [non_numeric_sizes, non_numeric_weight])
+def test_evaluate_model_with_non_numeric_field_exits_4(spoil, trained_dir, dataset_dir, tmp_path):
+    doc = json.loads((trained_dir / "model.json").read_text())
+    spoil(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    res = cli("evaluate", model, dataset_dir / "data", "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
 def test_train_beta_sources_are_exclusive(dataset_dir, tmp_path):

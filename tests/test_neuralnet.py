@@ -244,7 +244,7 @@ def test_sgd_step_is_exact_update():
     y = np.random.default_rng(7).normal(size=(4, 1))
     grads = backward(params, forward(params, x), y)
     kind = OptimizerKind("sgd", learning_rate=0.1)
-    optimizer_step(kind, init_optimizer_state(kind, params), params, grads, t=1)
+    optimizer_step(kind, init_optimizer_state(params), params, grads, t=1)
     for l in range(topo.n_layers):
         assert np.array_equal(params.weights[l], before.weights[l] + (-0.1) * grads.weights[l])
         assert np.array_equal(params.biases[l], before.biases[l] + (-0.1) * grads.biases[l])
@@ -263,7 +263,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
                 for b in params.biases],
     )
     kind = OptimizerKind("adam")
-    optimizer_step(kind, init_optimizer_state(kind, params), params, grads, t=1)
+    optimizer_step(kind, init_optimizer_state(params), params, grads, t=1)
     for l in range(topo.n_layers):
         step = np.abs(params.weights[l] - before.weights[l])
         assert np.all(step >= 0.00099) and np.all(step <= 0.001)
@@ -275,7 +275,7 @@ def test_adamax_tracks_max_of_decayed_norm():
     topo = LayerTopology((1, 1), beta=2.22)
     params = MLPParams(topology=topo, weights=[np.array([[0.0]])], biases=[np.zeros(1)])
     kind = OptimizerKind("adamax")
-    state = init_optimizer_state(kind, params)
+    state = init_optimizer_state(params)
     g1 = Gradients(weights=[np.array([[1.0]])], biases=[np.zeros(1)])
     optimizer_step(kind, state, params, g1, t=1)
     assert state.v_w[0][0, 0] == pytest.approx(1.0)
@@ -293,7 +293,7 @@ def test_nadam_differs_from_adam():
     for name in ("adam", "nadam"):
         params = glorot_init(topo, seed=4)
         kind = OptimizerKind(name)
-        state = init_optimizer_state(kind, params)
+        state = init_optimizer_state(params)
         for t in (1, 2):
             grads = backward(params, forward(params, x), y)
             optimizer_step(kind, state, params, grads, t)
@@ -317,7 +317,7 @@ def test_optimizer_validation():
     kind = OptimizerKind("sgd")
     grads = Gradients(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
     with pytest.raises(ValidationError):
-        optimizer_step(kind, init_optimizer_state(kind, params), params, grads, t=0)
+        optimizer_step(kind, init_optimizer_state(params), params, grads, t=0)
 
 
 # ---------------------------------------------------------------------------
