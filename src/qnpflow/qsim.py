@@ -174,21 +174,18 @@ def reservoir_unit_state(spec: ReservoirSpec) -> DensityMatrix:
     return DensityMatrix(np.outer(amps, amps.conj()))
 
 
-def collision_unitary(spec: ReservoirSpec, params: CollisionParams) -> np.ndarray:
-    """Joint probe-unit propagator for one collision.
+def collision_unitary(g: float | np.ndarray, spin_j: float, params: CollisionParams) -> np.ndarray:
+    """Joint probe-unit propagator of one collision, for couplings g of any
+    shape at one spin, stacked along g's axes.
 
     ExactExponential diagonalizes H = g (sigma+ J- + sigma- J+) and
     exponentiates the spectrum. SecondOrderTruncation keeps the literal
     polynomial 1 - i tau H - (tau^2/2) H^2, which is not exactly unitary and
-    exists to mirror the truncated propagator form.
+    exists to mirror the truncated propagator form. The reservoirs share the
+    bare exchange Hamiltonian H0, so a stack takes one eigh of g H0 (or one
+    truncated polynomial).
     """
-    return _unitaries(np.asarray(spec.g), spec.spin_j, params)
-
-
-def _unitaries(g: np.ndarray, spin_j: float, params: CollisionParams) -> np.ndarray:
-    """collision_unitary for couplings g of any shape at one spin, stacked
-    along g's axes. The reservoirs share the bare exchange Hamiltonian H0,
-    so the stack takes one eigh of g H0 (or one truncated polynomial)."""
+    g = np.asarray(g)
     ops = spin_ladder(spin_j)
     ham = g[..., None, None] * (np.kron(SIGMA_PLUS, ops.j_minus) + np.kron(SIGMA_MINUS, ops.j_plus))
     if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
@@ -253,16 +250,16 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
     """Transfer matrices of many reservoirs, shape (len(specs), 4, 4).
 
     Column k of a reservoir's real 4x4 map T (r' = T r) is the Pauli vector
-    of _collide applied to P_k with collision_unitary(r, params), so the map
-    is defined by _collide alone. Reservoirs of one spin go through
-    _unitaries and _collide as one stack. The truncated propagator is not
-    trace preserving; T then changes r_0, which readouts divide out.
+    of _collide applied to P_k with collision_unitary(r.g, r.spin_j, params),
+    so the map is defined by _collide alone. Reservoirs of one spin go through
+    collision_unitary and _collide as one stack. The truncated propagator is
+    not trace preserving; T then changes r_0, which readouts divide out.
     """
     kraus = _damping_kraus(params)
     maps = np.empty((len(specs), 4, 4))
     for spin_j in sorted({r.spin_j for r in specs}):
         idx = [i for i, r in enumerate(specs) if r.spin_j == spin_j]
-        u = _unitaries(np.array([specs[i].g for i in idx]), spin_j, params)
+        u = collision_unitary(np.array([specs[i].g for i in idx]), spin_j, params)
         units = np.array([reservoir_unit_state(specs[i]).entries for i in idx])
         images = _collide(PAULI, units[:, None], u[:, None], kraus)
         maps[idx] = np.einsum("jab,nkba->njk", PAULI, images).real / 2

@@ -121,7 +121,7 @@ def test_criterion_3_cptp_invariants():
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = a @ a.conj().T
         probe = DensityMatrix(rho / np.trace(rho).real)
-        u = collision_unitary(spec, params)
+        u = collision_unitary(spec.g, spec.spin_j, params)
         out = collide_once(probe, spec, u, params).entries
         tr = np.trace(out)
         worst_trace = max(worst_trace, abs(float(tr.real) - 1.0), abs(float(tr.imag)))

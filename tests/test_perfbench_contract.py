@@ -1,8 +1,9 @@
 """The names of the package that the benchmark under perfbench/ reaches.
 
-perfbench/spans.py wraps package attributes by name, and perfbench/child.py
-reads a few more; a renamed or deleted one breaks the benchmark only when it
-runs. spans.py imports only the standard library, so it is loaded by path.
+perfbench/spans.py wraps package attributes by name, and the activation
+workload reads cli.SIMULATE_DEFAULTS["g"]; a renamed or deleted one breaks the
+benchmark only when it runs. spans.py imports only the standard library, so it
+is loaded by path.
 """
 import importlib
 import importlib.util
@@ -23,15 +24,6 @@ def load_spans():
 @pytest.mark.parametrize("module, attr, span", load_spans().SPANS)
 def test_span_target_exists(module, attr, span):
     assert callable(getattr(importlib.import_module(f"qnpflow.{module}"), attr)), span
-
-
-@pytest.mark.parametrize("module, attr", [
-    ("cli", "load_network"), ("cli", "train"), ("powerflow", "SolveOptions"),
-    ("qsim", "steady_state_closed_form"), ("qsim", "ReservoirSpec"),
-    ("dataset", "read_meta_json"), ("dataset", "read_dataset_csv"),
-])
-def test_child_reads_exist(module, attr):
-    assert callable(getattr(importlib.import_module(f"qnpflow.{module}"), attr))
 
 
 def test_simulate_default_coupling_exists():

@@ -127,19 +127,19 @@ def test_tiny_tau_is_identity():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.01)
     for mode in (EXACT, TRUNCATED):
         params = CollisionParams(tau=1e-12, propagator_mode=mode)
-        u = collision_unitary(spec, params)
+        u = collision_unitary(spec.g, spec.spin_j, params)
         assert np.abs(u - np.eye(4)).max() < 1e-12
 
 
 def test_exact_mode_unitary():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.01)
-    u = collision_unitary(spec, CollisionParams(tau=3.0, propagator_mode=EXACT))
+    u = collision_unitary(spec.g, spec.spin_j, CollisionParams(tau=3.0, propagator_mode=EXACT))
     assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
 
 
 def test_truncated_mode_unitarity_defect():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.01)
-    u = collision_unitary(spec, CollisionParams(tau=3.0, propagator_mode=TRUNCATED))
+    u = collision_unitary(spec.g, spec.spin_j, CollisionParams(tau=3.0, propagator_mode=TRUNCATED))
     defect = np.abs(u @ u.conj().T - np.eye(4)).max()
     assert 0 < defect < 1e-4  # bounded by c (g tau)^3 at g tau = 0.03
 
@@ -148,7 +148,7 @@ def test_truncated_mode_unitarity_defect():
 @settings(max_examples=30, deadline=None)
 def test_exact_mode_unitary_random(spin_j, gtau):
     spec = ReservoirSpec(theta=0.0, spin_j=spin_j, g=gtau / 3.0)
-    u = collision_unitary(spec, CollisionParams(tau=3.0, propagator_mode=EXACT))
+    u = collision_unitary(spec.g, spec.spin_j, CollisionParams(tau=3.0, propagator_mode=EXACT))
     dim = int(2 * (2 * spin_j + 1))
     assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-12
 
@@ -158,7 +158,7 @@ def test_exact_mode_unitary_random(spin_j, gtau):
 def test_collide_zero_coupling_is_identity():
     spec = ReservoirSpec(theta=0.3, spin_j=1.0, g=0.0)
     params = CollisionParams(tau=3.0, gamma=0.0)
-    u = collision_unitary(spec, params)
+    u = collision_unitary(spec.g, spec.spin_j, params)
     probe = plus_state()
     out = collide_once(probe, spec, u, params)
     assert np.abs(out.entries - probe.entries).max() < 1e-14
@@ -167,7 +167,7 @@ def test_collide_zero_coupling_is_identity():
 def test_collide_aligned_states_invariant():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.01)
     params = CollisionParams(tau=3.0)
-    u = collision_unitary(spec, params)
+    u = collision_unitary(spec.g, spec.spin_j, params)
     out = collide_once(excited_state(), spec, u, params)
     assert np.abs(out.entries - excited_state().entries).max() < 1e-12
 
@@ -176,7 +176,7 @@ def test_collide_population_transfer_closed_form():
     g, tau = 0.01, 3.0
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=g)
     params = CollisionParams(tau=tau)
-    u = collision_unitary(spec, params)
+    u = collision_unitary(spec.g, spec.spin_j, params)
     out = collide_once(ground_state(), spec, u, params)
     # ground probe + excited unit exchange with amplitude sin(g tau)
     expected = -1.0 + 2.0 * math.sin(g * tau) ** 2
@@ -186,7 +186,7 @@ def test_collide_population_transfer_closed_form():
 def test_damping_pulls_excited_down():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.0)
     params = CollisionParams(tau=3.0, gamma=0.1)
-    u = collision_unitary(spec, params)
+    u = collision_unitary(spec.g, spec.spin_j, params)
     out = collide_once(excited_state(), spec, u, params)
     expected = 2.0 * math.exp(-0.1 * 3.0) - 1.0
     assert out.expect(SIGMA_Z) == pytest.approx(expected, rel=1e-12)
@@ -198,7 +198,7 @@ def test_damping_pulls_excited_down():
 def test_collision_is_cptp(theta, phi, spin_j, gtau, seed):
     spec = ReservoirSpec(theta=theta, phi=phi, spin_j=spin_j, g=gtau / 3.0)
     params = CollisionParams(tau=3.0, propagator_mode=EXACT)
-    u = collision_unitary(spec, params)
+    u = collision_unitary(spec.g, spec.spin_j, params)
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=2) + 1j * rng.normal(size=2)
     vec = vec / np.linalg.norm(vec)
@@ -317,7 +317,7 @@ def reference_evolve(probe, reservoirs, params, schedule="round-robin", seed=Non
         g_rms = math.sqrt(float(weights.mean()))
         weights = weights / weights.sum()
         reservoirs = [replace(r, g=g_rms) for r in reservoirs]
-    unitaries = [collision_unitary(r, params) for r in reservoirs]
+    unitaries = [collision_unitary(r.g, r.spin_j, params) for r in reservoirs]
 
     def sigma_z(arr):
         return float(((arr[0, 0] - arr[1, 1]) / (arr[0, 0] + arr[1, 1])).real)
@@ -509,7 +509,7 @@ def per_reservoir_transfer_matrix(spec, params):
     """One reservoir's transfer matrix, column k the Pauli vector of _collide
     applied to P_k."""
     unit = reservoir_unit_state(spec).entries
-    u = collision_unitary(spec, params)
+    u = collision_unitary(spec.g, spec.spin_j, params)
     images = np.array([_collide(p, unit, u, _damping_kraus(params)) for p in PAULI])
     return np.einsum("jab,kba->jk", PAULI, images).real / 2
 
