@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from .activation import ActivationCurve, beta_table, fit_beta, spin_beta
 from .dataset import (
-    GenerateOptions,
     Scaler,
     _arrays,
     fit_scaler,
@@ -92,10 +91,6 @@ def _parse_spin(text: str) -> float:
                          f"got {text!r}") from None
 
 
-def _load_config(path: str | None) -> dict:
-    return {} if path is None else read_json_object(path)
-
-
 def _is(value, kind: type) -> bool:
     """isinstance for JSON values: a bool is no number, an int is also a float."""
     if isinstance(value, bool):
@@ -120,7 +115,7 @@ def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
 
     A config-file value must be one the option's flag could have given, or
     null where the default is None; otherwise ParseError names the key."""
-    config = _load_config(getattr(ns, "config", None))
+    config = {} if ns.config is None else read_json_object(ns.config)
     actions = {a.dest: a for a in ns.parser._actions}
     out = {}
     for key, default in defaults.items():
@@ -206,9 +201,9 @@ DATASET_DEFAULTS = {
 def cmd_dataset(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, DATASET_DEFAULTS)
     net = load_network(ns.network)
-    opts = GenerateOptions(coupled=cfg["coupled"], perturb_all_loads=cfg["perturb_all_loads"])
     lo, hi = cfg["mult_range"]
-    samples, meta = generate(net, cfg["n"], mult_range=(lo, hi), seed=cfg["seed"], opts=opts)
+    samples, meta = generate(net, cfg["n"], mult_range=(lo, hi), seed=cfg["seed"],
+                             coupled=cfg["coupled"], perturb_all_loads=cfg["perturb_all_loads"])
 
     usable = [s for s in samples if s.converged]
     train_s, test_s = split(usable, cfg["split"], cfg["seed"])
@@ -252,7 +247,10 @@ def _read_curve_csv(path: str | Path) -> ActivationCurve:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"u", "sigma_z"} <= set(reader.fieldnames):
             raise ParseError(f"{path}: expected columns u and sigma_z")
-        rows = [(float(r["u"]), float(r["sigma_z"])) for r in reader]
+        try:
+            rows = [(float(r["u"]), float(r["sigma_z"])) for r in reader]
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: line {reader.line_num}: u and sigma_z must be numbers") from None
     if not rows:
         raise ParseError(f"{path}: no data rows")
     u, y = zip(*rows)
@@ -368,8 +366,8 @@ def _load_split(prefix: str, which: str):
     return _arrays(samples)
 
 
-def _maybe_scaler(x: np.ndarray, kind: str) -> Scaler | None:
-    return None if kind == "none" else fit_scaler(x, kind)
+def _scaled(arr: np.ndarray | None, scaler: Scaler | None) -> np.ndarray | None:
+    return arr if scaler is None or arr is None else scaler.transform(arr)
 
 
 def _train_set(prefix: str, scale_inputs: str, scale_targets: str,
@@ -384,14 +382,10 @@ def _train_set(prefix: str, scale_inputs: str, scale_targets: str,
             x_te, y_te = _load_split(prefix, "test")
         except FileNotFoundError:
             pass
-    fs = _maybe_scaler(x_tr, scale_inputs)
-    ts = _maybe_scaler(y_tr, scale_targets)
-
-    def scaled(arr, scaler):
-        return scaler.transform(arr) if scaler and arr is not None else arr
-
-    data = TrainSet(x_train=scaled(x_tr, fs), y_train=scaled(y_tr, ts),
-                    x_test=scaled(x_te, fs), y_test=scaled(y_te, ts),
+    fs = None if scale_inputs == "none" else fit_scaler(x_tr, scale_inputs)
+    ts = None if scale_targets == "none" else fit_scaler(y_tr, scale_targets)
+    data = TrainSet(x_train=_scaled(x_tr, fs), y_train=_scaled(y_tr, ts),
+                    x_test=_scaled(x_te, fs), y_test=_scaled(y_te, ts),
                     invert_targets=ts.invert if ts else None)
     return data, fs, ts
 
@@ -438,14 +432,9 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, EVALUATE_DEFAULTS)
     params, scalers = load_model(ns.model)
     x, y = _load_split(ns.data, cfg["split"])
-    fs = Scaler.from_dict(scalers["inputs"]) if scalers and scalers.get("inputs") else None
-    ts = Scaler.from_dict(scalers["targets"]) if scalers and scalers.get("targets") else None
-    report = evaluate(
-        params,
-        fs.transform(x) if fs else x,
-        ts.transform(y) if ts else y,
-        invert_targets=ts.invert if ts else None,
-    )
+    fs, ts = (Scaler.from_dict((scalers or {}).get(side)) for side in ("inputs", "targets"))
+    report = evaluate(params, _scaled(x, fs), _scaled(y, ts),
+                      invert_targets=ts.invert if ts else None)
     out = _out_dir(cfg)
     _write_snapshot(out, "evaluate", {**cfg, "model": str(ns.model), "data": str(ns.data)})
     (out / "eval_report.json").write_text(json.dumps({
@@ -466,8 +455,8 @@ SWEEP_DEFAULTS = {"out_dir": None}
 def cmd_sweep(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, SWEEP_DEFAULTS)
     doc = read_json_object(ns.sweep_config)
-    if "data" not in doc:
-        raise UsageError(f"{ns.sweep_config}: sweep config needs a 'data' prefix")
+    if not isinstance(doc.get("data"), str):
+        raise UsageError(f"{ns.sweep_config}: sweep config needs a 'data' prefix string")
 
     for key, kind in (("betas", float), ("optimizers", str), ("seeds", int)):
         value = doc.get(key)
@@ -484,8 +473,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if not seeds:
         raise UsageError("empty sweep list: seeds must be non-empty")
 
-    base = {**TRAIN_DEFAULTS, **{k: v for k, v in doc.items()
-                                 if k in TRAIN_DEFAULTS and k != "seed"}}
+    # The train keys of the sweep file pass the checks of `train --config`;
+    # "--" keeps a prefix that starts with "-" from reading as a flag.
+    base = _resolve(build_parser().parse_args(
+        ["train", "--config", str(ns.sweep_config), "--", doc["data"]]), TRAIN_DEFAULTS)
     if betas is None:
         betas = [_resolve_beta(base)]
     if optimizers is None:

@@ -11,26 +11,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ParseError, TooFewConverged, ValidationError, read_json_object
+from .errors import ParseError, ShapeMismatch, TooFewConverged, ValidationError, read_json_object
 from .grid import NetworkModel
 # `solve` is not called here; the benchmark's span table looks it up on this module.
 from .powerflow import SolveOptions, initial_state, solve, solve_batch  # noqa: F401
 
 CONVERGED_SHARE = 0.9
 CONSTANT_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class GenerateOptions:
-    """Knobs for the perturbation scheme."""
-
-    coupled: bool = False
-    perturb_all_loads: bool = False
 
 
 @dataclass
@@ -61,12 +53,13 @@ class DatasetMeta:
     split_seed: int | None = None
 
 
-def _labels(net: NetworkModel, opts: GenerateOptions) -> tuple[list[str], list[str], list[str]]:
-    perturbed = range(net.n) if opts.perturb_all_loads else net.pq_indices
+def _labels(net: NetworkModel, coupled: bool,
+            perturb_all_loads: bool) -> tuple[list[str], list[str], list[str]]:
+    perturbed = range(net.n) if perturb_all_loads else net.pq_indices
     mults = []
     for i in perturbed:
         bus = net.buses[i].id
-        if opts.coupled:
+        if coupled:
             mults.append(f"mult_pq{bus}")
         else:
             mults.extend([f"mult_p{bus}", f"mult_q{bus}"])
@@ -83,9 +76,14 @@ def generate(
     n: int,
     mult_range: tuple[float, float] = (0.8, 1.2),
     seed: int = 0,
-    opts: GenerateOptions | None = None,
+    *,
+    coupled: bool = False,
+    perturb_all_loads: bool = False,
 ) -> tuple[list[SampleRecord], DatasetMeta]:
     """Draw uniform load multipliers, solve every case, and record the map.
+
+    By default each PQ bus gets its own P and Q multiplier; `coupled` draws
+    one multiplier for both, and `perturb_all_loads` perturbs every bus.
 
     Each sample uses its own generator seeded by (seed, index), so sample i
     is identical no matter how many samples are requested. The cases differ
@@ -94,18 +92,17 @@ def generate(
     Non-converged cases are kept with converged=False and NaN targets. Raises
     TooFewConverged when fewer than 90% of the cases solve.
     """
-    opts = opts if opts is not None else GenerateOptions()
     low, high = float(mult_range[0]), float(mult_range[1])
     if not (0 < low <= high):
         raise ValidationError(f"multiplier range must satisfy 0 < low <= high, got {mult_range}")
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
 
-    perturbed = np.arange(net.n) if opts.perturb_all_loads else net.pq_indices
-    mult_labels, input_labels, target_labels = _labels(net, opts)
+    perturbed = np.arange(net.n) if perturb_all_loads else net.pq_indices
+    mult_labels, input_labels, target_labels = _labels(net, coupled, perturb_all_loads)
 
     # One draw per perturbed bus when coupled, else a (P, Q) pair per bus.
-    per_bus = 1 if opts.coupled else 2
+    per_bus = 1 if coupled else 2
     factors = np.array([
         np.random.default_rng([seed, idx]).uniform(low, high, per_bus * len(perturbed))
         for idx in range(n)
@@ -139,8 +136,8 @@ def generate(
         n_converged=n_converged,
         mult_low=low,
         mult_high=high,
-        coupled=opts.coupled,
-        perturb_all_loads=opts.perturb_all_loads,
+        coupled=coupled,
+        perturb_all_loads=perturb_all_loads,
         network_fingerprint=net.fingerprint,
         mult_labels=mult_labels,
         input_labels=input_labels,
@@ -169,14 +166,20 @@ class Scaler:
     scale: np.ndarray
     passthrough: np.ndarray
 
-    def transform(self, x: np.ndarray) -> np.ndarray:
+    def _columns(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`x` as a 2-D float batch and the divisor per column; ShapeMismatch on a width mismatch."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        safe = np.where(self.passthrough, 1.0, self.scale)
+        if x.shape[-1] != self.center.size:
+            raise ShapeMismatch(f"{self.kind} scaler has {self.center.size} columns, "
+                                f"data has {x.shape[-1]}")
+        return x, np.where(self.passthrough, 1.0, self.scale)
+
+    def transform(self, x: np.ndarray) -> np.ndarray:
+        x, safe = self._columns(x)
         return np.where(self.passthrough, x, (x - self.center) / safe)
 
     def invert(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        safe = np.where(self.passthrough, 1.0, self.scale)
+        x, safe = self._columns(x)
         return np.where(self.passthrough, x, x * safe + self.center)
 
     def to_dict(self) -> dict:
@@ -188,13 +191,24 @@ class Scaler:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "Scaler":
-        return cls(
-            kind=doc["kind"],
-            center=np.array(doc["center"], dtype=float),
-            scale=np.array(doc["scale"], dtype=float),
-            passthrough=np.array(doc["passthrough"], dtype=bool),
-        )
+    def from_dict(cls, doc: dict | None) -> "Scaler | None":
+        """Inverse of to_dict, None for null; ParseError for a malformed blob."""
+        if doc is None:
+            return None
+        try:
+            scaler = cls(
+                kind=doc["kind"],
+                center=np.array(doc["center"], dtype=float),
+                scale=np.array(doc["scale"], dtype=float),
+                passthrough=np.array(doc["passthrough"], dtype=bool),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed scaler ({exc!r})") from None
+        shapes = {scaler.center.shape, scaler.scale.shape, scaler.passthrough.shape}
+        if len(shapes) != 1 or scaler.center.ndim != 1:
+            raise ParseError("malformed scaler: center, scale and passthrough must be "
+                             "lists of one common length")
+        return scaler
 
 
 def fit_scaler(x: np.ndarray, kind: str = "minmax") -> Scaler:
@@ -235,22 +249,7 @@ def write_dataset_csv(samples: list[SampleRecord], meta: DatasetMeta, path: str 
 
 
 def write_meta_json(meta: DatasetMeta, path: str | Path) -> None:
-    doc = {
-        "seed": meta.seed,
-        "n_requested": meta.n_requested,
-        "n_converged": meta.n_converged,
-        "mult_low": meta.mult_low,
-        "mult_high": meta.mult_high,
-        "coupled": meta.coupled,
-        "perturb_all_loads": meta.perturb_all_loads,
-        "network_fingerprint": meta.network_fingerprint,
-        "mult_labels": meta.mult_labels,
-        "input_labels": meta.input_labels,
-        "target_labels": meta.target_labels,
-        "split_ratio": meta.split_ratio,
-        "split_seed": meta.split_seed,
-    }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n")
+    Path(path).write_text(json.dumps(asdict(meta), indent=1) + "\n")
 
 
 def read_meta_json(path: str | Path) -> DatasetMeta:
@@ -258,13 +257,14 @@ def read_meta_json(path: str | Path) -> DatasetMeta:
     keys that older meta files carry."""
     doc = read_json_object(path)
     try:
-        return DatasetMeta(**{k: doc[k] for k in (
-            "seed", "n_requested", "n_converged", "mult_low", "mult_high", "coupled",
-            "perturb_all_loads", "network_fingerprint", "mult_labels", "input_labels",
-            "target_labels", "split_ratio", "split_seed",
-        )})
+        meta = DatasetMeta(**{f.name: doc[f.name] for f in fields(DatasetMeta)})
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
+    for key in ("mult_labels", "input_labels", "target_labels"):
+        labels = getattr(meta, key)
+        if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
+            raise ParseError(f"{path}: {key!r} must be a list of strings")
+    return meta
 
 
 def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> list[SampleRecord]:
@@ -277,19 +277,22 @@ def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> list[SampleRecord]:
         if header != expected:
             raise ParseError(f"{path}: header {header} does not match dataset metadata")
         n_m, n_i, n_t = len(meta.mult_labels), len(meta.input_labels), len(meta.target_labels)
-        for row in reader:
-            if len(row) != len(expected):
-                raise ParseError(f"{path}: row with {len(row)} fields, expected {len(expected)}")
-            vals = [float(v) for v in row[1: 1 + n_m + n_i + n_t]]
-            targets = np.array([
-                math.radians(v) if _is_angle(lab) else v
-                for lab, v in zip(meta.target_labels, vals[n_m + n_i:])
-            ])
-            samples.append(SampleRecord(
-                sample_id=int(row[0]),
-                scale_factors=np.array(vals[:n_m]),
-                inputs=np.array(vals[n_m: n_m + n_i]),
-                targets=targets,
-                converged=bool(int(row[-1])),
-            ))
+        try:
+            for row in reader:
+                if len(row) != len(expected):
+                    raise ParseError(f"{path}: row with {len(row)} fields, expected {len(expected)}")
+                vals = [float(v) for v in row[1: 1 + n_m + n_i + n_t]]
+                targets = np.array([
+                    math.radians(v) if _is_angle(lab) else v
+                    for lab, v in zip(meta.target_labels, vals[n_m + n_i:])
+                ])
+                samples.append(SampleRecord(
+                    sample_id=int(row[0]),
+                    scale_factors=np.array(vals[:n_m]),
+                    inputs=np.array(vals[n_m: n_m + n_i]),
+                    targets=targets,
+                    converged=bool(int(row[-1])),
+                ))
+        except ValueError as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     return samples

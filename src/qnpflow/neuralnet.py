@@ -7,6 +7,7 @@ the penalty gradient is exactly l1 * sign(w) + 2 * l2 * w.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -241,6 +242,9 @@ class OptimizerKind:
     def __post_init__(self):
         if self.name not in OPTIMIZER_NAMES:
             raise ValidationError(f"unknown optimizer {self.name!r}, expected one of {OPTIMIZER_NAMES}")
+        if self.learning_rate is not None and not 0 < self.learning_rate < math.inf:
+            raise ValidationError(f"learning rate must be finite and positive, "
+                                  f"got {self.learning_rate}")
 
     @property
     def lr(self) -> float:
@@ -315,8 +319,7 @@ class Hyperparams:
             raise ValidationError("need at least one hidden layer with at least one unit")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
-        if self.optimizer not in OPTIMIZER_NAMES:
-            raise ValidationError(f"unknown optimizer {self.optimizer!r}")
+        OptimizerKind(self.optimizer, self.learning_rate)  # checks the name and step size
         if self.l1 < 0 or self.l2 < 0:
             raise ValidationError("penalty strengths must be non-negative")
 
@@ -405,15 +408,10 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
 
     final_mape = None
     if has_test:
-        pred = forward(params, data.x_test).outputs
-        truth = np.atleast_2d(np.asarray(data.y_test, dtype=float))
-        if data.invert_targets is not None:
-            pred = data.invert_targets(pred)
-            truth = data.invert_targets(truth)
         try:
-            final_mape = mape(pred, truth)
+            final_mape = evaluate(params, data.x_test, data.y_test, data.invert_targets).mape
         except MapeUndefined:
-            final_mape = None
+            pass
 
     report = TrainReport(
         train_mse=train_log,
@@ -490,4 +488,6 @@ def load_model(path: str | Path) -> tuple[MLPParams, dict | None]:
         scalers = doc["scalers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from None
+    if scalers is not None and not isinstance(scalers, dict):
+        raise ParseError(f"{path}: scalers must be an object or null, got {scalers!r}")
     return MLPParams(topology=topo, weights=weights, biases=biases), scalers

@@ -269,9 +269,12 @@ def test_activation_unparseable_spin_exits_2(spin, tmp_path):
 
 def test_activation_fit_rejects_bad_curve(tmp_path):
     bad = tmp_path / "bad.csv"
-    bad.write_text("a,b\n1,2\n")
-    res = cli("activation", "fit", bad, "--out-dir", tmp_path)
-    assert res.returncode == 4
+    # wrong columns, a non-numeric sigma_z, a short row
+    for text in ("a,b\n1,2\n", "u,sigma_z\n0.0,abc\n", "u,sigma_z\n-1.0,-0.5\n0.0\n"):
+        bad.write_text(text)
+        res = cli("activation", "fit", bad, "--out-dir", tmp_path)
+        assert res.returncode == 4, (text, res.stderr)
+        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +334,37 @@ def test_meta_file_not_an_object_exits_4(command, trained_dir, dataset_dir, tmp_
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
+def copy_split(dataset_dir, dest, name="data"):
+    """Copy the dataset files under `dest` with the prefix `name`."""
+    for suffix in ("train.csv", "test.csv", "meta.json"):
+        (dest / f"{name}_{suffix}").write_bytes((dataset_dir / f"data_{suffix}").read_bytes())
+    return dest / name
+
+
+def test_train_meta_labels_not_strings_exits_4(dataset_dir, tmp_path):
+    prefix = copy_split(dataset_dir, tmp_path)
+    meta = json.loads((tmp_path / "data_meta.json").read_text())
+    meta["mult_labels"] = 5
+    (tmp_path / "data_meta.json").write_text(json.dumps(meta))
+    res = cli("train", prefix, "--preset", "table3", "--epochs", 1, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "'mult_labels'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_train_non_numeric_cell_exits_4(dataset_dir, tmp_path):
+    prefix = copy_split(dataset_dir, tmp_path)
+    lines = (tmp_path / "data_train.csv").read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[3] = "abc"
+    lines[2] = ",".join(cells)
+    (tmp_path / "data_train.csv").write_text("\n".join(lines) + "\n")
+    res = cli("train", prefix, "--preset", "table3", "--epochs", 1, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "line 3" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def non_numeric_sizes(doc):
     doc["topology"]["sizes"] = "ab"
 
@@ -339,7 +373,30 @@ def non_numeric_weight(doc):
     doc["weights"][0][0][0] = "x"
 
 
-@pytest.mark.parametrize("spoil", [non_numeric_sizes, non_numeric_weight])
+def scalers_not_an_object(doc):
+    doc["scalers"] = "x"
+
+
+def scaler_missing_keys(doc):
+    doc["scalers"]["inputs"] = {"kind": "minmax"}
+
+
+def scaler_short_center(doc):
+    doc["scalers"]["inputs"]["center"] = [0.0]
+
+
+def scaler_one_column(doc):
+    doc["scalers"]["inputs"] = {"kind": "minmax", "center": [0.0], "scale": [1.0],
+                                "passthrough": [False]}
+
+
+def target_scaler_of_input_width(doc):
+    doc["scalers"]["targets"] = doc["scalers"]["inputs"]
+
+
+@pytest.mark.parametrize("spoil", [non_numeric_sizes, non_numeric_weight, scalers_not_an_object,
+                                   scaler_missing_keys, scaler_short_center, scaler_one_column,
+                                   target_scaler_of_input_width])
 def test_evaluate_model_with_non_numeric_field_exits_4(spoil, trained_dir, dataset_dir, tmp_path):
     doc = json.loads((trained_dir / "model.json").read_text())
     spoil(doc)
@@ -348,6 +405,15 @@ def test_evaluate_model_with_non_numeric_field_exits_4(spoil, trained_dir, datas
     res = cli("evaluate", model, dataset_dir / "data", "--out-dir", tmp_path / "out")
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("lr", ["0", "-1"])
+def test_train_non_positive_lr_exits_4(lr, dataset_dir, tmp_path):
+    res = cli("train", dataset_dir / "data", "--preset", "table3", "--epochs", 1,
+              "--lr", lr, "--out-dir", tmp_path)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "learning rate" in res.stderr
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_train_beta_sources_are_exclusive(dataset_dir, tmp_path):
@@ -444,7 +510,8 @@ def test_sweep_empty_betas_exits_2(dataset_dir, tmp_path):
     assert res.returncode == 2
 
 
-@pytest.mark.parametrize("axis", [{"seeds": 3}, {"betas": 2.22}, {"optimizers": "adam"}])
+@pytest.mark.parametrize("axis", [{"seeds": 3}, {"betas": 2.22}, {"optimizers": "adam"},
+                                  {"data": 5}])
 def test_sweep_axis_not_a_list_exits_2(dataset_dir, tmp_path, axis):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({"data": str(dataset_dir / "data"), "betas": [2.22], **axis}))
@@ -452,6 +519,30 @@ def test_sweep_axis_not_a_list_exits_2(dataset_dir, tmp_path, axis):
     assert res.returncode == 2, res.stderr
     (key,) = axis
     assert res.stderr.startswith("usage error:") and repr(key) in res.stderr
+
+
+@pytest.mark.parametrize("key, value", [("epochs", "2"), ("bias", "yes"),
+                                        ("learning_rate", -1)])
+def test_sweep_bad_train_key_exits_4(dataset_dir, tmp_path, key, value):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(dataset_dir / "data"), "preset": "table3",
+                               "epochs": 1, "betas": [2.22], "seeds": [0], key: value}))
+    res = cli("sweep", cfg, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    if key != "learning_rate":
+        assert repr(key) in res.stderr
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_prefix_starting_with_dash(dataset_dir, tmp_path):
+    copy_split(dataset_dir, tmp_path, name="-d")
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": "-d", "preset": "table3", "epochs": 1,
+                               "betas": [2.22], "seeds": [0]}))
+    res = cli("sweep", cfg, "--out-dir", tmp_path / "out", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert len(data_rows(tmp_path / "out" / "sweep.csv")) == 1
 
 
 def test_version_flag():

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from qnpflow.dataset import (
     DatasetMeta,
-    GenerateOptions,
     Scaler,
     SampleRecord,
     fit_scaler,
@@ -27,6 +26,7 @@ from qnpflow.cli import _train_set
 from qnpflow.errors import (
     NotConverged,
     ParseError,
+    ShapeMismatch,
     SingularJacobian,
     TooFewConverged,
     ValidationError,
@@ -49,12 +49,12 @@ def test_generation_is_deterministic_and_prefix_stable(base_net):
         assert a.converged == b.converged
 
 
-def per_sample_reference(net, n, mult_range, seed, opts):
+def per_sample_reference(net, n, mult_range, seed, coupled=False, perturb_all_loads=False):
     """The per-sample path that the batched generate replaced: a NetworkModel
     per sample, then solve(). Returns each sample's draws, inputs, targets,
     converged flag and Newton step count (None after a singular Jacobian)."""
     low, high = mult_range
-    perturbed = range(net.n) if opts.perturb_all_loads else net.pq_indices
+    perturbed = range(net.n) if perturb_all_loads else net.pq_indices
     n_targets = len(net.pq_indices) + len(net.non_slack_indices)
     rows = []
     for idx in range(n):
@@ -62,7 +62,7 @@ def per_sample_reference(net, n, mult_range, seed, opts):
         factors = []
         buses = list(net.buses)
         for i in perturbed:
-            if opts.coupled:
+            if coupled:
                 mp = mq = rng.uniform(low, high)
                 factors.append(mp)
             else:
@@ -91,10 +91,10 @@ def per_sample_reference(net, n, mult_range, seed, opts):
 
 
 @pytest.mark.parametrize("mult_range, opts", [
-    ((0.8, 1.2), GenerateOptions()),
-    ((1.0, 5.5), GenerateOptions()),
-    ((0.8, 1.2), GenerateOptions(coupled=True)),
-    ((0.8, 1.2), GenerateOptions(perturb_all_loads=True)),
+    ((0.8, 1.2), {}),
+    ((1.0, 5.5), {}),
+    ((0.8, 1.2), {"coupled": True}),
+    ((0.8, 1.2), {"perturb_all_loads": True}),
 ], ids=["nominal", "stressed", "coupled", "perturb_all_loads"])
 def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_range, opts):
     batches = []
@@ -105,9 +105,9 @@ def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_
         return batches[-1]
 
     monkeypatch.setattr(dataset, "solve_batch", capture)
-    samples, meta = generate(base_net, 500, mult_range=mult_range, seed=5, opts=opts)
+    samples, meta = generate(base_net, 500, mult_range=mult_range, seed=5, **opts)
     (res,) = batches
-    reference = per_sample_reference(base_net, 500, mult_range, 5, opts)
+    reference = per_sample_reference(base_net, 500, mult_range, 5, **opts)
     for s, (factors, inputs, targets, converged, steps) in zip(samples, reference, strict=True):
         assert np.array_equal(s.scale_factors, factors)
         assert np.array_equal(s.inputs, inputs)
@@ -165,7 +165,7 @@ def test_multipliers_cover_pq_loads_only(base_net):
 
 
 def test_coupled_flag_ties_p_and_q(base_net):
-    samples, meta = generate(base_net, 10, seed=2, opts=GenerateOptions(coupled=True))
+    samples, meta = generate(base_net, 10, seed=2, coupled=True)
     pq = list(base_net.pq_indices)
     assert len(meta.mult_labels) == len(pq)
     n = base_net.n
@@ -179,8 +179,7 @@ def test_coupled_flag_ties_p_and_q(base_net):
 
 
 def test_perturb_all_loads_flag(base_net):
-    samples, meta = generate(base_net, 5, seed=4,
-                             opts=GenerateOptions(perturb_all_loads=True))
+    samples, meta = generate(base_net, 5, seed=4, perturb_all_loads=True)
     assert len(meta.mult_labels) == 2 * base_net.n
     assert samples[0].scale_factors.shape == (2 * base_net.n,)
 
@@ -288,6 +287,25 @@ def test_scaler_round_trip(x, kind):
     sc = fit_scaler(x, kind)
     back = sc.invert(sc.transform(x))
     assert np.allclose(back, x, rtol=1e-12, atol=1e-10)
+
+
+def test_scaler_from_dict_null_and_malformed():
+    assert Scaler.from_dict(None) is None
+    good = fit_scaler(np.array([[1.0, 5.0], [2.0, 6.0]]), "minmax").to_dict()
+    for bad in ("x", [1], {"kind": "minmax"}, {**good, "center": [0.0]},
+                {**good, "scale": "ab"}, {**good, "center": [[0.0, 1.0]],
+                                          "scale": [[1.0, 1.0]], "passthrough": [[False, False]]}):
+        with pytest.raises(ParseError):
+            Scaler.from_dict(bad)
+
+
+def test_scaler_rejects_other_column_count():
+    sc = fit_scaler(np.array([[1.0, 5.0], [2.0, 6.0]]), "minmax")
+    for method in (sc.transform, sc.invert):
+        with pytest.raises(ShapeMismatch):
+            method(np.ones((3, 1)))
+        with pytest.raises(ShapeMismatch):
+            method(np.ones((3, 3)))
 
 
 def test_scaler_dict_round_trip():
@@ -407,6 +425,20 @@ def test_csv_header_mismatch_raises(base_net, tmp_path):
         read_dataset_csv(path, meta)
 
 
+@pytest.mark.parametrize("cell", [3, 0, -1], ids=["value", "sample_id", "converged"])
+def test_csv_non_numeric_cell_raises(base_net, tmp_path, cell):
+    samples, meta = generate(base_net, 3, seed=17)
+    path = tmp_path / "data.csv"
+    write_dataset_csv(samples, meta, path)
+    lines = path.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[cell] = "abc"
+    lines[2] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="line 3"):
+        read_dataset_csv(path, meta)
+
+
 def test_csv_degree_columns_are_degrees(base_net, tmp_path):
     samples, meta = generate(base_net, 2, seed=18)
     path = tmp_path / "data.csv"
@@ -465,6 +497,19 @@ def test_meta_json_reads_files_with_scaler_keys(base_net, tmp_path):
     doc.update(scaler_kind="standard", feature_scaler=scaler, target_scaler=scaler)
     path.write_text(json.dumps(doc, indent=1) + "\n")
     assert read_meta_json(path) == meta
+
+
+@pytest.mark.parametrize("labels", [5, "p_load_1", [1, 2], None])
+@pytest.mark.parametrize("key", ["mult_labels", "input_labels", "target_labels"])
+def test_meta_json_labels_must_be_string_lists(base_net, tmp_path, key, labels):
+    _, meta = generate(base_net, 4, seed=22)
+    path = tmp_path / "meta.json"
+    write_meta_json(meta, path)
+    doc = json.loads(path.read_text())
+    doc[key] = labels
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=key):
+        read_meta_json(path)
 
 
 def test_meta_json_missing_key(base_net, tmp_path):

@@ -309,6 +309,14 @@ def test_default_learning_rates():
     assert OptimizerKind("adam", learning_rate=0.5).lr == 0.5
 
 
+@pytest.mark.parametrize("lr", [0.0, -1.0, float("nan"), float("inf")])
+def test_learning_rate_must_be_finite_and_positive(lr):
+    with pytest.raises(ValidationError):
+        OptimizerKind("adam", learning_rate=lr)
+    with pytest.raises(ValidationError):
+        Hyperparams(hidden_layers=1, hidden_size=4, epochs=1, batch_size=8, learning_rate=lr)
+
+
 def test_optimizer_validation():
     with pytest.raises(ValidationError):
         OptimizerKind("rmsprop")
