@@ -37,6 +37,8 @@ class ActivationCurve:
             )
         if self.inputs.size < 2:
             raise ValidationError("a curve needs at least two points")
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.outputs).all()):
+            raise ValidationError("curve inputs and outputs must be finite numbers")
         if not np.all(np.diff(self.inputs) > 0):
             raise ValidationError("curve inputs must be strictly increasing")
         if np.any(np.abs(self.outputs) > 1.0 + 1e-9):
@@ -132,10 +134,3 @@ def _check_beta(beta: float) -> float:
 def activate(x, beta: float):
     """Elementwise tanh(beta x)."""
     return np.tanh(_check_beta(beta) * np.asarray(x, dtype=float))
-
-
-def activate_deriv(x, beta: float):
-    """Elementwise derivative beta (1 - tanh^2(beta x))."""
-    b = _check_beta(beta)
-    t = np.tanh(b * np.asarray(x, dtype=float))
-    return b * (1.0 - t * t)

@@ -254,8 +254,11 @@ def _read_curve_csv(path: str | Path) -> ActivationCurve:
     if not rows:
         raise ParseError(f"{path}: no data rows")
     u, y = zip(*rows)
-    return ActivationCurve(inputs=np.array(u), outputs=np.array(y),
-                           provenance={"source": Path(path).name})
+    try:
+        return ActivationCurve(inputs=np.array(u), outputs=np.array(y),
+                               provenance={"source": Path(path).name})
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _fit_doc(fit, curve: ActivationCurve) -> dict:
@@ -432,7 +435,10 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
     cfg = _resolve(ns, EVALUATE_DEFAULTS)
     params, scalers = load_model(ns.model)
     x, y = _load_split(ns.data, cfg["split"])
-    fs, ts = (Scaler.from_dict((scalers or {}).get(side)) for side in ("inputs", "targets"))
+    try:
+        fs, ts = (Scaler.from_dict((scalers or {}).get(side)) for side in ("inputs", "targets"))
+    except ParseError as exc:
+        raise ParseError(f"{ns.model}: {exc}") from None
     report = evaluate(params, _scaled(x, fs), _scaled(y, ts),
                       invert_targets=ts.invert if ts else None)
     out = _out_dir(cfg)

@@ -208,6 +208,8 @@ class Scaler:
         if len(shapes) != 1 or scaler.center.ndim != 1:
             raise ParseError("malformed scaler: center, scale and passthrough must be "
                              "lists of one common length")
+        if not (np.isfinite(scaler.center).all() and np.isfinite(scaler.scale).all()):
+            raise ParseError("malformed scaler: center and scale must be finite numbers")
         return scaler
 
 
@@ -268,7 +270,8 @@ def read_meta_json(path: str | Path) -> DatasetMeta:
 
 
 def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> list[SampleRecord]:
-    """Inverse of write_dataset_csv; angle columns come back as radians."""
+    """Inverse of write_dataset_csv; angle columns come back as radians. Every
+    cell must be finite, except the targets of a row with `converged` 0."""
     expected = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
     samples = []
     with open(path, newline="") as fh:
@@ -282,6 +285,9 @@ def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> list[SampleRecord]:
                 if len(row) != len(expected):
                     raise ParseError(f"{path}: row with {len(row)} fields, expected {len(expected)}")
                 vals = [float(v) for v in row[1: 1 + n_m + n_i + n_t]]
+                converged = bool(int(row[-1]))
+                if not all(map(math.isfinite, vals if converged else vals[:n_m + n_i])):
+                    raise ParseError(f"{path}: line {reader.line_num}: non-finite number")
                 targets = np.array([
                     math.radians(v) if _is_angle(lab) else v
                     for lab, v in zip(meta.target_labels, vals[n_m + n_i:])
@@ -291,7 +297,7 @@ def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> list[SampleRecord]:
                     scale_factors=np.array(vals[:n_m]),
                     inputs=np.array(vals[n_m: n_m + n_i]),
                     targets=targets,
-                    converged=bool(int(row[-1])),
+                    converged=converged,
                 ))
         except ValueError as exc:
             raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None

@@ -2,20 +2,22 @@
 
 Loss convention: batch-mean squared error over all outputs plus unnormalized
 penalties l1 * sum|w| + l2 * sum w^2 over weights only (biases excluded), so
-the penalty gradient is exactly l1 * sign(w) + 2 * l2 * w.
+the penalty gradient is exactly l1 * sign(w) + 2 * l2 * w. Gradients and
+optimizer moments share the layout of `MLPParams.flat`, so a step is one
+elementwise update.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .activation import activate, activate_deriv
+from .activation import activate
 from .errors import (
     MapeUndefined,
     NonFinite,
@@ -55,10 +57,10 @@ class LayerTopology:
             raise ValidationError("topology needs at least input and output layers")
         if any(s < 1 for s in self.sizes):
             raise ValidationError(f"layer sizes must be positive, got {self.sizes}")
-        if not self.beta > 0:
-            raise ValidationError(f"beta must be positive, got {self.beta}")
-        if self.output_beta is not None and not self.output_beta > 0:
-            raise ValidationError(f"output_beta must be positive, got {self.output_beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValidationError(f"beta must be finite and positive, got {self.beta}")
+        if self.output_beta is not None and not 0 < self.output_beta < math.inf:
+            raise ValidationError(f"output_beta must be finite and positive, got {self.output_beta}")
 
     @property
     def n_layers(self) -> int:
@@ -72,14 +74,21 @@ class LayerTopology:
     def n_outputs(self) -> int:
         return self.sizes[-1]
 
+    @property
+    def n_weights(self) -> int:
+        """Number of weight entries: the leading slice of `MLPParams.flat`."""
+        return sum(a * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
+
 
 @dataclass
 class MLPParams:
-    """Weight matrices (out x in per layer) and bias vectors."""
+    """All weights (out x in per layer), then all biases, copied into one vector
+    `flat`; `weights` and `biases` become per-layer views of it."""
 
     topology: LayerTopology
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sizes = self.topology.sizes
@@ -94,32 +103,21 @@ class MLPParams:
                 raise ShapeMismatch(f"layer {l}: weight shape {w.shape}, expected {want}")
             if b.shape != (sizes[l + 1],):
                 raise ShapeMismatch(f"layer {l}: bias shape {b.shape}, expected {(sizes[l + 1],)}")
+        self.flat = np.concatenate([a.ravel() for a in (*self.weights, *self.biases)], dtype=float)
+        self.weights, self.biases = self.unflatten(self.flat)
+
+    def unflatten(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-layer weight and bias views of a vector laid out like `flat`."""
+        sizes, n = self.topology.sizes, self.topology.n_layers
+        views, at = [], 0
+        for shape in [*zip(sizes[1:], sizes[:-1]), *((s,) for s in sizes[1:])]:
+            size = math.prod(shape)
+            views.append(vec[at: at + size].reshape(shape))
+            at += size
+        return views[:n], views[n:]
 
     def copy(self) -> "MLPParams":
-        return MLPParams(
-            topology=self.topology,
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-
-@dataclass
-class ForwardTrace:
-    """Input batch plus per-layer pre-activations and activations."""
-
-    x: np.ndarray
-    pre: list[np.ndarray]
-    post: list[np.ndarray]
-
-    @property
-    def outputs(self) -> np.ndarray:
-        return self.post[-1]
-
-
-@dataclass
-class Gradients:
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+        return MLPParams(topology=self.topology, weights=self.weights, biases=self.biases)
 
 
 def glorot_init(topology: LayerTopology, seed: int) -> MLPParams:
@@ -142,29 +140,25 @@ def _as_batch(x: np.ndarray, n_in: int) -> np.ndarray:
     return arr
 
 
-def forward(params: MLPParams, x: np.ndarray) -> ForwardTrace:
-    """Propagate a batch, recording every pre-activation and activation."""
+def forward(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
+    """Propagate a batch; returns the activations [x, a_1, ..., y] of every layer."""
     topo = params.topology
-    out = _as_batch(x, topo.n_inputs)
-    trace = ForwardTrace(x=out, pre=[], post=[])
+    acts = [_as_batch(x, topo.n_inputs)]
     last = topo.n_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = out @ w.T
+        z = acts[-1] @ w.T
         if topo.use_bias:
             z = z + b
-        trace.pre.append(z)
         if l < last:
-            out = activate(z, topo.beta)
+            z = activate(z, topo.beta)
         elif topo.output_beta is not None:
-            out = activate(z, topo.output_beta)
-        else:
-            out = z
-        trace.post.append(out)
-    return trace
+            z = activate(z, topo.output_beta)
+        acts.append(z)
+    return acts
 
 
 def predict(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    y = forward(params, x).outputs
+    y = forward(params, x)[-1]
     return y[0] if np.asarray(x).ndim == 1 else y
 
 
@@ -189,47 +183,51 @@ def mape(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def penalty(params: MLPParams, l1: float, l2: float) -> float:
     """Regularization term l1 sum|w| + l2 sum w^2 over weights only."""
+    w = params.flat[:params.topology.n_weights]
     total = 0.0
-    for w in params.weights:
-        if l1:
-            total += l1 * float(np.sum(np.abs(w)))
-        if l2:
-            total += l2 * float(np.sum(w * w))
+    if l1:
+        total += l1 * float(np.sum(np.abs(w)))
+    if l2:
+        total += l2 * float(np.sum(w * w))
     return total
 
 
 def loss_value(params: MLPParams, x: np.ndarray, target: np.ndarray,
                l1: float = 0.0, l2: float = 0.0) -> float:
     """Full training objective on one batch: MSE plus penalties."""
-    return mse(forward(params, x).outputs, np.atleast_2d(target)) + penalty(params, l1, l2)
+    return mse(forward(params, x)[-1], np.atleast_2d(target)) + penalty(params, l1, l2)
 
 
-def backward(params: MLPParams, trace: ForwardTrace, targets: np.ndarray,
-             l1: float = 0.0, l2: float = 0.0) -> Gradients:
-    """Exact gradient of loss_value with respect to every weight and bias."""
+def backward(params: MLPParams, acts: list[np.ndarray], targets: np.ndarray,
+             l1: float = 0.0, l2: float = 0.0) -> np.ndarray:
+    """Exact gradient of loss_value, laid out like `params.flat`, from the
+    activations `forward` returned. The tanh(beta z) derivative is taken from
+    each activation a as beta (1 - a^2)."""
     topo = params.topology
     t = np.atleast_2d(np.asarray(targets, dtype=float))
-    y = trace.outputs
+    y = acts[-1]
     if t.shape != y.shape:
         raise ShapeMismatch(f"targets shape {t.shape} vs outputs shape {y.shape}")
     batch = y.shape[0]
 
     delta = (y - t) * (2.0 / (batch * topo.n_outputs))
     if topo.output_beta is not None:
-        delta = delta * activate_deriv(trace.pre[-1], topo.output_beta)
+        delta = delta * (float(topo.output_beta) * (1.0 - y * y))
 
-    g_w: list[np.ndarray] = [None] * topo.n_layers
-    g_b: list[np.ndarray] = [None] * topo.n_layers
+    grad = np.zeros_like(params.flat)
+    g_w, g_b = params.unflatten(grad)
     for l in range(topo.n_layers - 1, -1, -1):
-        prev = trace.x if l == 0 else trace.post[l - 1]
-        g_w[l] = delta.T @ prev
-        g_b[l] = delta.sum(axis=0) if topo.use_bias else np.zeros_like(params.biases[l])
+        g_w[l][:] = delta.T @ acts[l]
+        if topo.use_bias:
+            g_b[l][:] = delta.sum(axis=0)
         if l > 0:
-            delta = (delta @ params.weights[l]) * activate_deriv(trace.pre[l - 1], topo.beta)
+            a = acts[l]
+            delta = (delta @ params.weights[l]) * (float(topo.beta) * (1.0 - a * a))
     if l1 or l2:
-        for l, w in enumerate(params.weights):
-            g_w[l] = g_w[l] + l1 * np.sign(w) + 2.0 * l2 * w
-    return Gradients(weights=g_w, biases=g_b)
+        n = topo.n_weights
+        w = params.flat[:n]
+        grad[:n] = grad[:n] + l1 * np.sign(w) + 2.0 * l2 * w
+    return grad
 
 
 @dataclass(frozen=True)
@@ -253,20 +251,14 @@ class OptimizerKind:
 
 @dataclass
 class OptState:
-    m_w: list[np.ndarray]
-    v_w: list[np.ndarray]
-    m_b: list[np.ndarray]
-    v_b: list[np.ndarray]
+    """First and second moments, laid out like `MLPParams.flat`."""
+
+    m: np.ndarray
+    v: np.ndarray
 
 
 def init_optimizer_state(params: MLPParams) -> OptState:
-    zeros_like = lambda arrs: [np.zeros_like(a) for a in arrs]
-    return OptState(
-        m_w=zeros_like(params.weights),
-        v_w=zeros_like(params.weights),
-        m_b=zeros_like(params.biases),
-        v_b=zeros_like(params.biases),
-    )
+    return OptState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def _apply_update(kind: OptimizerKind, t: int, g, m, v):
@@ -292,14 +284,12 @@ def _apply_update(kind: OptimizerKind, t: int, g, m, v):
 
 
 def optimizer_step(kind: OptimizerKind, state: OptState, params: MLPParams,
-                   grads: Gradients, t: int) -> None:
-    """Apply one update step (1-based step index t) in place."""
+                   grad: np.ndarray, t: int) -> None:
+    """Apply one update step (1-based step index t) in place. Without biases,
+    their zero gradient gives a -0.0 delta, which leaves them as they are."""
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
-    for l in range(params.topology.n_layers):
-        params.weights[l] += _apply_update(kind, t, grads.weights[l], state.m_w[l], state.v_w[l])
-        if params.topology.use_bias:
-            params.biases[l] += _apply_update(kind, t, grads.biases[l], state.m_b[l], state.v_b[l])
+    params.flat += _apply_update(kind, t, grad, state.m, state.v)
 
 
 @dataclass(frozen=True)
@@ -386,7 +376,7 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
     kind = OptimizerKind(hyper.optimizer, learning_rate=hyper.learning_rate)
     state = init_optimizer_state(params)
     shuffle_rng = np.random.default_rng([hyper.seed, 1])
-    initial_mse = mse(forward(params, x).outputs, y)
+    initial_mse = mse(forward(params, x)[-1], y)
 
     train_log: list[float] = []
     test_log: list[float] | None = [] if has_test else None
@@ -395,16 +385,15 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
         perm = shuffle_rng.permutation(x.shape[0])
         for lo in range(0, x.shape[0], hyper.batch_size):
             sel = perm[lo: lo + hyper.batch_size]
-            trace = forward(params, x[sel])
-            grads = backward(params, trace, y[sel], l1=hyper.l1, l2=hyper.l2)
+            grad = backward(params, forward(params, x[sel]), y[sel], l1=hyper.l1, l2=hyper.l2)
             t += 1
-            optimizer_step(kind, state, params, grads, t)
-        epoch_mse = mse(forward(params, x).outputs, y)
+            optimizer_step(kind, state, params, grad, t)
+        epoch_mse = mse(forward(params, x)[-1], y)
         if not np.isfinite(epoch_mse):
             raise NonFinite(f"training loss became {epoch_mse} at epoch {len(train_log) + 1}")
         train_log.append(epoch_mse)
         if has_test:
-            test_log.append(mse(forward(params, data.x_test).outputs, np.atleast_2d(data.y_test)))
+            test_log.append(mse(forward(params, data.x_test)[-1], np.atleast_2d(data.y_test)))
 
     final_mape = None
     if has_test:
@@ -434,7 +423,7 @@ class EvalReport:
 def evaluate(params: MLPParams, x: np.ndarray, y: np.ndarray,
              invert_targets: Callable[[np.ndarray], np.ndarray] | None = None) -> EvalReport:
     """MSE on the given arrays and per-output MAPE in original target units."""
-    pred = forward(params, x).outputs
+    pred = forward(params, x)[-1]
     truth = np.atleast_2d(np.asarray(y, dtype=float))
     err = mse(pred, truth)
     if invert_targets is not None:
@@ -486,8 +475,11 @@ def load_model(path: str | Path) -> tuple[MLPParams, dict | None]:
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         scalers = doc["scalers"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ValidationError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from None
     if scalers is not None and not isinstance(scalers, dict):
         raise ParseError(f"{path}: scalers must be an object or null, got {scalers!r}")
-    return MLPParams(topology=topo, weights=weights, biases=biases), scalers
+    params = MLPParams(topology=topo, weights=weights, biases=biases)
+    if not np.isfinite(params.flat).all():
+        raise ParseError(f"{path}: weights and biases must be finite numbers")
+    return params, scalers

@@ -12,7 +12,6 @@ from qnpflow.activation import (
     _rss,
     _scan_rss,
     activate,
-    activate_deriv,
     beta_table,
     fit_beta,
     spin_beta,
@@ -105,6 +104,15 @@ def test_curve_requires_two_points():
         ActivationCurve(inputs=np.array([0.0]), outputs=np.array([0.0]))
 
 
+@pytest.mark.parametrize("inputs, outputs", [
+    ([-1.0, 0.0, 1.0], [-0.5, math.nan, 0.5]),
+    ([-1.0, 0.0, math.inf], [-0.5, 0.0, 0.5]),
+], ids=["nan-output", "inf-input"])
+def test_curve_requires_finite_numbers(inputs, outputs):
+    with pytest.raises(ValidationError, match="finite"):
+        ActivationCurve(inputs=np.array(inputs), outputs=np.array(outputs))
+
+
 # ------------------------------------------------------------ spin table
 
 def test_beta_table_contents():
@@ -128,7 +136,8 @@ def test_beta_table_returns_copy():
 def test_activate_origin_and_slope():
     for beta in (2.22, 2.78, 3.33, 4.1, 8.0):
         assert activate(0.0, beta) == 0.0
-        assert activate_deriv(0.0, beta) == pytest.approx(beta, rel=1e-15)
+        h = 1e-7
+        assert (activate(h, beta) - activate(-h, beta)) / (2 * h) == pytest.approx(beta, rel=1e-9)
 
 
 def test_activate_known_value():
@@ -139,7 +148,7 @@ def test_activate_rejects_nonpositive_beta():
     with pytest.raises(ValidationError):
         activate(0.5, 0.0)
     with pytest.raises(ValidationError):
-        activate_deriv(0.5, -1.0)
+        activate(0.5, -1.0)
 
 
 @given(st.floats(min_value=0.1, max_value=20.0),
@@ -163,19 +172,20 @@ def test_activate_strictly_increasing(beta, x, step):
 
 
 def test_deriv_matches_finite_difference():
+    # backprop takes the slope from the activation a itself: beta (1 - a^2)
     rng = np.random.default_rng(17)
     h = 1e-6
     for _ in range(100):
         beta = rng.uniform(0.5, 3.0)
         x = rng.uniform(-1.0, 1.0)
         fd = (activate(x + h, beta) - activate(x - h, beta)) / (2 * h)
-        assert activate_deriv(x, beta) == pytest.approx(fd, rel=1e-7)
+        a = activate(x, beta)
+        assert beta * (1.0 - a * a) == pytest.approx(fd, rel=1e-7)
 
 
 def test_activate_vectorized():
     x = np.linspace(-2, 2, 7)
     assert np.allclose(activate(x, 2.22), np.tanh(2.22 * x))
-    assert np.allclose(activate_deriv(x, 2.22), 2.22 * (1 - np.tanh(2.22 * x) ** 2))
 
 
 def test_scan_losses_equal_per_beta_rss():

@@ -277,6 +277,15 @@ def test_activation_fit_rejects_bad_curve(tmp_path):
         assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
 
 
+def test_activation_fit_non_finite_curve_exits_4(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("u,sigma_z\n-1,-0.5\n0,nan\n1,0.5\n")
+    res = cli("activation", "fit", bad, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "bad.csv" in res.stderr and "finite" in res.stderr
+    assert not (tmp_path / "out" / "fit.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / evaluate / sweep
 
@@ -363,6 +372,47 @@ def test_train_non_numeric_cell_exits_4(dataset_dir, tmp_path):
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith("error:") and "line 3" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command, split", [("train", "train"), ("evaluate", "test")])
+def test_non_finite_dataset_cell_exits_4(command, split, trained_dir, dataset_dir, tmp_path):
+    # a nan load in a converged row, once in each split that a command reads
+    prefix = copy_split(dataset_dir, tmp_path)
+    csv_path = tmp_path / f"data_{split}.csv"
+    lines = csv_path.read_text().splitlines()
+    col = lines[0].split(",").index("p_load_2")
+    cells = lines[1].split(",")
+    assert cells[-1] == "1"
+    cells[col] = "nan"
+    lines[1] = ",".join(cells)
+    csv_path.write_text("\n".join(lines) + "\n")
+    args = {"train": ["train", prefix, "--preset", "table3", "--epochs", 1],
+            "evaluate": ["evaluate", trained_dir / "model.json", prefix]}[command]
+    res = cli(*args, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert f"data_{split}.csv: line 2: non-finite" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def nan_weight(doc):
+    doc["weights"][0][0][0] = float("nan")
+
+
+def infinite_scaler_center(doc):
+    doc["scalers"]["inputs"]["center"][0] = float("inf")
+
+
+@pytest.mark.parametrize("spoil", [nan_weight, infinite_scaler_center])
+def test_evaluate_model_with_non_finite_number_exits_4(spoil, trained_dir, dataset_dir, tmp_path):
+    doc = json.loads((trained_dir / "model.json").read_text())
+    spoil(doc)
+    model = tmp_path / "spoiled.json"
+    model.write_text(json.dumps(doc))
+    res = cli("evaluate", model, dataset_dir / "data", "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "spoiled.json" in res.stderr
+    assert "finite" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "out" / "eval_report.json").exists()
 
 
 def non_numeric_sizes(doc):

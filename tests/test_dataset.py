@@ -299,6 +299,14 @@ def test_scaler_from_dict_null_and_malformed():
             Scaler.from_dict(bad)
 
 
+@pytest.mark.parametrize("key, bad", [("center", math.nan), ("scale", math.inf)])
+def test_scaler_from_dict_rejects_non_finite_numbers(key, bad):
+    doc = fit_scaler(np.array([[1.0, 5.0], [2.0, 6.0]]), "minmax").to_dict()
+    doc[key][1] = bad
+    with pytest.raises(ParseError, match="finite"):
+        Scaler.from_dict(doc)
+
+
 def test_scaler_rejects_other_column_count():
     sc = fit_scaler(np.array([[1.0, 5.0], [2.0, 6.0]]), "minmax")
     for method in (sc.transform, sc.invert):
@@ -437,6 +445,41 @@ def test_csv_non_numeric_cell_raises(base_net, tmp_path, cell):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError, match="line 3"):
         read_dataset_csv(path, meta)
+
+
+@pytest.fixture(scope="module")
+def stressed_csv(base_net, tmp_path_factory):
+    """A dataset CSV with non-converged rows (nan targets) and its meta."""
+    samples, meta = generate(base_net, 300, mult_range=(1.0, 5.5), seed=5)
+    path = tmp_path_factory.mktemp("stressed") / "data.csv"
+    write_dataset_csv(samples, meta, path)
+    return path, meta, samples
+
+
+def test_csv_keeps_nan_targets_of_non_converged_rows(stressed_csv):
+    path, meta, samples = stressed_csv
+    back = read_dataset_csv(path, meta)
+    failed = [b for b in back if not b.converged]
+    assert failed and len(failed) == sum(not s.converged for s in samples)
+    assert all(np.isnan(b.targets).all() for b in failed)
+
+
+@pytest.mark.parametrize("converged, column, text", [
+    (True, "p_load_2", "nan"), (True, "v_mag_2", "inf"), (False, "q_load_3", "-inf"),
+], ids=["converged-input", "converged-target", "failed-input"])
+def test_csv_non_finite_cell_raises(stressed_csv, tmp_path, converged, column, text):
+    path, meta, _ = stressed_csv
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(column)
+    row = next(i for i, line in enumerate(lines[1:], start=1)
+               if line.endswith(f",{int(converged)}"))
+    cells = lines[row].split(",")
+    cells[col] = text
+    lines[row] = ",".join(cells)
+    spoiled = tmp_path / "data.csv"
+    spoiled.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"data.csv: line {row + 1}: non-finite"):
+        read_dataset_csv(spoiled, meta)
 
 
 def test_csv_degree_columns_are_degrees(base_net, tmp_path):

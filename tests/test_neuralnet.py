@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from qnpflow.activation import activate
 from qnpflow.errors import (
     MapeUndefined,
     NonFinite,
@@ -13,13 +15,14 @@ from qnpflow.errors import (
 )
 from qnpflow.neuralnet import (
     DEFAULT_LR,
+    OPTIMIZER_NAMES,
     PRESETS,
-    Gradients,
     Hyperparams,
     LayerTopology,
     MLPParams,
     OptimizerKind,
     TrainSet,
+    _apply_update,
     backward,
     build_topology,
     evaluate,
@@ -44,33 +47,23 @@ from qnpflow.neuralnet import (
 
 
 def fd_grads(params, x, y, l1=0.0, l2=0.0, h=1e-6):
-    """Central-difference gradient of loss_value over every parameter entry."""
-    g_w = [np.zeros_like(w) for w in params.weights]
-    g_b = [np.zeros_like(b) for b in params.biases]
-    for arrs, grads in ((params.weights, g_w), (params.biases, g_b)):
-        for a, g in zip(arrs, grads):
-            flat_a = a.ravel()
-            flat_g = g.ravel()
-            for i in range(flat_a.size):
-                keep = flat_a[i]
-                flat_a[i] = keep + h
-                up = loss_value(params, x, y, l1=l1, l2=l2)
-                flat_a[i] = keep - h
-                dn = loss_value(params, x, y, l1=l1, l2=l2)
-                flat_a[i] = keep
-                flat_g[i] = (up - dn) / (2.0 * h)
-    return Gradients(weights=g_w, biases=g_b)
+    """Central-difference gradient of loss_value over every entry of params.flat."""
+    flat = params.flat
+    g = np.zeros_like(flat)
+    for i in range(flat.size):
+        keep = flat[i]
+        flat[i] = keep + h
+        up = loss_value(params, x, y, l1=l1, l2=l2)
+        flat[i] = keep - h
+        dn = loss_value(params, x, y, l1=l1, l2=l2)
+        flat[i] = keep
+        g[i] = (up - dn) / (2.0 * h)
+    return g
 
 
 def grad_rel_error(analytic, numeric):
     """Inf-norm of the difference over the inf-norm of the numeric gradient."""
-    diff = 0.0
-    scale = 0.0
-    for an, fd in zip(analytic.weights + analytic.biases,
-                      numeric.weights + numeric.biases):
-        diff = max(diff, float(np.abs(an - fd).max()))
-        scale = max(scale, float(np.abs(fd).max()))
-    return diff / max(scale, 1e-12)
+    return float(np.abs(analytic - numeric).max()) / max(float(np.abs(numeric).max()), 1e-12)
 
 
 @pytest.mark.parametrize("beta", [2.22, 2.78, 3.33, 4.1, 8.0])
@@ -105,7 +98,7 @@ def test_backward_matches_fd_without_bias():
     fd = fd_grads(params, x, y, l1=1e-4, l2=1e-4)
     assert grad_rel_error(grads, fd) < 1e-6
     # biases never enter the forward pass, so both sides must be exactly zero
-    for g, f in zip(grads.biases, fd.biases):
+    for g, f in zip(params.unflatten(grads)[1], params.unflatten(fd)[1]):
         assert np.all(g == 0.0) and np.all(f == 0.0)
 
 
@@ -123,18 +116,16 @@ def test_backward_zero_error_gives_zero_gradients():
     topo = LayerTopology((3, 4, 2), beta=2.22)
     params = glorot_init(topo, seed=9)
     x = np.random.default_rng(15).normal(size=(6, 3))
-    trace = forward(params, x)
-    grads = backward(params, trace, trace.outputs)
-    for g in grads.weights + grads.biases:
-        assert np.all(g == 0.0)
+    acts = forward(params, x)
+    assert np.all(backward(params, acts, acts[-1]) == 0.0)
 
 
 def test_backward_rejects_wrong_target_shape():
     topo = LayerTopology((3, 4, 2), beta=2.22)
     params = glorot_init(topo, seed=0)
-    trace = forward(params, np.zeros((5, 3)))
+    acts = forward(params, np.zeros((5, 3)))
     with pytest.raises(ShapeMismatch):
-        backward(params, trace, np.zeros((5, 3)))
+        backward(params, acts, np.zeros((5, 3)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +139,9 @@ def test_hidden_permutation_preserves_function():
     params = glorot_init(topo, seed=3)
     perm = np.array([2, 0, 4, 1, 3])
     twin = params.copy()
-    twin.weights[0] = twin.weights[0][perm]
-    twin.biases[0] = twin.biases[0][perm]
-    twin.weights[1] = twin.weights[1][:, perm]
+    twin.weights[0][:] = twin.weights[0][perm]
+    twin.biases[0][:] = twin.biases[0][perm]
+    twin.weights[1][:] = twin.weights[1][:, perm]
     x = np.random.default_rng(4).normal(size=(7, 3))
     assert np.allclose(predict(params, x), predict(twin, x), atol=1e-14)
 
@@ -201,6 +192,24 @@ def test_topology_validation():
         LayerTopology((3, 2), beta=2.22, output_beta=-1.0)
 
 
+def test_params_flat_holds_weights_then_biases():
+    topo = LayerTopology((2, 3, 1), beta=2.22)
+    weights = [np.arange(6.0).reshape(3, 2), np.arange(6.0, 9.0).reshape(1, 3)]
+    biases = [np.arange(9.0, 12.0), np.array([12.0])]
+    params = MLPParams(topology=topo, weights=weights, biases=biases)
+    assert topo.n_weights == 9
+    assert np.array_equal(params.flat, np.arange(13.0))
+    # weights and biases are views: writing flat moves them, the inputs stay
+    params.flat += 100.0
+    assert params.weights[1][0, 2] == 108.0 and params.biases[0][1] == 110.0
+    assert weights[1][0, 2] == 8.0
+    w_views, b_views = params.unflatten(params.flat)
+    assert all(np.shares_memory(v, params.flat) for v in w_views + b_views)
+    twin = params.copy()
+    twin.flat[0] = -1.0
+    assert params.flat[0] == 100.0 and twin.weights[0][0, 0] == -1.0
+
+
 def test_params_shape_validation():
     topo = LayerTopology((2, 3), beta=2.22)
     with pytest.raises(ShapeMismatch):
@@ -245,9 +254,7 @@ def test_sgd_step_is_exact_update():
     grads = backward(params, forward(params, x), y)
     kind = OptimizerKind("sgd", learning_rate=0.1)
     optimizer_step(kind, init_optimizer_state(params), params, grads, t=1)
-    for l in range(topo.n_layers):
-        assert np.array_equal(params.weights[l], before.weights[l] + (-0.1) * grads.weights[l])
-        assert np.array_equal(params.biases[l], before.biases[l] + (-0.1) * grads.biases[l])
+    assert np.array_equal(params.flat, before.flat + (-0.1) * grads)
 
 
 def test_adam_first_step_magnitude_is_learning_rate():
@@ -256,19 +263,13 @@ def test_adam_first_step_magnitude_is_learning_rate():
     params = glorot_init(topo, seed=10)
     before = params.copy()
     rng = np.random.default_rng(8)
-    grads = Gradients(
-        weights=[rng.uniform(0.01, 1.0, w.shape) * rng.choice([-1, 1], w.shape)
-                 for w in params.weights],
-        biases=[rng.uniform(0.01, 1.0, b.shape) * rng.choice([-1, 1], b.shape)
-                for b in params.biases],
-    )
+    shape = params.flat.shape
+    grads = rng.uniform(0.01, 1.0, shape) * rng.choice([-1, 1], shape)
     kind = OptimizerKind("adam")
     optimizer_step(kind, init_optimizer_state(params), params, grads, t=1)
-    for l in range(topo.n_layers):
-        step = np.abs(params.weights[l] - before.weights[l])
-        assert np.all(step >= 0.00099) and np.all(step <= 0.001)
-        assert np.all(np.sign(params.weights[l] - before.weights[l])
-                      == -np.sign(grads.weights[l]))
+    step = params.flat - before.flat
+    assert np.all(np.abs(step) >= 0.00099) and np.all(np.abs(step) <= 0.001)
+    assert np.all(np.sign(step) == -np.sign(grads))
 
 
 def test_adamax_tracks_max_of_decayed_norm():
@@ -276,13 +277,11 @@ def test_adamax_tracks_max_of_decayed_norm():
     params = MLPParams(topology=topo, weights=[np.array([[0.0]])], biases=[np.zeros(1)])
     kind = OptimizerKind("adamax")
     state = init_optimizer_state(params)
-    g1 = Gradients(weights=[np.array([[1.0]])], biases=[np.zeros(1)])
-    optimizer_step(kind, state, params, g1, t=1)
-    assert state.v_w[0][0, 0] == pytest.approx(1.0)
-    g2 = Gradients(weights=[np.array([[0.1]])], biases=[np.zeros(1)])
-    optimizer_step(kind, state, params, g2, t=2)
+    optimizer_step(kind, state, params, np.array([1.0, 0.0]), t=1)
+    assert state.v[0] == pytest.approx(1.0)
+    optimizer_step(kind, state, params, np.array([0.1, 0.0]), t=2)
     # max(0.999 * 1.0, 0.1): the decayed running max wins over the new |g|
-    assert state.v_w[0][0, 0] == pytest.approx(0.999)
+    assert state.v[0] == pytest.approx(0.999)
 
 
 def test_nadam_differs_from_adam():
@@ -323,9 +322,25 @@ def test_optimizer_validation():
     topo = LayerTopology((1, 1), beta=2.22)
     params = glorot_init(topo, seed=0)
     kind = OptimizerKind("sgd")
-    grads = Gradients(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
     with pytest.raises(ValidationError):
-        optimizer_step(kind, init_optimizer_state(params), params, grads, t=0)
+        optimizer_step(kind, init_optimizer_state(params), params, np.zeros(2), t=0)
+
+
+@pytest.mark.parametrize("name", OPTIMIZER_NAMES)
+def test_zero_bias_gradient_keeps_bias_positive_zero(name):
+    # without biases their gradient is zero; every optimizer must leave +0.0
+    # bit for bit (a -0.0 would change the bytes of model.json)
+    topo = LayerTopology((3, 4, 2), beta=2.22, use_bias=False)
+    params = glorot_init(topo, seed=3)
+    rng = np.random.default_rng(31)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    kind = OptimizerKind(name)
+    state = init_optimizer_state(params)
+    for t in (1, 2, 3):
+        optimizer_step(kind, state, params, backward(params, forward(params, x), y, l1=1e-4), t)
+    n_w = topo.n_weights
+    assert not np.array_equal(params.flat[:n_w], glorot_init(topo, seed=3).flat[:n_w])
+    assert params.flat[n_w:].tobytes() == bytes(8 * (params.flat.size - n_w))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +387,7 @@ def test_training_reports_test_metrics():
     params, report = train(data, topo, hyper)
     assert report.test_mse is not None and len(report.test_mse) == 3
     assert report.final_test_mse == report.test_mse[-1]
-    expect = mse(forward(params, x[40:]).outputs, y[40:])
+    expect = mse(forward(params, x[40:])[-1], y[40:])
     assert report.final_test_mse == pytest.approx(expect, rel=1e-12)
 
 
@@ -549,3 +564,125 @@ def test_glorot_is_seeded():
     c = glorot_init(topo, seed=2)
     assert np.array_equal(a.weights[0], b.weights[0])
     assert not np.array_equal(a.weights[0], c.weights[0])
+
+
+# ---------------------------------------------------------------------------
+# per-layer reference: forward, backward, optimizer step and training loop on
+# separate per-layer weight and bias arrays, with the moments as four lists and
+# tanh' recomputed from the pre-activations. The flat-vector path must
+# reproduce it bit for bit.
+
+
+def ref_forward(topo, weights, biases, x):
+    """Input batch, pre-activations and activations of every layer."""
+    out = np.atleast_2d(np.asarray(x, dtype=float))
+    x0, pre, post = out, [], []
+    last = topo.n_layers - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = out @ w.T
+        if topo.use_bias:
+            z = z + b
+        pre.append(z)
+        if l < last:
+            out = activate(z, topo.beta)
+        elif topo.output_beta is not None:
+            out = activate(z, topo.output_beta)
+        else:
+            out = z
+        post.append(out)
+    return x0, pre, post
+
+
+def ref_deriv(z, beta):
+    b = float(beta)
+    t = np.tanh(b * z)
+    return b * (1.0 - t * t)
+
+
+def ref_backward(topo, weights, biases, trace, targets, l1, l2):
+    x0, pre, post = trace
+    t = np.atleast_2d(targets)
+    y = post[-1]
+    delta = (y - t) * (2.0 / (y.shape[0] * topo.n_outputs))
+    if topo.output_beta is not None:
+        delta = delta * ref_deriv(pre[-1], topo.output_beta)
+    g_w, g_b = [None] * topo.n_layers, [None] * topo.n_layers
+    for l in range(topo.n_layers - 1, -1, -1):
+        prev = x0 if l == 0 else post[l - 1]
+        g_w[l] = delta.T @ prev
+        g_b[l] = delta.sum(axis=0) if topo.use_bias else np.zeros_like(biases[l])
+        if l > 0:
+            delta = (delta @ weights[l]) * ref_deriv(pre[l - 1], topo.beta)
+    if l1 or l2:
+        for l, w in enumerate(weights):
+            g_w[l] = g_w[l] + l1 * np.sign(w) + 2.0 * l2 * w
+    return g_w, g_b
+
+
+def ref_optimizer_step(kind, state, topo, weights, biases, g_w, g_b, t):
+    m_w, v_w, m_b, v_b = state
+    for l in range(topo.n_layers):
+        weights[l] += _apply_update(kind, t, g_w[l], m_w[l], v_w[l])
+        if topo.use_bias:
+            biases[l] += _apply_update(kind, t, g_b[l], m_b[l], v_b[l])
+
+
+def ref_train(data, topo, hyper):
+    """Per-layer weights, biases, and train and test MSE after every epoch."""
+    init = glorot_init(topo, hyper.seed)
+    weights = [w.copy() for w in init.weights]
+    biases = [b.copy() for b in init.biases]
+    state = tuple([np.zeros_like(a) for a in arrs] for arrs in (weights, weights, biases, biases))
+    kind = OptimizerKind(hyper.optimizer, learning_rate=hyper.learning_rate)
+    shuffle_rng = np.random.default_rng([hyper.seed, 1])
+    x, y = data.x_train, data.y_train
+    train_log, test_log = [], []
+    t = 0
+    for _ in range(hyper.epochs):
+        perm = shuffle_rng.permutation(x.shape[0])
+        for lo in range(0, x.shape[0], hyper.batch_size):
+            sel = perm[lo: lo + hyper.batch_size]
+            trace = ref_forward(topo, weights, biases, x[sel])
+            g_w, g_b = ref_backward(topo, weights, biases, trace, y[sel], hyper.l1, hyper.l2)
+            t += 1
+            ref_optimizer_step(kind, state, topo, weights, biases, g_w, g_b, t)
+        train_log.append(mse(ref_forward(topo, weights, biases, x)[2][-1], y))
+        test_log.append(mse(ref_forward(topo, weights, biases, data.x_test)[2][-1], data.y_test))
+    return weights, biases, train_log, test_log
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+@pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("output_beta", [None, 1.5], ids=["linear-out", "tanh-out"])
+@pytest.mark.parametrize("penalty", [0.0, 1e-4], ids=["plain", "l1l2"])
+def test_training_bitwise_equals_per_layer_reference(optimizer, use_bias, output_beta, penalty):
+    rng = np.random.default_rng(40)
+    x = rng.uniform(-1.0, 1.0, size=(45, 3))
+    y = 0.8 * np.tanh(x @ rng.normal(size=(3, 2)))
+    data = TrainSet(x_train=x[:37], y_train=y[:37], x_test=x[37:], y_test=y[37:])
+    hyper = Hyperparams(hidden_layers=2, hidden_size=6, epochs=4, batch_size=10,
+                        optimizer=optimizer, l1=penalty, l2=penalty, seed=2)
+    topo = build_topology(3, 2, hyper, beta=3.33, output_beta=output_beta, use_bias=use_bias)
+    params, report = train(data, topo, hyper)
+    weights, biases, train_log, test_log = ref_train(data, topo, hyper)
+    for got, want in zip(params.weights + params.biases, weights + biases):
+        assert got.tobytes() == want.tobytes()
+    assert report.train_mse == train_log
+    assert report.test_mse == test_log
+
+
+@pytest.mark.parametrize("field, bad", [("weights", math.nan), ("biases", -math.inf),
+                                        ("beta", math.inf)])
+def test_load_model_rejects_non_finite_numbers(field, bad, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(glorot_init(LayerTopology((2, 3, 1), beta=2.22), seed=0), None, path)
+    doc = json.loads(path.read_text())
+    if field == "weights":
+        doc["weights"][1][0][2] = bad
+    elif field == "biases":
+        doc["biases"][0][1] = bad
+    else:
+        doc["topology"]["beta"] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="model.json"):
+        load_model(path)
