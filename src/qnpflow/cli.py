@@ -10,11 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
+import math
 import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -98,37 +101,47 @@ def _is(value, kind: type) -> bool:
     return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _fits(action: argparse.Action, value) -> bool:
+class Option(NamedTuple):
+    """One option of a subcommand, declared once: the parser builds its flag
+    from it, `_resolve` takes its builtin default, and `_fits` checks a
+    --config value against it."""
+    dest: str
+    default: object = None
+    type: type = str  # bool gives a --name/--no-name pair
+    flag: str | None = None  # "--" + dest with dashes unless given
+    nargs: int | None = None
+    choices: tuple[str, ...] | None = None
+    metavar: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+def _fits(opt: Option, value) -> bool:
     """Whether a config-file value is one the option's flag could have given."""
-    if isinstance(action, argparse.BooleanOptionalAction):
-        return _is(value, bool)
-    if isinstance(action.nargs, int):
-        return (isinstance(value, list) and len(value) == action.nargs
-                and all(_is(v, action.type) for v in value))
-    if action.dest == "spin":  # a number, or text such as "3/2"
+    if opt.nargs is not None:
+        return (isinstance(value, list) and len(value) == opt.nargs
+                and all(_is(v, opt.type) for v in value))
+    if opt.dest == "spin":  # a number, or text such as "3/2"
         return _is(value, float) or _is(value, str)
-    return _is(value, action.type or str) and (action.choices is None or value in action.choices)
+    return _is(value, opt.type) and (opt.choices is None or value in opt.choices)
 
 
-def _resolve(ns: argparse.Namespace, defaults: dict) -> dict:
-    """CLI value if given, else config-file value, else builtin default.
+def _resolve(options: tuple[Option, ...], flags: dict, config: dict, source) -> dict:
+    """Flag value if given, else config-file value, else builtin default.
 
     A config-file value must be one the option's flag could have given, or
-    null where the default is None; otherwise ParseError names the key."""
-    config = {} if ns.config is None else read_json_object(ns.config)
-    actions = {a.dest: a for a in ns.parser._actions}
+    null where the default is None; otherwise ParseError names the key and
+    the file `source`."""
     out = {}
-    for key, default in defaults.items():
-        cli_val = getattr(ns, key, None)
-        if cli_val is not None:
-            out[key] = cli_val
-        elif key in config:
-            value = config[key]
-            if not (value is None and default is None) and not _fits(actions[key], value):
-                raise ParseError(f"{ns.config}: {value!r} is not a valid value for {key!r}")
-            out[key] = value
+    for opt in options:
+        if flags.get(opt.dest) is not None:
+            out[opt.dest] = flags[opt.dest]
+        elif opt.dest in config:
+            value = config[opt.dest]
+            if not (value is None and opt.default is None) and not _fits(opt, value):
+                raise ParseError(f"{source}: {value!r} is not a valid value for {opt.dest!r}")
+            out[opt.dest] = value
         else:
-            out[key] = default
+            out[opt.dest] = opt.default
     return out
 
 
@@ -145,11 +158,7 @@ def _write_snapshot(out: Path, command: str, cfg: dict) -> None:
 
 # ---------------------------------------------------------------- solve
 
-SOLVE_DEFAULTS = {"tol": 1e-8, "max_iter": 20, "flat_start": True, "out_dir": None}
-
-
-def cmd_solve(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, SOLVE_DEFAULTS)
+def cmd_solve(ns: argparse.Namespace, cfg: dict) -> int:
     net = load_network(ns.network)
     sol = solve(net, SolveOptions(tol=cfg["tol"], max_iter=cfg["max_iter"],
                                   flat_start=cfg["flat_start"]))
@@ -191,15 +200,7 @@ def cmd_solve(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- dataset
 
-DATASET_DEFAULTS = {
-    "n": 500, "mult_range": [0.8, 1.2], "split": 0.8,
-    "coupled": False, "perturb_all_loads": False, "prefix": "dataset",
-    "seed": 0, "out_dir": None,
-}
-
-
-def cmd_dataset(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, DATASET_DEFAULTS)
+def cmd_dataset(ns: argparse.Namespace, cfg: dict) -> int:
     net = load_network(ns.network)
     lo, hi = cfg["mult_range"]
     samples, meta = generate(net, cfg["n"], mult_range=(lo, hi), seed=cfg["seed"],
@@ -221,13 +222,6 @@ def cmd_dataset(ns: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------- activation
-
-SIMULATE_DEFAULTS = {
-    "spin": 0.5, "g": 0.01, "tau": 3.0, "gamma": 0.0, "points": 41,
-    "collisions": 20000, "mode": "exact", "schedule": "round-robin",
-    "seed": None, "out_dir": None,
-}
-
 
 def _write_curve_csv(curve: ActivationCurve, path: Path) -> None:
     with open(path, "w", newline="") as fh:
@@ -271,8 +265,7 @@ def _fit_doc(fit, curve: ActivationCurve) -> dict:
     }
 
 
-def cmd_activation_simulate(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, SIMULATE_DEFAULTS)
+def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
     if isinstance(cfg["spin"], str):
         cfg["spin"] = _parse_spin(cfg["spin"])
     params = CollisionParams(
@@ -301,11 +294,8 @@ def cmd_activation_simulate(ns: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-FIT_DEFAULTS = {"out_dir": None}
 
-
-def cmd_activation_fit(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, FIT_DEFAULTS)
+def cmd_activation_fit(ns: argparse.Namespace, cfg: dict) -> int:
     curve = _read_curve_csv(ns.curve)
     fit = fit_beta(curve)
     out = _out_dir(cfg)
@@ -317,15 +307,6 @@ def cmd_activation_fit(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- train
 
-TRAIN_DEFAULTS = {
-    "preset": None, "beta": None, "spin": None, "beta_from_fit": None,
-    "optimizer": None, "learning_rate": None, "epochs": None, "batch_size": None,
-    "hidden_layers": None, "hidden_size": None, "l1": None, "l2": None,
-    "scale_inputs": "minmax", "scale_targets": "none", "output_beta": None,
-    "bias": True, "seed": 0, "out_dir": None,
-}
-
-
 def _resolve_beta(cfg: dict) -> float:
     given = [k for k in ("beta", "spin", "beta_from_fit") if cfg[k] is not None]
     if len(given) > 1:
@@ -334,11 +315,11 @@ def _resolve_beta(cfg: dict) -> float:
         spin = _parse_spin(cfg["spin"]) if isinstance(cfg["spin"], str) else cfg["spin"]
         return spin_beta(spin)
     if cfg["beta_from_fit"] is not None:
-        doc = read_json_object(cfg["beta_from_fit"])
-        try:
-            return float(doc["beta"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError(f"{cfg['beta_from_fit']}: no numeric beta field") from None
+        beta = read_json_object(cfg["beta_from_fit"]).get("beta")
+        if not (_is(beta, float) and math.isfinite(beta) and beta > 0):
+            raise ParseError(f"{cfg['beta_from_fit']}: beta must be a finite positive number, "
+                             f"got {beta!r}")
+        return float(beta)
     return cfg["beta"] if cfg["beta"] is not None else 2.22
 
 
@@ -393,8 +374,7 @@ def _train_set(prefix: str, scale_inputs: str, scale_targets: str,
     return data, fs, ts
 
 
-def cmd_train(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, TRAIN_DEFAULTS)
+def cmd_train(ns: argparse.Namespace, cfg: dict) -> int:
     beta = _resolve_beta(cfg)
     hyper = _resolve_hyper(cfg)
     data, fs, ts = _train_set(ns.data, cfg["scale_inputs"], cfg["scale_targets"], with_test=True)
@@ -428,19 +408,15 @@ def cmd_train(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- evaluate
 
-EVALUATE_DEFAULTS = {"split": "test", "out_dir": None}
-
-
-def cmd_evaluate(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, EVALUATE_DEFAULTS)
+def cmd_evaluate(ns: argparse.Namespace, cfg: dict) -> int:
     params, scalers = load_model(ns.model)
     x, y = _load_split(ns.data, cfg["split"])
     try:
         fs, ts = (Scaler.from_dict((scalers or {}).get(side)) for side in ("inputs", "targets"))
-    except ParseError as exc:
-        raise ParseError(f"{ns.model}: {exc}") from None
-    report = evaluate(params, _scaled(x, fs), _scaled(y, ts),
-                      invert_targets=ts.invert if ts else None)
+        x, y = _scaled(x, fs), _scaled(y, ts)
+    except (ParseError, ShapeMismatch) as exc:
+        raise type(exc)(f"{ns.model}: {exc}") from None
+    report = evaluate(params, x, y, invert_targets=ts.invert if ts else None)
     out = _out_dir(cfg)
     _write_snapshot(out, "evaluate", {**cfg, "model": str(ns.model), "data": str(ns.data)})
     (out / "eval_report.json").write_text(json.dumps({
@@ -455,11 +431,7 @@ def cmd_evaluate(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-SWEEP_DEFAULTS = {"out_dir": None}
-
-
-def cmd_sweep(ns: argparse.Namespace) -> int:
-    cfg = _resolve(ns, SWEEP_DEFAULTS)
+def cmd_sweep(ns: argparse.Namespace, cfg: dict) -> int:
     doc = read_json_object(ns.sweep_config)
     if not isinstance(doc.get("data"), str):
         raise UsageError(f"{ns.sweep_config}: sweep config needs a 'data' prefix string")
@@ -479,10 +451,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     if not seeds:
         raise UsageError("empty sweep list: seeds must be non-empty")
 
-    # The train keys of the sweep file pass the checks of `train --config`;
-    # "--" keeps a prefix that starts with "-" from reading as a flag.
-    base = _resolve(build_parser().parse_args(
-        ["train", "--config", str(ns.sweep_config), "--", doc["data"]]), TRAIN_DEFAULTS)
+    # The train keys of the sweep file pass the checks of `train --config`.
+    base = _resolve(COMMANDS["train"].options, {}, doc, ns.sweep_config)
     if betas is None:
         betas = [_resolve_beta(base)]
     if optimizers is None:
@@ -526,84 +496,108 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=None, help="directory for output artifacts")
-    common.add_argument("--config", default=None, help="JSON config file with option defaults")
-    seeded = argparse.ArgumentParser(add_help=False, parents=[common])
-    seeded.add_argument("--seed", type=int, default=None, help="master random seed")
+class Command(NamedTuple):
+    """A leaf subcommand: what runs it, its help line, its positional
+    arguments as (name, help) pairs, and its options besides --out-dir and
+    --config, which every command takes."""
+    run: Callable[[argparse.Namespace, dict], int]
+    help: str
+    args: tuple[tuple[str, str | None], ...]
+    own: tuple[Option, ...] = ()
 
+    @property
+    def options(self) -> tuple[Option, ...]:
+        return (OUT_DIR, *self.own)
+
+
+OUT_DIR = Option("out_dir", help="directory for output artifacts")
+SEED = Option("seed", 0, int, help="master random seed")
+SCALERS = ("minmax", "standard", "none")
+
+COMMANDS = {
+    "solve": Command(cmd_solve, "Newton-Raphson power flow", (("network", "network definition file"),), (
+        Option("tol", 1e-8, float),
+        Option("max_iter", 20, int),
+        Option("flat_start", True, bool),
+    )),
+    "dataset": Command(cmd_dataset, "generate a training dataset", (("network", None),), (
+        SEED,
+        Option("n", 500, int),
+        Option("mult_range", (0.8, 1.2), float, flag="--range", nargs=2, metavar=("LO", "HI")),
+        Option("split", 0.8, float),
+        Option("coupled", False, bool),
+        Option("perturb_all_loads", False, bool),
+        Option("prefix", "dataset"),
+    )),
+    "activation simulate": Command(cmd_activation_simulate, "simulate a transfer curve and fit it", (), (
+        SEED._replace(default=None),
+        Option("spin", 0.5),
+        Option("g", 0.01, float),
+        Option("tau", 3.0, float),
+        Option("gamma", 0.0, float),
+        Option("points", 41, int),
+        Option("collisions", 20000, int),
+        Option("mode", "exact", choices=tuple(m.value for m in PropagatorMode)),
+        Option("schedule", "round-robin", choices=("round-robin", "weighted-random")),
+    )),
+    "activation fit": Command(cmd_activation_fit, "fit beta to an existing curve file",
+                              (("curve", "curve CSV with u and sigma_z columns"),)),
+    "train": Command(cmd_train, "train the feedforward network", (
+        ("data", "dataset prefix (expects <prefix>_train.csv and <prefix>_meta.json)"),), (
+        SEED,
+        Option("preset", choices=("table3", "table4")),
+        Option("beta", type=float),
+        Option("spin", help="look the beta up from the tabulated spin-to-steepness map"),
+        Option("beta_from_fit", help="JSON fit record to read beta from"),
+        Option("optimizer", choices=("sgd", "adam", "adamax", "nadam")),
+        Option("learning_rate", type=float, flag="--lr"),
+        Option("epochs", type=int),
+        Option("batch_size", type=int),
+        Option("hidden_layers", type=int),
+        Option("hidden_size", type=int),
+        Option("l1", type=float),
+        Option("l2", type=float),
+        Option("scale_inputs", "minmax", choices=SCALERS),
+        Option("scale_targets", "none", choices=SCALERS),
+        Option("output_beta", type=float, help="apply the activation on the output layer too"),
+        Option("bias", True, bool),
+    )),
+    "evaluate": Command(cmd_evaluate, "evaluate a saved model on a dataset split", (
+        ("model", "model file written by train"), ("data", "dataset prefix")), (
+        Option("split", "test", choices=("train", "test")),
+    )),
+    "sweep": Command(cmd_sweep, "aggregate training runs over betas/optimizers/seeds",
+                     (("sweep_config", "JSON file listing the sweep axes"),)),
+}
+
+# The benchmark reads the default coupling g from here.
+SIMULATE_DEFAULTS = {opt.dest: opt.default for opt in COMMANDS["activation simulate"].options}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qnpflow",
         description="Power-flow learning with a collision-model tanh activation.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("solve", parents=[common], help="Newton-Raphson power flow")
-    p.add_argument("network", help="network definition file")
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--flat-start", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_solve, parser=p)
-
-    p = sub.add_parser("dataset", parents=[seeded], help="generate a training dataset")
-    p.add_argument("network")
-    p.add_argument("--n", type=int)
-    p.add_argument("--range", dest="mult_range", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--split", type=float)
-    p.add_argument("--coupled", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--perturb-all-loads", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--prefix")
-    p.set_defaults(func=cmd_dataset, parser=p)
-
-    p = sub.add_parser("activation", help="collision-model transfer curves")
-    asub = p.add_subparsers(dest="subcommand", required=True)
-
-    q = asub.add_parser("simulate", parents=[seeded], help="simulate a transfer curve and fit it")
-    q.add_argument("--spin", type=str)
-    q.add_argument("--g", type=float)
-    q.add_argument("--tau", type=float)
-    q.add_argument("--gamma", type=float)
-    q.add_argument("--points", type=int)
-    q.add_argument("--collisions", type=int)
-    q.add_argument("--mode", choices=[m.value for m in PropagatorMode])
-    q.add_argument("--schedule", choices=["round-robin", "weighted-random"])
-    q.set_defaults(func=cmd_activation_simulate, parser=q)
-
-    q = asub.add_parser("fit", parents=[common], help="fit beta to an existing curve file")
-    q.add_argument("curve", help="curve CSV with u and sigma_z columns")
-    q.set_defaults(func=cmd_activation_fit, parser=q)
-
-    p = sub.add_parser("train", parents=[seeded], help="train the feedforward network")
-    p.add_argument("data", help="dataset prefix (expects <prefix>_train.csv and <prefix>_meta.json)")
-    p.add_argument("--preset", choices=["table3", "table4"])
-    p.add_argument("--beta", type=float)
-    p.add_argument("--spin", type=str, help="look the beta up from the tabulated spin-to-steepness map")
-    p.add_argument("--beta-from-fit", help="JSON fit record to read beta from")
-    p.add_argument("--optimizer", choices=["sgd", "adam", "adamax", "nadam"])
-    p.add_argument("--lr", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--hidden-layers", type=int)
-    p.add_argument("--hidden-size", type=int)
-    p.add_argument("--l1", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--scale-inputs", choices=["minmax", "standard", "none"])
-    p.add_argument("--scale-targets", choices=["minmax", "standard", "none"])
-    p.add_argument("--output-beta", type=float, help="apply the activation on the output layer too")
-    p.add_argument("--bias", action=argparse.BooleanOptionalAction, default=None)
-    p.set_defaults(func=cmd_train, parser=p)
-
-    p = sub.add_parser("evaluate", parents=[common], help="evaluate a saved model on a dataset split")
-    p.add_argument("model", help="model file written by train")
-    p.add_argument("data", help="dataset prefix")
-    p.add_argument("--split", choices=["train", "test"])
-    p.set_defaults(func=cmd_evaluate, parser=p)
-
-    p = sub.add_parser("sweep", parents=[common], help="aggregate training runs over betas/optimizers/seeds")
-    p.add_argument("sweep_config", help="JSON file listing the sweep axes")
-    p.set_defaults(func=cmd_sweep, parser=p)
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for name, command in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in groups:  # the one group, activation
+            groups[group] = groups[""].add_parser(group, help="collision-model transfer curves") \
+                .add_subparsers(dest="subcommand", required=True)
+        p = groups[group].add_parser(leaf, help=command.help)
+        for arg, text in command.args:
+            p.add_argument(arg, help=text)
+        for opt in command.options:  # with default None: None means "not given"
+            kind = ({"action": argparse.BooleanOptionalAction} if opt.type is bool else
+                    {"type": opt.type, "nargs": opt.nargs, "choices": opt.choices,
+                     "metavar": opt.metavar})
+            p.add_argument(opt.flag or "--" + opt.dest.replace("_", "-"), dest=opt.dest,
+                           help=opt.help, **kind)
+            if opt is OUT_DIR:
+                p.add_argument("--config", help="JSON config file with option defaults")
+        p.set_defaults(cmd=command)
     return parser
 
 
@@ -622,7 +616,8 @@ _ERROR_CODES = [
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        config = {} if ns.config is None else read_json_object(ns.config)
+        return ns.cmd.run(ns, _resolve(ns.cmd.options, vars(ns), config, ns.config))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

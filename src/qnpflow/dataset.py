@@ -97,6 +97,8 @@ def generate(
         raise ValidationError(f"multiplier range must satisfy 0 < low <= high, got {mult_range}")
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
     perturbed = np.arange(net.n) if perturb_all_loads else net.pq_indices
     mult_labels, input_labels, target_labels = _labels(net, coupled, perturb_all_loads)

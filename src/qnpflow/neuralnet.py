@@ -312,6 +312,8 @@ class Hyperparams:
         OptimizerKind(self.optimizer, self.learning_rate)  # checks the name and step size
         if self.l1 < 0 or self.l2 < 0:
             raise ValidationError("penalty strengths must be non-negative")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
 
 
 PRESETS = {

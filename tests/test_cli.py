@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import NETWORK_PATH, write_doc
+from qnpflow.cli import COMMANDS, build_parser, main
 from qnpflow.dataset import read_dataset_csv, read_meta_json
 
 NETWORK = str(NETWORK_PATH)
@@ -16,10 +19,28 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def cli(*args, cwd=None):
+    """`qnpflow.cli.main(args)` in this interpreter, run in `cwd`, with the
+    exit code, stdout and stderr of a `python -m qnpflow.cli` run."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    here = os.getcwd()
+    os.chdir(cwd or here)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse: usage errors, --help, --version
+        code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
+    finally:
+        os.chdir(here)
+    return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
+
+
+def python_m(*args):
+    """A real `python -m qnpflow.cli` run in its own process."""
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "qnpflow.cli", *map(str, args)],
-        capture_output=True, text=True, cwd=cwd,
+        capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
 
@@ -92,7 +113,7 @@ def test_solve_config_file_and_cli_precedence(tmp_path):
 
 def test_solve_has_no_seed_option(tmp_path):
     # --seed exists only where a run reads it: dataset, activation simulate, train
-    res = cli("solve", NETWORK, "--seed", 1, "--out-dir", tmp_path)
+    res = python_m("solve", NETWORK, "--seed", 1, "--out-dir", tmp_path)
     assert res.returncode == 2
     assert "unrecognized arguments: --seed" in res.stderr
 
@@ -124,14 +145,25 @@ def test_non_finite_network_number_exits_4(network_doc, tmp_path, spoil, text, c
     assert res.stderr.startswith("error:") and "finite number" in res.stderr
 
 
+def wrong_type_rows():
+    """An empty object, which no flag can give, for every declared option of
+    every subcommand; positionals name files that the check runs before."""
+    for name, command in COMMANDS.items():
+        argv = [*name.split(), *(f"missing-{arg}" for arg, _ in command.args)]
+        for opt in command.options:
+            yield pytest.param(argv, {opt.dest: {}}, id=f"{name.replace(' ', '-')}-{opt.dest}")
+
+
 @pytest.mark.parametrize("command, config", [
     (["activation", "simulate"], {"spin": [1]}),
     (["dataset", NETWORK], {"n": "500"}),
+    (["dataset", NETWORK], {"n": None}),  # null only where the default is None
+    *wrong_type_rows(),
 ])
 def test_config_value_of_wrong_type_exits_4(tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    res = cli(*command, "--config", cfg, "--out-dir", tmp_path)
+    res = cli(*command, "--config", cfg, cwd=tmp_path)  # no --out-dir: it would beat out_dir
     assert res.returncode == 4, res.stderr
     (key,) = config
     assert res.stderr.startswith("error:") and repr(key) in res.stderr
@@ -254,8 +286,8 @@ def test_activation_even_points_exits_4(tmp_path):
 
 
 def test_activation_invalid_spin_exits_8(tmp_path):
-    res = cli("activation", "simulate", "--spin", "0.6", "--points", 5,
-              "--collisions", 100, "--out-dir", tmp_path)
+    res = python_m("activation", "simulate", "--spin", "0.6", "--points", 5,
+                   "--collisions", 100, "--out-dir", tmp_path)
     assert res.returncode == 8
 
 
@@ -455,6 +487,7 @@ def test_evaluate_model_with_non_numeric_field_exits_4(spoil, trained_dir, datas
     res = cli("evaluate", model, dataset_dir / "data", "--out-dir", tmp_path / "out")
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert str(model) in res.stderr
 
 
 @pytest.mark.parametrize("lr", ["0", "-1"])
@@ -464,6 +497,25 @@ def test_train_non_positive_lr_exits_4(lr, dataset_dir, tmp_path):
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith("error:") and "learning rate" in res.stderr
     assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("source", ["dataset --seed", "train --seed", "train --config",
+                                    "sweep seeds"])
+def test_negative_seed_exits_4(source, dataset_dir, tmp_path):
+    prefix = dataset_dir / "data"
+    table3 = ["--preset", "table3", "--epochs", 1]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": -3} if source == "train --config" else
+                              {"data": str(prefix), "preset": "table3", "epochs": 1,
+                               "betas": [2.22], "seeds": [-1]}))
+    args = {"dataset --seed": ["dataset", NETWORK, "--n", 10, "--seed", -1],
+            "train --seed": ["train", prefix, *table3, "--seed", -1],
+            "train --config": ["train", prefix, *table3, "--config", cfg],
+            "sweep seeds": ["sweep", cfg]}[source]
+    res = cli(*args, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "seed" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_train_beta_sources_are_exclusive(dataset_dir, tmp_path):
@@ -502,7 +554,8 @@ def test_train_beta_from_fit(dataset_dir, curve_dir, tmp_path):
     assert snap["beta"] == fit["beta"]
 
 
-@pytest.mark.parametrize("text", ["{not json", "3", '{"beta": "steep"}'])
+@pytest.mark.parametrize("text", ["{not json", "3", '{"beta": "steep"}', '{"beta": NaN}',
+                                  '{"beta": "3.0"}', '{"beta": true}', '{"beta": -1}'])
 def test_train_beta_from_bad_fit_exits_4(text, dataset_dir, tmp_path):
     fit = tmp_path / "fit.json"
     fit.write_text(text)
@@ -510,6 +563,7 @@ def test_train_beta_from_bad_fit_exits_4(text, dataset_dir, tmp_path):
               "--beta-from-fit", fit, "--out-dir", tmp_path)
     assert res.returncode == 4
     assert res.stderr.startswith("error:")
+    assert str(fit) in res.stderr
 
 
 def test_sweep_rows(dataset_dir, tmp_path):
@@ -596,6 +650,20 @@ def test_sweep_prefix_starting_with_dash(dataset_dir, tmp_path):
 
 
 def test_version_flag():
-    res = cli("--version")
+    res = python_m("--version")
     assert res.returncode == 0
     assert res.stdout.startswith("qnpflow ")
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path):
+    parser = build_parser()
+    assert cli("--version").stdout.startswith("qnpflow ")
+    assert cli("solve", NETWORK, "--max-iter", "many").returncode == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 1e-12, "max_iter": 1, "flat_start": False}))
+    assert cli("solve", NETWORK, "--config", cfg, "--out-dir", tmp_path / "a").returncode == 5
+    res = cli("solve", NETWORK, "--out-dir", tmp_path / "b")
+    assert res.returncode == 0, res.stderr
+    snap = json.loads((tmp_path / "b" / "solve_config.json").read_text())
+    assert (snap["tol"], snap["max_iter"], snap["flat_start"]) == (1e-8, 20, True)
+    assert build_parser() is parser

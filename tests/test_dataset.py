@@ -196,6 +196,8 @@ def test_generate_validation(base_net):
         generate(base_net, 5, mult_range=(1.2, 0.8))
     with pytest.raises(ValidationError):
         generate(base_net, 5, mult_range=(-0.5, 1.0))
+    with pytest.raises(ValidationError, match="seed"):
+        generate(base_net, 5, seed=-1)
 
 
 def test_meta_counts(base_net):

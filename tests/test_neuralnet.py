@@ -437,6 +437,8 @@ def test_hyperparams_validation():
     with pytest.raises(ValidationError):
         Hyperparams(hidden_layers=1, hidden_size=4, epochs=1, batch_size=8,
                     optimizer="lbfgs")
+    with pytest.raises(ValidationError, match="seed"):
+        Hyperparams(hidden_layers=1, hidden_size=4, epochs=1, batch_size=8, seed=-1)
 
 
 def test_presets():
