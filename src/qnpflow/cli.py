@@ -128,9 +128,12 @@ def _fits(opt: Option, value) -> bool:
 def _resolve(options: tuple[Option, ...], flags: dict, config: dict, source) -> dict:
     """Flag value if given, else config-file value, else builtin default.
 
-    A config-file value must be one the option's flag could have given, or
-    null where the default is None; otherwise ParseError names the key and
-    the file `source`."""
+    A config-file key must name one of `options`, and its value must be one
+    the option's flag could have given, or null where the default is None;
+    otherwise ParseError names the key and the file `source`."""
+    unknown = sorted(config.keys() - {opt.dest for opt in options})
+    if unknown:
+        raise ParseError(f"{source}: no option named {', '.join(map(repr, unknown))}")
     out = {}
     for opt in options:
         if flags.get(opt.dest) is not None:
@@ -451,8 +454,9 @@ def cmd_sweep(ns: argparse.Namespace, cfg: dict) -> int:
     if not seeds:
         raise UsageError("empty sweep list: seeds must be non-empty")
 
-    # The train keys of the sweep file pass the checks of `train --config`.
-    base = _resolve(COMMANDS["train"].options, {}, doc, ns.sweep_config)
+    # The sweep file's other keys are train options and pass the checks of `train --config`.
+    train_keys = {k: v for k, v in doc.items() if k not in ("data", "betas", "optimizers", "seeds")}
+    base = _resolve(COMMANDS["train"].options, {}, train_keys, ns.sweep_config)
     if betas is None:
         betas = [_resolve_beta(base)]
     if optimizers is None:
@@ -479,7 +483,7 @@ def cmd_sweep(ns: argparse.Namespace, cfg: dict) -> int:
             })
 
     out = _out_dir(cfg)
-    _write_snapshot(out, "sweep", {**cfg, "sweep_config": str(ns.sweep_config), **doc})
+    _write_snapshot(out, "sweep", {**doc, **cfg, "sweep_config": str(ns.sweep_config)})
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["beta", "optimizer", "n_seeds", "median_final_mse",

@@ -170,6 +170,28 @@ def test_config_value_of_wrong_type_exits_4(tmp_path, command, config):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("command, key", [
+    ("solve", "max_iterr"), ("train", "epoch"), ("sweep", "typo_key"),
+])
+def test_config_key_of_no_option_exits_4(dataset_dir, tmp_path, command, key):
+    cfg = tmp_path / "cfg.json"
+    prefix = str(dataset_dir / "data")
+    if command == "sweep":  # a sweep file also holds its own keys
+        cfg.write_text(json.dumps({"data": prefix, "preset": "table3", "epochs": 1,
+                                   "betas": [2.22], "seeds": [0], key: 3}))
+        argv = ["sweep", cfg]
+    else:
+        cfg.write_text(json.dumps({key: 3}))
+        argv = {"solve": ["solve", NETWORK],
+                "train": ["train", prefix, "--preset", "table3"]}[command]
+        argv += ["--config", cfg]
+    res = cli(*argv, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and repr(key) in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # dataset
 
@@ -207,6 +229,15 @@ def test_dataset_unit_range_gives_identical_rows(tmp_path):
     # all-unity multipliers collapse every sample onto the base case
     bodies = {",".join(r[1:]) for r in rows}
     assert len(bodies) == 1
+
+
+def test_dataset_empty_train_split_writes_only_the_header(tmp_path):
+    # one sample cut at floor(1 * 0.5) = 0 leaves the train split empty
+    res = cli("dataset", NETWORK, "--n", 1, "--split", 0.5, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    header = (tmp_path / "dataset_test.csv").read_bytes().split(b"\r\n")[0]
+    assert (tmp_path / "dataset_train.csv").read_bytes() == header + b"\r\n"
+    assert len(data_rows(tmp_path / "dataset_test.csv")) == 1
 
 
 def test_dataset_too_few_converged_exits_7(tmp_path):
@@ -637,6 +668,21 @@ def test_sweep_bad_train_key_exits_4(dataset_dir, tmp_path, key, value):
     if key != "learning_rate":
         assert repr(key) in res.stderr
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_snapshot_records_the_directory_it_wrote_to(dataset_dir, tmp_path):
+    # out_dir is a train option, so a sweep file may hold one; --out-dir wins
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(dataset_dir / "data"), "preset": "table3",
+                               "epochs": 1, "betas": [2.22], "seeds": [0],
+                               "out_dir": "elsewhere"}))
+    res = cli("sweep", cfg, "--out-dir", "swout", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    snap = json.loads((tmp_path / "swout" / "sweep_config.json").read_text())
+    assert snap["out_dir"] == "swout"
+    assert snap["betas"] == [2.22] and snap["sweep_config"] == str(cfg)
+    assert (tmp_path / "swout" / "sweep.csv").exists()
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_sweep_prefix_starting_with_dash(dataset_dir, tmp_path):

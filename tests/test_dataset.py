@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from dataclasses import replace
@@ -47,6 +48,29 @@ def test_generation_is_deterministic_and_prefix_stable(base_net):
         assert np.array_equal(a.inputs, b.inputs)
         assert np.array_equal(a.targets, b.targets, equal_nan=True)
         assert a.converged == b.converged
+
+
+# one- to five-word seeds: 2**130 + 3 with the sample index makes six entropy
+# words, past SeedSequence's 4-word pool
+DRAW_SEEDS = [0, 1, 4, 12345, 2**31, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**130 + 3]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("k", [2, 4, 8], ids=["coupled", "default", "all-loads"])
+def test_batched_draws_bitwise_equal_per_sample_generators(seed, k):
+    for low, high in [(0.8, 1.2), (1.0, 5.5), (1.0, 1.0)]:
+        for n in (1, 300):
+            draws = dataset._uniform_draws(seed, n, k, low, high)
+            reference = np.array([np.random.default_rng([seed, idx]).uniform(low, high, k)
+                                  for idx in range(n)])
+            assert draws.shape == (n, k)
+            assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
+
+
+def test_single_sample_draws_are_its_generators(base_net):
+    (s,), _ = generate(base_net, 1, seed=2**64 + 5)
+    expected = np.random.default_rng([2**64 + 5, 0]).uniform(0.8, 1.2, 4)
+    assert np.array_equal(s.scale_factors.view(np.uint64), expected.view(np.uint64))
 
 
 def per_sample_reference(net, n, mult_range, seed, coupled=False, perturb_all_loads=False):
@@ -517,6 +541,37 @@ def test_csv_writer_matches_per_cell_reference(base_net, tmp_path):
     path = tmp_path / "data.csv"
     write_dataset_csv(samples, meta, path)
     assert path.read_bytes() == reference_dataset_csv(samples, meta)
+
+
+def per_row_dataset_csv(samples, meta, path):
+    """The per-row csv.writer loop that the block writer replaced."""
+    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    angle = np.array([lab.startswith("delta_") and lab.endswith("_deg")
+                      for lab in meta.target_labels], dtype=bool)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for s in samples:
+            targets = np.where(angle, np.degrees(s.targets), s.targets)
+            values = np.concatenate([s.scale_factors, s.inputs, targets]).tolist()
+            writer.writerow([s.sample_id, *map(repr, values), int(s.converged)])
+
+
+@pytest.mark.parametrize("mult_range, opts, rows", [
+    ((0.8, 1.2), {}, None),
+    ((0.8, 1.2), {"coupled": True}, None),
+    ((0.8, 1.2), {"perturb_all_loads": True}, None),
+    ((1.0, 5.5), {}, None),
+    ((0.8, 1.2), {}, 0),
+], ids=["default", "coupled", "perturb_all_loads", "stressed", "empty"])
+def test_block_writer_matches_per_row_writer(base_net, tmp_path, mult_range, opts, rows):
+    samples, meta = generate(base_net, 300, mult_range=mult_range, seed=5, **opts)
+    if mult_range == (1.0, 5.5):
+        assert any(not s.converged for s in samples)  # rows with nan targets
+    samples = samples[:rows]
+    write_dataset_csv(samples, meta, tmp_path / "block.csv")
+    per_row_dataset_csv(samples, meta, tmp_path / "rows.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 SCALER_KEYS = {"scaler_kind", "feature_scaler", "target_scaler"}
