@@ -25,7 +25,6 @@ from . import __version__
 from .activation import ActivationCurve, beta_table, fit_beta, spin_beta
 from .dataset import (
     Scaler,
-    _arrays,
     fit_scaler,
     generate,
     read_dataset_csv,
@@ -209,8 +208,7 @@ def cmd_dataset(ns: argparse.Namespace, cfg: dict) -> int:
     samples, meta = generate(net, cfg["n"], mult_range=(lo, hi), seed=cfg["seed"],
                              coupled=cfg["coupled"], perturb_all_loads=cfg["perturb_all_loads"])
 
-    usable = [s for s in samples if s.converged]
-    train_s, test_s = split(usable, cfg["split"], cfg["seed"])
+    train_s, test_s = split(samples[samples.converged], cfg["split"], cfg["seed"])
     meta = replace(meta, split_ratio=cfg["split"], split_seed=cfg["seed"])
 
     out = _out_dir(cfg)
@@ -269,8 +267,9 @@ def _fit_doc(fit, curve: ActivationCurve) -> dict:
 
 
 def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
-    if isinstance(cfg["spin"], str):
-        cfg["spin"] = _parse_spin(cfg["spin"])
+    # a float either way, so `--spin 1` and a config's "spin": 1 name the same artifacts
+    spin = cfg["spin"]
+    cfg["spin"] = _parse_spin(spin) if isinstance(spin, str) else float(spin)
     params = CollisionParams(
         tau=cfg["tau"],
         n_collisions=cfg["collisions"],
@@ -347,10 +346,11 @@ def _load_split(prefix: str, which: str):
     path = Path(f"{prefix}_{which}.csv")
     if not path.exists():
         raise FileNotFoundError(f"{path}: no such dataset split")
-    samples = [s for s in read_dataset_csv(path, meta) if s.converged]
-    if not samples:
+    samples = read_dataset_csv(path, meta)
+    samples = samples[samples.converged]
+    if not len(samples):
         raise ValidationError(f"{path}: no converged rows")
-    return _arrays(samples)
+    return samples.inputs, samples.targets
 
 
 def _scaled(arr: np.ndarray | None, scaler: Scaler | None) -> np.ndarray | None:

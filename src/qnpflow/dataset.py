@@ -1,6 +1,7 @@
 """Load-perturbation dataset generation, deterministic splitting, scalers, and file I/O.
 
-The dataset files hold unscaled values; `train` fits its scalers on the train
+A dataset is one `Samples` of column arrays from generation to training. The
+dataset files hold unscaled values; `train` fits its scalers on the train
 split and stores them in the model file.
 
 Angle convention: targets are radians in memory and degrees in CSV exports
@@ -26,14 +27,21 @@ CONSTANT_EPS = 1e-12
 
 
 @dataclass
-class SampleRecord:
-    """One perturbed load case: draw factors, solver inputs, solved targets."""
+class Samples:
+    """Perturbed load cases as columns: row i of each array is one case.
+    Targets are radians, NaN unless the case converged."""
 
-    sample_id: int
+    sample_id: np.ndarray
     scale_factors: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
-    converged: bool
+    converged: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.sample_id)
+
+    def __getitem__(self, rows) -> "Samples":
+        return Samples(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -168,7 +176,7 @@ def generate(
     *,
     coupled: bool = False,
     perturb_all_loads: bool = False,
-) -> tuple[list[SampleRecord], DatasetMeta]:
+) -> tuple[Samples, DatasetMeta]:
     """Draw uniform load multipliers, solve every case, and record the map.
 
     By default each PQ bus gets its own P and Q multiplier; `coupled` draws
@@ -208,11 +216,6 @@ def generate(
                       solver.tol, solver.max_iter)
     targets = np.hstack([res.v_mag[:, net.pq_indices], res.delta[:, net.non_slack_indices]])
     targets[~res.converged] = np.nan
-    samples = [
-        SampleRecord(sample_id=idx, scale_factors=factors[idx], inputs=inputs[idx],
-                     targets=targets[idx], converged=bool(res.converged[idx]))
-        for idx in range(n)
-    ]
     n_converged = int(res.converged.sum())
 
     if n_converged < CONVERGED_SHARE * n:
@@ -232,18 +235,16 @@ def generate(
         input_labels=input_labels,
         target_labels=target_labels,
     )
-    return samples, meta
+    return Samples(np.arange(n), factors, inputs, targets, res.converged), meta
 
 
-def split(samples: list[SampleRecord], ratio: float, seed: int) -> tuple[list[SampleRecord], list[SampleRecord]]:
+def split(samples: Samples, ratio: float, seed: int) -> tuple[Samples, Samples]:
     """Shuffle deterministically and cut at floor(n * ratio)."""
     if not 0 < ratio < 1:
         raise ValidationError(f"split ratio must lie in (0, 1), got {ratio}")
     perm = np.random.default_rng(seed).permutation(len(samples))
     cut = int(math.floor(len(samples) * ratio))
-    train = [samples[i] for i in perm[:cut]]
-    test = [samples[i] for i in perm[cut:]]
-    return train, test
+    return samples[perm[:cut]], samples[perm[cut:]]
 
 
 @dataclass
@@ -315,31 +316,25 @@ def fit_scaler(x: np.ndarray, kind: str = "minmax") -> Scaler:
     return Scaler(kind=kind, center=center, scale=scale, passthrough=scale < CONSTANT_EPS)
 
 
-def _arrays(samples: list[SampleRecord]) -> tuple[np.ndarray, np.ndarray]:
-    return (
-        np.array([s.inputs for s in samples]),
-        np.array([s.targets for s in samples]),
-    )
+def _layout(meta: DatasetMeta) -> tuple[list[str], np.ndarray]:
+    """The CSV header, and the angle targets' columns among a row's float
+    cells (draw factors, inputs, targets)."""
+    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    angle = [lab.startswith("delta_") and lab.endswith("_deg") for lab in meta.target_labels]
+    return header, len(meta.mult_labels) + len(meta.input_labels) + np.flatnonzero(angle)
 
 
-def _is_angle(label: str) -> bool:
-    return label.startswith("delta_") and label.endswith("_deg")
-
-
-def write_dataset_csv(samples: list[SampleRecord], meta: DatasetMeta, path: str | Path) -> None:
+def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> None:
     """One row per sample; angle targets converted to degrees per the labels.
 
     The whole split is formatted as one block, in the bytes of the default csv
     dialect: `\\r\\n` line ends, and no cell (labels of integer bus ids, float
     reprs) ever needs quoting. An empty split writes only the header line."""
-    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
-    values = np.hstack([np.array([s.scale_factors for s in samples]), *_arrays(samples)])
-    values = values.reshape(len(samples), len(header) - 2)  # also shapes an empty split
-    front = len(meta.mult_labels) + len(meta.input_labels)
-    angle = front + np.flatnonzero([_is_angle(lab) for lab in meta.target_labels])
+    header, angle = _layout(meta)
+    values = np.hstack([samples.scale_factors, samples.inputs, samples.targets])
     values[:, angle] = np.degrees(values[:, angle])
-    rows = [f"{s.sample_id},{','.join(map(repr, row))},{int(s.converged)}"
-            for s, row in zip(samples, values.tolist())]
+    rows = [f"{idx},{','.join(map(repr, row))},{flag:d}" for idx, row, flag
+            in zip(samples.sample_id.tolist(), values.tolist(), samples.converged.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *rows, ""]))
 
@@ -363,36 +358,37 @@ def read_meta_json(path: str | Path) -> DatasetMeta:
     return meta
 
 
-def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> list[SampleRecord]:
+def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> Samples:
     """Inverse of write_dataset_csv; angle columns come back as radians. Every
-    cell must be finite, except the targets of a row with `converged` 0."""
-    expected = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
-    samples = []
+    cell must be finite, except the targets of a row with `converged` 0, and
+    `converged` must be 0 or 1. ParseError names the line of a bad row."""
+    expected, angle = _layout(meta)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise ParseError(f"{path}: header {header} does not match dataset metadata")
-        n_m, n_i, n_t = len(meta.mult_labels), len(meta.input_labels), len(meta.target_labels)
+        rows = [(reader.line_num, row) for row in reader]
+
+    table = np.empty((len(rows), len(expected) - 2))
+    sample_id = np.empty(len(rows), dtype=int)
+    converged = np.empty(len(rows), dtype=bool)
+    for k, (line, row) in enumerate(rows):
         try:
-            for row in reader:
-                if len(row) != len(expected):
-                    raise ParseError(f"{path}: row with {len(row)} fields, expected {len(expected)}")
-                vals = [float(v) for v in row[1: 1 + n_m + n_i + n_t]]
-                converged = bool(int(row[-1]))
-                if not all(map(math.isfinite, vals if converged else vals[:n_m + n_i])):
-                    raise ParseError(f"{path}: line {reader.line_num}: non-finite number")
-                targets = np.array([
-                    math.radians(v) if _is_angle(lab) else v
-                    for lab, v in zip(meta.target_labels, vals[n_m + n_i:])
-                ])
-                samples.append(SampleRecord(
-                    sample_id=int(row[0]),
-                    scale_factors=np.array(vals[:n_m]),
-                    inputs=np.array(vals[n_m: n_m + n_i]),
-                    targets=targets,
-                    converged=converged,
-                ))
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
-    return samples
+            if len(row) != len(expected):
+                raise ValueError(f"row with {len(row)} fields, expected {len(expected)}")
+            if row[-1] not in ("0", "1"):
+                raise ValueError(f"converged must be 0 or 1, got {row[-1]!r}")
+            sample_id[k], converged[k] = int(row[0]), row[-1] == "1"
+            table[k] = row[1:-1]
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: line {line}: {exc}") from None
+
+    n_m, n_i = len(meta.mult_labels), len(meta.input_labels)
+    finite = np.isfinite(table)
+    finite[~converged, n_m + n_i:] = True  # the targets of a failed case are NaN
+    bad = np.flatnonzero(~finite.all(axis=1))
+    if bad.size:
+        raise ParseError(f"{path}: line {rows[bad[0]][0]}: non-finite number")
+    table[:, angle] = np.radians(table[:, angle])
+    return Samples(sample_id, *np.split(table, [n_m, n_m + n_i], axis=1), converged)

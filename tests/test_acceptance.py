@@ -228,9 +228,8 @@ def run_training_grid():
     table3 preset at 50 epochs, betas x seeds 0-4."""
     network = load_network(NETWORK_PATH)
     samples, _ = generate(network, 500, mult_range=(0.8, 1.2), seed=42)
-    usable = [s for s in samples if s.converged]
-    x = np.array([s.inputs for s in usable])
-    y = np.array([s.targets for s in usable])
+    usable = samples[samples.converged]
+    x, y = usable.inputs, usable.targets
     xs = fit_scaler(x, "minmax").transform(x)
     runs = {}
     for beta in BETAS:

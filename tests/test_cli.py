@@ -282,6 +282,24 @@ def test_activation_simulate_untabulated_spin_has_null_table_beta(tmp_path):
     assert fit["spin_j"] == 2.0 and fit["table_beta"] is None
 
 
+def test_activation_simulate_spin_flag_and_config_write_same_files(tmp_path):
+    # the config's integer 1 and the flag's text "1" both resolve to spin 1.0
+    config = write_doc({"spin": 1}, tmp_path, name="spin.json")
+    written = {}
+    for route, args in (("flag", ["--spin", "1"]), ("config", ["--config", config])):
+        out = tmp_path / "out"
+        res = cli("activation", "simulate", *args, "--points", 5, "--collisions", 100,
+                  "--out-dir", out)
+        assert res.returncode == 0, res.stderr
+        written[route] = {p.name: p.read_bytes() for p in out.iterdir()}
+        for p in out.iterdir():
+            p.unlink()
+    assert written["flag"] == written["config"]
+    assert sorted(written["flag"]) == ["activation_simulate_config.json", "curve_spin1.0.csv",
+                                       "fit_spin1.0.json"]
+    assert json.loads(written["flag"]["activation_simulate_config.json"])["spin"] == 1.0
+
+
 def test_activation_simulate_warns_on_capped_points(curve_run):
     out, res = curve_run
     with open(out / "curve_spin0.5.csv", newline="") as fh:
@@ -370,7 +388,7 @@ def test_train_model_holds_scalers_fitted_on_train_rows(trained_dir, dataset_dir
     model = json.loads((trained_dir / "model.json").read_text())
     prefix = dataset_dir / "data"
     meta = read_meta_json(f"{prefix}_meta.json")
-    x = np.array([s.inputs for s in read_dataset_csv(f"{prefix}_train.csv", meta)])
+    x = read_dataset_csv(f"{prefix}_train.csv", meta).inputs
     assert model["scalers"]["inputs"]["center"] == x.min(axis=0).tolist()
     assert model["scalers"]["inputs"]["scale"] == (x.max(axis=0) - x.min(axis=0)).tolist()
 
@@ -424,16 +442,24 @@ def test_train_meta_labels_not_strings_exits_4(dataset_dir, tmp_path):
     assert "Traceback" not in res.stderr
 
 
-def test_train_non_numeric_cell_exits_4(dataset_dir, tmp_path):
+@pytest.mark.parametrize("cell, text, message", [
+    (3, "abc", "could not convert string to float: 'abc'"),
+    (-1, "2", "converged must be 0 or 1, got '2'"),
+    (None, "", "row with 0 fields, expected 21"),
+], ids=["value", "converged-2", "blank-line"])
+def test_train_non_numeric_cell_exits_4(dataset_dir, tmp_path, cell, text, message):
     prefix = copy_split(dataset_dir, tmp_path)
     lines = (tmp_path / "data_train.csv").read_text().splitlines()
     cells = lines[2].split(",")
-    cells[3] = "abc"
+    if cell is None:  # the whole line
+        cells = [text]
+    else:
+        cells[cell] = text
     lines[2] = ",".join(cells)
     (tmp_path / "data_train.csv").write_text("\n".join(lines) + "\n")
     res = cli("train", prefix, "--preset", "table3", "--epochs", 1, "--out-dir", tmp_path / "out")
     assert res.returncode == 4, res.stderr
-    assert res.stderr.startswith("error:") and "line 3" in res.stderr
+    assert res.stderr.startswith(f"error: {tmp_path / 'data_train.csv'}: line 3: {message}")
     assert "Traceback" not in res.stderr
 
 

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from qnpflow.dataset import (
     DatasetMeta,
+    Samples,
     Scaler,
-    SampleRecord,
     fit_scaler,
     generate,
     read_dataset_csv,
@@ -39,15 +39,19 @@ from qnpflow.powerflow import StateVector, mismatch, solve
 # generation
 
 
+def assert_same_samples(a, b):
+    assert np.array_equal(a.sample_id, b.sample_id)
+    assert np.array_equal(a.scale_factors, b.scale_factors)
+    assert np.array_equal(a.inputs, b.inputs)
+    assert np.array_equal(a.targets, b.targets, equal_nan=True)
+    assert np.array_equal(a.converged, b.converged)
+
+
 def test_generation_is_deterministic_and_prefix_stable(base_net):
     short, _ = generate(base_net, 50, seed=3)
     long, _ = generate(base_net, 200, seed=3)
-    for a, b in zip(short, long):
-        assert a.sample_id == b.sample_id
-        assert np.array_equal(a.scale_factors, b.scale_factors)
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.targets, b.targets, equal_nan=True)
-        assert a.converged == b.converged
+    assert len(short) == 50 and len(long) == 200
+    assert_same_samples(short, long[:50])
 
 
 # one- to five-word seeds: 2**130 + 3 with the sample index makes six entropy
@@ -68,9 +72,9 @@ def test_batched_draws_bitwise_equal_per_sample_generators(seed, k):
 
 
 def test_single_sample_draws_are_its_generators(base_net):
-    (s,), _ = generate(base_net, 1, seed=2**64 + 5)
-    expected = np.random.default_rng([2**64 + 5, 0]).uniform(0.8, 1.2, 4)
-    assert np.array_equal(s.scale_factors.view(np.uint64), expected.view(np.uint64))
+    samples, _ = generate(base_net, 1, seed=2**64 + 5)
+    expected = np.random.default_rng([2**64 + 5, 0]).uniform(0.8, 1.2, (1, 4))
+    assert np.array_equal(samples.scale_factors.view(np.uint64), expected.view(np.uint64))
 
 
 def per_sample_reference(net, n, mult_range, seed, coupled=False, perturb_all_loads=False):
@@ -131,16 +135,16 @@ def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_
     monkeypatch.setattr(dataset, "solve_batch", capture)
     samples, meta = generate(base_net, 500, mult_range=mult_range, seed=5, **opts)
     (res,) = batches
-    reference = per_sample_reference(base_net, 500, mult_range, 5, **opts)
-    for s, (factors, inputs, targets, converged, steps) in zip(samples, reference, strict=True):
-        assert np.array_equal(s.scale_factors, factors)
-        assert np.array_equal(s.inputs, inputs)
-        assert np.array_equal(s.targets, targets, equal_nan=True)
-        assert s.converged is converged
-        if steps is None:
-            assert res.singular[s.sample_id]
+    factors, inputs, targets, converged, steps = zip(
+        *per_sample_reference(base_net, 500, mult_range, 5, **opts))
+    assert_same_samples(samples, Samples(np.arange(500), np.array(factors), np.array(inputs),
+                                         np.array(targets), np.array(converged)))
+    assert samples.converged.dtype == bool
+    for idx, step in enumerate(steps):
+        if step is None:
+            assert res.singular[idx]
         else:
-            assert res.iterations[s.sample_id] == steps
+            assert res.iterations[idx] == step
     if mult_range == (1.0, 5.5):
         # near voltage collapse some cases hit the step cap
         assert 0 < meta.n_requested - meta.n_converged < 0.05 * meta.n_requested
@@ -175,10 +179,10 @@ def test_multipliers_cover_pq_loads_only(base_net):
     n = base_net.n
     pq = set(base_net.pq_indices)
     assert len(meta.mult_labels) == 2 * len(pq)
-    stacked = np.array([s.scale_factors for s in samples])
+    stacked = samples.scale_factors
     assert stacked.shape == (30, 2 * len(pq))
     assert np.all(stacked >= 0.8) and np.all(stacked <= 1.2)
-    inputs = np.array([s.inputs for s in samples])
+    inputs = samples.inputs
     for i in range(n):
         if i not in pq:
             assert np.ptp(inputs[:, i]) == 0.0
@@ -227,10 +231,10 @@ def test_generate_validation(base_net):
 def test_meta_counts(base_net):
     samples, meta = generate(base_net, 12, seed=9)
     assert meta.n_requested == 12
-    assert meta.n_converged == sum(s.converged for s in samples)
+    assert meta.n_converged == samples.converged.sum()
     assert meta.network_fingerprint == base_net.fingerprint
-    assert len(meta.input_labels) == len(samples[0].inputs)
-    assert len(meta.target_labels) == len(samples[0].targets)
+    assert samples.inputs.shape == (12, len(meta.input_labels))
+    assert samples.targets.shape == (12, len(meta.target_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -241,16 +245,15 @@ def test_split_sizes_and_partition(base_net):
     samples, _ = generate(base_net, 10, seed=6)
     train, test = split(samples, 0.75, seed=0)
     assert len(train) == 7 and len(test) == 3
-    ids = sorted(s.sample_id for s in train + test)
+    ids = sorted(np.concatenate([train.sample_id, test.sample_id]).tolist())
     assert ids == list(range(10))
+    for part in (train, test):  # every column keeps the rows of its sample ids
+        assert_same_samples(part, samples[part.sample_id])
 
 
-def test_split_two_samples():
-    class Stub:
-        def __init__(self, i):
-            self.sample_id = i
-
-    train, test = split([Stub(0), Stub(1)], 0.5, seed=1)
+def test_split_two_samples(base_net):
+    samples, _ = generate(base_net, 2, seed=1)
+    train, test = split(samples, 0.5, seed=1)
     assert len(train) == 1 and len(test) == 1
 
 
@@ -258,8 +261,8 @@ def test_split_same_seed_same_partition(base_net):
     samples, _ = generate(base_net, 20, seed=7)
     a_train, a_test = split(samples, 0.8, seed=5)
     b_train, b_test = split(samples, 0.8, seed=5)
-    assert [s.sample_id for s in a_train] == [s.sample_id for s in b_train]
-    assert [s.sample_id for s in a_test] == [s.sample_id for s in b_test]
+    assert a_train.sample_id.tolist() == b_train.sample_id.tolist()
+    assert a_test.sample_id.tolist() == b_test.sample_id.tolist()
 
 
 def test_split_rejects_degenerate_ratio():
@@ -361,7 +364,7 @@ def test_scaler_dict_round_trip():
 def write_prefix(tmp_path, samples, meta, ratio, seed):
     """Split the converged samples and write them under one prefix, as the
     dataset command does."""
-    train, test = split([s for s in samples if s.converged], ratio, seed)
+    train, test = split(samples[samples.converged], ratio, seed)
     meta = replace(meta, split_ratio=ratio, split_seed=seed)
     prefix = str(tmp_path / "data")
     write_dataset_csv(train, meta, f"{prefix}_train.csv")
@@ -387,9 +390,10 @@ def test_train_set_has_no_test_leakage(base_net, tmp_path):
     samples, meta = generate(base_net, 30, seed=12)
     prefix, meta, _, test = write_prefix(tmp_path, samples, meta, 0.8, 13)
     _, fs_a, ts_a = _train_set(prefix, "minmax", "minmax", with_test=True)
-    # mangle every record on the test side, then refit
-    write_dataset_csv([replace_sample(s, factor=100.0) for s in test], meta,
-                      f"{prefix}_test.csv")
+    # mangle every row on the test side, then refit
+    mangled = replace(test, scale_factors=test.scale_factors * 100.0,
+                      inputs=test.inputs * 100.0, targets=test.targets * 100.0)
+    write_dataset_csv(mangled, meta, f"{prefix}_test.csv")
     data, fs_b, ts_b = _train_set(prefix, "minmax", "minmax", with_test=True)
     assert data.x_test[:, ~fs_b.passthrough].max() > 1.0
     assert np.array_equal(fs_a.center, fs_b.center)
@@ -398,22 +402,12 @@ def test_train_set_has_no_test_leakage(base_net, tmp_path):
     assert np.array_equal(ts_a.scale, ts_b.scale)
 
 
-def replace_sample(s, factor):
-    return SampleRecord(
-        sample_id=s.sample_id,
-        scale_factors=s.scale_factors * factor,
-        inputs=s.inputs * factor,
-        targets=s.targets * factor,
-        converged=s.converged,
-    )
-
-
 def test_train_set_inverts_targets(base_net, tmp_path):
     samples, meta = generate(base_net, 25, seed=14)
     prefix, _, _, test = write_prefix(tmp_path, samples, meta, 0.8, 15)
     data, _, _ = _train_set(prefix, "minmax", "minmax", with_test=True)
     raw = data.invert_targets(data.y_test)
-    assert np.allclose(raw, np.array([s.targets for s in test]), atol=1e-12)
+    assert np.allclose(raw, test.targets, atol=1e-12)
 
 
 def test_train_set_unscaled_side_and_train_only(base_net, tmp_path):
@@ -422,7 +416,7 @@ def test_train_set_unscaled_side_and_train_only(base_net, tmp_path):
     data, fs, ts = _train_set(prefix, "minmax", "none", with_test=False)
     assert fs is not None and ts is None and data.invert_targets is None
     assert data.x_test is None and data.y_test is None
-    assert np.allclose(data.y_train, np.array([s.targets for s in train]), atol=1e-12)
+    assert np.allclose(data.y_train, train.targets, atol=1e-12)
     # a prefix without a test file trains on the train split alone
     Path(f"{prefix}_test.csv").unlink()
     data, _, _ = _train_set(prefix, "minmax", "none", with_test=True)
@@ -439,13 +433,14 @@ def test_csv_round_trip(base_net, tmp_path):
     write_dataset_csv(samples, meta, path)
     back = read_dataset_csv(path, meta)
     assert len(back) == len(samples)
-    for a, b in zip(samples, back):
-        assert a.sample_id == b.sample_id
-        assert np.array_equal(a.inputs, b.inputs)
-        assert np.array_equal(a.scale_factors, b.scale_factors)
-        # angle columns pass through a radians->degrees->radians conversion
-        assert np.allclose(a.targets, b.targets, rtol=1e-13, atol=1e-16)
-        assert a.converged == b.converged
+    assert np.array_equal(back.sample_id, samples.sample_id)
+    assert np.array_equal(back.inputs, samples.inputs)
+    assert np.array_equal(back.scale_factors, samples.scale_factors)
+    # angle columns pass through a radians->degrees->radians conversion
+    assert np.allclose(back.targets, samples.targets, rtol=1e-13, atol=1e-16)
+    angle = np.array([lab.endswith("_deg") for lab in meta.target_labels])
+    assert np.array_equal(back.targets[:, ~angle], samples.targets[:, ~angle])
+    assert np.array_equal(back.converged, samples.converged)
 
 
 def test_csv_header_mismatch_raises(base_net, tmp_path):
@@ -459,17 +454,30 @@ def test_csv_header_mismatch_raises(base_net, tmp_path):
         read_dataset_csv(path, meta)
 
 
-@pytest.mark.parametrize("cell", [3, 0, -1], ids=["value", "sample_id", "converged"])
-def test_csv_non_numeric_cell_raises(base_net, tmp_path, cell):
+@pytest.mark.parametrize("cell, text, message", [
+    (3, "abc", "could not convert string to float: 'abc'"),
+    (0, "abc", "invalid literal for int"),
+    (-1, "abc", "converged must be 0 or 1, got 'abc'"),
+    (0, "1.5", "invalid literal for int"),
+    (-1, "1.5", "converged must be 0 or 1, got '1.5'"),
+    (-1, "2", "converged must be 0 or 1, got '2'"),
+    (0, "1" + "0" * 20, ""),
+    (None, "", "row with 0 fields, expected 21"),
+], ids=["value", "sample_id", "converged", "fractional-sample_id", "fractional-converged",
+        "converged-2", "huge-sample_id", "blank-line"])
+def test_csv_non_numeric_cell_raises(base_net, tmp_path, cell, text, message):
     samples, meta = generate(base_net, 3, seed=17)
     path = tmp_path / "data.csv"
     write_dataset_csv(samples, meta, path)
     lines = path.read_text().splitlines()
     cells = lines[2].split(",")
-    cells[cell] = "abc"
+    if cell is None:  # the whole line
+        cells = [text]
+    else:
+        cells[cell] = text
     lines[2] = ",".join(cells)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError, match="line 3"):
+    with pytest.raises(ParseError, match=f"data.csv: line 3: {message}"):
         read_dataset_csv(path, meta)
 
 
@@ -485,9 +493,9 @@ def stressed_csv(base_net, tmp_path_factory):
 def test_csv_keeps_nan_targets_of_non_converged_rows(stressed_csv):
     path, meta, samples = stressed_csv
     back = read_dataset_csv(path, meta)
-    failed = [b for b in back if not b.converged]
-    assert failed and len(failed) == sum(not s.converged for s in samples)
-    assert all(np.isnan(b.targets).all() for b in failed)
+    failed = back[~back.converged]
+    assert len(failed) and np.array_equal(failed.sample_id, samples.sample_id[~samples.converged])
+    assert np.isnan(failed.targets).all()
 
 
 @pytest.mark.parametrize("converged, column, text", [

@@ -4,7 +4,8 @@ perfbench/spans.py wraps package attributes by name, the activation workload
 reads cli.SIMULATE_DEFAULTS["g"], and perfbench/child.py reads attributes of
 the package modules it imports; a renamed or deleted one breaks the benchmark
 only when it runs. spans.py imports only the standard library, so it is
-loaded by path; child.py is parsed, not run.
+loaded by path; child.py is parsed, not run, apart from single functions
+compiled from its source.
 """
 import ast
 import importlib
@@ -12,6 +13,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from qnpflow import dataset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS_PATH = PERFBENCH / "spans.py"
@@ -56,3 +59,23 @@ def test_child_reads_are_found():
 def test_child_read_exists(name):
     module, attr = name.split(".")
     assert hasattr(importlib.import_module(f"qnpflow.{module}"), attr)
+
+
+def child_function(name):
+    """The function `name` of perfbench/child.py, compiled alone with the
+    package's `dataset` module as its only global."""
+    tree = ast.parse((PERFBENCH / "child.py").read_text())
+    (node,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name]
+    namespace = {"dataset": dataset}
+    exec(compile(ast.Module([node], type_ignores=[]), "child.py", "exec"), namespace)
+    return namespace[name]
+
+
+def test_child_train_rows_counts_converged_rows(base_net, tmp_path):
+    # child.py iterates over read_dataset_csv's result and sums `.converged`
+    samples, meta = dataset.generate(base_net, 300, mult_range=(1.0, 5.5), seed=5)
+    prefix = tmp_path / "data"
+    dataset.write_dataset_csv(samples, meta, f"{prefix}_train.csv")
+    dataset.write_meta_json(meta, f"{prefix}_meta.json")
+    rows = child_function("_train_rows")(str(prefix))
+    assert rows == samples.converged.sum() < len(samples)
