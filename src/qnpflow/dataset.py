@@ -329,12 +329,21 @@ def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> 
 
     The whole split is formatted as one block, in the bytes of the default csv
     dialect: `\\r\\n` line ends, and no cell (labels of integer bus ids, float
-    reprs) ever needs quoting. An empty split writes only the header line."""
+    reprs) ever needs quoting. Each row goes through one `%` template that
+    holds as text every column with one bit pattern in all rows (such as the
+    fixed voltages), so only the other cells are formatted per row. An empty
+    split writes only the header line."""
     header, angle = _layout(meta)
     values = np.hstack([samples.scale_factors, samples.inputs, samples.targets])
     values[:, angle] = np.degrees(values[:, angle])
-    rows = [f"{idx},{','.join(map(repr, row))},{flag:d}" for idx, row, flag
-            in zip(samples.sample_id.tolist(), values.tolist(), samples.converged.tolist())]
+    rows = []
+    if len(values):
+        bits = values.view(np.int64)
+        same = (bits == bits[0]).all(axis=0)
+        template = ",".join(["%d", *(repr(v) if c else "%r" for v, c
+                                     in zip(values[0].tolist(), same.tolist())), "%d"])
+        rows = [template % (idx, *row, flag) for idx, row, flag
+                in zip(samples.sample_id.tolist(), values[:, ~same].tolist(), samples.converged.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join([",".join(header), *rows, ""]))
 

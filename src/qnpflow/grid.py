@@ -84,7 +84,8 @@ class NetworkModel:
     What the solver reads on every call is computed once, at construction:
     the bus index sets as integer arrays that index directly, and the
     per-unit schedule (`p_sched`, `q_sched`), NaN where the quantity is an
-    unknown. The content hash is computed on first read.
+    unknown. The Jacobian's gather index and the content hash are computed
+    on first read.
     """
 
     buses: tuple[BusRecord, ...]
@@ -128,6 +129,20 @@ class NetworkModel:
         p_gen = np.array([b.p_gen for b in self.buses], dtype=float)  # None becomes NaN
         q_gen = np.array([b.q_gen for b in self.buses], dtype=float)
         return self.base.to_pu(p_gen - p_load), self.base.to_pu(q_gen - q_load)
+
+    @cached_property
+    def jacobian_index(self) -> np.ndarray:
+        """Flat positions (m, m) of the mismatch Jacobian's entries in the
+        bus derivatives (dS/d(delta), |V| dS/d|V|), each (n, n) complex,
+        stacked in that order and read as floats (real, imaginary). Rows take
+        P, the real part, at the non-slack buses, then Q, the imaginary part,
+        at the PQ buses; columns take delta at the non-slack buses, then |V|
+        at the PQ buses."""
+        bus = np.concatenate([self.non_slack_indices, self.pq_indices])
+        part = np.repeat([0, 1], [len(self.non_slack_indices), len(self.pq_indices)])
+        index = ((part * self.n + bus[:, None]) * self.n + bus) * 2 + part[:, None]
+        index.setflags(write=False)
+        return index
 
     @cached_property
     def fingerprint(self) -> str:

@@ -21,6 +21,7 @@ from .errors import DimensionMismatch, NotConverged, SingularJacobian, Validatio
 from .grid import NetworkModel
 
 PIVOT_TOL = 1e-12
+PIVOT_MARGIN = 1e6  # see _pivots_reach_tol
 
 
 @dataclass
@@ -150,7 +151,9 @@ def jacobian(state: StateVector, net: NetworkModel) -> np.ndarray:
     row sums are S:
         dS/d(delta)  = j (diag(S) - vy)
         |V| dS/d|V|  = diag(S) + vy
-    P is the real part and Q the imaginary part of each.
+    P is the real part and Q the imaginary part of each. The (m, m) entries
+    are taken from the two stacked derivatives with one gather, at the flat
+    positions of NetworkModel.jacobian_index.
     """
     _check_state(state, net)
     v = _voltages(state)
@@ -158,11 +161,8 @@ def jacobian(state: StateVector, net: NetworkModel) -> np.ndarray:
     s = np.zeros_like(vy)
     diag = np.arange(net.n)
     s[..., diag, diag] = vy.sum(axis=-1)
-    ds_dd = 1j * (s - vy)
-    ds_dv = s + vy
-    ns, pq = net.non_slack_indices, net.pq_indices
-    return np.block([[-ds_dd.real[..., ns[:, None], ns], -ds_dv.real[..., ns[:, None], pq]],
-                     [-ds_dd.imag[..., pq[:, None], ns], -ds_dv.imag[..., pq[:, None], pq]]])
+    ds = np.stack([1j * (s - vy), s + vy], axis=-3).view(float)
+    return -ds.reshape(*ds.shape[:-3], -1)[..., net.jacobian_index]
 
 
 def _lu_pivots(a: np.ndarray) -> np.ndarray:
@@ -172,15 +172,50 @@ def _lu_pivots(a: np.ndarray) -> np.ndarray:
     does. After an exact zero pivot the later pivots are inf or NaN.
     """
     a = a.copy()
+    m = a.shape[-1]
     rows = np.arange(len(a))
     piv = np.empty(a.shape[:-1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        for k in range(a.shape[-1]):
+        for k in range(m):
             p = k + np.abs(a[:, k:, k]).argmax(axis=-1)
-            a[rows, k], a[rows, p] = a[rows, p], a[rows, k]
-            piv[:, k] = a[:, k, k]
-            a[:, k + 1:, k + 1:] -= a[:, k + 1:, k:k + 1] / a[:, k:k + 1, k:k + 1] * a[:, k:k + 1, k + 1:]
+            pivot_rows = a[rows, p]
+            a[rows, p] = a[:, k]
+            a[:, k] = pivot_rows
+            piv[:, k] = pivot_rows[:, k]
+            if k + 1 < m:
+                a[:, k + 1:, k + 1:] -= a[:, k + 1:, k:k + 1] / a[:, k:k + 1, k:k + 1] * a[:, k:k + 1, k + 1:]
     return piv
+
+
+def _pivots_reach_tol(jac: np.ndarray) -> np.ndarray:
+    """Mask of the matrices in a stack (B, m, m) whose partial-pivot LU
+    pivots (_lu_pivots) all reach PIVOT_TOL in magnitude.
+
+    Most rows are settled by one determinant. With alpha = max |J_ij|,
+    partial pivoting keeps |u_kk| <= 2^(k-1) alpha (Wilkinson 1961; Higham,
+    Accuracy and Stability of Numerical Algorithms, 9.3), so every pivot is
+    at least |det J| / (2^(m(m-1)/2) alpha^(m-1)). A row is cleared when
+    this bound exceeds PIVOT_MARGIN times both PIVOT_TOL and eps * alpha.
+    Why the margin suffices: the scan's rounded pivots and det's are exact
+    for J + E and J + F with |E|, |F| < m^3 2^m eps alpha (Higham, Thm 9.3).
+    With the bound above 1e6 eps alpha, ||(J + F)^-1 (E - F)|| < 0.04 for
+    every m (the worst is m = 6), so |det(J + E)| is at least 3/4 of the
+    computed |det J| and every pivot of the scan at least 3/4 of the bound:
+    far above PIVOT_TOL. The eps term keeps a singular matrix, whose
+    |det(J / alpha)| is rounding noise up to ~1e-16, from being cleared at
+    large alpha. The comparison is strict, so rows with alpha = 0, NaN or
+    inf fall through. Only the rows not cleared run the scan, so the mask is
+    the scan's, row for row.
+    """
+    m = jac.shape[-1]
+    alpha = np.abs(jac).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = np.ldexp(np.abs(np.linalg.det(jac / alpha[:, None, None])) * alpha, -(m * (m - 1) // 2))
+        ok = bound > PIVOT_MARGIN * np.maximum(PIVOT_TOL, np.finfo(float).eps * alpha)
+    if not ok.all():
+        # any(), not min(): the pivots after an exact zero are NaN
+        ok[~ok] = ~np.any(np.abs(_lu_pivots(jac[~ok])) < PIVOT_TOL, axis=-1)
+    return ok
 
 
 def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tuple[StateVector, np.ndarray]:
@@ -189,11 +224,10 @@ def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tupl
 
     Returns the corrected states of the cases whose LU pivots all reach
     PIVOT_TOL, and the mask of those cases. The steps come from
-    np.linalg.solve; _lu_pivots serves only the check.
+    np.linalg.solve; the pivots serve only the check.
     """
     jac = jacobian(state, net)
-    # any(), not min(): the pivots after an exact zero are NaN
-    ok = ~np.any(np.abs(_lu_pivots(jac)) < PIVOT_TOL, axis=-1)
+    ok = _pivots_reach_tol(jac)
     dx = np.linalg.solve(jac[ok], -f[ok][..., None])[..., 0]
     ns, pq = net.non_slack_indices, net.pq_indices
     delta, v_mag = state.delta[ok], state.v_mag[ok]
@@ -241,11 +275,14 @@ def solve_batch(
     where unknown. `start` and the step cap `max_iter` broadcast to the
     cases. A case leaves the active set when its mismatch infinity norm drops
     below tol, when its Jacobian has a pivot below PIVOT_TOL, or at its cap;
-    the others step on. Injections are evaluated once per state. Each row of
-    the result is bit for bit what a batch of that case alone gives.
+    the others step on. A case with cap 0 keeps its start state; a negative
+    cap raises ValidationError. Injections are evaluated once per state. Each
+    row of the result is bit for bit what a batch of that case alone gives.
     """
     b = len(p_sched)
     caps = np.broadcast_to(max_iter, (b,))
+    if np.any(caps < 0):
+        raise ValidationError(f"step caps must be non-negative, got {caps.min()}")
     state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
     p, q = calc_injections(state, net)
@@ -254,7 +291,7 @@ def solve_batch(
     norms[:, 0] = _inf_norms(f)
     iterations = np.zeros(b, dtype=int)
     singular = np.zeros(b, dtype=bool)
-    active = np.flatnonzero(~(norms[:, 0] < tol))
+    active = np.flatnonzero(~(norms[:, 0] < tol) & (caps > 0))
     k = 0
     while active.size:
         k += 1
@@ -304,8 +341,10 @@ def gauss_seidel_oracle(
 
     PV buses substitute their calculated reactive power and renormalize the
     voltage magnitude to the setpoint after each update. Convergence uses the
-    same mismatch metric as solve(). Not used by solve() itself.
+    same mismatch metric as solve(). Not used by solve() itself. tol and
+    max_iter are checked as SolveOptions checks them.
     """
+    SolveOptions(tol=tol, max_iter=max_iter)
     p_sch, q_sch = net.p_sched, net.q_sched
     y = net.ybus.entries
     volt = _voltages(initial_state(net, flat_start=True))

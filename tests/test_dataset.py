@@ -565,21 +565,39 @@ def per_row_dataset_csv(samples, meta, path):
             writer.writerow([s.sample_id, *map(repr, values), int(s.converged)])
 
 
-@pytest.mark.parametrize("mult_range, opts, rows", [
+def signed_zero_column(samples):
+    """A column of 0.0 in every row but one, which holds -0.0: one value, two
+    bit patterns."""
+    samples.inputs[:, 0] = 0.0
+    samples.inputs[7, 0] = -0.0
+    return samples
+
+
+@pytest.mark.parametrize("mult_range, opts, pick", [
     ((0.8, 1.2), {}, None),
     ((0.8, 1.2), {"coupled": True}, None),
     ((0.8, 1.2), {"perturb_all_loads": True}, None),
+    ((0.8, 1.2), {"coupled": True, "perturb_all_loads": True}, None),
     ((1.0, 5.5), {}, None),
-    ((0.8, 1.2), {}, 0),
-], ids=["default", "coupled", "perturb_all_loads", "stressed", "empty"])
-def test_block_writer_matches_per_row_writer(base_net, tmp_path, mult_range, opts, rows):
+    ((1.0, 5.5), {}, lambda s: s[~s.converged]),
+    ((0.8, 1.2), {}, lambda s: s[:1]),
+    ((0.8, 1.2), {}, lambda s: s[:0]),
+    ((0.8, 1.2), {}, signed_zero_column),
+], ids=["default", "coupled", "perturb_all_loads", "coupled_all_loads", "stressed",
+        "nan_targets", "one_row", "empty", "signed_zero"])
+def test_block_writer_matches_per_row_writer(base_net, tmp_path, mult_range, opts, pick):
     samples, meta = generate(base_net, 300, mult_range=mult_range, seed=5, **opts)
     if mult_range == (1.0, 5.5):
-        assert any(not s.converged for s in samples)  # rows with nan targets
-    samples = samples[:rows]
+        assert 0 < sum(not s.converged for s in samples) < len(samples)  # rows with nan targets
+    if pick is not None:
+        samples = pick(samples)
     write_dataset_csv(samples, meta, tmp_path / "block.csv")
     per_row_dataset_csv(samples, meta, tmp_path / "rows.csv")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    if pick is signed_zero_column:
+        assert b",-0.0," in (tmp_path / "block.csv").read_bytes()
+    if mult_range == (1.0, 5.5) and pick is not None:  # every target column NaN
+        assert np.isnan(samples.targets).all() and not samples.converged.any()
 
 
 SCALER_KEYS = {"scaler_kind", "feature_scaler", "target_scaler"}

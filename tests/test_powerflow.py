@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpflow import powerflow
-from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian
+from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian, ValidationError
 from qnpflow.grid import AdmittanceMatrix, BusKind, BusRecord, NetworkModel, PerUnitBase
 from qnpflow.powerflow import (
     PIVOT_TOL,
@@ -85,6 +85,11 @@ def slack(i, v=1.0):
 def pq(i, p=0.0, q=0.0):
     return BusRecord(id=i, kind=BusKind.PQ, p_load=p, q_load=q, v_mag=1.0, v_angle=0.0,
                      p_gen=0.0, q_gen=0.0)
+
+
+def pv(i, p_gen=30.0, v=1.02):
+    return BusRecord(id=i, kind=BusKind.PV, p_load=0.0, q_load=0.0, v_mag=v, v_angle=0.0,
+                     p_gen=p_gen)
 
 
 @pytest.fixture()
@@ -269,18 +274,21 @@ def test_singular_jacobian():
 
 def reference_pivots(a):
     """Partial-pivot elimination of one matrix, one scalar at a time: the
-    first row of largest magnitude pivots each column."""
-    a = [[float(x) for x in row] for row in a]
+    first row of largest magnitude pivots each column, a NaN counting as
+    largest (numpy's argmax). IEEE scalars, so a zero pivot gives inf or NaN
+    after it."""
+    a = [[np.float64(x) for x in row] for row in a]
     m = len(a)
     pivots = []
-    for k in range(m):
-        p = max(range(k, m), key=lambda i: abs(a[i][k]))
-        a[k], a[p] = a[p], a[k]
-        pivots.append(a[k][k])
-        for i in range(k + 1, m):
-            factor = a[i][k] / a[k][k]
-            for j in range(k + 1, m):
-                a[i][j] -= factor * a[k][j]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(m):
+            p = max(range(k, m), key=lambda i: (np.isnan(a[i][k]), abs(a[i][k])))
+            a[k], a[p] = a[p], a[k]
+            pivots.append(a[k][k])
+            for i in range(k + 1, m):
+                factor = a[i][k] / a[k][k]
+                for j in range(k + 1, m):
+                    a[i][j] -= factor * a[k][j]
     return np.array(pivots)
 
 
@@ -327,6 +335,111 @@ def test_newton_update_flags_any_pivot_below_tol(base_net, monkeypatch):
     assert ok.tolist() == [True, False, True]
     assert np.isnan(pivots[1]).any() and np.isnan(pivots[2]).any()
     assert not np.min(np.abs(pivots[1])) < PIVOT_TOL  # why the check takes any(), not min()
+
+
+def pivot_check(stack):
+    """_pivots_reach_tol on a stack, with the rows that reached the scan."""
+    scanned = []
+    original = powerflow._lu_pivots
+
+    def spy(a):
+        scanned.append(len(a))
+        return original(a)
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(powerflow, "_lu_pivots", spy)
+        mask = powerflow._pivots_reach_tol(stack)
+    return mask, sum(scanned)
+
+
+def assert_check_matches_reference(stack):
+    """The mask is the reference scan's `no pivot below PIVOT_TOL`, row for
+    row; returns how many rows the determinant bound cleared."""
+    mask, scanned = pivot_check(stack)
+    ref = [not np.any(np.abs(reference_pivots(a)) < PIVOT_TOL) for a in stack]
+    assert mask.tolist() == ref
+    return len(stack) - scanned
+
+
+def plu_stack(rng, m, pivots):
+    """P L U with |l_ij| < 1, so partial pivoting meets the pivots of U."""
+    lower = np.tril(rng.uniform(-0.9, 0.9, (m, m)), -1) + np.eye(m)
+    upper = np.triu(rng.normal(size=(m, m)), 1) + np.diag(pivots)
+    return rng.permutation(np.eye(m)) @ lower @ upper
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0, 1e3, 1e6, 1e7])
+def test_pivot_check_near_tol_matches_reference(factor):
+    rng = np.random.default_rng(int(factor * 8))
+    stack = []
+    for m in (2, 5):
+        for position in range(m):
+            for _ in range(4):
+                pivots = rng.choice([-1, 1], m) * rng.uniform(0.5, 2.0, m)
+                pivots[position] = PIVOT_TOL * factor * rng.choice([-1, 1])
+                stack.append(plu_stack(rng, m, pivots)[None])
+    for a in stack:
+        assert_check_matches_reference(a)
+    if factor == 1.0:  # the rounded pivot lands on both sides of the tolerance
+        assert {pivot_check(a)[0][0] for a in stack} == {True, False}
+
+
+def test_pivot_check_over_scales_matches_reference():
+    rng = np.random.default_rng(43)
+    cleared = 0
+    for scale in 10.0 ** np.arange(-6, 7):
+        for m in (1, 3, 5):
+            cleared += assert_check_matches_reference(scale * rng.normal(size=(20, m, m)))
+    assert 0 < cleared < 13 * 3 * 20  # both the bound and the scan decide rows
+
+
+def test_pivot_check_on_singular_and_non_finite_matrices():
+    rng = np.random.default_rng(47)
+    a = rng.normal(size=(5, 5))
+    singular = a.copy()
+    singular[3] = singular[1]  # exactly singular: elimination leaves a zero row
+    stack = [np.zeros((5, 5)), singular, 1e6 * singular]
+    for bad in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 0), (4, 1), (2, 4)):
+            b = a.copy()
+            b[i, j] = bad
+            stack.append(b)
+    stack = np.array(stack)
+    assert assert_check_matches_reference(stack) == 0
+    assert not pivot_check(stack[:3])[0].any()
+
+    # a last row that combines the others: at large scale the determinant's
+    # rounding noise beats PIVOT_TOL, while the scan meets a pivot below it
+    dependent = rng.normal(size=(40, 5, 5))
+    dependent[:, 4] = np.einsum("bi,bij->bj", rng.normal(size=(40, 4)), dependent[:, :4])
+    for scale in (1e17, 1e20):
+        assert_check_matches_reference(scale * dependent)
+        assert not pivot_check(scale * dependent)[0].all()
+
+
+def test_pivot_check_on_flat_start_jacobians(base_net):
+    # bus 2 hangs on bus 3 alone, so each delta column's largest magnitudes tie
+    y = np.array([[2 - 6j, 0, -2 + 6j], [0, 1 - 4j, -1 + 4j], [-2 + 6j, -1 + 4j, 3 - 10j]])
+    chain = make_net([slack(1), pq(2, 20.0, 5.0), pq(3, 10.0, 2.0)], y)
+    for net in (base_net, chain):
+        jac = jacobian(initial_state(net), net)[None]
+        assert assert_check_matches_reference(jac) == 1
+    col = np.abs(jac[0, :, 0])
+    assert np.sum(col == col.max()) == 2
+
+
+def test_ordinary_jacobians_never_reach_the_scan(base_net, monkeypatch):
+    calls = []
+    monkeypatch.setattr(powerflow, "_lu_pivots", lambda a: calls.append(len(a)))
+    rng = np.random.default_rng(53)
+    states = [random_state(base_net, rng) for _ in range(200)]
+    stack = StateVector(np.array([s.delta for s in states]), np.array([s.v_mag for s in states]))
+    assert powerflow._pivots_reach_tol(jacobian(stack, base_net)).all()
+    solve(base_net)
+    _, _, p_sched, q_sched = perturbed_schedules(base_net, rng, 200)
+    assert solve_batch(base_net, initial_state(base_net), p_sched, q_sched, 1e-8, 20).converged.all()
+    assert calls == []
 
 
 def test_cli_import_loads_no_scipy():
@@ -459,6 +572,28 @@ def test_batch_retires_singular_and_capped_cases(base_net):
     assert sol.iterations == res.iterations[0]
 
 
+def test_batch_cap_zero_takes_no_step(base_net):
+    _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(59), 2)
+    start = initial_state(base_net)
+    p0, q0 = calc_injections(start, base_net)
+    for caps in ([0, 5], 0):
+        res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, caps)
+        capped = [0] if caps else [0, 1]
+        assert res.iterations.tolist() == ([0, 3] if caps else [0, 0])
+        for b in capped:
+            assert np.array_equal(res.delta[b], start.delta) and np.array_equal(res.v_mag[b], start.v_mag)
+            assert np.array_equal(res.p_calc[b], p0) and np.array_equal(res.q_calc[b], q0)
+            assert not res.converged[b] and not res.singular[b]
+            assert res.history(b) == res.norms[b, :1].tolist()
+
+
+@pytest.mark.parametrize("caps", [-1, [3, -2]])
+def test_batch_rejects_negative_cap(base_net, caps):
+    _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(61), 2)
+    with pytest.raises(ValidationError, match="non-negative"):
+        solve_batch(base_net, initial_state(base_net), p_sched, q_sched, 1e-8, caps)
+
+
 def test_batched_calls_match_single_states(base_net):
     rng = np.random.default_rng(17)
     states = [random_state(base_net, rng) for _ in range(8)]
@@ -469,6 +604,45 @@ def test_batched_calls_match_single_states(base_net):
         p_i, q_i = calc_injections(state, base_net)
         assert np.array_equal(p[i], p_i) and np.array_equal(q[i], q_i)
         assert np.array_equal(jac[i], jacobian(state, base_net))
+
+
+def block_jacobian(state, net):
+    """The np.block assembly of four fancy-indexed slices that jacobian()'s
+    one gather replaced; the same arithmetic."""
+    v = state.v_mag * np.exp(1j * state.delta)
+    vy = v[..., :, None] * np.conj(net.ybus.entries * v[..., None, :])
+    s = np.zeros_like(vy)
+    diag = np.arange(net.n)
+    s[..., diag, diag] = vy.sum(axis=-1)
+    ds_dd = 1j * (s - vy)
+    ds_dv = s + vy
+    ns, pq = net.non_slack_indices, net.pq_indices
+    return np.block([[-ds_dd.real[..., ns[:, None], ns], -ds_dv.real[..., ns[:, None], pq]],
+                     [-ds_dd.imag[..., pq[:, None], ns], -ds_dv.imag[..., pq[:, None], pq]]])
+
+
+def random_ybus(rng, n):
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return m + m.T
+
+
+@pytest.mark.parametrize("kind", ["paper4bus", "no_pv", "no_pq"])
+def test_jacobian_gather_bitwise_equals_block_reference(base_net, kind):
+    rng = np.random.default_rng(41)
+    net = {
+        "paper4bus": base_net,
+        "no_pv": make_net([slack(1), pq(2, 50.0, 20.0), pq(3, 30.0, 10.0)], random_ybus(rng, 3)),
+        "no_pq": make_net([slack(1), pv(2), pv(3, 20.0, 0.99)], random_ybus(rng, 3)),
+    }[kind]
+    assert len(net.pq_indices) == 0 if kind == "no_pq" else len(net.pq_indices) > 0
+    assert len(net.pv_indices) == 0 if kind == "no_pv" else len(net.pv_indices) > 0
+    m = len(net.non_slack_indices) + len(net.pq_indices)
+    states = [initial_state(net), *(random_state(net, rng) for _ in range(20))]
+    stack = StateVector(np.array([s.delta for s in states]), np.array([s.v_mag for s in states]))
+    for state in (*states, stack):
+        jac, ref = jacobian(state, net), block_jacobian(state, net)
+        assert jac.shape == ref.shape == (*state.delta.shape[:-1], m, m)
+        assert np.array_equal(jac.view(np.int64), ref.view(np.int64))
 
 
 # ------------------------------------------------------------ oracle equivalence
@@ -507,7 +681,12 @@ def test_solve_options_accept_valid(tol, max_iter):
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0}])
 def test_solve_options_reject_invalid(kwargs):
-    from qnpflow.errors import ValidationError
-
     with pytest.raises(ValidationError):
         SolveOptions(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": math.nan},
+                                    {"max_iter": 0}, {"max_iter": -3}])
+def test_gauss_seidel_rejects_invalid(base_net, kwargs):
+    with pytest.raises(ValidationError):
+        gauss_seidel_oracle(base_net, **kwargs)
