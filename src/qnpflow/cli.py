@@ -465,22 +465,23 @@ def cmd_sweep(ns: argparse.Namespace, cfg: dict) -> int:
     data, _, _ = _train_set(doc["data"], base["scale_inputs"], base["scale_targets"],
                             with_test=False)
 
+    def settings(beta, opt, seed):
+        hyper = _resolve_hyper({**base, "optimizer": opt, "seed": seed})
+        return build_topology(data.x_train.shape[1], data.y_train.shape[1], hyper, beta,
+                              base["output_beta"], base["bias"]), hyper
+
+    # Every run's settings are built, and so checked, before the first one trains.
+    grid = [(beta, opt, [settings(beta, opt, seed) for seed in seeds])
+            for beta in betas for opt in optimizers]
     rows = []
-    for beta in betas:
-        for opt in optimizers:
-            finals = []
-            for seed in seeds:
-                hyper = _resolve_hyper({**base, "optimizer": opt, "seed": seed})
-                topology = build_topology(data.x_train.shape[1], data.y_train.shape[1], hyper,
-                                          beta, base["output_beta"], base["bias"])
-                _, report = train(data, topology, hyper)
-                finals.append(report.final_train_mse)
-            rows.append({
-                "beta": beta, "optimizer": opt, "n_seeds": len(seeds),
-                "median_final_mse": statistics.median(finals),
-                "mean_final_mse": statistics.fmean(finals),
-                "min_final_mse": min(finals), "max_final_mse": max(finals),
-            })
+    for beta, opt, runs in grid:
+        finals = [train(data, topology, hyper)[1].final_train_mse for topology, hyper in runs]
+        rows.append({
+            "beta": beta, "optimizer": opt, "n_seeds": len(seeds),
+            "median_final_mse": statistics.median(finals),
+            "mean_final_mse": statistics.fmean(finals),
+            "min_final_mse": min(finals), "max_final_mse": max(finals),
+        })
 
     out = _out_dir(cfg)
     _write_snapshot(out, "sweep", {**doc, **cfg, "sweep_config": str(ns.sweep_config)})

@@ -191,8 +191,9 @@ def generate(
     TooFewConverged when fewer than 90% of the cases solve.
     """
     low, high = float(mult_range[0]), float(mult_range[1])
-    if not (0 < low <= high):
-        raise ValidationError(f"multiplier range must satisfy 0 < low <= high, got {mult_range}")
+    if not 0 < low <= high < math.inf:
+        raise ValidationError(f"multiplier range must satisfy 0 < low <= high < inf, "
+                              f"got {mult_range}")
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
     if seed < 0:

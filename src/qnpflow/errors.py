@@ -39,7 +39,7 @@ class InvalidSpin(QnpflowError):
 
 
 class InvalidDensityMatrix(QnpflowError):
-    """Raised when a matrix fails the density-matrix checks (trace, hermiticity, positivity)."""
+    """Raised when a density matrix is not square or holds non-finite entries."""
 
 
 class NoCoupling(QnpflowError):

@@ -116,9 +116,6 @@ class MLPParams:
             at += size
         return views[:n], views[n:]
 
-    def copy(self) -> "MLPParams":
-        return MLPParams(topology=self.topology, weights=self.weights, biases=self.biases)
-
 
 def glorot_init(topology: LayerTopology, seed: int) -> MLPParams:
     """Glorot-uniform weights in +-sqrt(6 / (fan_in + fan_out)), zero biases."""
@@ -155,11 +152,6 @@ def forward(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
             z = activate(z, topo.output_beta)
         acts.append(z)
     return acts
-
-
-def predict(params: MLPParams, x: np.ndarray) -> np.ndarray:
-    y = forward(params, x)[-1]
-    return y[0] if np.asarray(x).ndim == 1 else y
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:

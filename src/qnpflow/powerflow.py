@@ -1,4 +1,4 @@
-"""Newton-Raphson AC power flow, plus a Gauss-Seidel cross-check solver.
+"""Newton-Raphson AC power flow.
 
 State convention: the state is polar, angles in radians and magnitudes in
 per-unit, with the buses along the last axis; leading axes stack load cases
@@ -24,6 +24,11 @@ PIVOT_TOL = 1e-12
 PIVOT_MARGIN = 1e6  # see _pivots_reach_tol
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+
+
 @dataclass
 class SolveOptions:
     tol: float = 1e-8
@@ -31,8 +36,7 @@ class SolveOptions:
     flat_start: bool = True
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be positive, got {self.tol}")
+        _check_tol(self.tol)
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -248,19 +252,6 @@ def nr_step(state: StateVector, net: NetworkModel) -> tuple[StateVector, float]:
     return StateVector(new.delta[0], new.v_mag[0]), float(_inf_norms(f))
 
 
-def _solution(net, state, iterations, history, converged) -> PowerFlowSolution:
-    p_calc, q_calc = calc_injections(state, net)
-    return PowerFlowSolution(
-        v_mag=state.v_mag.copy(),
-        delta=state.delta.copy(),
-        p_calc=p_calc,
-        q_calc=q_calc,
-        iterations=iterations,
-        mismatch_history=list(history),
-        converged=converged,
-    )
-
-
 def solve_batch(
     net: NetworkModel,
     start: StateVector,
@@ -276,9 +267,11 @@ def solve_batch(
     cases. A case leaves the active set when its mismatch infinity norm drops
     below tol, when its Jacobian has a pivot below PIVOT_TOL, or at its cap;
     the others step on. A case with cap 0 keeps its start state; a negative
-    cap raises ValidationError. Injections are evaluated once per state. Each
-    row of the result is bit for bit what a batch of that case alone gives.
+    cap, or a tol that is not finite and positive, raises ValidationError.
+    Injections are evaluated once per state. Each row of the result is bit
+    for bit what a batch of that case alone gives.
     """
+    _check_tol(tol)
     b = len(p_sched)
     caps = np.broadcast_to(max_iter, (b,))
     if np.any(caps < 0):
@@ -331,42 +324,4 @@ def solve(net: NetworkModel, opts: SolveOptions | None = None) -> PowerFlowSolut
         iterations=int(res.iterations[0]),
         mismatch_history=history,
         converged=True,
-    )
-
-
-def gauss_seidel_oracle(
-    net: NetworkModel, tol: float = 1e-10, max_iter: int = 10000
-) -> PowerFlowSolution:
-    """Plain Gauss-Seidel sweep solver kept as an independent cross-check.
-
-    PV buses substitute their calculated reactive power and renormalize the
-    voltage magnitude to the setpoint after each update. Convergence uses the
-    same mismatch metric as solve(). Not used by solve() itself. tol and
-    max_iter are checked as SolveOptions checks them.
-    """
-    SolveOptions(tol=tol, max_iter=max_iter)
-    p_sch, q_sch = net.p_sched, net.q_sched
-    y = net.ybus.entries
-    volt = _voltages(initial_state(net, flat_start=True))
-    pv = set(net.pv_indices)
-    vset = {i: net.buses[i].v_mag for i in net.pv_indices}
-    history: list[float] = []
-    for k in range(1, max_iter + 1):
-        for i in net.non_slack_indices:
-            current = y[i] @ volt
-            if i in pv:
-                q_i = -np.imag(np.conj(volt[i]) * current)
-            else:
-                q_i = q_sch[i]
-            s_conj = p_sch[i] - 1j * q_i
-            volt[i] = (s_conj / np.conj(volt[i]) - (current - y[i, i] * volt[i])) / y[i, i]
-            if i in pv:
-                volt[i] = vset[i] * volt[i] / abs(volt[i])
-        state = StateVector(np.angle(volt), np.abs(volt))
-        norm = float(_inf_norms(mismatch(state, net)))
-        history.append(norm)
-        if norm < tol:
-            return _solution(net, state, k, history, True)
-    raise NotConverged(
-        f"Gauss-Seidel mismatch norm {norm:.3e} after {max_iter} sweeps", history
     )

@@ -20,12 +20,7 @@ from .activation import ActivationCurve
 from .errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationError
 
 STEADY_TOL = 1e-9
-# DensityMatrix.validate: largest trace and hermiticity defects, lowest eigenvalue
-TRACE_TOL = 1e-10
-HERM_TOL = 1e-10
-EIG_FLOOR = -1e-9
 
-SIGMA_Z = np.diag([1.0, -1.0])
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_MINUS = SIGMA_PLUS.T.copy()
 
@@ -44,6 +39,11 @@ def _check_spin(spin_j: float) -> float:
     return spin_j
 
 
+def _check_coupling(g: float) -> None:
+    if not 0 <= g < math.inf:
+        raise ValidationError(f"coupling g must be finite and non-negative, got {g}")
+
+
 @dataclass(frozen=True)
 class ReservoirSpec:
     """One information reservoir: unit state angles, spin size, coupling."""
@@ -57,8 +57,7 @@ class ReservoirSpec:
         _check_spin(self.spin_j)
         if not 0.0 <= self.theta <= math.pi:
             raise ValidationError(f"theta must lie in [0, pi], got {self.theta}")
-        if self.g < 0:
-            raise ValidationError(f"coupling g must be non-negative, got {self.g}")
+        _check_coupling(self.g)
 
 
 @dataclass(frozen=True)
@@ -69,17 +68,17 @@ class CollisionParams:
     propagator_mode: PropagatorMode = PropagatorMode.EXACT_EXPONENTIAL
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValidationError(f"tau must be positive, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValidationError(f"tau must be finite and positive, got {self.tau}")
         if self.n_collisions < 1:
             raise ValidationError(f"n_collisions must be at least 1, got {self.n_collisions}")
-        if self.gamma < 0:
-            raise ValidationError(f"gamma must be non-negative, got {self.gamma}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValidationError(f"gamma must be finite and non-negative, got {self.gamma}")
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Square complex matrix wrapper with density-operator checks on demand."""
+    """Read-only square complex matrix with finite entries."""
 
     entries: np.ndarray
 
@@ -92,39 +91,11 @@ class DensityMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    def validate(self) -> "DensityMatrix":
-        """Check unit trace, hermiticity and spectrum; raise InvalidDensityMatrix."""
-        tr = np.trace(self.entries)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise InvalidDensityMatrix(f"trace {tr} deviates from 1 beyond {TRACE_TOL}")
-        herm = np.max(np.abs(self.entries - self.entries.conj().T))
-        if herm > HERM_TOL:
-            raise InvalidDensityMatrix(f"hermiticity defect {herm:.3e} exceeds {HERM_TOL}")
-        lo = float(np.min(np.linalg.eigvalsh(self.entries)))
-        if lo < EIG_FLOOR:
-            raise InvalidDensityMatrix(f"eigenvalue {lo:.3e} below floor {EIG_FLOOR}")
-        return self
-
-    def expect(self, op: np.ndarray) -> float:
-        """Normalized expectation value tr(rho op) / tr(rho)."""
-        return float((np.trace(self.entries @ op) / np.trace(self.entries)).real)
-
 
 def pure_state(vector: np.ndarray) -> DensityMatrix:
     v = np.asarray(vector, dtype=complex)
     v = v / np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-def excited_state() -> DensityMatrix:
-    return pure_state(np.array([1.0, 0.0]))
-
-
-def ground_state() -> DensityMatrix:
-    return pure_state(np.array([0.0, 1.0]))
 
 
 def plus_state() -> DensityMatrix:
@@ -221,13 +192,6 @@ def _collide(probe_arr: np.ndarray, unit_arr: np.ndarray, u: np.ndarray,
     return reduced
 
 
-def collide_once(probe: DensityMatrix, spec: ReservoirSpec, u: np.ndarray,
-                 params: CollisionParams) -> DensityMatrix:
-    """One collision: joint unitary, trace out the fresh unit, damp the probe."""
-    unit = reservoir_unit_state(spec)
-    return DensityMatrix(_collide(probe.entries, unit.entries, u, _damping_kraus(params)))
-
-
 @dataclass
 class SteadyStateResult:
     sigma_z: float
@@ -241,8 +205,8 @@ class SteadyStateResult:
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
                  dtype=complex)
 
-# Schedule cycles per block in evolve_collisions, where a round-robin block is
-# one pair of numpy calls, and in the settle test of steady_states.
+# Schedule cycles per block in evolve_collisions, where a block is one pair of
+# numpy calls, and in the settle test of steady_states.
 BLOCK_CYCLES = 256
 
 
@@ -269,13 +233,13 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
 def _collision_maps(reservoir_sets: list[list[ReservoirSpec]], params: CollisionParams,
                     schedule: str) -> tuple[np.ndarray, np.ndarray]:
     """Transfer matrices (B, n, 4, 4) of the collisions of each reservoir set,
-    and the weighted-random draw probabilities (B, n).
+    and the weighted-random weights P (B, n).
 
     Round-robin carries each reservoir's coupling in its own unitary (pull
-    rates scale as g_i^2). Weighted-random instead realizes the convex
-    combination of maps: draws follow P_i = g_i^2 / sum g_k^2 while every
-    collision uses a common rms coupling, so the probabilities alone carry
-    the weights and the same g^2-weighted steady state results.
+    rates scale as g_i^2). Weighted-random instead weights the maps: reservoir
+    i has probability P_i = g_i^2 / sum g_k^2 while every collision uses a
+    common rms coupling, so the probabilities alone carry the weights and the
+    same g^2-weighted steady state results.
     """
     g2 = np.array([[r.g**2 for r in rs] for rs in reservoir_sets])
     if schedule == "weighted-random":
@@ -298,55 +262,34 @@ def evolve_collisions(
     probe: DensityMatrix,
     reservoirs: list[ReservoirSpec],
     params: CollisionParams | None = None,
-    schedule: str = "round-robin",
-    seed: int | None = None,
     steady_tol: float = STEADY_TOL,
 ) -> tuple[SteadyStateResult, np.ndarray]:
-    """Drive the probe with scheduled collisions until <sigma_z> settles.
+    """Drive the probe with round-robin collisions until <sigma_z> settles.
 
     Steady state is declared when the change in <sigma_z> across one full
     schedule cycle drops below steady_tol, capped at params.n_collisions.
     The reported sigma_z averages the final cycle, which removes the
     within-cycle readout bias of multi-reservoir schedules. Returns the
-    result plus the full per-collision <sigma_z> trajectory. The schedules
-    are those of _collision_maps.
+    result plus the full per-collision <sigma_z> trajectory.
 
     Each collision acts on the probe's Pauli vector through its reservoir's
-    transfer matrix. Steps run in blocks of BLOCK_CYCLES cycles: round-robin
-    gets a whole block from two matrix products (cycle-map powers times the
-    within-cycle prefix products), weighted-random steps the block one
-    matvec at a time.
+    transfer matrix. Steps run in blocks of BLOCK_CYCLES cycles, each from
+    two matrix products: cycle-map powers times the within-cycle prefix
+    products.
     """
     params = params if params is not None else CollisionParams()
     if not reservoirs:
         raise ValidationError("at least one reservoir is required")
     if all(r.g == 0 for r in reservoirs):
         raise NoCoupling("all reservoir couplings are zero")
-    if schedule not in ("round-robin", "weighted-random"):
-        raise ValidationError(f"unknown schedule {schedule!r}")
 
     cycle = len(reservoirs)
     n_total = params.n_collisions
-    maps, probs = _collision_maps([reservoirs], params, schedule)
-    if schedule == "round-robin":
-        prefixes = _prefix_products(maps)[0]
-        powers = [np.eye(4)]
-        for _ in range(BLOCK_CYCLES - 1):
-            powers.append(prefixes[-1] @ powers[-1])
-        powers = np.array(powers)
-
-        def block(r: np.ndarray, start: int, size: int) -> np.ndarray:
-            cycle_starts = powers[: -(-size // cycle)] @ r
-            return np.einsum("jab,kb->kja", prefixes, cycle_starts).reshape(-1, 4)[:size]
-    else:
-        rng = np.random.default_rng(0 if seed is None else seed)
-        draws = rng.choice(cycle, size=n_total, p=probs[0])
-
-        def block(r: np.ndarray, start: int, size: int) -> np.ndarray:
-            states = np.empty((size, 4))
-            for i, idx in enumerate(draws[start:start + size]):
-                r = states[i] = maps[0, idx] @ r
-            return states
+    prefixes = _prefix_products(_transfer_matrices(reservoirs, params)[None])[0]
+    powers = [np.eye(4)]
+    for _ in range(BLOCK_CYCLES - 1):
+        powers.append(prefixes[-1] @ powers[-1])
+    powers = np.array(powers)
 
     # Blocks hold whole cycles, so every block starts on a cycle boundary and
     # the steady-state test looks at each block's cycle ends in turn.
@@ -356,7 +299,9 @@ def evolve_collisions(
     used = 0
     converged = False
     while used < n_total and not converged:
-        states = block(r, used, min(BLOCK_CYCLES * cycle, n_total - used))
+        size = min(BLOCK_CYCLES * cycle, n_total - used)
+        cycle_starts = powers[: -(-size // cycle)] @ r
+        states = np.einsum("jab,kb->kja", prefixes, cycle_starts).reshape(-1, 4)[:size]
         values = states[:, 3] / states[:, 0]
         ends = values[cycle - 1::cycle]
         settled = np.flatnonzero(np.abs(np.diff(ends, prepend=prev_cycle_value)) < steady_tol)
@@ -395,16 +340,16 @@ def steady_states(
 
     Every set holds the same number n of reservoirs, so one schedule cycle is
     n collisions. Round-robin's cycle map is C = S_n...S_1. Weighted-random's
-    is M^n, where M = sum_i P_i S_i(g_rms) is the mean of the maps that
-    evolve_collisions draws from (same P_i and g_rms); seeds play no part.
-    The result's rho is the fixed point of C, and sigma_z averages the
-    within-cycle prefixes applied to it, as evolve_collisions averages the
-    final cycle; neither depends on the cap.
+    is M^n, where M = sum_i P_i S_i(g_rms) is the mean map of _collision_maps;
+    no random draw is taken. The result's rho is the fixed point of C, and
+    sigma_z averages the within-cycle prefixes applied to it, as
+    evolve_collisions averages the final cycle; neither depends on the cap.
 
-    collisions_used and converged keep their meaning from evolve_collisions:
-    the first cycle k at which |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops
-    below STEADY_TOL, capped at params.n_collisions. Raises ValidationError
-    when sigma_z has no limit.
+    collisions_used and converged are those of stepping these maps one
+    collision at a time, as evolve_collisions steps round-robin ones: the
+    first cycle k at which |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops below
+    STEADY_TOL, capped at params.n_collisions. Raises ValidationError when
+    sigma_z has no limit.
     """
     params = params if params is not None else CollisionParams()
     if schedule not in ("round-robin", "weighted-random"):
@@ -523,6 +468,7 @@ def transfer_curve(
     """
     params = params if params is not None else CollisionParams()
     _check_spin(spin_j)
+    _check_coupling(g)
     if n_points < 5 or n_points % 2 == 0:
         raise ValidationError(f"n_points must be odd and at least 5, got {n_points}")
     us = np.linspace(-1.0, 1.0, n_points)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import NETWORK_PATH
+from reference import gauss_seidel_oracle
 from test_neuralnet import fd_grads, grad_rel_error
 from test_powerflow import fd_jacobian, max_rel_error, random_state
 
@@ -33,7 +34,6 @@ from qnpflow.neuralnet import (
 from qnpflow.powerflow import (
     SolveOptions,
     StateVector,
-    gauss_seidel_oracle,
     jacobian,
     mismatch,
     solve,
@@ -43,12 +43,13 @@ from qnpflow.qsim import (
     DensityMatrix,
     PropagatorMode,
     ReservoirSpec,
-    collide_once,
+    _collide,
+    _damping_kraus,
     collision_unitary,
     evolve_collisions,
-    excited_state,
-    ground_state,
     plus_state,
+    pure_state,
+    reservoir_unit_state,
     steady_state_closed_form,
     transfer_curve,
 )
@@ -122,7 +123,8 @@ def test_criterion_3_cptp_invariants():
         rho = a @ a.conj().T
         probe = DensityMatrix(rho / np.trace(rho).real)
         u = collision_unitary(spec.g, spec.spin_j, params)
-        out = collide_once(probe, spec, u, params).entries
+        out = _collide(probe.entries, reservoir_unit_state(spec).entries, u,
+                       _damping_kraus(params))
         tr = np.trace(out)
         worst_trace = max(worst_trace, abs(float(tr.real) - 1.0), abs(float(tr.imag)))
         worst_herm = max(worst_herm, float(np.abs(out - out.conj().T).max()))
@@ -158,7 +160,8 @@ def test_criterion_4_steady_state_closed_form():
     pair = configs["pair 0.8/0.2"]
     target = steady_state_closed_form(pair)
     finals = []
-    for init in (excited_state(), ground_state(), plus_state()):
+    for init in (pure_state(np.array([1.0, 0.0])), pure_state(np.array([0.0, 1.0])),
+                 plus_state()):
         result, _ = evolve_collisions(init, pair, params)
         finals.append(result.sigma_z)
     worst_init = max(abs(v - target) for v in finals)

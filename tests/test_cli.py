@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from conftest import NETWORK_PATH, write_doc
+from qnpflow import cli as cli_module
 from qnpflow.cli import COMMANDS, build_parser, main
 from qnpflow.dataset import read_dataset_csv, read_meta_json
+from qnpflow.neuralnet import train
 
 NETWORK = str(NETWORK_PATH)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -97,6 +99,15 @@ def test_solve_not_converged_exits_5(tmp_path):
     res = cli("solve", NETWORK, "--max-iter", 1, "--tol", "1e-12",
               "--out-dir", tmp_path)
     assert res.returncode == 5
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "0", "-1"])
+def test_solve_tol_not_finite_and_positive_exits_4(tol, tmp_path):
+    # with tol inf, a flat start reported convergence in 0 iterations
+    res = cli("solve", NETWORK, "--tol", tol, "--out-dir", tmp_path)
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "tol" in res.stderr
+    assert not (tmp_path / "solution.json").exists()
 
 
 def test_solve_config_file_and_cli_precedence(tmp_path):
@@ -246,6 +257,25 @@ def test_dataset_too_few_converged_exits_7(tmp_path):
     assert res.returncode == 7
 
 
+@pytest.mark.parametrize("args", [
+    ("activation", "simulate", "--gamma", "nan"),
+    ("activation", "simulate", "--gamma", "inf"),
+    ("activation", "simulate", "--tau", "inf"),
+    ("activation", "simulate", "--tau", "nan"),
+    ("activation", "simulate", "--g", "nan"),
+    ("activation", "simulate", "--g", "inf"),
+    ("dataset", NETWORK, "--n", 20, "--range", "0.8", "inf"),
+    ("dataset", NETWORK, "--n", 20, "--range", "nan", "1.2"),
+], ids=["gamma-nan", "gamma-inf", "tau-inf", "tau-nan", "g-nan", "g-inf",
+        "range-high-inf", "range-low-nan"])
+def test_non_finite_collision_and_range_inputs_exit_4(args, tmp_path):
+    points = ("--points", 5) if args[0] == "activation" else ()
+    res = cli(*args, *points, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # activation
 
@@ -317,6 +347,22 @@ def test_activation_simulate_silent_when_converged(tmp_path):
     with open(tmp_path / "curve_spin2.5.csv", newline="") as fh:
         assert all(row["converged"] == "1" for row in csv.DictReader(fh))
     assert res.stderr == ""
+
+
+def test_activation_simulate_weighted_random_ignores_seed(tmp_path):
+    # the weighted-random steady state is that of the mean map; no draw is taken
+    curves = {}
+    for seed in (1, 2):
+        out = tmp_path / f"seed{seed}"
+        res = cli("activation", "simulate", "--spin", "5/2", "--points", 5,
+                  "--schedule", "weighted-random", "--seed", seed, "--out-dir", out)
+        assert res.returncode == 0, res.stderr
+        curves[seed] = (out / "curve_spin2.5.csv").read_bytes()
+    assert curves[1] == curves[2]
+    rows = list(csv.DictReader(io.StringIO(curves[1].decode())))
+    assert len(rows) == 5
+    assert all(abs(float(r["sigma_z"]) - float(r["u"])) < 1e-9 for r in rows)
+    assert all(r["converged"] == "1" for r in rows)
 
 
 def test_activation_fit_round_trip(curve_dir, tmp_path):
@@ -694,6 +740,26 @@ def test_sweep_bad_train_key_exits_4(dataset_dir, tmp_path, key, value):
     if key != "learning_rate":
         assert repr(key) in res.stderr
     assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("axis", [{"betas": [2.22, -1.0]}, {"optimizers": ["adam", "adamw"]},
+                                  {"seeds": [0, 1, -2]}])
+def test_sweep_checks_every_run_before_training(dataset_dir, tmp_path, monkeypatch, axis):
+    calls = []
+
+    def counted_train(*args, **kwargs):
+        calls.append(args)
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "train", counted_train)
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"data": str(dataset_dir / "data"), "preset": "table3",
+                               "epochs": 1, "betas": [2.22], "seeds": [0, 1, 2], **axis}))
+    res = cli("sweep", cfg, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:")
+    assert calls == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_snapshot_records_the_directory_it_wrote_to(dataset_dir, tmp_path):

@@ -34,7 +34,6 @@ from qnpflow.neuralnet import (
     mape,
     mse,
     optimizer_step,
-    predict,
     preset,
     save_model,
     train,
@@ -138,12 +137,12 @@ def test_hidden_permutation_preserves_function():
     topo = LayerTopology((3, 5, 2), beta=2.22)
     params = glorot_init(topo, seed=3)
     perm = np.array([2, 0, 4, 1, 3])
-    twin = params.copy()
+    twin = MLPParams(params.topology, params.weights, params.biases)
     twin.weights[0][:] = twin.weights[0][perm]
     twin.biases[0][:] = twin.biases[0][perm]
     twin.weights[1][:] = twin.weights[1][:, perm]
     x = np.random.default_rng(4).normal(size=(7, 3))
-    assert np.allclose(predict(params, x), predict(twin, x), atol=1e-14)
+    assert np.allclose(forward(params, x)[-1], forward(twin, x)[-1], atol=1e-14)
 
 
 def test_single_unit_chain_reproduces_activation_value():
@@ -153,8 +152,8 @@ def test_single_unit_chain_reproduces_activation_value():
         weights=[np.array([[1.0]]), np.array([[1.0]])],
         biases=[np.zeros(1), np.zeros(1)],
     )
-    out = predict(params, np.array([0.5]))
-    assert out[0] == pytest.approx(0.967395001257118, abs=1e-6)
+    out = forward(params, np.array([0.5]))[-1]
+    assert out[0, 0] == pytest.approx(0.967395001257118, abs=1e-6)
 
 
 def test_zero_weights_output_equals_final_bias():
@@ -165,14 +164,14 @@ def test_zero_weights_output_equals_final_bias():
         weights=[np.zeros((3, 2)), np.zeros((2, 3))],
         biases=[np.array([0.5, -0.2, 1.0]), b_out],
     )
-    y = predict(params, np.random.default_rng(5).normal(size=(4, 2)))
+    y = forward(params, np.random.default_rng(5).normal(size=(4, 2)))[-1]
     assert np.array_equal(y, np.tile(b_out, (4, 1)))
 
 
 def test_zero_input_without_bias_gives_zero_output():
     topo = LayerTopology((2, 3, 2), beta=2.22, use_bias=False)
     params = glorot_init(topo, seed=2)
-    assert np.all(predict(params, np.zeros((3, 2))) == 0.0)
+    assert np.all(forward(params, np.zeros((3, 2)))[-1] == 0.0)
 
 
 def test_forward_rejects_wrong_input_width():
@@ -205,7 +204,7 @@ def test_params_flat_holds_weights_then_biases():
     assert weights[1][0, 2] == 8.0
     w_views, b_views = params.unflatten(params.flat)
     assert all(np.shares_memory(v, params.flat) for v in w_views + b_views)
-    twin = params.copy()
+    twin = MLPParams(params.topology, params.weights, params.biases)
     twin.flat[0] = -1.0
     assert params.flat[0] == 100.0 and twin.weights[0][0, 0] == -1.0
 
@@ -248,7 +247,7 @@ def test_mape_rejects_zero_targets():
 def test_sgd_step_is_exact_update():
     topo = LayerTopology((2, 3, 1), beta=2.22)
     params = glorot_init(topo, seed=1)
-    before = params.copy()
+    before = MLPParams(params.topology, params.weights, params.biases)
     x = np.random.default_rng(6).normal(size=(4, 2))
     y = np.random.default_rng(7).normal(size=(4, 1))
     grads = backward(params, forward(params, x), y)
@@ -261,7 +260,7 @@ def test_adam_first_step_magnitude_is_learning_rate():
     # at t=1 the bias-corrected moments give |delta| = lr*|g|/(|g|+eps)
     topo = LayerTopology((3, 4, 2), beta=2.22)
     params = glorot_init(topo, seed=10)
-    before = params.copy()
+    before = MLPParams(params.topology, params.weights, params.biases)
     rng = np.random.default_rng(8)
     shape = params.flat.shape
     grads = rng.uniform(0.01, 1.0, shape) * rng.choice([-1, 1], shape)
@@ -514,7 +513,7 @@ def test_model_round_trip_is_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     assert got_scalers == scalers
     x = np.random.default_rng(14).normal(size=(5, 3))
-    assert np.array_equal(predict(params, x), predict(loaded, x))
+    assert np.array_equal(forward(params, x)[-1], forward(loaded, x)[-1])
 
 
 def test_load_model_rejects_truncation_and_versions(tmp_path):

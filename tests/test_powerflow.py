@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import gauss_seidel_oracle
+
 from qnpflow import powerflow
 from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian, ValidationError
 from qnpflow.grid import AdmittanceMatrix, BusKind, BusRecord, NetworkModel, PerUnitBase
@@ -19,7 +21,6 @@ from qnpflow.powerflow import (
     SolveOptions,
     StateVector,
     calc_injections,
-    gauss_seidel_oracle,
     initial_state,
     jacobian,
     mismatch,
@@ -594,6 +595,15 @@ def test_batch_rejects_negative_cap(base_net, caps):
         solve_batch(base_net, initial_state(base_net), p_sched, q_sched, 1e-8, caps)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_batch_rejects_invalid_tol(base_net, tol):
+    # without the check, tol 0, NaN or -1 ran every step and reported no
+    # convergence at a mismatch of 1e-15, and tol inf converged in 0 steps
+    _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(62), 2)
+    with pytest.raises(ValidationError, match="finite and positive"):
+        solve_batch(base_net, initial_state(base_net), p_sched, q_sched, tol, 20)
+
+
 def test_batched_calls_match_single_states(base_net):
     rng = np.random.default_rng(17)
     states = [random_state(base_net, rng) for _ in range(8)]
@@ -679,7 +689,8 @@ def test_solve_options_accept_valid(tol, max_iter):
     SolveOptions(tol=tol, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0}])
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0},
+                                    {"tol": math.inf}, {"tol": math.nan}])
 def test_solve_options_reject_invalid(kwargs):
     with pytest.raises(ValidationError):
         SolveOptions(**kwargs)
