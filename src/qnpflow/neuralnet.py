@@ -4,20 +4,23 @@ Loss convention: batch-mean squared error over all outputs plus unnormalized
 penalties l1 * sum|w| + l2 * sum w^2 over weights only (biases excluded), so
 the penalty gradient is exactly l1 * sign(w) + 2 * l2 * w. Gradients and
 optimizer moments share the layout of `MLPParams.flat`, so a step is one
-elementwise update.
+elementwise update. The training step works in place on arrays it has just
+made, with the same floating-point operations in the same order as the
+textbook formulas, so every result is bit for bit what those formulas give.
 """
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .activation import activate
 from .errors import (
     MapeUndefined,
     NonFinite,
@@ -52,7 +55,14 @@ class LayerTopology:
     use_bias: bool = True
 
     def __post_init__(self):
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.sizes):
+            raise ValidationError(f"layer sizes must be integers, got {self.sizes!r}")
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        if not isinstance(self.use_bias, bool):
+            raise ValidationError(f"use_bias must be true or false, got {self.use_bias!r}")
+        if isinstance(self.beta, bool) or isinstance(self.output_beta, bool):
+            raise ValidationError(f"beta and output_beta must be numbers, got "
+                                  f"{self.beta!r} and {self.output_beta!r}")
         if len(self.sizes) < 2:
             raise ValidationError("topology needs at least input and output layers")
         if any(s < 1 for s in self.sizes):
@@ -78,6 +88,17 @@ class LayerTopology:
     def n_weights(self) -> int:
         """Number of weight entries: the leading slice of `MLPParams.flat`."""
         return sum(a * b for a, b in zip(self.sizes[:-1], self.sizes[1:]))
+
+    @cached_property
+    def layout(self) -> tuple[tuple[slice, tuple[int, int], slice], ...]:
+        """Per layer: the slice of `MLPParams.flat` that holds its weights, their
+        (out, in) shape, and the slice that holds its biases."""
+        out, w_at, b_at = [], 0, self.n_weights
+        for n_out, n_in in zip(self.sizes[1:], self.sizes[:-1]):
+            out.append((slice(w_at, w_at + n_out * n_in), (n_out, n_in), slice(b_at, b_at + n_out)))
+            w_at += n_out * n_in
+            b_at += n_out
+        return tuple(out)
 
 
 @dataclass
@@ -108,13 +129,8 @@ class MLPParams:
 
     def unflatten(self, vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         """Per-layer weight and bias views of a vector laid out like `flat`."""
-        sizes, n = self.topology.sizes, self.topology.n_layers
-        views, at = [], 0
-        for shape in [*zip(sizes[1:], sizes[:-1]), *((s,) for s in sizes[1:])]:
-            size = math.prod(shape)
-            views.append(vec[at: at + size].reshape(shape))
-            at += size
-        return views[:n], views[n:]
+        layout = self.topology.layout
+        return [vec[w].reshape(shape) for w, shape, _ in layout], [vec[b] for _, _, b in layout]
 
 
 def glorot_init(topology: LayerTopology, seed: int) -> MLPParams:
@@ -138,18 +154,19 @@ def _as_batch(x: np.ndarray, n_in: int) -> np.ndarray:
 
 
 def forward(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
-    """Propagate a batch; returns the activations [x, a_1, ..., y] of every layer."""
+    """Propagate a batch; returns the activations [x, a_1, ..., y] of every layer.
+    Bias, steepness and tanh act in place on each layer's fresh matmul result."""
     topo = params.topology
     acts = [_as_batch(x, topo.n_inputs)]
-    last = topo.n_layers - 1
-    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+    betas = [float(topo.beta)] * (topo.n_layers - 1)
+    betas.append(None if topo.output_beta is None else float(topo.output_beta))
+    for w, b, beta in zip(params.weights, params.biases, betas):
         z = acts[-1] @ w.T
         if topo.use_bias:
-            z = z + b
-        if l < last:
-            z = activate(z, topo.beta)
-        elif topo.output_beta is not None:
-            z = activate(z, topo.output_beta)
+            z += b
+        if beta is not None:
+            z *= beta
+            np.tanh(z, out=z)
         acts.append(z)
     return acts
 
@@ -190,35 +207,48 @@ def loss_value(params: MLPParams, x: np.ndarray, target: np.ndarray,
     return mse(forward(params, x)[-1], np.atleast_2d(target)) + penalty(params, l1, l2)
 
 
+def _tanh_slope(a: np.ndarray, beta: float) -> np.ndarray:
+    """beta (1 - a^2): the derivative of tanh(beta z) at a = tanh(beta z)."""
+    slope = a * a
+    np.subtract(1.0, slope, out=slope)
+    slope *= beta
+    return slope
+
+
 def backward(params: MLPParams, acts: list[np.ndarray], targets: np.ndarray,
              l1: float = 0.0, l2: float = 0.0) -> np.ndarray:
     """Exact gradient of loss_value, laid out like `params.flat`, from the
-    activations `forward` returned. The tanh(beta z) derivative is taken from
-    each activation a as beta (1 - a^2)."""
+    activations `forward` returned; a new array on every call, which each
+    layer's weight product and bias sum are written into."""
     topo = params.topology
     t = np.atleast_2d(np.asarray(targets, dtype=float))
     y = acts[-1]
     if t.shape != y.shape:
         raise ShapeMismatch(f"targets shape {t.shape} vs outputs shape {y.shape}")
-    batch = y.shape[0]
 
-    delta = (y - t) * (2.0 / (batch * topo.n_outputs))
+    delta = y - t
+    delta *= 2.0 / (y.shape[0] * topo.n_outputs)
     if topo.output_beta is not None:
-        delta = delta * (float(topo.output_beta) * (1.0 - y * y))
+        delta *= _tanh_slope(y, float(topo.output_beta))
 
-    grad = np.zeros_like(params.flat)
-    g_w, g_b = params.unflatten(grad)
+    grad = np.zeros(params.flat.shape)
+    layout, beta = topo.layout, float(topo.beta)
     for l in range(topo.n_layers - 1, -1, -1):
-        g_w[l][:] = delta.T @ acts[l]
+        w_at, w_shape, b_at = layout[l]
+        np.matmul(delta.T, acts[l], out=grad[w_at].reshape(w_shape))
         if topo.use_bias:
-            g_b[l][:] = delta.sum(axis=0)
+            delta.sum(axis=0, out=grad[b_at])
         if l > 0:
-            a = acts[l]
-            delta = (delta @ params.weights[l]) * (float(topo.beta) * (1.0 - a * a))
+            delta = delta @ params.weights[l]
+            delta *= _tanh_slope(acts[l], beta)
     if l1 or l2:
         n = topo.n_weights
-        w = params.flat[:n]
-        grad[:n] = grad[:n] + l1 * np.sign(w) + 2.0 * l2 * w
+        w, g = params.flat[:n], grad[:n]
+        term = np.sign(w)
+        term *= l1
+        g += term
+        np.multiply(w, 2.0 * l2, out=term)
+        g += term
     return grad
 
 
@@ -254,25 +284,47 @@ def init_optimizer_state(params: MLPParams) -> OptState:
 
 
 def _apply_update(kind: OptimizerKind, t: int, g, m, v):
-    """Return the parameter delta and update moment arrays in place."""
+    """Return the parameter delta and update moment arrays in place; g is
+    left as it is. Each comment gives the formula that the in-place steps
+    below it evaluate, in its order and association."""
     lr, b1, b2, eps = kind.lr, BETA1, BETA2, EPS
     if kind.name == "sgd":
-        return -lr * g
+        return g * -lr
+    # m = b1 m + (1 - b1) g
+    step = g * (1.0 - b1)
     m *= b1
-    m += (1.0 - b1) * g
+    m += step
     if kind.name == "adamax":
-        np.maximum(b2 * v, np.abs(g), out=v)
-        return -(lr / (1.0 - b1**t)) * m / (v + eps)
+        # v = max(b2 v, |g|); delta = (-(lr / (1 - b1^t)) m) / (v + eps)
+        np.abs(g, out=step)
+        v *= b2
+        np.maximum(v, step, out=v)
+        den = v + eps
+        np.multiply(m, -(lr / (1.0 - b1**t)), out=step)
+        step /= den
+        return step
+    # v = b2 v + ((1 - b2) g) g; den = sqrt(v / (1 - b2^t)) + eps
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
     v *= b2
-    v += (1.0 - b2) * g * g
-    v_hat = v / (1.0 - b2**t)
+    v += step
+    den = v / (1.0 - b2**t)
+    np.sqrt(den, out=den)
+    den += eps
     if kind.name == "adam":
-        m_hat = m / (1.0 - b1**t)
-        return -lr * m_hat / (np.sqrt(v_hat) + eps)
-    # nadam: Nesterov momentum folded into the Adam step
-    m_hat = m / (1.0 - b1 ** (t + 1))
-    g_hat = g / (1.0 - b1**t)
-    return -lr * (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
+        # delta = (-lr (m / (1 - b1^t))) / den
+        np.divide(m, 1.0 - b1**t, out=step)
+    else:
+        # nadam, Nesterov momentum folded into the Adam step:
+        # delta = (-lr (b1 (m / (1 - b1^(t+1))) + (1 - b1) (g / (1 - b1^t)))) / den
+        np.divide(m, 1.0 - b1 ** (t + 1), out=step)
+        step *= b1
+        g_hat = g / (1.0 - b1**t)
+        g_hat *= 1.0 - b1
+        step += g_hat
+    step *= -lr
+    step /= den
+    return step
 
 
 def optimizer_step(kind: OptimizerKind, state: OptState, params: MLPParams,
@@ -355,9 +407,10 @@ class TrainReport:
 def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[MLPParams, TrainReport]:
     """Mini-batch training loop; deterministic for a fixed seed.
 
-    Shuffles with an rng derived from the seed, slices consecutive batches
-    (remainder batch included), logs full-set MSE after every epoch, and
-    raises NonFinite the moment a loss stops being finite.
+    Shuffles with an rng derived from the seed, gathers the epoch's rows in
+    that order once, slices consecutive batches (remainder batch included),
+    logs full-set MSE after every epoch, and raises NonFinite the moment a
+    loss stops being finite.
     """
     x = _as_batch(data.x_train, topology.n_inputs)
     y = np.atleast_2d(np.asarray(data.y_train, dtype=float))
@@ -377,9 +430,11 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
     t = 0
     for _ in range(hyper.epochs):
         perm = shuffle_rng.permutation(x.shape[0])
+        x_epoch, y_epoch = x[perm], y[perm]
         for lo in range(0, x.shape[0], hyper.batch_size):
-            sel = perm[lo: lo + hyper.batch_size]
-            grad = backward(params, forward(params, x[sel]), y[sel], l1=hyper.l1, l2=hyper.l2)
+            hi = lo + hyper.batch_size
+            grad = backward(params, forward(params, x_epoch[lo:hi]), y_epoch[lo:hi],
+                            l1=hyper.l1, l2=hyper.l2)
             t += 1
             optimizer_step(kind, state, params, grad, t)
         epoch_mse = mse(forward(params, x)[-1], y)
@@ -473,7 +528,10 @@ def load_model(path: str | Path) -> tuple[MLPParams, dict | None]:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from None
     if scalers is not None and not isinstance(scalers, dict):
         raise ParseError(f"{path}: scalers must be an object or null, got {scalers!r}")
-    params = MLPParams(topology=topo, weights=weights, biases=biases)
+    try:
+        params = MLPParams(topology=topo, weights=weights, biases=biases)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{path}: {exc}") from None
     if not np.isfinite(params.flat).all():
         raise ParseError(f"{path}: weights and biases must be finite numbers")
     return params, scalers

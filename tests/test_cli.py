@@ -558,6 +558,22 @@ def non_numeric_weight(doc):
     doc["weights"][0][0][0] = "x"
 
 
+def fractional_size(doc):
+    doc["topology"]["sizes"][1] += 0.7
+
+
+def string_use_bias(doc):
+    doc["topology"]["use_bias"] = "no"
+
+
+def bool_beta(doc):
+    doc["topology"]["beta"] = True
+
+
+def narrow_weight(doc):
+    doc["weights"][0] = [row[:-1] for row in doc["weights"][0]]
+
+
 def scalers_not_an_object(doc):
     doc["scalers"] = "x"
 
@@ -579,7 +595,8 @@ def target_scaler_of_input_width(doc):
     doc["scalers"]["targets"] = doc["scalers"]["inputs"]
 
 
-@pytest.mark.parametrize("spoil", [non_numeric_sizes, non_numeric_weight, scalers_not_an_object,
+@pytest.mark.parametrize("spoil", [non_numeric_sizes, fractional_size, string_use_bias, bool_beta,
+                                   non_numeric_weight, narrow_weight, scalers_not_an_object,
                                    scaler_missing_keys, scaler_short_center, scaler_one_column,
                                    target_scaler_of_input_width])
 def test_evaluate_model_with_non_numeric_field_exits_4(spoil, trained_dir, dataset_dir, tmp_path):

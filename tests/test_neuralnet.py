@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qnpflow import neuralnet
 from qnpflow.activation import activate
 from qnpflow.errors import (
     MapeUndefined,
@@ -14,7 +15,10 @@ from qnpflow.errors import (
     VersionMismatch,
 )
 from qnpflow.neuralnet import (
+    BETA1,
+    BETA2,
     DEFAULT_LR,
+    EPS,
     OPTIMIZER_NAMES,
     PRESETS,
     Hyperparams,
@@ -22,7 +26,6 @@ from qnpflow.neuralnet import (
     MLPParams,
     OptimizerKind,
     TrainSet,
-    _apply_update,
     backward,
     build_topology,
     evaluate,
@@ -189,6 +192,13 @@ def test_topology_validation():
         LayerTopology((3, 2), beta=0.0)
     with pytest.raises(ValidationError):
         LayerTopology((3, 2), beta=2.22, output_beta=-1.0)
+    with pytest.raises(ValidationError, match="integers"):
+        LayerTopology((3, 2.5, 1), beta=2.22)
+    with pytest.raises(ValidationError, match="use_bias"):
+        LayerTopology((3, 2), beta=2.22, use_bias=None)
+    with pytest.raises(ValidationError, match="numbers"):
+        LayerTopology((3, 2), beta=True)
+    assert LayerTopology(np.array([3, 2]), beta=2.22).sizes == (3, 2)
 
 
 def test_params_flat_holds_weights_then_biases():
@@ -569,9 +579,9 @@ def test_glorot_is_seeded():
 
 # ---------------------------------------------------------------------------
 # per-layer reference: forward, backward, optimizer step and training loop on
-# separate per-layer weight and bias arrays, with the moments as four lists and
-# tanh' recomputed from the pre-activations. The flat-vector path must
-# reproduce it bit for bit.
+# separate per-layer weight and bias arrays, with the moments as four lists,
+# tanh' recomputed from the pre-activations and every step a new array. The
+# flat-vector, in-place path must reproduce it bit for bit.
 
 
 def ref_forward(topo, weights, biases, x):
@@ -620,12 +630,33 @@ def ref_backward(topo, weights, biases, trace, targets, l1, l2):
     return g_w, g_b
 
 
+def ref_update(kind, t, g, m, v):
+    """The optimizer formulas written out, each delta a new array."""
+    lr, b1, b2, eps = kind.lr, BETA1, BETA2, EPS
+    if kind.name == "sgd":
+        return -lr * g
+    m *= b1
+    m += (1.0 - b1) * g
+    if kind.name == "adamax":
+        np.maximum(b2 * v, np.abs(g), out=v)
+        return -(lr / (1.0 - b1**t)) * m / (v + eps)
+    v *= b2
+    v += (1.0 - b2) * g * g
+    v_hat = v / (1.0 - b2**t)
+    if kind.name == "adam":
+        m_hat = m / (1.0 - b1**t)
+        return -lr * m_hat / (np.sqrt(v_hat) + eps)
+    m_hat = m / (1.0 - b1 ** (t + 1))
+    g_hat = g / (1.0 - b1**t)
+    return -lr * (b1 * m_hat + (1.0 - b1) * g_hat) / (np.sqrt(v_hat) + eps)
+
+
 def ref_optimizer_step(kind, state, topo, weights, biases, g_w, g_b, t):
     m_w, v_w, m_b, v_b = state
     for l in range(topo.n_layers):
-        weights[l] += _apply_update(kind, t, g_w[l], m_w[l], v_w[l])
+        weights[l] += ref_update(kind, t, g_w[l], m_w[l], v_w[l])
         if topo.use_bias:
-            biases[l] += _apply_update(kind, t, g_b[l], m_b[l], v_b[l])
+            biases[l] += ref_update(kind, t, g_b[l], m_b[l], v_b[l])
 
 
 def ref_train(data, topo, hyper):
@@ -652,6 +683,15 @@ def ref_train(data, topo, hyper):
     return weights, biases, train_log, test_log
 
 
+def assert_training_matches_reference(data, topo, hyper):
+    params, report = train(data, topo, hyper)
+    weights, biases, train_log, test_log = ref_train(data, topo, hyper)
+    for got, want in zip(params.weights + params.biases, weights + biases):
+        assert got.tobytes() == want.tobytes()
+    assert report.train_mse == train_log
+    assert report.test_mse == test_log
+
+
 @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
 @pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
 @pytest.mark.parametrize("output_beta", [None, 1.5], ids=["linear-out", "tanh-out"])
@@ -664,12 +704,91 @@ def test_training_bitwise_equals_per_layer_reference(optimizer, use_bias, output
     hyper = Hyperparams(hidden_layers=2, hidden_size=6, epochs=4, batch_size=10,
                         optimizer=optimizer, l1=penalty, l2=penalty, seed=2)
     topo = build_topology(3, 2, hyper, beta=3.33, output_beta=output_beta, use_bias=use_bias)
-    params, report = train(data, topo, hyper)
-    weights, biases, train_log, test_log = ref_train(data, topo, hyper)
-    for got, want in zip(params.weights + params.biases, weights + biases):
-        assert got.tobytes() == want.tobytes()
-    assert report.train_mse == train_log
-    assert report.test_mse == test_log
+    assert_training_matches_reference(data, topo, hyper)
+
+
+@pytest.mark.parametrize("optimizer, hidden_layers, penalty",
+                         [("adam", 7, 0.0), ("adamax", 10, 1e-4)])
+def test_training_bitwise_equals_per_layer_reference_at_table3_shape(optimizer, hidden_layers,
+                                                                     penalty):
+    # the benchmark's shape: 10 inputs, 10-unit hidden layers, 5 outputs,
+    # batch 50; 160 rows leave a remainder batch of 10
+    rng = np.random.default_rng(41)
+    x = rng.uniform(-1.0, 1.0, size=(190, 10))
+    y = 0.8 * np.tanh(x @ rng.normal(size=(10, 5)) / 3.0)
+    data = TrainSet(x_train=x[:160], y_train=y[:160], x_test=x[160:], y_test=y[160:])
+    hyper = Hyperparams(hidden_layers=hidden_layers, hidden_size=10, epochs=3, batch_size=50,
+                        optimizer=optimizer, l1=penalty, l2=penalty, seed=3)
+    topo = build_topology(10, 5, hyper, beta=2.22)
+    assert_training_matches_reference(data, topo, hyper)
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+def test_training_step_leaves_its_inputs_and_views_intact(optimizer):
+    # forward, backward and the optimizer work in place on arrays of their
+    # own; none may write into its inputs or hand out a shared buffer
+    topo = LayerTopology((3, 5, 4, 2), beta=2.78, output_beta=1.5)
+    params = glorot_init(topo, seed=4)
+    rng = np.random.default_rng(42)
+    x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+    x_bytes, flat_bytes = x.tobytes(), params.flat.tobytes()
+    acts = forward(params, x)
+    assert x.tobytes() == x_bytes and params.flat.tobytes() == flat_bytes
+    acts_bytes = [a.tobytes() for a in acts]
+    first = backward(params, acts, y, l1=1e-4, l2=1e-4)
+    first_bytes = first.tobytes()
+    assert [a.tobytes() for a in acts] == acts_bytes
+    second = backward(params, forward(params, x[::-1]), y, l1=1e-4, l2=1e-4)
+    assert not np.shares_memory(first, second) and not np.array_equal(first, second)
+    assert first.tobytes() == first_bytes and params.flat.tobytes() == flat_bytes
+    state = init_optimizer_state(params)
+    for t in (1, 2):
+        optimizer_step(OptimizerKind(optimizer), state, params, first, t)
+    assert first.tobytes() == first_bytes and params.flat.tobytes() != flat_bytes
+    for got, want in zip(params.weights + params.biases, sum(params.unflatten(params.flat), [])):
+        assert np.shares_memory(got, params.flat) and got.tobytes() == want.tobytes()
+
+
+def test_train_reaches_the_step_functions_through_module_globals(monkeypatch):
+    # the benchmark's spans wrap neuralnet.forward/backward/optimizer_step as
+    # module attributes, so train must look them up there on every call
+    counts = dict.fromkeys(("forward", "backward", "optimizer_step"), 0)
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(neuralnet, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(neuralnet, name, counted)
+    x, y = toy_linear_data(n=57)
+    data = TrainSet(x_train=x[:47], y_train=y[:47], x_test=x[47:], y_test=y[47:])
+    epochs, steps = 3, 5  # 47 rows in batches of 10
+    hyper = Hyperparams(hidden_layers=2, hidden_size=4, epochs=epochs, batch_size=10, seed=0)
+    train(data, build_topology(2, 1, hyper, beta=2.22), hyper)
+    # initial MSE, one per step, train and test MSE per epoch, final evaluate
+    assert counts == {"forward": 1 + epochs * steps + 2 * epochs + 1,
+                      "backward": epochs * steps, "optimizer_step": epochs * steps}
+
+
+@pytest.mark.parametrize("field, bad", [("sizes", [2, 3.7, 1]), ("sizes", [2, True, 1]),
+                                        ("sizes", [2, "3", 1]), ("use_bias", "no"),
+                                        ("use_bias", 1), ("beta", True), ("output_beta", True)])
+def test_load_model_rejects_malformed_topology(field, bad, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(glorot_init(LayerTopology((2, 3, 1), beta=2.22), seed=0), None, path)
+    doc = json.loads(path.read_text())
+    doc["topology"][field] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match="model.json"):
+        load_model(path)
+
+
+def test_load_model_weight_shape_error_names_the_file(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(glorot_init(LayerTopology((2, 3, 1), beta=2.22), seed=0), None, path)
+    doc = json.loads(path.read_text())
+    doc["weights"][0] = doc["weights"][0][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ShapeMismatch, match=r"model\.json: layer 0: weight shape \(2, 2\)"):
+        load_model(path)
 
 
 @pytest.mark.parametrize("field, bad", [("weights", math.nan), ("biases", -math.inf),
