@@ -124,13 +124,3 @@ def spin_beta(spin_j: float) -> float:
     except KeyError:
         raise UnknownSpin(f"no tabulated steepness for spin {spin_j}") from None
 
-
-def _check_beta(beta: float) -> float:
-    if not beta > 0:
-        raise ValidationError(f"beta must be positive, got {beta}")
-    return float(beta)
-
-
-def activate(x, beta: float):
-    """Elementwise tanh(beta x)."""
-    return np.tanh(_check_beta(beta) * np.asarray(x, dtype=float))

@@ -277,7 +277,7 @@ def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
         propagator_mode=PropagatorMode(cfg["mode"]),
     )
     curve = transfer_curve(cfg["spin"], params, n_points=cfg["points"], g=cfg["g"],
-                           schedule=cfg["schedule"], seed=cfg["seed"])
+                           seed=cfg["seed"])
     fit = fit_beta(curve)
 
     out = _out_dir(cfg)
@@ -543,7 +543,6 @@ COMMANDS = {
         Option("points", 41, int),
         Option("collisions", 20000, int),
         Option("mode", "exact", choices=tuple(m.value for m in PropagatorMode)),
-        Option("schedule", "round-robin", choices=("round-robin", "weighted-random")),
     )),
     "activation fit": Command(cmd_activation_fit, "fit beta to an existing curve file",
                               (("curve", "curve CSV with u and sigma_z columns"),)),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class PropagatorMode(enum.Enum):
 
 def _check_spin(spin_j: float) -> float:
     two_j = 2.0 * spin_j
-    if abs(two_j - round(two_j)) > 1e-9 or spin_j < 0.5:
+    if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-9 or spin_j < 0.5:
         raise InvalidSpin(f"spin must be a half-integer >= 1/2, got {spin_j}")
     return spin_j
 
@@ -230,26 +230,6 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
     return maps
 
 
-def _collision_maps(reservoir_sets: list[list[ReservoirSpec]], params: CollisionParams,
-                    schedule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer matrices (B, n, 4, 4) of the collisions of each reservoir set,
-    and the weighted-random weights P (B, n).
-
-    Round-robin carries each reservoir's coupling in its own unitary (pull
-    rates scale as g_i^2). Weighted-random instead weights the maps: reservoir
-    i has probability P_i = g_i^2 / sum g_k^2 while every collision uses a
-    common rms coupling, so the probabilities alone carry the weights and the
-    same g^2-weighted steady state results.
-    """
-    g2 = np.array([[r.g**2 for r in rs] for rs in reservoir_sets])
-    if schedule == "weighted-random":
-        reservoir_sets = [[replace(r, g=float(g)) for r in rs]
-                          for rs, g in zip(reservoir_sets, np.sqrt(g2.mean(axis=1)))]
-    specs = [r for rs in reservoir_sets for r in rs]
-    maps = _transfer_matrices(specs, params).reshape(g2.shape + (4, 4))
-    return maps, g2 / g2.sum(axis=1, keepdims=True)
-
-
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
     """Within-cycle prefix products S_j...S_1 of maps (B, n, 4, 4), same shape."""
     prefixes = [maps[:, 0]]
@@ -333,27 +313,22 @@ MODE_TOL = 1e-12
 def steady_states(
     reservoir_sets: list[list[ReservoirSpec]],
     params: CollisionParams | None = None,
-    schedule: str = "round-robin",
 ) -> list[SteadyStateResult]:
     """Exact steady states of many collision chains started from |+>, one per
     reservoir set.
 
     Every set holds the same number n of reservoirs, so one schedule cycle is
-    n collisions. Round-robin's cycle map is C = S_n...S_1. Weighted-random's
-    is M^n, where M = sum_i P_i S_i(g_rms) is the mean map of _collision_maps;
-    no random draw is taken. The result's rho is the fixed point of C, and
-    sigma_z averages the within-cycle prefixes applied to it, as
-    evolve_collisions averages the final cycle; neither depends on the cap.
+    n collisions in round-robin order, and the cycle map is C = S_n...S_1.
+    The result's rho is the fixed point of C, and sigma_z averages the
+    within-cycle prefixes applied to it, as evolve_collisions averages the
+    final cycle; neither depends on the cap.
 
-    collisions_used and converged are those of stepping these maps one
-    collision at a time, as evolve_collisions steps round-robin ones: the
-    first cycle k at which |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops below
-    STEADY_TOL, capped at params.n_collisions. Raises ValidationError when
-    sigma_z has no limit.
+    collisions_used and converged are those of stepping the collisions one
+    at a time, as evolve_collisions does: the first cycle k at which
+    |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops below STEADY_TOL, capped at
+    params.n_collisions. Raises ValidationError when sigma_z has no limit.
     """
     params = params if params is not None else CollisionParams()
-    if schedule not in ("round-robin", "weighted-random"):
-        raise ValidationError(f"unknown schedule {schedule!r}")
     sizes = {len(rs) for rs in reservoir_sets}
     if not sizes or 0 in sizes:
         raise ValidationError("at least one reservoir is required")
@@ -363,10 +338,8 @@ def steady_states(
         raise NoCoupling("all reservoir couplings are zero")
 
     n_sets, cycle = len(reservoir_sets), sizes.pop()
-    maps, probs = _collision_maps(reservoir_sets, params, schedule)
-    if schedule == "weighted-random":
-        mean = np.einsum("bi,bijk->bjk", probs, maps)
-        maps = np.broadcast_to(mean[:, None], maps.shape)
+    specs = [r for rs in reservoir_sets for r in rs]
+    maps = _transfer_matrices(specs, params).reshape(n_sets, cycle, 4, 4)
     prefixes = _prefix_products(maps)
 
     r0 = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
@@ -443,7 +416,7 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
 
 
 def steady_state_closed_form(reservoirs: list[ReservoirSpec]) -> float:
-    """Coupling-weighted mean of the unit magnetizations:
+    """Mean of the unit magnetizations, each with weight g_i^2:
     sum_i g_i^2 cos(theta_i) / sum_i g_i^2."""
     total = sum(r.g**2 for r in reservoirs)
     if total == 0:
@@ -456,7 +429,6 @@ def transfer_curve(
     params: CollisionParams | None = None,
     n_points: int = 41,
     g: float = 0.01,
-    schedule: str = "round-robin",
     seed: int | None = None,
 ) -> ActivationCurve:
     """Steady-state response of the probe versus the coupling imbalance u.
@@ -469,6 +441,8 @@ def transfer_curve(
     params = params if params is not None else CollisionParams()
     _check_spin(spin_j)
     _check_coupling(g)
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
     if n_points < 5 or n_points % 2 == 0:
         raise ValidationError(f"n_points must be odd and at least 5, got {n_points}")
     us = np.linspace(-1.0, 1.0, n_points)
@@ -477,7 +451,7 @@ def transfer_curve(
          ReservoirSpec(theta=math.pi, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 - u) / 2.0))]
         for u in us
     ]
-    results = steady_states(reservoir_sets, params, schedule=schedule)
+    results = steady_states(reservoir_sets, params)
     return ActivationCurve(
         inputs=us,
         outputs=np.array([r.sigma_z for r in results]),
@@ -490,7 +464,6 @@ def transfer_curve(
             "gamma": params.gamma,
             "n_collisions": params.n_collisions,
             "mode": params.propagator_mode.value,
-            "schedule": schedule,
             "seed": seed,
         },
     )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnpflow.activation import (
@@ -11,12 +11,12 @@ from qnpflow.activation import (
     ActivationCurve,
     _rss,
     _scan_rss,
-    activate,
     beta_table,
     fit_beta,
     spin_beta,
 )
 from qnpflow.errors import DegenerateCurve, UnknownSpin, ValidationError
+from qnpflow.neuralnet import _tanh_slope
 from qnpflow.qsim import CollisionParams, transfer_curve
 
 U41 = np.linspace(-1.0, 1.0, 41)
@@ -131,45 +131,7 @@ def test_beta_table_returns_copy():
     assert beta_table()[0.5] == 2.22
 
 
-# ------------------------------------------------------------ activation function
-
-def test_activate_origin_and_slope():
-    for beta in (2.22, 2.78, 3.33, 4.1, 8.0):
-        assert activate(0.0, beta) == 0.0
-        h = 1e-7
-        assert (activate(h, beta) - activate(-h, beta)) / (2 * h) == pytest.approx(beta, rel=1e-9)
-
-
-def test_activate_known_value():
-    assert activate(0.5, 4.1) == pytest.approx(0.967395001257118, abs=1e-6)
-
-
-def test_activate_rejects_nonpositive_beta():
-    with pytest.raises(ValidationError):
-        activate(0.5, 0.0)
-    with pytest.raises(ValidationError):
-        activate(0.5, -1.0)
-
-
-@given(st.floats(min_value=0.1, max_value=20.0),
-       st.floats(min_value=-50.0, max_value=50.0))
-def test_activate_odd_bounded(beta, x):
-    # tanh saturates to exactly 1.0 in float64 once beta*x exceeds ~19,
-    # so the bound is <= with strictness only below saturation.
-    y = activate(x, beta)
-    assert abs(y) <= 1.0
-    if abs(beta * x) < 15.0:
-        assert abs(y) < 1.0 or x == 0.0
-    assert activate(-x, beta) == pytest.approx(-y, abs=1e-15)
-
-
-@given(st.floats(min_value=0.1, max_value=10.0),
-       st.floats(min_value=-3.0, max_value=3.0),
-       st.floats(min_value=1e-4, max_value=0.5))
-def test_activate_strictly_increasing(beta, x, step):
-    assume(abs(beta * (x + step)) < 15.0 and abs(beta * x) < 15.0)
-    assert activate(x + step, beta) > activate(x, beta)
-
+# ------------------------------------------------------------ activation slope
 
 def test_deriv_matches_finite_difference():
     # backprop takes the slope from the activation a itself: beta (1 - a^2)
@@ -178,14 +140,9 @@ def test_deriv_matches_finite_difference():
     for _ in range(100):
         beta = rng.uniform(0.5, 3.0)
         x = rng.uniform(-1.0, 1.0)
-        fd = (activate(x + h, beta) - activate(x - h, beta)) / (2 * h)
-        a = activate(x, beta)
-        assert beta * (1.0 - a * a) == pytest.approx(fd, rel=1e-7)
-
-
-def test_activate_vectorized():
-    x = np.linspace(-2, 2, 7)
-    assert np.allclose(activate(x, 2.22), np.tanh(2.22 * x))
+        fd = (np.tanh(beta * (x + h)) - np.tanh(beta * (x - h))) / (2 * h)
+        a = np.tanh(beta * np.array([x]))
+        assert _tanh_slope(a, beta)[0] == pytest.approx(fd, rel=1e-7)
 
 
 def test_scan_losses_equal_per_beta_rss():

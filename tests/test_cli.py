@@ -349,20 +349,27 @@ def test_activation_simulate_silent_when_converged(tmp_path):
     assert res.stderr == ""
 
 
-def test_activation_simulate_weighted_random_ignores_seed(tmp_path):
-    # the weighted-random steady state is that of the mean map; no draw is taken
+def test_activation_simulate_ignores_seed(tmp_path):
+    # the seed is recorded in the config and the fit's provenance, nowhere else
     curves = {}
     for seed in (1, 2):
         out = tmp_path / f"seed{seed}"
         res = cli("activation", "simulate", "--spin", "5/2", "--points", 5,
-                  "--schedule", "weighted-random", "--seed", seed, "--out-dir", out)
+                  "--seed", seed, "--out-dir", out)
         assert res.returncode == 0, res.stderr
         curves[seed] = (out / "curve_spin2.5.csv").read_bytes()
     assert curves[1] == curves[2]
-    rows = list(csv.DictReader(io.StringIO(curves[1].decode())))
-    assert len(rows) == 5
-    assert all(abs(float(r["sigma_z"]) - float(r["u"])) < 1e-9 for r in rows)
-    assert all(r["converged"] == "1" for r in rows)
+
+
+def test_activation_simulate_has_no_schedule(tmp_path):
+    # round-robin is the one schedule, so no flag or config key names one
+    res = cli("activation", "simulate", "--schedule", "round-robin", "--out-dir", tmp_path)
+    assert res.returncode == 2
+    config = write_doc({"schedule": "round-robin"}, tmp_path, name="schedule.json")
+    res = cli("activation", "simulate", "--config", config, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4
+    assert res.stderr.startswith("error:") and "'schedule'" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_activation_fit_round_trip(curve_dir, tmp_path):
@@ -384,6 +391,15 @@ def test_activation_invalid_spin_exits_8(tmp_path):
     res = python_m("activation", "simulate", "--spin", "0.6", "--points", 5,
                    "--collisions", 100, "--out-dir", tmp_path)
     assert res.returncode == 8
+
+
+@pytest.mark.parametrize("spin", ["nan", "inf"])
+def test_activation_non_finite_spin_exits_8(spin, tmp_path):
+    res = cli("activation", "simulate", "--spin", spin, "--points", 5,
+              "--out-dir", tmp_path / "out")
+    assert res.returncode == 8, res.stderr
+    assert res.stderr.startswith("error:") and "spin" in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("spin", ["abc", "1/0"])
@@ -619,8 +635,8 @@ def test_train_non_positive_lr_exits_4(lr, dataset_dir, tmp_path):
     assert not (tmp_path / "model.json").exists()
 
 
-@pytest.mark.parametrize("source", ["dataset --seed", "train --seed", "train --config",
-                                    "sweep seeds"])
+@pytest.mark.parametrize("source", ["dataset --seed", "activation simulate --seed",
+                                    "train --seed", "train --config", "sweep seeds"])
 def test_negative_seed_exits_4(source, dataset_dir, tmp_path):
     prefix = dataset_dir / "data"
     table3 = ["--preset", "table3", "--epochs", 1]
@@ -629,6 +645,8 @@ def test_negative_seed_exits_4(source, dataset_dir, tmp_path):
                               {"data": str(prefix), "preset": "table3", "epochs": 1,
                                "betas": [2.22], "seeds": [-1]}))
     args = {"dataset --seed": ["dataset", NETWORK, "--n", 10, "--seed", -1],
+            "activation simulate --seed": ["activation", "simulate", "--points", 5,
+                                           "--seed", -1],
             "train --seed": ["train", prefix, *table3, "--seed", -1],
             "train --config": ["train", prefix, *table3, "--config", cfg],
             "sweep seeds": ["sweep", cfg]}[source]
