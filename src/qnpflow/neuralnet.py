@@ -4,8 +4,10 @@ Loss convention: batch-mean squared error over all outputs plus unnormalized
 penalties l1 * sum|w| + l2 * sum w^2 over weights only (biases excluded), so
 the penalty gradient is exactly l1 * sign(w) + 2 * l2 * w. Gradients and
 optimizer moments share the layout of `MLPParams.flat`, so a step is one
-elementwise update. The training step works in place on arrays it has just
-made, with the same floating-point operations in the same order as the
+elementwise update. Consecutive hidden layers of one width form a run, whose
+activations, tanh slopes and deltas are each one (k, rows, H) array. The
+training step works in place on buffers that `train` reuses from step to
+step, with the same floating-point operations in the same order as the
 textbook formulas, so every result is bit for bit what those formulas give.
 """
 from __future__ import annotations
@@ -100,6 +102,18 @@ class LayerTopology:
             b_at += n_out
         return tuple(out)
 
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        """Each run of consecutive hidden layers of one width, as the index of
+        its first layer and its length; unequal widths are runs of one."""
+        out: list[list[int]] = []
+        for l in range(self.n_layers - 1):
+            if out and self.sizes[l + 1] == self.sizes[l]:
+                out[-1][1] += 1
+            else:
+                out.append([l, 1])
+        return tuple((first, k) for first, k in out)
+
 
 @dataclass
 class MLPParams:
@@ -153,21 +167,50 @@ def _as_batch(x: np.ndarray, n_in: int) -> np.ndarray:
     return arr
 
 
-def forward(params: MLPParams, x: np.ndarray) -> list[np.ndarray]:
+def _layer_outputs(topo: LayerTopology, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each run's activations as one (k, rows, H) array, and the output slot
+    of every layer: views of those arrays, then a (rows, n_out) array."""
+    runs = [np.empty((k, rows, topo.sizes[first + 1])) for first, k in topo.runs]
+    return runs, [*(a for run in runs for a in run), np.empty((rows, topo.n_outputs))]
+
+
+class _StepBuffers:
+    """The arrays one training step on `rows` rows writes into: per run, its
+    activations, tanh slopes and deltas as (k, rows, H) arrays with views of
+    the gradient for its interior H x H weights, (k - 1, H, H), and its biases,
+    (k, H); each layer's output slot; the output delta; and the gradient
+    `grad`, laid out like `MLPParams.flat`, with its per-layer views."""
+
+    def __init__(self, params: MLPParams, rows: int, grad: np.ndarray):
+        topo = params.topology
+        acts, self.outputs = _layer_outputs(topo, rows)
+        self.grad = grad
+        self.grad_w, self.grad_b = params.unflatten(grad)
+        self.runs = []
+        for (first, k), a in zip(topo.runs, acts):
+            last, width = topo.layout[first + k - 1], a.shape[2]
+            interior = grad[topo.layout[first][0].stop:last[0].stop].reshape(k - 1, width, width)
+            biases = grad[topo.layout[first][2].start:last[2].stop].reshape(k, width)
+            self.runs.append((first, k, a, np.empty_like(a), np.empty_like(a), interior, biases))
+        self.out_delta = np.empty((rows, topo.n_outputs))
+
+
+def forward(params: MLPParams, x: np.ndarray, buffers: _StepBuffers | None = None) -> list[np.ndarray]:
     """Propagate a batch; returns the activations [x, a_1, ..., y] of every layer.
-    Bias, steepness and tanh act in place on each layer's fresh matmul result."""
+    Each layer's matmul is written into its output slot, of `buffers` or of new
+    arrays, where bias, steepness and tanh then act in place."""
     topo = params.topology
-    acts = [_as_batch(x, topo.n_inputs)]
+    x = _as_batch(x, topo.n_inputs)
+    acts = [x, *(_layer_outputs(topo, x.shape[0])[1] if buffers is None else buffers.outputs)]
     betas = [float(topo.beta)] * (topo.n_layers - 1)
     betas.append(None if topo.output_beta is None else float(topo.output_beta))
-    for w, b, beta in zip(params.weights, params.biases, betas):
-        z = acts[-1] @ w.T
+    for l, (w, b, beta) in enumerate(zip(params.weights, params.biases, betas)):
+        z = np.matmul(acts[l], w.T, out=acts[l + 1])
         if topo.use_bias:
             z += b
         if beta is not None:
             z *= beta
             np.tanh(z, out=z)
-        acts.append(z)
     return acts
 
 
@@ -190,57 +233,55 @@ def mape(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     return 100.0 * np.mean(np.abs((p - t) / t), axis=0)
 
 
-def penalty(params: MLPParams, l1: float, l2: float) -> float:
-    """Regularization term l1 sum|w| + l2 sum w^2 over weights only."""
-    w = params.flat[:params.topology.n_weights]
-    total = 0.0
-    if l1:
-        total += l1 * float(np.sum(np.abs(w)))
-    if l2:
-        total += l2 * float(np.sum(w * w))
-    return total
-
-
-def loss_value(params: MLPParams, x: np.ndarray, target: np.ndarray,
-               l1: float = 0.0, l2: float = 0.0) -> float:
-    """Full training objective on one batch: MSE plus penalties."""
-    return mse(forward(params, x)[-1], np.atleast_2d(target)) + penalty(params, l1, l2)
-
-
-def _tanh_slope(a: np.ndarray, beta: float) -> np.ndarray:
+def _tanh_slope(a: np.ndarray, beta: float, out: np.ndarray | None = None) -> np.ndarray:
     """beta (1 - a^2): the derivative of tanh(beta z) at a = tanh(beta z)."""
-    slope = a * a
+    slope = np.multiply(a, a, out=out)
     np.subtract(1.0, slope, out=slope)
     slope *= beta
     return slope
 
 
 def backward(params: MLPParams, acts: list[np.ndarray], targets: np.ndarray,
-             l1: float = 0.0, l2: float = 0.0) -> np.ndarray:
-    """Exact gradient of loss_value, laid out like `params.flat`, from the
-    activations `forward` returned; a new array on every call, which each
-    layer's weight product and bias sum are written into."""
+             l1: float = 0.0, l2: float = 0.0, buffers: _StepBuffers | None = None) -> np.ndarray:
+    """Exact gradient of the batch-mean squared error plus penalties, laid
+    out like `params.flat`, from the activations that `forward` returned.
+
+    With `buffers`, `acts` must be what `forward` wrote into them, and the
+    gradient is `buffers.grad`, overwritten; without, the hidden activations
+    are copied into new buffers and the gradient is a new array. The delta
+    chain runs layer by layer; per run of equal-width layers, the tanh slopes,
+    the interior weight products and the bias sums are each one call."""
     topo = params.topology
     t = np.atleast_2d(np.asarray(targets, dtype=float))
     y = acts[-1]
     if t.shape != y.shape:
         raise ShapeMismatch(f"targets shape {t.shape} vs outputs shape {y.shape}")
+    if buffers is None:
+        buffers = _StepBuffers(params, y.shape[0], np.zeros(params.flat.shape))
+        for first, k, a, *_ in buffers.runs:
+            np.stack(acts[first + 1:first + k + 1], out=a)
 
-    delta = y - t
+    delta = np.subtract(y, t, out=buffers.out_delta)
     delta *= 2.0 / (y.shape[0] * topo.n_outputs)
     if topo.output_beta is not None:
         delta *= _tanh_slope(y, float(topo.output_beta))
 
-    grad = np.zeros(params.flat.shape)
-    layout, beta = topo.layout, float(topo.beta)
-    for l in range(topo.n_layers - 1, -1, -1):
-        w_at, w_shape, b_at = layout[l]
-        np.matmul(delta.T, acts[l], out=grad[w_at].reshape(w_shape))
-        if topo.use_bias:
-            delta.sum(axis=0, out=grad[b_at])
-        if l > 0:
-            delta = delta @ params.weights[l]
-            delta *= _tanh_slope(acts[l], beta)
+    grad_w, grad_b, use_bias = buffers.grad_w, buffers.grad_b, topo.use_bias
+    l = topo.n_layers - 1
+    np.matmul(delta.T, acts[l], out=grad_w[l])
+    if use_bias:
+        delta.sum(axis=0, out=grad_b[l])
+    beta = float(topo.beta)
+    for first, k, a, slope, deltas, interior, biases in reversed(buffers.runs):
+        _tanh_slope(a, beta, out=slope)
+        for i in range(k - 1, -1, -1):
+            delta = np.matmul(delta, params.weights[first + i + 1], out=deltas[i])
+            delta *= slope[i]
+        np.matmul(deltas[1:].transpose(0, 2, 1), a[:-1], out=interior)
+        np.matmul(delta.T, acts[first], out=grad_w[first])
+        if use_bias:
+            np.add.reduce(deltas, axis=1, out=biases)
+    grad = buffers.grad
     if l1 or l2:
         n = topo.n_weights
         w, g = params.flat[:n], grad[:n]
@@ -425,16 +466,21 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
     shuffle_rng = np.random.default_rng([hyper.seed, 1])
     initial_mse = mse(forward(params, x)[-1], y)
 
+    # one buffer set for the full batches and one for the remainder, both
+    # writing their gradient into the one vector `grad`
+    n, size = x.shape[0], hyper.batch_size
+    grad = np.zeros(params.flat.shape)
+    buffers = {rows: _StepBuffers(params, rows, grad) for rows in {min(size, n), n % size} - {0}}
     train_log: list[float] = []
     test_log: list[float] | None = [] if has_test else None
     t = 0
     for _ in range(hyper.epochs):
-        perm = shuffle_rng.permutation(x.shape[0])
+        perm = shuffle_rng.permutation(n)
         x_epoch, y_epoch = x[perm], y[perm]
-        for lo in range(0, x.shape[0], hyper.batch_size):
-            hi = lo + hyper.batch_size
-            grad = backward(params, forward(params, x_epoch[lo:hi]), y_epoch[lo:hi],
-                            l1=hyper.l1, l2=hyper.l2)
+        for lo in range(0, n, size):
+            step = buffers[min(size, n - lo)]
+            acts = forward(params, x_epoch[lo:lo + size], buffers=step)
+            backward(params, acts, y_epoch[lo:lo + size], l1=hyper.l1, l2=hyper.l2, buffers=step)
             t += 1
             optimizer_step(kind, state, params, grad, t)
         epoch_mse = mse(forward(params, x)[-1], y)

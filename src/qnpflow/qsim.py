@@ -205,6 +205,10 @@ class SteadyStateResult:
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
                  dtype=complex)
 
+# Complex entries of the (4, 2d, 2d) joint states that _transfer_matrices
+# stacks at once (4 MB), so a curve's reservoirs go through in chunks.
+MAP_CHUNK_ELEMENTS = 2**18
+
 # Schedule cycles per block in evolve_collisions, where a block is one pair of
 # numpy calls, and in the settle test of steady_states.
 BLOCK_CYCLES = 256
@@ -216,17 +220,24 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
     Column k of a reservoir's real 4x4 map T (r' = T r) is the Pauli vector
     of _collide applied to P_k with collision_unitary(r.g, r.spin_j, params),
     so the map is defined by _collide alone. Reservoirs of one spin go through
-    collision_unitary and _collide as one stack. The truncated propagator is
-    not trace preserving; T then changes r_0, which readouts divide out.
+    collision_unitary and _collide as stacks of at most MAP_CHUNK_ELEMENTS
+    joint-state entries (at least one reservoir), so memory does not grow
+    with the number of reservoirs; every stacked eigh and matmul acts per
+    slice, so the maps do not depend on the chunking. The truncated
+    propagator is not trace preserving; T then changes r_0, which readouts
+    divide out.
     """
     kraus = _damping_kraus(params)
     maps = np.empty((len(specs), 4, 4))
     for spin_j in sorted({r.spin_j for r in specs}):
         idx = [i for i, r in enumerate(specs) if r.spin_j == spin_j]
-        u = collision_unitary(np.array([specs[i].g for i in idx]), spin_j, params)
-        units = np.array([reservoir_unit_state(specs[i]).entries for i in idx])
-        images = _collide(PAULI, units[:, None], u[:, None], kraus)
-        maps[idx] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
+        dim = 2 * int(round(2 * spin_j)) + 2
+        chunk = max(1, MAP_CHUNK_ELEMENTS // (4 * dim * dim))
+        for part in (idx[lo:lo + chunk] for lo in range(0, len(idx), chunk)):
+            u = collision_unitary(np.array([specs[i].g for i in part]), spin_j, params)
+            units = np.array([reservoir_unit_state(specs[i]).entries for i in part])
+            images = _collide(PAULI, units[:, None], u[:, None], kraus)
+            maps[part] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
     return maps
 
 

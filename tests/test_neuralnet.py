@@ -32,7 +32,6 @@ from qnpflow.neuralnet import (
     glorot_init,
     init_optimizer_state,
     load_model,
-    loss_value,
     mape,
     mse,
     optimizer_step,
@@ -45,6 +44,22 @@ from qnpflow.neuralnet import (
 
 # ---------------------------------------------------------------------------
 # finite-difference oracle for the backward pass
+
+
+def penalty(params, l1, l2):
+    """Regularization term l1 sum|w| + l2 sum w^2 over weights only."""
+    w = params.flat[:params.topology.n_weights]
+    total = 0.0
+    if l1:
+        total += l1 * float(np.sum(np.abs(w)))
+    if l2:
+        total += l2 * float(np.sum(w * w))
+    return total
+
+
+def loss_value(params, x, target, l1=0.0, l2=0.0):
+    """Full training objective on one batch: MSE plus penalties."""
+    return mse(forward(params, x)[-1], np.atleast_2d(target)) + penalty(params, l1, l2)
 
 
 def fd_grads(params, x, y, l1=0.0, l2=0.0, h=1e-6):
@@ -720,6 +735,78 @@ def test_training_bitwise_equals_per_layer_reference_at_table3_shape(optimizer, 
                         optimizer=optimizer, l1=penalty, l2=penalty, seed=3)
     topo = build_topology(10, 5, hyper, beta=2.22)
     assert_training_matches_reference(data, topo, hyper)
+
+
+def test_topology_runs_group_consecutive_equal_widths():
+    assert LayerTopology((10, *[10] * 7, 5)).runs == ((0, 7),)
+    assert LayerTopology((3, 5, 4, 2)).runs == ((0, 1), (1, 1))
+    assert LayerTopology((3, 6, 5, 5, 4, 4, 4, 2)).runs == ((0, 1), (1, 2), (3, 3))
+    assert LayerTopology((3, 4, 3, 4, 4, 2)).runs == ((0, 1), (1, 1), (2, 2))
+    assert LayerTopology((3, 2)).runs == ()
+
+
+# hidden runs of 1, 2 and 3 layers; 37 rows in batches of 10 leave a remainder of 7
+MIXED_RUNS = (3, 6, 5, 5, 4, 4, 4, 2)
+
+
+def mixed_data(seed=43):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(45, 3))
+    y = 0.8 * np.tanh(x @ rng.normal(size=(3, 2)))
+    return TrainSet(x_train=x[:37], y_train=y[:37], x_test=x[37:], y_test=y[37:])
+
+
+@pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+@pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("output_beta", [None, 1.5], ids=["linear-out", "tanh-out"])
+@pytest.mark.parametrize("penalty", [0.0, 1e-4], ids=["plain", "l1l2"])
+def test_stacked_runs_bitwise_equal_per_layer_reference(optimizer, use_bias, output_beta, penalty):
+    # train and ref_train take the layer sizes from the topology, not hyper
+    hyper = Hyperparams(hidden_layers=1, hidden_size=1, epochs=4, batch_size=10,
+                        optimizer=optimizer, l1=penalty, l2=penalty, seed=4)
+    topo = LayerTopology(MIXED_RUNS, beta=2.78, output_beta=output_beta, use_bias=use_bias)
+    assert_training_matches_reference(mixed_data(), topo, hyper)
+
+
+def test_training_without_hidden_layers_bitwise_equals_reference():
+    hyper = Hyperparams(hidden_layers=1, hidden_size=1, epochs=3, batch_size=10, seed=5)
+    assert_training_matches_reference(mixed_data(), LayerTopology((3, 2), beta=2.22), hyper)
+
+
+@pytest.mark.parametrize("optimizer, output_beta", [("sgd", None), ("nadam", 1.5)])
+def test_stacked_run_bitwise_equals_reference_at_table3_shape(optimizer, output_beta):
+    # one run of 7 hidden layers; 160 rows leave a remainder batch of 10
+    rng = np.random.default_rng(44)
+    x = rng.uniform(-1.0, 1.0, size=(190, 10))
+    y = 0.8 * np.tanh(x @ rng.normal(size=(10, 5)) / 3.0)
+    data = TrainSet(x_train=x[:160], y_train=y[:160], x_test=x[160:], y_test=y[160:])
+    hyper = Hyperparams(hidden_layers=7, hidden_size=10, epochs=3, batch_size=50,
+                        optimizer=optimizer, seed=6)
+    assert_training_matches_reference(data, build_topology(10, 5, hyper, beta=2.22,
+                                                           output_beta=output_beta), hyper)
+
+
+@pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
+def test_reused_step_buffers_equal_fresh_ones(use_bias):
+    # two steps through one buffer set, whose gradient vector the second step
+    # overwrites, against two steps on new arrays; without biases the bias
+    # gradient must stay +0.0 bit for bit
+    topo = LayerTopology(MIXED_RUNS, beta=3.33, output_beta=1.5, use_bias=use_bias)
+    reused, fresh = glorot_init(topo, seed=7), glorot_init(topo, seed=7)
+    buffers = neuralnet._StepBuffers(reused, 6, np.zeros(reused.flat.shape))
+    states = init_optimizer_state(reused), init_optimizer_state(fresh)
+    rng = np.random.default_rng(45)
+    for t in (1, 2):
+        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        acts = forward(reused, x, buffers)
+        got = backward(reused, acts, y, l1=1e-4, l2=1e-4, buffers=buffers)
+        want = backward(fresh, forward(fresh, x), y, l1=1e-4, l2=1e-4)
+        assert got is buffers.grad and got.tobytes() == want.tobytes()
+        if not use_bias:
+            assert got[topo.n_weights:].tobytes() == bytes(8 * (got.size - topo.n_weights))
+        optimizer_step(OptimizerKind("adam"), states[0], reused, got, t)
+        optimizer_step(OptimizerKind("adam"), states[1], fresh, want, t)
+        assert reused.flat.tobytes() == fresh.flat.tobytes()
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)

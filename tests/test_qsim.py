@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnpflow import qsim
 from qnpflow.errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationError
 from qnpflow.qsim import (
     BLOCK_CYCLES,
@@ -483,6 +484,18 @@ def test_stacked_transfer_matrices_equal_per_reservoir(mode, gamma):
     stacked = _transfer_matrices(specs, params)
     for maps, spec in zip(stacked, specs):
         assert np.array_equal(maps, per_reservoir_transfer_matrix(spec, params))
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 4 * 12 * 12], ids=["one-per-chunk", "chunks-of-3"])
+def test_chunked_transfer_matrices_equal_one_stack(budget, monkeypatch):
+    # a budget of 3 * 4 * (2d)^2 entries puts three J = 5/2 reservoirs in a chunk
+    params = CollisionParams(tau=3.0, gamma=0.05)
+    specs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
+             for spin_j in (0.5, 2.5) for t, phi, w in CROSS_CHECK_UNITS]
+    specs += [ReservoirSpec(theta=0.3 * k, phi=0.2 * k, spin_j=2.5, g=0.01 * k) for k in range(7)]
+    whole = _transfer_matrices(specs, params)
+    monkeypatch.setattr(qsim, "MAP_CHUNK_ELEMENTS", budget)
+    assert _transfer_matrices(specs, params).tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("spin_j", [0.5, 1.0, 1.5, 2.5])
