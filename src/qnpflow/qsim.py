@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ from .activation import ActivationCurve
 from .errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationError
 
 STEADY_TOL = 1e-9
+
+# Collision caps must fit the int64 counts that steady_states reports.
+MAX_COLLISIONS = 2**63 - 1
 
 SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
 SIGMA_MINUS = SIGMA_PLUS.T.copy()
@@ -70,8 +74,11 @@ class CollisionParams:
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValidationError(f"tau must be finite and positive, got {self.tau}")
-        if self.n_collisions < 1:
-            raise ValidationError(f"n_collisions must be at least 1, got {self.n_collisions}")
+        n = self.n_collisions
+        integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+        if not (integral and 1 <= n <= MAX_COLLISIONS):
+            raise ValidationError(f"n_collisions must be an integer in [1, {MAX_COLLISIONS}], "
+                                  f"got {n!r}")
         if not 0 <= self.gamma < math.inf:
             raise ValidationError(f"gamma must be finite and non-negative, got {self.gamma}")
 
@@ -210,8 +217,16 @@ PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, 
 MAP_CHUNK_ELEMENTS = 2**18
 
 # Schedule cycles per block in evolve_collisions, where a block is one pair of
-# numpy calls, and in the settle test of steady_states.
+# numpy calls, and in the settle test of steady_states, where a block is one
+# (BLOCK_CYCLES, modes) power table times its scaled readouts.
 BLOCK_CYCLES = 256
+
+# Point-cycles that one pass of the settle test evaluates, as whole blocks
+# (at least one block per point). At 2^12 a pass's largest temporary, the
+# (points, BLOCK_CYCLES, 2 blocks) complex product, holds at most 128 KiB,
+# glibc's default mmap threshold; 2^11 and 2^13 both ran a 5-point curve
+# slower. A 41-point curve still takes one block per pass.
+SETTLE_GROUP_ROWS = 2**12
 
 
 def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> np.ndarray:
@@ -223,7 +238,9 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
     collision_unitary and _collide as stacks of at most MAP_CHUNK_ELEMENTS
     joint-state entries (at least one reservoir), so memory does not grow
     with the number of reservoirs; every stacked eigh and matmul acts per
-    slice, so the maps do not depend on the chunking. The truncated
+    slice, so the maps do not depend on the chunking. A chunk builds each
+    unit state once per distinct (theta, phi), keyed by the angles' bits so
+    that 0.0 and -0.0 stay apart. The truncated
     propagator is not trace preserving; T then changes r_0, which readouts
     divide out.
     """
@@ -235,7 +252,10 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
         chunk = max(1, MAP_CHUNK_ELEMENTS // (4 * dim * dim))
         for part in (idx[lo:lo + chunk] for lo in range(0, len(idx), chunk)):
             u = collision_unitary(np.array([specs[i].g for i in part]), spin_j, params)
-            units = np.array([reservoir_unit_state(specs[i]).entries for i in part])
+            keys = [struct.pack("dd", specs[i].theta, specs[i].phi) for i in part]
+            states = {key: reservoir_unit_state(specs[i]).entries
+                      for key, i in dict(zip(keys, part)).items()}
+            units = np.array([states[key] for key in keys])
             images = _collide(PAULI, units[:, None], u[:, None], kraus)
             maps[part] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
     return maps
@@ -400,8 +420,13 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
     than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
 
-    Cycles run in blocks of BLOCK_CYCLES over the points not yet settled.
-    Returns k per point, 0 where it does not settle.
+    Cycles run in blocks of BLOCK_CYCLES. Each pass takes a group of
+    consecutive blocks for the points not yet settled, at most
+    SETTLE_GROUP_ROWS point-cycles: block b of a group reads
+    (lam^1..lam^BLOCK_CYCLES) @ (lam^(start_b) c_i v_i), and the group's
+    blocks are one stacked matmul against their scaled readouts side by side.
+    Settled points leave between groups. Returns k per point, 0 where it does
+    not settle.
     """
     cycles = np.zeros(lam.shape[0], dtype=int)
     active = np.arange(lam.shape[0])
@@ -411,13 +436,23 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     prev = np.full(lam.shape[0], r0[3] / r0[0])
     start = 0
     while active.size and start < max_cycles:
-        size = min(BLOCK_CYCLES, max_cycles - start)
-        ends = (table[:, :size] @ (base[:, :, None] * readout)).real
-        values = ends[..., 1] / ends[..., 0]
-        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < STEADY_TOL
+        blocks = max(1, SETTLE_GROUP_ROWS // (BLOCK_CYCLES * active.size))
+        size = min(blocks * BLOCK_CYCLES, max_cycles - start)
+        blocks = -(-size // BLOCK_CYCLES)
+        scaled = []
+        for _ in range(blocks):
+            scaled.append(base[:, :, None] * readout)
+            base = base * table[:, -1]
+        ends = table @ np.concatenate(scaled, axis=2)       # (B, BLOCK_CYCLES, 2 blocks)
+        # prev, then the group's cycles in order
+        values = np.empty((active.size, 1 + blocks * BLOCK_CYCLES))
+        values[:, 0] = prev
+        np.divide(ends[..., 1::2].real, ends[..., 0::2].real,
+                  out=values[:, 1:].reshape(active.size, blocks, BLOCK_CYCLES).swapaxes(1, 2))
+        small = np.abs(values[:, 1:size + 1] - values[:, :size]) < STEADY_TOL
         hit = small.any(axis=1)
         cycles[active[hit]] = start + small[hit].argmax(axis=1) + 1
-        base, prev = base * table[:, size - 1], values[:, -1]
+        prev = values[:, size]
         if hit.any():
             keep = ~hit
             active, table, readout, base, prev = (

@@ -13,6 +13,7 @@ from qnpflow.powerflow import (
     initial_state,
     mismatch,
 )
+from qnpflow.qsim import BLOCK_CYCLES, STEADY_TOL
 
 
 def _solution(net, state, iterations, history, converged) -> PowerFlowSolution:
@@ -64,3 +65,33 @@ def gauss_seidel_oracle(
     raise NotConverged(
         f"Gauss-Seidel mismatch norm {norm:.3e} after {max_iter} sweeps", history
     )
+
+
+def settle_cycles_per_block(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
+                            max_cycles: int) -> np.ndarray:
+    """qsim._settle_cycles one block of BLOCK_CYCLES cycles at a time.
+
+    Each block takes the power table's first rows times the readouts scaled
+    to the block's start, and settled points leave after every block.
+    """
+    cycles = np.zeros(lam.shape[0], dtype=int)
+    active = np.arange(lam.shape[0])
+    table = lam[:, None, :] ** np.arange(1, BLOCK_CYCLES + 1)[:, None]   # lam^k
+    readout = parts[:, [0, 3], :].swapaxes(1, 2)                         # (B, modes, 2)
+    base = np.ones_like(lam)                                             # lam^start
+    prev = np.full(lam.shape[0], r0[3] / r0[0])
+    start = 0
+    while active.size and start < max_cycles:
+        size = min(BLOCK_CYCLES, max_cycles - start)
+        ends = (table[:, :size] @ (base[:, :, None] * readout)).real
+        values = ends[..., 1] / ends[..., 0]
+        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < STEADY_TOL
+        hit = small.any(axis=1)
+        cycles[active[hit]] = start + small[hit].argmax(axis=1) + 1
+        base, prev = base * table[:, size - 1], values[:, -1]
+        if hit.any():
+            keep = ~hit
+            active, table, readout, base, prev = (
+                x[keep] for x in (active, table, readout, base, prev))
+        start += size
+    return cycles

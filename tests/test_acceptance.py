@@ -17,7 +17,7 @@ from reference import gauss_seidel_oracle
 from test_neuralnet import fd_grads, grad_rel_error
 from test_powerflow import fd_jacobian, max_rel_error, random_state
 
-from qnpflow.activation import fit_beta
+from qnpflow.activation import beta_table, fit_beta
 from qnpflow.dataset import fit_scaler, generate
 from qnpflow.grid import NetworkModel, load_network
 from qnpflow.neuralnet import (
@@ -199,6 +199,16 @@ def test_criterion_5_steepness_ordering(spin_curves):
               + f"; strictly increasing={increasing}, soft targets hit {soft_hits}/4, "
               + f"{elapsed:.0f} s")
     report(5, ok, detail)
+
+
+def test_fitted_beta_sits_below_the_table(spin_curves):
+    # units at theta = 0 and pi with u the coupling imbalance give sigma_z
+    # close to u: beta is about 1.2433 at every spin, while the table that
+    # train --spin reads holds 2.22 to 4.1
+    curves, _ = spin_curves
+    table = beta_table()
+    for j, curve in curves.items():
+        assert fit_beta(curve).beta < 0.6 * table[j]
 
 
 # ---------------------------------------------------------------- 6

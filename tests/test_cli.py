@@ -387,6 +387,14 @@ def test_activation_even_points_exits_4(tmp_path):
     assert res.returncode == 4
 
 
+def test_activation_collision_cap_beyond_int64_exits_4(tmp_path):
+    res = cli("activation", "simulate", "--points", 5, "--collisions", 10**20,
+              "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "n_collisions" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_activation_invalid_spin_exits_8(tmp_path):
     res = python_m("activation", "simulate", "--spin", "0.6", "--points", 5,
                    "--collisions", 100, "--out-dir", tmp_path)

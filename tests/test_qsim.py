@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,17 +6,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import settle_cycles_per_block
+
 from qnpflow import qsim
 from qnpflow.errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationError
 from qnpflow.qsim import (
     BLOCK_CYCLES,
+    MAX_COLLISIONS,
     PAULI,
+    SETTLE_GROUP_ROWS,
     STEADY_TOL,
     CollisionParams,
     DensityMatrix,
     _collide,
     _cycle_modes,
     _damping_kraus,
+    _prefix_products,
+    _settle_cycles,
     _transfer_matrices,
     PropagatorMode,
     ReservoirSpec,
@@ -450,6 +457,12 @@ def test_collision_params_validation():
         CollisionParams(n_collisions=0)
     with pytest.raises(ValidationError):
         CollisionParams(gamma=-1e-5)
+    # the cap must be an integer that the int64 collision counts can hold
+    for bad in (MAX_COLLISIONS + 1, 10**20, 20000.0, 2.5, True, "20000", None):
+        with pytest.raises(ValidationError):
+            CollisionParams(n_collisions=bad)
+    for good in (1, np.int64(777), MAX_COLLISIONS):
+        assert CollisionParams(n_collisions=good).n_collisions == good
 
 
 # ------------------------------------------------------------ exact steady states
@@ -496,6 +509,78 @@ def test_chunked_transfer_matrices_equal_one_stack(budget, monkeypatch):
     whole = _transfer_matrices(specs, params)
     monkeypatch.setattr(qsim, "MAP_CHUNK_ELEMENTS", budget)
     assert _transfer_matrices(specs, params).tobytes() == whole.tobytes()
+
+
+def test_unit_states_built_once_per_chunk_and_maps_stay_bitwise(monkeypatch):
+    # repeated and mixed (theta, phi) pairs, a signed zero, two spins, and
+    # chunks of three J = 5/2 reservoirs (a budget of 3 * 4 * (2d)^2 entries)
+    params = CollisionParams(tau=3.0, gamma=0.05)
+    angles = [(0.0, 0.0), (math.pi, 0.0), (1.1, 0.4), (0.0, -0.0),
+              (1.1, 0.4), (math.pi, 0.0), (0.0, 0.0), (1.1, -0.4)]
+    specs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.01 * (k + 1))
+             for spin_j in (0.5, 2.5) for k, (t, phi) in enumerate(angles)]
+    monkeypatch.setattr(qsim, "MAP_CHUNK_ELEMENTS", 3 * 4 * 12 * 12)
+    built = []
+    monkeypatch.setattr(qsim, "reservoir_unit_state",
+                        lambda spec: built.append(spec) or reservoir_unit_state(spec))
+    maps = _transfer_matrices(specs, params)
+    for m, spec in zip(maps, specs):
+        assert m.tobytes() == per_reservoir_transfer_matrix(spec, params).tobytes()
+    # J = 1/2: one chunk with 5 distinct pairs; J = 5/2: chunks of 3, 3 and 2
+    assert len(built) == 5 + 3 + 3 + 2
+
+
+def curve_modes(spin_j, n_points, params):
+    """r0 and the cycle-map modes of transfer_curve's points."""
+    specs = [r for rs in curve_sets(spin_j, n_points) for r in rs]
+    maps = _transfer_matrices(specs, params).reshape(n_points, 2, 4, 4)
+    r0 = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
+    lam, parts, _ = _cycle_modes(r0, _prefix_products(maps))
+    return r0, lam, parts
+
+
+# each spin and curve size meets one of the (gamma, tau, mode) settings, and
+# every setting value comes up; the points settle at once, deep into the
+# scan (93205 cycles at J = 7, tau = 0.3), or not within the cap
+SETTLE_SETTINGS = list(itertools.product((0.0, 1e-4, 0.01), (0.3, 3.0, 30.0), (EXACT, TRUNCATED)))
+SETTLE_CASES = [(spin_j, n_points, *SETTLE_SETTINGS[7 * i % len(SETTLE_SETTINGS)])
+                for i, (spin_j, n_points)
+                in enumerate(itertools.product((0.5, 1.0, 1.5, 2.5, 7.0), (5, 41, 201)))]
+
+
+@pytest.mark.parametrize("spin_j, n_points, gamma, tau, mode", SETTLE_CASES)
+def test_grouped_settle_equals_per_block_reference(spin_j, n_points, gamma, tau, mode):
+    r0, lam, parts = curve_modes(
+        spin_j, n_points, CollisionParams(tau=tau, gamma=gamma, propagator_mode=mode))
+    # no cycle, a partial last block, and caps off the block grid
+    for cap in (1, 777, 20000, 200000):
+        assert np.array_equal(_settle_cycles(r0, lam, parts, cap // 2),
+                              settle_cycles_per_block(r0, lam, parts, cap // 2))
+
+
+@pytest.mark.parametrize("n_res", [1, 2])
+@pytest.mark.parametrize("blocks", [2, SETTLE_GROUP_ROWS // BLOCK_CYCLES],
+                         ids=["later-block-of-a-group", "first-block-of-next-group"])
+def test_steady_states_settle_on_first_cycle_of_a_block_in_a_group(n_res, blocks, monkeypatch):
+    # one point scans SETTLE_GROUP_ROWS // BLOCK_CYCLES blocks per group, so
+    # cycle 2 B + 1 opens the third block of the first group, and cycle
+    # SETTLE_GROUP_ROWS + 1 opens the second group; that cycle's change is
+    # measured against the cycle before it
+    reservoirs = [ReservoirSpec(theta=t, phi=phi, g=0.01 * w)
+                  for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
+    k = blocks * BLOCK_CYCLES + 1
+    long_run = CollisionParams(tau=3.0, n_collisions=k * n_res)
+    _, trajectory = evolve_collisions(plus_state(), reservoirs, long_run, steady_tol=0.0)
+    ends = np.concatenate([[0.0], trajectory[n_res - 1::n_res]])  # |+> has sigma_z = 0
+    changes = np.abs(np.diff(ends))
+    tol = (changes[k - 2] + changes[k - 1]) / 2
+    assert changes[k - 1] < tol < changes[:k - 1].min()
+    params = CollisionParams(tau=3.0, n_collisions=2 * k * n_res)
+    iterated, _ = evolve_collisions(plus_state(), reservoirs, params, steady_tol=tol)
+    monkeypatch.setattr(qsim, "STEADY_TOL", tol)
+    (exact,) = steady_states([reservoirs], params)
+    assert iterated.converged and iterated.collisions_used == k * n_res
+    assert (exact.collisions_used, exact.converged) == (k * n_res, True)
 
 
 @pytest.mark.parametrize("spin_j", [0.5, 1.0, 1.5, 2.5])
