@@ -274,7 +274,7 @@ def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
         tau=cfg["tau"],
         n_collisions=cfg["collisions"],
         gamma=cfg["gamma"],
-        propagator_mode=PropagatorMode(cfg["mode"]),
+        propagator_mode=cfg["mode"],
     )
     curve = transfer_curve(cfg["spin"], params, n_points=cfg["points"], g=cfg["g"],
                            seed=cfg["seed"])

@@ -61,6 +61,8 @@ class ReservoirSpec:
         _check_spin(self.spin_j)
         if not 0.0 <= self.theta <= math.pi:
             raise ValidationError(f"theta must lie in [0, pi], got {self.theta}")
+        if not math.isfinite(self.phi):
+            raise ValidationError(f"phi must be finite, got {self.phi}")
         _check_coupling(self.g)
 
 
@@ -81,6 +83,11 @@ class CollisionParams:
                                   f"got {n!r}")
         if not 0 <= self.gamma < math.inf:
             raise ValidationError(f"gamma must be finite and non-negative, got {self.gamma}")
+        try:     # a mode or its value, such as "truncated"
+            object.__setattr__(self, "propagator_mode", PropagatorMode(self.propagator_mode))
+        except ValueError:
+            raise ValidationError(f"propagator_mode must be a PropagatorMode or its value, "
+                                  f"got {self.propagator_mode!r}") from None
 
 
 @dataclass(frozen=True)
@@ -110,27 +117,19 @@ def plus_state() -> DensityMatrix:
     return pure_state(np.array([1.0, 1.0]))
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    spin_j: float
-    j_plus: np.ndarray
-    j_minus: np.ndarray
-    j_z: np.ndarray
-
-
-def spin_ladder(spin_j: float) -> SpinOperators:
-    """Ladder and z operators in the |J, m> basis ordered m = J down to -J.
+def spin_ladder(spin_j: float) -> np.ndarray:
+    """Real raising operator J+ in the |J, m> basis ordered m = J down to -J,
+    so J- = J+.T.
 
     <m+1| J+ |m> = sqrt(J(J+1) - m(m+1)).
     """
     j = _check_spin(spin_j)
     dim = int(round(2 * j + 1))
     m = j - np.arange(dim)
-    j_z = np.diag(m)
     j_plus = np.zeros((dim, dim))
     for k in range(1, dim):
         j_plus[k - 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    return SpinOperators(spin_j=j, j_plus=j_plus, j_minus=j_plus.T.copy(), j_z=j_z)
+    return j_plus
 
 
 def reservoir_unit_state(spec: ReservoirSpec) -> DensityMatrix:
@@ -164,8 +163,8 @@ def collision_unitary(g: float | np.ndarray, spin_j: float, params: CollisionPar
     truncated polynomial).
     """
     g = np.asarray(g)
-    ops = spin_ladder(spin_j)
-    ham = g[..., None, None] * (np.kron(SIGMA_PLUS, ops.j_minus) + np.kron(SIGMA_MINUS, ops.j_plus))
+    j_plus = spin_ladder(spin_j)
+    ham = g[..., None, None] * (np.kron(SIGMA_PLUS, j_plus.T) + np.kron(SIGMA_MINUS, j_plus))
     if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
         eye = np.eye(ham.shape[-1], dtype=complex)
         return eye - 1j * params.tau * ham - 0.5 * params.tau**2 * (ham @ ham)
@@ -211,6 +210,9 @@ class SteadyStateResult:
 # (unnormalized), so rho = sum_k r_k P_k / 2 and sigma_z = r_3 / r_0.
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
                  dtype=complex)
+
+# r of |+>, where every chain of steady_states starts.
+PLUS_PAULI = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
 
 # Complex entries of the (4, 2d, 2d) joint states that _transfer_matrices
 # stacks at once (4 MB), so a curve's reservoirs go through in chunks.
@@ -273,12 +275,11 @@ def evolve_collisions(
     probe: DensityMatrix,
     reservoirs: list[ReservoirSpec],
     params: CollisionParams | None = None,
-    steady_tol: float = STEADY_TOL,
 ) -> tuple[SteadyStateResult, np.ndarray]:
     """Drive the probe with round-robin collisions until <sigma_z> settles.
 
     Steady state is declared when the change in <sigma_z> across one full
-    schedule cycle drops below steady_tol, capped at params.n_collisions.
+    schedule cycle drops below STEADY_TOL, capped at params.n_collisions.
     The reported sigma_z averages the final cycle, which removes the
     within-cycle readout bias of multi-reservoir schedules. Returns the
     result plus the full per-collision <sigma_z> trajectory.
@@ -315,7 +316,7 @@ def evolve_collisions(
         states = np.einsum("jab,kb->kja", prefixes, cycle_starts).reshape(-1, 4)[:size]
         values = states[:, 3] / states[:, 0]
         ends = values[cycle - 1::cycle]
-        settled = np.flatnonzero(np.abs(np.diff(ends, prepend=prev_cycle_value)) < steady_tol)
+        settled = np.flatnonzero(np.abs(np.diff(ends, prepend=prev_cycle_value)) < STEADY_TOL)
         if settled.size:
             converged = True
             values = values[: (settled[0] + 1) * cycle]
@@ -344,15 +345,16 @@ MODE_TOL = 1e-12
 def steady_states(
     reservoir_sets: list[list[ReservoirSpec]],
     params: CollisionParams | None = None,
-) -> list[SteadyStateResult]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact steady states of many collision chains started from |+>, one per
-    reservoir set.
+    reservoir set: arrays sigma_z, collisions_used and converged, one entry
+    per set.
 
     Every set holds the same number n of reservoirs, so one schedule cycle is
     n collisions in round-robin order, and the cycle map is C = S_n...S_1.
-    The result's rho is the fixed point of C, and sigma_z averages the
-    within-cycle prefixes applied to it, as evolve_collisions averages the
-    final cycle; neither depends on the cap.
+    sigma_z averages the within-cycle prefixes applied to the fixed point of
+    C, as evolve_collisions averages the final cycle; it does not depend on
+    the cap.
 
     collisions_used and converged are those of stepping the collisions one
     at a time, as evolve_collisions does: the first cycle k at which
@@ -368,27 +370,17 @@ def steady_states(
     if any(all(r.g == 0 for r in rs) for rs in reservoir_sets):
         raise NoCoupling("all reservoir couplings are zero")
 
-    n_sets, cycle = len(reservoir_sets), sizes.pop()
+    cycle = sizes.pop()
     specs = [r for rs in reservoir_sets for r in rs]
-    maps = _transfer_matrices(specs, params).reshape(n_sets, cycle, 4, 4)
+    maps = _transfer_matrices(specs, params).reshape(-1, cycle, 4, 4)
     prefixes = _prefix_products(maps)
 
-    r0 = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
-    lam, parts, fixed = _cycle_modes(r0, prefixes)
+    lam, parts, fixed = _cycle_modes(PLUS_PAULI, prefixes)
     states = (prefixes @ fixed[:, None, :, None])[..., 0]
     sigma_z = np.mean(states[..., 3] / states[..., 0], axis=1)
-    settle = _settle_cycles(r0, lam, parts, params.n_collisions // cycle)
+    settle = _settle_cycles(PLUS_PAULI, lam, parts, params.n_collisions // cycle)
     converged = settle > 0
-    used = np.where(converged, settle * cycle, params.n_collisions)
-    return [
-        SteadyStateResult(
-            sigma_z=float(sigma_z[b]),
-            rho=DensityMatrix(np.einsum("k,kab->ab", fixed[b] / fixed[b, 0], PAULI) / 2),
-            collisions_used=int(used[b]),
-            converged=bool(converged[b]),
-        )
-        for b in range(n_sets)
-    ]
+    return sigma_z, np.where(converged, settle * cycle, params.n_collisions), converged
 
 
 def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
@@ -497,13 +489,13 @@ def transfer_curve(
          ReservoirSpec(theta=math.pi, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 - u) / 2.0))]
         for u in us
     ]
-    results = steady_states(reservoir_sets, params)
+    sigma_z, collisions_used, converged = steady_states(reservoir_sets, params)
     return ActivationCurve(
         inputs=us,
-        outputs=np.array([r.sigma_z for r in results]),
+        outputs=sigma_z,
         spin_j=spin_j,
-        collisions_used=np.array([r.collisions_used for r in results]),
-        converged=np.array([r.converged for r in results]),
+        collisions_used=collisions_used,
+        converged=converged,
         provenance={
             "g": g,
             "tau": params.tau,

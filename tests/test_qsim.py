@@ -14,8 +14,8 @@ from qnpflow.qsim import (
     BLOCK_CYCLES,
     MAX_COLLISIONS,
     PAULI,
+    PLUS_PAULI,
     SETTLE_GROUP_ROWS,
-    STEADY_TOL,
     CollisionParams,
     DensityMatrix,
     _collide,
@@ -60,6 +60,18 @@ def collide(probe, spec, u, params):
     return DensityMatrix(_collide(probe.entries, unit, u, _damping_kraus(params)))
 
 
+def spin_z(spin_j):
+    """J_z = diag(J, J - 1, ..., -J), the basis order of spin_ladder."""
+    return np.diag(spin_j - np.arange(int(round(2 * spin_j + 1))))
+
+
+def run_to_cap(probe, reservoirs, params):
+    """evolve_collisions with its settle test off, so it takes every collision."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qsim, "STEADY_TOL", 0.0)
+        return evolve_collisions(probe, reservoirs, params)
+
+
 # ------------------------------------------------------------ states
 
 def test_reservoir_state_poles():
@@ -81,11 +93,10 @@ def test_reservoir_state_equator():
 @settings(max_examples=60, deadline=None)
 def test_spin_coherent_magnetization(spin_j, theta, phi):
     rho = reservoir_unit_state(ReservoirSpec(theta=theta, phi=phi, spin_j=spin_j))
-    ops = spin_ladder(spin_j)
     assert abs(np.trace(rho.entries) - 1.0) < 1e-10
     assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-10
     assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
-    assert expect(rho, ops.j_z) == pytest.approx(spin_j * math.cos(theta), abs=1e-10)
+    assert expect(rho, spin_z(spin_j)) == pytest.approx(spin_j * math.cos(theta), abs=1e-10)
 
 
 def test_pure_state_helpers():
@@ -104,29 +115,30 @@ def test_density_matrix_validation():
 # ------------------------------------------------------------ ladder operators
 
 def test_spin_half_ladder():
-    ops = spin_ladder(0.5)
-    assert np.allclose(ops.j_plus, [[0, 1], [0, 0]])
-    assert np.allclose(ops.j_z, 0.5 * np.diag([1, -1]))
+    j_plus = spin_ladder(0.5)
+    assert np.allclose(j_plus, [[0, 1], [0, 0]])
+    assert np.allclose(spin_z(0.5), 0.5 * np.diag([1, -1]))
 
 
 def test_spin_one_ladder():
-    ops = spin_ladder(1.0)
-    nz = ops.j_plus[ops.j_plus != 0]
+    j_plus = spin_ladder(1.0)
+    nz = j_plus[j_plus != 0]
     assert np.allclose(nz, [math.sqrt(2), math.sqrt(2)])
 
 
 @given(spins)
 def test_ladder_identities(spin_j):
-    ops = spin_ladder(spin_j)
-    assert np.array_equal(ops.j_plus.conj().T, ops.j_minus)
-    comm = ops.j_z @ ops.j_plus - ops.j_plus @ ops.j_z
-    assert np.allclose(comm, ops.j_plus, atol=1e-12)
+    j_plus, j_z = spin_ladder(spin_j), spin_z(spin_j)
+    assert np.array_equal(j_plus.conj().T, j_plus.T)    # real, so J- = J+.T
+    comm = j_z @ j_plus - j_plus @ j_z
+    assert np.allclose(comm, j_plus, atol=1e-12)
+    assert np.allclose(j_plus @ j_plus.T - j_plus.T @ j_plus, 2 * j_z, atol=1e-12)
     # matrix elements <m+1|J+|m> = sqrt(J(J+1) - m(m+1))
     dim = int(2 * spin_j + 1)
     for k in range(1, dim):
         m = spin_j - k
         expect = math.sqrt(spin_j * (spin_j + 1) - m * (m + 1))
-        assert ops.j_plus[k - 1, k] == pytest.approx(expect, rel=1e-12)
+        assert j_plus[k - 1, k] == pytest.approx(expect, rel=1e-12)
 
 
 @pytest.mark.parametrize("bad", [0.0, -0.5, 0.75, 1.2, math.nan, math.inf])
@@ -299,7 +311,7 @@ def test_coherent_units_suppress_transfer():
 
 # ------------------------------------------------------------ transfer-matrix engine
 
-def reference_evolve(probe, reservoirs, params, steady_tol=STEADY_TOL):
+def reference_evolve(probe, reservoirs, params, steady_tol):
     """evolve_collisions as one _collide per step on the 2x2 density matrix."""
     units = [reservoir_unit_state(r).entries for r in reservoirs]
     kraus = _damping_kraus(params)
@@ -333,10 +345,10 @@ def reference_evolve(probe, reservoirs, params, steady_tol=STEADY_TOL):
 CROSS_CHECK_UNITS = [(0.0, 0.0, 1.0), (math.pi, 0.0, 0.7), (1.1, 0.4, 0.5)]
 
 
-def assert_matches_reference(probe, reservoirs, params, steady_tol=STEADY_TOL):
+def assert_matches_reference(probe, reservoirs, params):
     sigma_z, rho, used, converged, trajectory = reference_evolve(
-        probe, reservoirs, params, steady_tol)
-    result, traj = evolve_collisions(probe, reservoirs, params, steady_tol=steady_tol)
+        probe, reservoirs, params, qsim.STEADY_TOL)
+    result, traj = evolve_collisions(probe, reservoirs, params)
     assert (result.collisions_used, result.converged) == (used, converged)
     assert traj.shape == trajectory.shape
     assert np.abs(traj - trajectory).max() < 1e-12
@@ -362,7 +374,7 @@ def test_round_robin_matches_per_collision_loop(spin_j, mode, gamma):
 
 
 @pytest.mark.parametrize("n_res", [1, 2])
-def test_settles_on_first_cycle_of_a_block(n_res):
+def test_settles_on_first_cycle_of_a_block(n_res, monkeypatch):
     # that cycle's change is measured against the previous block's last cycle
     reservoirs = [ReservoirSpec(theta=t, phi=phi, g=0.05 * w)
                   for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
@@ -372,7 +384,8 @@ def test_settles_on_first_cycle_of_a_block(n_res):
     changes = np.abs(np.diff(ends))
     tol = (changes[BLOCK_CYCLES - 1] + changes[BLOCK_CYCLES]) / 2
     assert changes[BLOCK_CYCLES] < tol < changes[:BLOCK_CYCLES].min()
-    result = assert_matches_reference(plus_state(), reservoirs, params, steady_tol=tol)
+    monkeypatch.setattr(qsim, "STEADY_TOL", tol)
+    result = assert_matches_reference(plus_state(), reservoirs, params)
     assert result.converged and result.collisions_used == (BLOCK_CYCLES + 1) * n_res
 
 
@@ -425,6 +438,18 @@ def test_curve_modes_agree(small_curve):
     assert np.abs(truncated.outputs - small_curve.outputs).max() < 1e-3
 
 
+def test_curve_takes_a_mode_by_its_value():
+    # at g tau = 0.9 the two propagators give visibly different curves
+    exact, truncated, by_value = (
+        transfer_curve(0.5, CollisionParams(propagator_mode=mode), n_points=5, g=0.3)
+        for mode in (EXACT, TRUNCATED, "truncated"))
+    assert np.abs(truncated.outputs - exact.outputs).max() > 1e-3
+    for key in ("outputs", "collisions_used", "converged"):
+        assert np.array_equal(getattr(by_value, key), getattr(truncated, key))
+    assert by_value.provenance == truncated.provenance
+    assert by_value.provenance["mode"] == "truncated"
+
+
 def test_curve_provenance(small_curve):
     assert small_curve.spin_j == 0.5
     assert small_curve.provenance["g"] == 0.01
@@ -448,6 +473,10 @@ def test_reservoir_spec_validation():
         ReservoirSpec(theta=0.0, g=-1.0)
     with pytest.raises(InvalidSpin):
         ReservoirSpec(theta=0.0, spin_j=0.3)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValidationError, match="phi"):
+            ReservoirSpec(theta=0.0, phi=bad)
+    assert ReservoirSpec(theta=0.0, phi=-7.5).phi == -7.5
 
 
 def test_collision_params_validation():
@@ -463,6 +492,13 @@ def test_collision_params_validation():
             CollisionParams(n_collisions=bad)
     for good in (1, np.int64(777), MAX_COLLISIONS):
         assert CollisionParams(n_collisions=good).n_collisions == good
+    # a mode or its value; anything else is named in the error
+    for bad in ("bogus", "EXACT_EXPONENTIAL", "Truncated", None, 0):
+        with pytest.raises(ValidationError, match=repr(bad)):
+            CollisionParams(propagator_mode=bad)
+    for mode in PropagatorMode:
+        assert CollisionParams(propagator_mode=mode.value).propagator_mode is mode
+        assert CollisionParams(propagator_mode=mode) == CollisionParams(propagator_mode=mode.value)
 
 
 # ------------------------------------------------------------ exact steady states
@@ -530,13 +566,12 @@ def test_unit_states_built_once_per_chunk_and_maps_stay_bitwise(monkeypatch):
     assert len(built) == 5 + 3 + 3 + 2
 
 
-def curve_modes(spin_j, n_points, params):
-    """r0 and the cycle-map modes of transfer_curve's points."""
-    specs = [r for rs in curve_sets(spin_j, n_points) for r in rs]
-    maps = _transfer_matrices(specs, params).reshape(n_points, 2, 4, 4)
-    r0 = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
-    lam, parts, _ = _cycle_modes(r0, _prefix_products(maps))
-    return r0, lam, parts
+def cycle_modes(reservoir_sets, params):
+    """The eigenvalues, modes and fixed points of the cycle maps of
+    reservoir sets of one length, as seen from |+>."""
+    specs = [r for rs in reservoir_sets for r in rs]
+    maps = _transfer_matrices(specs, params).reshape(len(reservoir_sets), -1, 4, 4)
+    return _cycle_modes(PLUS_PAULI, _prefix_products(maps))
 
 
 # each spin and curve size meets one of the (gamma, tau, mode) settings, and
@@ -550,12 +585,12 @@ SETTLE_CASES = [(spin_j, n_points, *SETTLE_SETTINGS[7 * i % len(SETTLE_SETTINGS)
 
 @pytest.mark.parametrize("spin_j, n_points, gamma, tau, mode", SETTLE_CASES)
 def test_grouped_settle_equals_per_block_reference(spin_j, n_points, gamma, tau, mode):
-    r0, lam, parts = curve_modes(
-        spin_j, n_points, CollisionParams(tau=tau, gamma=gamma, propagator_mode=mode))
+    lam, parts, _ = cycle_modes(
+        curve_sets(spin_j, n_points), CollisionParams(tau=tau, gamma=gamma, propagator_mode=mode))
     # no cycle, a partial last block, and caps off the block grid
     for cap in (1, 777, 20000, 200000):
-        assert np.array_equal(_settle_cycles(r0, lam, parts, cap // 2),
-                              settle_cycles_per_block(r0, lam, parts, cap // 2))
+        assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap // 2),
+                              settle_cycles_per_block(PLUS_PAULI, lam, parts, cap // 2))
 
 
 @pytest.mark.parametrize("n_res", [1, 2])
@@ -570,24 +605,24 @@ def test_steady_states_settle_on_first_cycle_of_a_block_in_a_group(n_res, blocks
                   for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
     k = blocks * BLOCK_CYCLES + 1
     long_run = CollisionParams(tau=3.0, n_collisions=k * n_res)
-    _, trajectory = evolve_collisions(plus_state(), reservoirs, long_run, steady_tol=0.0)
+    _, trajectory = run_to_cap(plus_state(), reservoirs, long_run)
     ends = np.concatenate([[0.0], trajectory[n_res - 1::n_res]])  # |+> has sigma_z = 0
     changes = np.abs(np.diff(ends))
     tol = (changes[k - 2] + changes[k - 1]) / 2
     assert changes[k - 1] < tol < changes[:k - 1].min()
     params = CollisionParams(tau=3.0, n_collisions=2 * k * n_res)
-    iterated, _ = evolve_collisions(plus_state(), reservoirs, params, steady_tol=tol)
     monkeypatch.setattr(qsim, "STEADY_TOL", tol)
-    (exact,) = steady_states([reservoirs], params)
+    iterated, _ = evolve_collisions(plus_state(), reservoirs, params)
+    _, used, converged = steady_states([reservoirs], params)
     assert iterated.converged and iterated.collisions_used == k * n_res
-    assert (exact.collisions_used, exact.converged) == (k * n_res, True)
+    assert (used[0], converged[0]) == (k * n_res, True)
 
 
 @pytest.mark.parametrize("spin_j", [0.5, 1.0, 1.5, 2.5])
 def test_exact_curve_settles_like_iteration(spin_j):
     # collisions_used and converged follow the iterated cycle-to-cycle test at
     # every point; where the iteration settled, its sigma_z is within
-    # steady_tol / (1 - |lambda_2|) of the fixed point
+    # STEADY_TOL / (1 - |lambda_2|) of the fixed point
     settled = 0
     for cap in (20000, 3000, 777):
         for mode in (EXACT, TRUNCATED):
@@ -611,12 +646,11 @@ def test_exact_engine_settles_like_iteration_on_mixed_units(n_res):
                   for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
     for n, gamma, mode in ((7, 0.0, EXACT), (1001, 0.05, TRUNCATED), (3000, 0.0, EXACT)):
         params = CollisionParams(tau=3.0, n_collisions=n, gamma=gamma, propagator_mode=mode)
-        (exact,) = steady_states([reservoirs], params)
+        sigma_z, used, converged = steady_states([reservoirs], params)
         iterated, _ = evolve_collisions(plus_state(), reservoirs, params)
-        assert (exact.collisions_used, exact.converged) == (
-            iterated.collisions_used, iterated.converged)
+        assert (used[0], converged[0]) == (iterated.collisions_used, iterated.converged)
         if iterated.converged:
-            assert abs(exact.sigma_z - iterated.sigma_z) < 2e-6
+            assert abs(sigma_z[0] - iterated.sigma_z) < 2e-6
 
 
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
@@ -629,10 +663,12 @@ def test_fixed_point_matches_long_iteration(spin_j, mode, gamma):
     for reservoirs in (pair, mixed):
         params = CollisionParams(tau=3.0, n_collisions=200000 - 200000 % len(reservoirs),
                                  gamma=gamma, propagator_mode=mode)
-        iterated, _ = evolve_collisions(plus_state(), reservoirs, params, steady_tol=0.0)
-        (exact,) = steady_states([reservoirs], params)
-        assert abs(exact.sigma_z - iterated.sigma_z) < 1e-12
-        assert np.abs(exact.rho.entries - iterated.rho.entries).max() < 1e-12
+        iterated, _ = run_to_cap(plus_state(), reservoirs, params)
+        sigma_z, *_ = steady_states([reservoirs], params)
+        *_, fixed = cycle_modes([reservoirs], params)
+        rho = np.einsum("k,kab->ab", fixed[0] / fixed[0, 0], PAULI) / 2
+        assert abs(sigma_z[0] - iterated.sigma_z) < 1e-12
+        assert np.abs(rho - iterated.rho.entries).max() < 1e-12
 
 
 @pytest.mark.parametrize("spin_j, g, bound", [
@@ -649,8 +685,7 @@ def test_phase_averaged_units_follow_rate_closed_form(spin_j, g, bound):
     specs = [ReservoirSpec(theta=math.acos(u), phi=2 * math.pi * k / 8, spin_j=spin_j, g=g)
              for u in us for k in range(8)]
     mean_maps = _transfer_matrices(specs, params).reshape(len(us), 8, 4, 4).mean(axis=1)
-    r0 = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
-    _, _, fixed = _cycle_modes(r0, mean_maps[:, None])
+    _, _, fixed = _cycle_modes(PLUS_PAULI, mean_maps[:, None])
     closed_form = us / (spin_j + 0.5 - (spin_j - 0.5) * us**2)
     assert np.abs(fixed[:, 3] / fixed[:, 0] - closed_form).max() < bound
 
@@ -667,7 +702,7 @@ def test_degenerate_cycle_map_curve_matches_iteration():
         settled, _ = evolve_collisions(plus_state(), reservoirs, params)
         assert (curve.collisions_used[i], curve.converged[i]) == (
             settled.collisions_used, settled.converged)
-        iterated, _ = evolve_collisions(plus_state(), reservoirs, long_run, steady_tol=0.0)
+        iterated, _ = run_to_cap(plus_state(), reservoirs, long_run)
         assert abs(curve.outputs[i] - iterated.sigma_z) < 1e-12
     assert abs(curve.outputs[0]) < 1e-12 and abs(curve.outputs[-1]) < 1e-12
     assert curve.collisions_used[0] == curve.collisions_used[-1] == 2
