@@ -391,20 +391,85 @@ def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
     r0 = sum_i c_i v_i, and the real fixed points (B, 4): r0 projected onto
     every mode at the positive eigenvalue of maximal modulus. Raises
     ValidationError when another mode of that modulus moves r_0 or r_3 under
-    some prefix, since sigma_z then oscillates without a limit.
+    some prefix, since sigma_z then oscillates without a limit. Also raises
+    when the coupling is too weak for eig: when a mode outside the fixed ones
+    that moves r_0 or r_3 lies so near the fixed eigenvalue that eig's
+    rounding of the fixed point (about eps / gap, relative) exceeds
+    STEADY_TOL, or when every mode counts as fixed, which would return r0.
     """
     lam, vecs = np.linalg.eig(prefixes[:, -1])    # real where every eigenvalue is
     coef = np.linalg.solve(vecs, np.broadcast_to(r0[:, None], vecs.shape[:-1] + (1,)))
     parts = vecs * coef[..., 0][:, None, :]
     radius = np.abs(lam).max(axis=1, keepdims=True)
-    fixed = np.abs(lam - radius) <= MODE_TOL
+    gap = np.abs(lam - radius)
+    fixed = gap <= MODE_TOL
     moving = (np.abs(np.abs(lam) - radius) <= MODE_TOL) & ~fixed
     readout = np.abs(prefixes @ parts[:, None])[:, :, [0, 3], :]
     reaches = np.any(readout > MODE_TOL * np.abs(r0).max(), axis=(1, 2))
     if np.any(moving & reaches) or not np.all(fixed.any(axis=1)):
         raise ValidationError("sigma_z has no limit: a cycle map has modes of equal "
                               "modulus and different eigenvalues that reach the readout")
+    blurred = (reaches & (np.finfo(float).eps * radius > STEADY_TOL * gap)
+               & (~fixed | fixed.all(axis=1, keepdims=True)))
+    if blurred.any():
+        raise ValidationError(
+            f"coupling too weak to resolve: a cycle-map mode that moves sigma_z lies within "
+            f"{(gap / radius)[blurred].max():.1e} of the fixed one, too near for eig to "
+            f"separate them; raise g or tau")
     return lam, parts, (parts * fixed[:, None, :]).sum(axis=2).real
+
+
+# Slack between STEADY_TOL and the certified lower bound on a cycle's change
+# of sigma_z, which covers the settle scan's own rounding.
+SETTLE_MARGIN = 1e-11
+
+
+def _settle_starts(lam: np.ndarray, parts: np.ndarray, max_cycles: int) -> np.ndarray:
+    """The block of BLOCK_CYCLES cycles at which the settle scan of each point
+    starts; -1 where no cycle up to max_cycles can settle.
+
+    With mu = lam / radius, a and b the modes' r_3 and r_0 parts, d* the sum
+    of b over the modes at mu = 1 exactly, beta the sum of |b| and A the sum
+    of |a| over the others, and j the mode of largest |a_j (mu_j - 1)|, the
+    change of sigma_z at cycle k is at least
+        (|Re a_j| |mu_j - 1| |mu_j|^(k-1) - sum_(i != j) |a_i (mu_i - 1)|)
+        / (|d*| + beta) - 2 A beta / (|d*| - beta)^2
+    when mu_j is real, 0 < |mu_j| < 1 and beta < |d*|. The bound falls with
+    k, so the cycles before the one where it reaches STEADY_TOL +
+    SETTLE_MARGIN cannot settle; that count comes from one logarithm. It is
+    held to the cycles over which the scan's lam^k stays within half of the
+    float exponent range. A point starts one block before its first block
+    that may settle, so that the scanned block gives the next one its
+    previous value; points without the bound start at block 0.
+    """
+    radius = np.abs(lam).max(axis=1)
+    mu = lam / radius[:, None]
+    one = mu == 1
+    a, b = parts[:, 3], parts[:, 0]
+    pull = np.abs(a * (mu - 1))                                 # 0 where mu = 1
+    rows, j = np.arange(lam.shape[0]), pull.argmax(axis=1)
+    mu_j = mu[rows, j]
+    rho = np.abs(mu_j)
+    lead = np.abs(a[rows, j].real) * np.abs(mu_j - 1)
+    rest = pull.sum(axis=1) - pull[rows, j]
+    d_star = np.abs(np.sum(b.real, axis=1, where=one))
+    beta = np.sum(np.abs(b), axis=1, where=~one)
+    bounded = (mu_j.imag == 0) & (0 < rho) & (rho < 1) & (beta < d_star)
+    gap = np.where(bounded, d_star - beta, 1.0)
+    floor = rest + (d_star + beta) * (STEADY_TOL + SETTLE_MARGIN
+                                      + 2 * np.abs(a).sum(axis=1) * beta / gap**2)
+    bounded &= lead > floor
+    starts = np.full(lam.shape[0], 0 if max_cycles else -1, dtype=np.int64)
+    if bounded.any():
+        with np.errstate(divide="ignore"):      # radius 1: no range limit
+            reach = np.minimum(np.log(floor[bounded] / lead[bounded]) / np.log(rho[bounded]),
+                               np.log(np.finfo(float).max) / 2
+                               / np.abs(np.log(radius[bounded])))
+        # the bound exceeds the floor at every cycle k with k - 1 < reach
+        cleared = np.minimum(np.ceil(reach), max_cycles)
+        starts[bounded] = np.where(cleared >= max_cycles, -1,
+                                   np.maximum(cleared // BLOCK_CYCLES - 1, 0))
+    return starts
 
 
 def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
@@ -412,25 +477,36 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
     than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
 
-    Cycles run in blocks of BLOCK_CYCLES. Each pass takes a group of
-    consecutive blocks for the points not yet settled, at most
-    SETTLE_GROUP_ROWS point-cycles: block b of a group reads
-    (lam^1..lam^BLOCK_CYCLES) @ (lam^(start_b) c_i v_i), and the group's
-    blocks are one stacked matmul against their scaled readouts side by side.
-    Settled points leave between groups. Returns k per point, 0 where it does
-    not settle.
+    Cycles run in blocks of BLOCK_CYCLES, and each point starts at the block
+    that _settle_starts gives it. Each pass takes a group of consecutive
+    blocks for the points not yet settled, at most SETTLE_GROUP_ROWS
+    point-cycles: block b of a group reads (lam^1..lam^BLOCK_CYCLES) @
+    (lam^(start_b) c_i v_i), and the group's blocks are one stacked matmul
+    against their scaled readouts side by side. lam^(start_b) is the chain
+    of products by lam^BLOCK_CYCLES from the first block on, whether scanned
+    or not. Settled points leave between groups. Returns k per point, 0
+    where it does not settle.
     """
     cycles = np.zeros(lam.shape[0], dtype=int)
-    active = np.arange(lam.shape[0])
-    table = lam[:, None, :] ** np.arange(1, BLOCK_CYCLES + 1)[:, None]   # lam^k
-    readout = parts[:, [0, 3], :].swapaxes(1, 2)                         # (B, modes, 2)
-    base = np.ones_like(lam)                                             # lam^start
-    prev = np.full(lam.shape[0], r0[3] / r0[0])
-    start = 0
-    while active.size and start < max_cycles:
-        blocks = max(1, SETTLE_GROUP_ROWS // (BLOCK_CYCLES * active.size))
-        size = min(blocks * BLOCK_CYCLES, max_cycles - start)
-        blocks = -(-size // BLOCK_CYCLES)
+    first = _settle_starts(lam, parts, max_cycles)
+    order = np.argsort(-first)          # later starts first, so each base grows as a prefix
+    active = order[first[order] >= 0]
+    first = first[active]
+    table = lam[active, None, :] ** np.arange(1, BLOCK_CYCLES + 1)[:, None]   # lam^k
+    readout = parts[active][:, [0, 3], :].swapaxes(1, 2)                      # (B, modes, 2)
+    base = np.ones_like(lam[active])                                          # lam^start
+    for step in range(first.max(initial=0)):
+        n = np.count_nonzero(first > step)
+        base[:n] = base[:n] * table[:n, -1]
+    # a scan from block 0 compares its first cycle with r0; a later start
+    # compares with nothing, since its first block cannot settle
+    prev = np.where(first == 0, r0[3] / r0[0], np.nan)
+    start = first * BLOCK_CYCLES
+    while active.size:
+        left = max_cycles - start
+        blocks = min(max(1, SETTLE_GROUP_ROWS // (BLOCK_CYCLES * active.size)),
+                     -(-left.min() // BLOCK_CYCLES))
+        size = np.minimum(blocks * BLOCK_CYCLES, left)
         scaled = []
         for _ in range(blocks):
             scaled.append(base[:, :, None] * readout)
@@ -441,15 +517,15 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
         values[:, 0] = prev
         np.divide(ends[..., 1::2].real, ends[..., 0::2].real,
                   out=values[:, 1:].reshape(active.size, blocks, BLOCK_CYCLES).swapaxes(1, 2))
-        small = np.abs(values[:, 1:size + 1] - values[:, :size]) < STEADY_TOL
+        small = np.abs(values[:, 1:] - values[:, :-1]) < STEADY_TOL
+        small &= np.arange(blocks * BLOCK_CYCLES) < size[:, None]
         hit = small.any(axis=1)
-        cycles[active[hit]] = start + small[hit].argmax(axis=1) + 1
-        prev = values[:, size]
-        if hit.any():
-            keep = ~hit
-            active, table, readout, base, prev = (
-                x[keep] for x in (active, table, readout, base, prev))
-        start += size
+        cycles[active[hit]] = start[hit] + small[hit].argmax(axis=1) + 1
+        prev = values[np.arange(active.size), size]
+        start = start + size
+        keep = ~hit & (start < max_cycles)
+        active, table, readout, base, prev, start = (
+            x[keep] for x in (active, table, readout, base, prev, start))
     return cycles
 
 

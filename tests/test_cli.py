@@ -395,6 +395,23 @@ def test_activation_collision_cap_beyond_int64_exits_4(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_activation_weak_coupling_exits_4(tmp_path):
+    # every cycle-map mode lies within MODE_TOL of the fixed one at g tau ~ 1e-6
+    res = cli("activation", "simulate", "--points", 5, "--g", "3e-7",
+              "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "coupling too weak" in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_activation_largest_collision_cap_settles_every_point(tmp_path):
+    res = cli("activation", "simulate", "--spin", "1/2", "--points", 5,
+              "--collisions", 2**63 - 1, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    rows = (tmp_path / "curve_spin0.5.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["1"] * 5
+
+
 def test_activation_invalid_spin_exits_8(tmp_path):
     res = python_m("activation", "simulate", "--spin", "0.6", "--points", 5,
                    "--collisions", 100, "--out-dir", tmp_path)

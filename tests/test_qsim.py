@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from qnpflow.qsim import (
     _damping_kraus,
     _prefix_products,
     _settle_cycles,
+    _settle_starts,
     _transfer_matrices,
     PropagatorMode,
     ReservoirSpec,
@@ -591,6 +593,124 @@ def test_grouped_settle_equals_per_block_reference(spin_j, n_points, gamma, tau,
     for cap in (1, 777, 20000, 200000):
         assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap // 2),
                               settle_cycles_per_block(PLUS_PAULI, lam, parts, cap // 2))
+
+
+def mixed_sets(seed, n_sets=4):
+    """Sets of 1-3 reservoirs at random theta, phi and g, one spin and one
+    length per draw, with the draw's damping rate."""
+    rng = np.random.default_rng(seed)
+    spin_j = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
+    n_res = int(rng.integers(1, 4))
+    sets = [[ReservoirSpec(theta=float(rng.uniform(0, math.pi)),
+                           phi=float(rng.uniform(-math.pi, math.pi)),
+                           spin_j=spin_j, g=float(rng.uniform(0.003, 0.05)))
+             for _ in range(n_res)] for _ in range(n_sets)]
+    return sets, float(rng.choice([0.0, 1e-4, 0.01]))
+
+
+def test_certified_settle_equals_per_block_reference_on_mixed_sets():
+    # off-pole units turn the readout's slowest mode complex, so these sets
+    # mostly scan from block 0; the pole-unit curves of SETTLE_CASES are the
+    # certified ones, and these pin the fallback and the mixed groups
+    complex_lead = 0
+    for seed in range(24):
+        sets, gamma = mixed_sets(seed)
+        mode = (EXACT, TRUNCATED)[seed % 2]
+        lam, parts, _ = cycle_modes(sets, CollisionParams(gamma=gamma, propagator_mode=mode))
+        pull = np.abs(parts[:, 3] * (lam / np.abs(lam).max(axis=1, keepdims=True) - 1))
+        complex_lead += np.count_nonzero(lam[np.arange(len(sets)), pull.argmax(axis=1)].imag)
+        for cap in (1, 777, 20000, 200000):
+            assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap),
+                                  settle_cycles_per_block(PLUS_PAULI, lam, parts, cap))
+    assert complex_lead > 0
+
+
+def test_certified_settle_on_a_real_spectrum():
+    # eig returns float eigenvalues when none is complex; populations relax
+    # toward sigma_z = 0.5 and coherences decay
+    cycle_map = np.array([[1, 0, 0, 0], [0, 0.99, 0, 0], [0, 0, 0.99, 0],
+                          [0.001, 0, 0, 0.998]])[None, None]
+    lam, parts, _ = _cycle_modes(PLUS_PAULI, cycle_map)
+    assert lam.dtype == np.float64
+    for cap in (1, 777, 20000):
+        assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap),
+                              settle_cycles_per_block(PLUS_PAULI, lam, parts, cap))
+    assert _settle_starts(lam, parts, 20000)[0] > 0
+
+
+def test_certificate_skips_the_decided_blocks(monkeypatch):
+    # at J = 1/2 the four points that hit the 20000-collision cap are cleared
+    # to the cap and scan no block; at J = 5/2 every point settles in the
+    # first or second block it scans
+    starts = []
+
+    def spy(*args):
+        starts.append(_settle_starts(*args))
+        return starts[-1]
+
+    monkeypatch.setattr(qsim, "_settle_starts", spy)
+    capped = transfer_curve(0.5, n_points=5)
+    assert np.array_equal(starts[0] == -1, ~capped.converged)
+    assert np.count_nonzero(starts[0] == -1) == 4
+    settling = transfer_curve(2.5, n_points=5)
+    assert settling.converged.all()
+    scanned = (settling.collisions_used // 2 - 1) // BLOCK_CYCLES - starts[1] + 1
+    assert np.all((starts[1] > 0) & (scanned >= 1) & (scanned <= 2))
+
+
+@pytest.mark.parametrize("block", [1, 20])
+def test_certified_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch):
+    # the certificate clears every block before the one that the settle cycle
+    # opens; the scan starts one block earlier, so that cycle's change is
+    # measured against the cycle before it
+    lam, parts, _ = cycle_modes(curve_sets(0.5, 5)[:1], CollisionParams())
+    k = block * BLOCK_CYCLES + 1
+    ends = (lam[0] ** np.arange(k + 1)[:, None] @ parts[0, [0, 3]].T).real
+    changes = np.abs(np.diff(ends[:, 1] / ends[:, 0]))      # cycles 1 .. k
+    tol = (changes[k - 2] + changes[k - 1]) / 2
+    assert changes[k - 1] < tol < changes[:k - 1].min()
+    monkeypatch.setattr(qsim, "STEADY_TOL", tol)
+    assert _settle_starts(lam, parts, 10000)[0] == block - 1
+    assert _settle_cycles(PLUS_PAULI, lam, parts, 10000)[0] == k
+
+
+@pytest.mark.parametrize("spin_j", [0.5, 2.5])
+def test_largest_collision_cap_settles_in_bounded_memory(spin_j):
+    # the cleared cycles come from one logarithm and each start's base from a
+    # loop, so no array follows the cap; the points capped at the default
+    # settle past it
+    params = CollisionParams(n_collisions=MAX_COLLISIONS)
+    transfer_curve(spin_j, n_points=5)                 # warm caches and imports
+    tracemalloc.start()
+    try:
+        default = transfer_curve(spin_j, n_points=5)
+        _, default_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        curve = transfer_curve(spin_j, params, n_points=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert curve.converged.all()
+    assert np.array_equal(curve.outputs, default.outputs)
+    assert np.array_equal(curve.collisions_used[default.converged],
+                          default.collisions_used[default.converged])
+    assert np.all(curve.collisions_used[~default.converged] > 20000)
+    assert peak < 2 * default_peak
+
+
+@pytest.mark.parametrize("spin_j", [0.5, 2.5])
+@pytest.mark.parametrize("g", [3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7])
+def test_weak_coupling_resolves_or_raises(spin_j, g):
+    # every cycle-map mode crowds toward the fixed one as g tau shrinks; eig
+    # then blurs the fixed point, or counts every mode as fixed and returns
+    # |+>'s sigma_z = 0 where the closed form is +-1
+    closed_form = [steady_state_closed_form(rs) for rs in curve_sets(spin_j, 5, g=g)]
+    try:
+        curve = transfer_curve(spin_j, n_points=5, g=g)
+    except ValidationError as exc:
+        assert "coupling too weak" in str(exc)
+    else:
+        assert np.abs(curve.outputs - closed_form).max() < 1e-3
 
 
 @pytest.mark.parametrize("n_res", [1, 2])
