@@ -7,12 +7,12 @@ trace over the unit and optional amplitude damping of the probe.
 
 Probe basis convention: index 0 is excited, index 1 is ground, so
 sigma_z = diag(+1, -1) and a unit at theta=0 pumps the probe toward +1.
+Unit index k holds m = J - k.
 """
 from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +25,9 @@ STEADY_TOL = 1e-9
 # Collision caps must fit the int64 counts that steady_states reports.
 MAX_COLLISIONS = 2**63 - 1
 
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
-SIGMA_MINUS = SIGMA_PLUS.T.copy()
+# The largest spin whose binomials C(2J, k), which the unit states' amplitudes
+# take the square roots of, fit a float: C(1030, 515) exceeds 1.8e308.
+MAX_SPIN = 514.5
 
 
 class PropagatorMode(enum.Enum):
@@ -40,6 +41,8 @@ def _check_spin(spin_j: float) -> float:
     two_j = 2.0 * spin_j
     if not math.isfinite(two_j) or abs(two_j - round(two_j)) > 1e-9 or spin_j < 0.5:
         raise InvalidSpin(f"spin must be a half-integer >= 1/2, got {spin_j}")
+    if spin_j > MAX_SPIN:
+        raise InvalidSpin(f"spin {spin_j} is too large: the largest spin accepted is {MAX_SPIN}")
     return spin_j
 
 
@@ -117,59 +120,19 @@ def plus_state() -> DensityMatrix:
     return pure_state(np.array([1.0, 1.0]))
 
 
-def spin_ladder(spin_j: float) -> np.ndarray:
-    """Real raising operator J+ in the |J, m> basis ordered m = J down to -J,
-    so J- = J+.T.
-
-    <m+1| J+ |m> = sqrt(J(J+1) - m(m+1)).
-    """
-    j = _check_spin(spin_j)
-    dim = int(round(2 * j + 1))
-    m = j - np.arange(dim)
-    j_plus = np.zeros((dim, dim))
-    for k in range(1, dim):
-        j_plus[k - 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    return j_plus
-
-
-def reservoir_unit_state(spec: ReservoirSpec) -> DensityMatrix:
-    """Spin-coherent pure state |theta, phi> of one reservoir unit.
+def unit_amplitudes(theta: np.ndarray, phi: np.ndarray, spin_j: float) -> np.ndarray:
+    """Spin-coherent amplitudes |theta, phi> of reservoir units of one spin,
+    shape theta.shape + (2J + 1,) for angle arrays of one shape.
 
     Amplitude on m = J - k is sqrt(C(2J, k)) cos(theta/2)^(2J-k)
     (e^{i phi} sin(theta/2))^k, which gives <J_z> = J cos(theta).
     """
-    two_j = int(round(2 * _check_spin(spec.spin_j)))
-    cos_h = math.cos(spec.theta / 2.0)
-    sin_h = math.sin(spec.theta / 2.0)
-    phase = complex(math.cos(spec.phi), math.sin(spec.phi))
-    amps = np.array(
-        [
-            math.sqrt(math.comb(two_j, k)) * cos_h ** (two_j - k) * (phase * sin_h) ** k
-            for k in range(two_j + 1)
-        ]
-    )
-    return DensityMatrix(np.outer(amps, amps.conj()))
-
-
-def collision_unitary(g: float | np.ndarray, spin_j: float, params: CollisionParams) -> np.ndarray:
-    """Joint probe-unit propagator of one collision, for couplings g of any
-    shape at one spin, stacked along g's axes.
-
-    ExactExponential diagonalizes H = g (sigma+ J- + sigma- J+) and
-    exponentiates the spectrum. SecondOrderTruncation keeps the literal
-    polynomial 1 - i tau H - (tau^2/2) H^2, which is not exactly unitary and
-    exists to mirror the truncated propagator form. The reservoirs share the
-    bare exchange Hamiltonian H0, so a stack takes one eigh of g H0 (or one
-    truncated polynomial).
-    """
-    g = np.asarray(g)
-    j_plus = spin_ladder(spin_j)
-    ham = g[..., None, None] * (np.kron(SIGMA_PLUS, j_plus.T) + np.kron(SIGMA_MINUS, j_plus))
-    if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
-        eye = np.eye(ham.shape[-1], dtype=complex)
-        return eye - 1j * params.tau * ham - 0.5 * params.tau**2 * (ham @ ham)
-    w, v = np.linalg.eigh(ham)
-    return (v * np.exp(-1j * w * params.tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    two_j = int(round(2 * _check_spin(spin_j)))
+    k = np.arange(two_j + 1)
+    binom = np.array([math.sqrt(math.comb(two_j, i)) for i in range(two_j + 1)])
+    half = np.asarray(theta, dtype=float)[..., None] / 2
+    phase = np.exp(1j * np.asarray(phi, dtype=float))[..., None]
+    return binom * np.cos(half) ** (two_j - k) * (phase * np.sin(half)) ** k
 
 
 def _damping_kraus(params: CollisionParams) -> tuple[np.ndarray, np.ndarray] | None:
@@ -179,23 +142,6 @@ def _damping_kraus(params: CollisionParams) -> tuple[np.ndarray, np.ndarray] | N
     k0 = np.array([[math.sqrt(1.0 - p), 0.0], [0.0, 1.0]], dtype=complex)
     k1 = np.array([[0.0, 0.0], [math.sqrt(p), 0.0]], dtype=complex)
     return k0, k1
-
-
-def _collide(probe_arr: np.ndarray, unit_arr: np.ndarray, u: np.ndarray,
-             kraus: tuple[np.ndarray, np.ndarray] | None) -> np.ndarray:
-    """Probe state after one collision: the joint state kron(probe, unit)
-    conjugated by u, the unit traced out, then the damping Kraus pair.
-    Leading axes of the probe (..., 2, 2), unit (..., d, d) and u
-    (..., 2d, 2d) arrays broadcast against each other."""
-    dim = unit_arr.shape[-1]
-    joint = probe_arr[..., :, None, :, None] * unit_arr[..., None, :, None, :]
-    joint = joint.reshape(joint.shape[:-4] + (2 * dim, 2 * dim))
-    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
-    reduced = np.einsum("...ikjk->...ij", evolved.reshape(evolved.shape[:-2] + (2, dim, 2, dim)))
-    if kraus is not None:
-        k0, k1 = kraus
-        reduced = k0 @ reduced @ k0.conj().T + k1 @ reduced @ k1.conj().T
-    return reduced
 
 
 @dataclass
@@ -214,9 +160,11 @@ PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, 
 # r of |+>, where every chain of steady_states starts.
 PLUS_PAULI = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
 
-# Complex entries of the (4, 2d, 2d) joint states that _transfer_matrices
-# stacks at once (4 MB), so a curve's reservoirs go through in chunks.
-MAP_CHUNK_ELEMENTS = 2**18
+# A channel acts on the row-major vec(rho), vec(rho)[2a + c] = rho[a, c], as a
+# 4x4 Liouville matrix; these take it to and from the Pauli basis, so that
+# T = Re(TO_PAULI @ L @ FROM_PAULI) with T[j, l] = tr(P_j Phi(P_l)) / 2.
+FROM_PAULI = PAULI.reshape(4, 4).T
+TO_PAULI = PAULI.swapaxes(1, 2).reshape(4, 4) / 2
 
 # Schedule cycles per block in evolve_collisions, where a block is one pair of
 # numpy calls, and in the settle test of steady_states, where a block is one
@@ -231,35 +179,53 @@ BLOCK_CYCLES = 256
 SETTLE_GROUP_ROWS = 2**12
 
 
-def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> np.ndarray:
-    """Transfer matrices of many reservoirs, shape (len(specs), 4, 4).
+def _liouville(kraus: np.ndarray) -> np.ndarray:
+    """Liouville matrix sum_k K_k (x) conj(K_k) of Kraus operators given as
+    (..., 4, n) with K_k[a, b] in row 2a + b, shape (..., 4, 4)."""
+    lv = kraus @ kraus.conj().swapaxes(-1, -2)                 # rows ab, columns cd
+    return lv.reshape(lv.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(lv.shape)
 
-    Column k of a reservoir's real 4x4 map T (r' = T r) is the Pauli vector
-    of _collide applied to P_k with collision_unitary(r.g, r.spin_j, params),
-    so the map is defined by _collide alone. Reservoirs of one spin go through
-    collision_unitary and _collide as stacks of at most MAP_CHUNK_ELEMENTS
-    joint-state entries (at least one reservoir), so memory does not grow
-    with the number of reservoirs; every stacked eigh and matmul acts per
-    slice, so the maps do not depend on the chunking. A chunk builds each
-    unit state once per distinct (theta, phi), keyed by the angles' bits so
-    that 0.0 and -0.0 stay apart. The truncated
-    propagator is not trace preserving; T then changes r_0, which readouts
-    divide out.
+
+def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> np.ndarray:
+    """Transfer matrices of many reservoirs, shape (len(specs), 4, 4): column
+    l of a reservoir's real 4x4 map T (r' = T r) is the Pauli vector of one
+    collision applied to P_l.
+
+    H = g (sigma+ J- + sigma- J+) conserves the excitation number: it couples
+    only |1, k> with |0, k+1>, through c_k = <k|J+|k+1>, and leaves |0, 0> and
+    |1, d-1> alone (d = 2J + 1). So the collision unitary is a direct sum of
+    2x2 blocks with C_k = cos(g tau c_k) on the diagonal and -i S_k =
+    -i sin(g tau c_k) off it. The truncated propagator 1 - i tau H - (tau^2/2)
+    H^2 has C_k = 1 - (g tau c_k)^2 / 2 and S_k = g tau c_k, since H^2 =
+    (g c_k)^2 on each block; it is not trace preserving, so T then changes
+    r_0, which readouts divide out. The unit is pure, with amplitudes psi, so
+    tracing it out leaves the probe d Kraus operators K_k = <k|U|psi>:
+        K_k = [[C_(k-1) psi_k, -i S_(k-1) psi_(k-1)],
+               [-i S_k psi_(k+1), C_k psi_k]],
+    with C padded by 1, S and psi by 0 at both ends. The damping Kraus pair
+    follows. Reservoirs of one spin go through as one stack.
     """
     kraus = _damping_kraus(params)
+    to_pauli = TO_PAULI
+    if kraus is not None:
+        to_pauli = TO_PAULI @ _liouville(np.array(kraus).reshape(2, 4).T)
     maps = np.empty((len(specs), 4, 4))
     for spin_j in sorted({r.spin_j for r in specs}):
         idx = [i for i, r in enumerate(specs) if r.spin_j == spin_j]
-        dim = 2 * int(round(2 * spin_j)) + 2
-        chunk = max(1, MAP_CHUNK_ELEMENTS // (4 * dim * dim))
-        for part in (idx[lo:lo + chunk] for lo in range(0, len(idx), chunk)):
-            u = collision_unitary(np.array([specs[i].g for i in part]), spin_j, params)
-            keys = [struct.pack("dd", specs[i].theta, specs[i].phi) for i in part]
-            states = {key: reservoir_unit_state(specs[i]).entries
-                      for key, i in dict(zip(keys, part)).items()}
-            units = np.array([states[key] for key in keys])
-            images = _collide(PAULI, units[:, None], u[:, None], kraus)
-            maps[part] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
+        g, theta, phi = np.array([(specs[i].g, specs[i].theta, specs[i].phi) for i in idx]).T
+        n, d = len(idx), int(round(2 * spin_j)) + 1
+        m = spin_j - np.arange(1, d)                                # m of unit index k + 1
+        angle = params.tau * g[:, None] * np.sqrt(spin_j * (spin_j + 1) - m * (m + 1))
+        c, s = np.ones((n, d + 1)), np.zeros((n, d + 1), dtype=complex)
+        if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
+            c[:, 1:-1], s[:, 1:-1] = 1 - angle**2 / 2, -1j * angle
+        else:
+            c[:, 1:-1], s[:, 1:-1] = np.cos(angle), -1j * np.sin(angle)
+        psi = np.zeros((n, d + 2), dtype=complex)
+        psi[:, 1:-1] = unit_amplitudes(theta, phi, spin_j)
+        ops = np.stack([c[:, :-1] * psi[:, 1:-1], s[:, :-1] * psi[:, :-2],
+                        s[:, 1:] * psi[:, 2:], c[:, 1:] * psi[:, 1:-1]], axis=1)
+        maps[idx] = (to_pauli @ _liouville(ops) @ FROM_PAULI).real
     return maps
 
 
@@ -436,14 +402,12 @@ def _settle_starts(lam: np.ndarray, parts: np.ndarray, max_cycles: int) -> np.nd
         / (|d*| + beta) - 2 A beta / (|d*| - beta)^2
     when mu_j is real, 0 < |mu_j| < 1 and beta < |d*|. The bound falls with
     k, so the cycles before the one where it reaches STEADY_TOL +
-    SETTLE_MARGIN cannot settle; that count comes from one logarithm. It is
-    held to the cycles over which the scan's lam^k stays within half of the
-    float exponent range. A point starts one block before its first block
-    that may settle, so that the scanned block gives the next one its
-    previous value; points without the bound start at block 0.
+    SETTLE_MARGIN cannot settle; that count comes from one logarithm. A
+    point starts one block before its first block that may settle, so that
+    the scanned block gives the next one its previous value; points without
+    the bound start at block 0.
     """
-    radius = np.abs(lam).max(axis=1)
-    mu = lam / radius[:, None]
+    mu = lam / np.abs(lam).max(axis=1, keepdims=True)
     one = mu == 1
     a, b = parts[:, 3], parts[:, 0]
     pull = np.abs(a * (mu - 1))                                 # 0 where mu = 1
@@ -461,11 +425,8 @@ def _settle_starts(lam: np.ndarray, parts: np.ndarray, max_cycles: int) -> np.nd
     bounded &= lead > floor
     starts = np.full(lam.shape[0], 0 if max_cycles else -1, dtype=np.int64)
     if bounded.any():
-        with np.errstate(divide="ignore"):      # radius 1: no range limit
-            reach = np.minimum(np.log(floor[bounded] / lead[bounded]) / np.log(rho[bounded]),
-                               np.log(np.finfo(float).max) / 2
-                               / np.abs(np.log(radius[bounded])))
         # the bound exceeds the floor at every cycle k with k - 1 < reach
+        reach = np.log(floor[bounded] / lead[bounded]) / np.log(rho[bounded])
         cleared = np.minimum(np.ceil(reach), max_cycles)
         starts[bounded] = np.where(cleared >= max_cycles, -1,
                                    np.maximum(cleared // BLOCK_CYCLES - 1, 0))
@@ -477,24 +438,28 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
     than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
 
-    Cycles run in blocks of BLOCK_CYCLES, and each point starts at the block
-    that _settle_starts gives it. Each pass takes a group of consecutive
-    blocks for the points not yet settled, at most SETTLE_GROUP_ROWS
-    point-cycles: block b of a group reads (lam^1..lam^BLOCK_CYCLES) @
-    (lam^(start_b) c_i v_i), and the group's blocks are one stacked matmul
-    against their scaled readouts side by side. lam^(start_b) is the chain
-    of products by lam^BLOCK_CYCLES from the first block on, whether scanned
-    or not. Settled points leave between groups. Returns k per point, 0
-    where it does not settle.
+    sigma_z is a ratio, so the scan reads mu = lam / radius in place of lam,
+    which keeps every power within [0, 1] in modulus. Cycles run in blocks of
+    BLOCK_CYCLES, and each point starts at the block that _settle_starts
+    gives it. Each pass takes a group of consecutive blocks for the points
+    not yet settled, at most SETTLE_GROUP_ROWS point-cycles: block b of a
+    group reads (mu^1..mu^BLOCK_CYCLES) @ (mu^(start_b) c_i v_i), and the
+    group's blocks are one stacked matmul against their scaled readouts side
+    by side. The power table is the running product of mu along its rows,
+    and mu^(start_b) is the chain of products by mu^BLOCK_CYCLES from the
+    first block on, whether scanned or not. Settled points leave between
+    groups. Returns k per point, 0 where it does not settle.
     """
     cycles = np.zeros(lam.shape[0], dtype=int)
     first = _settle_starts(lam, parts, max_cycles)
     order = np.argsort(-first)          # later starts first, so each base grows as a prefix
     active = order[first[order] >= 0]
     first = first[active]
-    table = lam[active, None, :] ** np.arange(1, BLOCK_CYCLES + 1)[:, None]   # lam^k
+    mu = lam[active] / np.abs(lam[active]).max(axis=1, keepdims=True)
+    table = np.cumprod(np.broadcast_to(mu[:, None], (mu.shape[0], BLOCK_CYCLES, mu.shape[1])),
+                       axis=1)                                                # mu^k
     readout = parts[active][:, [0, 3], :].swapaxes(1, 2)                      # (B, modes, 2)
-    base = np.ones_like(lam[active])                                          # lam^start
+    base = np.ones_like(mu)                                                   # mu^start
     for step in range(first.max(initial=0)):
         n = np.count_nonzero(first > step)
         base[:n] = base[:n] * table[:n, -1]

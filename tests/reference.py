@@ -1,4 +1,7 @@
 """Reference solvers that the tests check the package against."""
+import math
+import struct
+
 import numpy as np
 
 from qnpflow.errors import NotConverged
@@ -13,7 +16,17 @@ from qnpflow.powerflow import (
     initial_state,
     mismatch,
 )
-from qnpflow.qsim import BLOCK_CYCLES, STEADY_TOL
+from qnpflow.qsim import (
+    BLOCK_CYCLES,
+    PAULI,
+    STEADY_TOL,
+    CollisionParams,
+    DensityMatrix,
+    PropagatorMode,
+    ReservoirSpec,
+    _check_spin,
+    _damping_kraus,
+)
 
 
 def _solution(net, state, iterations, history, converged) -> PowerFlowSolution:
@@ -72,13 +85,15 @@ def settle_cycles_per_block(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     """qsim._settle_cycles one block of BLOCK_CYCLES cycles at a time.
 
     Each block takes the power table's first rows times the readouts scaled
-    to the block's start, and settled points leave after every block.
+    to the block's start, and settled points leave after every block. The
+    table holds the running products of mu = lam / radius, as the scan's does.
     """
     cycles = np.zeros(lam.shape[0], dtype=int)
     active = np.arange(lam.shape[0])
-    table = lam[:, None, :] ** np.arange(1, BLOCK_CYCLES + 1)[:, None]   # lam^k
-    readout = parts[:, [0, 3], :].swapaxes(1, 2)                         # (B, modes, 2)
-    base = np.ones_like(lam)                                             # lam^start
+    mu = lam / np.abs(lam).max(axis=1, keepdims=True)
+    table = np.cumprod(np.repeat(mu[:, None, :], BLOCK_CYCLES, axis=1), axis=1)   # mu^k
+    readout = parts[:, [0, 3], :].swapaxes(1, 2)                                  # (B, modes, 2)
+    base = np.ones_like(mu)                                                       # mu^start
     prev = np.full(lam.shape[0], r0[3] / r0[0])
     start = 0
     while active.size and start < max_cycles:
@@ -95,3 +110,100 @@ def settle_cycles_per_block(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
                 x[keep] for x in (active, table, readout, base, prev))
         start += size
     return cycles
+
+
+SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]])
+SIGMA_MINUS = SIGMA_PLUS.T.copy()
+
+# Complex entries of the (4, 2d, 2d) joint states that transfer_matrices
+# stacks at once (4 MB), so a curve's reservoirs go through in chunks.
+MAP_CHUNK_ELEMENTS = 2**18
+
+
+def spin_ladder(spin_j: float) -> np.ndarray:
+    """Real raising operator J+ in the |J, m> basis ordered m = J down to -J,
+    so J- = J+.T.
+
+    <m+1| J+ |m> = sqrt(J(J+1) - m(m+1)).
+    """
+    j = _check_spin(spin_j)
+    dim = int(round(2 * j + 1))
+    m = j - np.arange(dim)
+    j_plus = np.zeros((dim, dim))
+    for k in range(1, dim):
+        j_plus[k - 1, k] = math.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
+    return j_plus
+
+
+def reservoir_unit_state(spec: ReservoirSpec) -> DensityMatrix:
+    """Spin-coherent pure state |theta, phi> of one reservoir unit, one
+    amplitude at a time: sqrt(C(2J, k)) cos(theta/2)^(2J-k)
+    (e^{i phi} sin(theta/2))^k on m = J - k."""
+    two_j = int(round(2 * _check_spin(spec.spin_j)))
+    cos_h = math.cos(spec.theta / 2.0)
+    sin_h = math.sin(spec.theta / 2.0)
+    phase = complex(math.cos(spec.phi), math.sin(spec.phi))
+    amps = np.array(
+        [
+            math.sqrt(math.comb(two_j, k)) * cos_h ** (two_j - k) * (phase * sin_h) ** k
+            for k in range(two_j + 1)
+        ]
+    )
+    return DensityMatrix(np.outer(amps, amps.conj()))
+
+
+def collision_unitary(g, spin_j: float, params: CollisionParams) -> np.ndarray:
+    """Joint probe-unit propagator of one collision, for couplings g of any
+    shape at one spin, stacked along g's axes.
+
+    ExactExponential diagonalizes H = g (sigma+ J- + sigma- J+) and
+    exponentiates the spectrum. SecondOrderTruncation keeps the literal
+    polynomial 1 - i tau H - (tau^2/2) H^2.
+    """
+    g = np.asarray(g)
+    j_plus = spin_ladder(spin_j)
+    ham = g[..., None, None] * (np.kron(SIGMA_PLUS, j_plus.T) + np.kron(SIGMA_MINUS, j_plus))
+    if params.propagator_mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
+        eye = np.eye(ham.shape[-1], dtype=complex)
+        return eye - 1j * params.tau * ham - 0.5 * params.tau**2 * (ham @ ham)
+    w, v = np.linalg.eigh(ham)
+    return (v * np.exp(-1j * w * params.tau)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def collide(probe_arr: np.ndarray, unit_arr: np.ndarray, u: np.ndarray, kraus) -> np.ndarray:
+    """Probe state after one collision: the joint state kron(probe, unit)
+    conjugated by u, the unit traced out, then the damping Kraus pair.
+    Leading axes of the probe (..., 2, 2), unit (..., d, d) and u
+    (..., 2d, 2d) arrays broadcast against each other."""
+    dim = unit_arr.shape[-1]
+    joint = probe_arr[..., :, None, :, None] * unit_arr[..., None, :, None, :]
+    joint = joint.reshape(joint.shape[:-4] + (2 * dim, 2 * dim))
+    evolved = u @ joint @ u.conj().swapaxes(-1, -2)
+    reduced = np.einsum("...ikjk->...ij", evolved.reshape(evolved.shape[:-2] + (2, dim, 2, dim)))
+    if kraus is not None:
+        k0, k1 = kraus
+        reduced = k0 @ reduced @ k0.conj().T + k1 @ reduced @ k1.conj().T
+    return reduced
+
+
+def transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> np.ndarray:
+    """qsim._transfer_matrices through the joint probe-unit state: column k
+    of a reservoir's map is the Pauli vector of collide applied to P_k with
+    collision_unitary(r.g, r.spin_j, params). Reservoirs of one spin go
+    through as stacks of at most MAP_CHUNK_ELEMENTS joint-state entries, each
+    distinct unit state built once per chunk."""
+    kraus = _damping_kraus(params)
+    maps = np.empty((len(specs), 4, 4))
+    for spin_j in sorted({r.spin_j for r in specs}):
+        idx = [i for i, r in enumerate(specs) if r.spin_j == spin_j]
+        dim = 2 * int(round(2 * spin_j)) + 2
+        chunk = max(1, MAP_CHUNK_ELEMENTS // (4 * dim * dim))
+        for part in (idx[lo:lo + chunk] for lo in range(0, len(idx), chunk)):
+            u = collision_unitary(np.array([specs[i].g for i in part]), spin_j, params)
+            keys = [struct.pack("dd", specs[i].theta, specs[i].phi) for i in part]
+            states = {key: reservoir_unit_state(specs[i]).entries
+                      for key, i in dict(zip(keys, part)).items()}
+            units = np.array([states[key] for key in keys])
+            images = collide(PAULI, units[:, None], u[:, None], kraus)
+            maps[part] = np.einsum("jab,nkba->njk", PAULI, images).real / 2
+    return maps

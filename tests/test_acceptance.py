@@ -39,17 +39,15 @@ from qnpflow.powerflow import (
     solve,
 )
 from qnpflow.qsim import (
+    PAULI,
     CollisionParams,
     DensityMatrix,
     PropagatorMode,
     ReservoirSpec,
-    _collide,
-    _damping_kraus,
-    collision_unitary,
+    _transfer_matrices,
     evolve_collisions,
     plus_state,
     pure_state,
-    reservoir_unit_state,
     steady_state_closed_form,
     transfer_curve,
 )
@@ -106,6 +104,8 @@ def test_criterion_2_jacobian_vs_finite_differences(net):
 
 
 def test_criterion_3_cptp_invariants():
+    # one collision is the reservoir's transfer matrix acting on the probe's
+    # Pauli vector; the output density matrix is read back from it
     rng = np.random.default_rng(3)
     params = CollisionParams(tau=3.0, n_collisions=1, gamma=0.0,
                              propagator_mode=PropagatorMode.EXACT_EXPONENTIAL)
@@ -122,9 +122,8 @@ def test_criterion_3_cptp_invariants():
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = a @ a.conj().T
         probe = DensityMatrix(rho / np.trace(rho).real)
-        u = collision_unitary(spec.g, spec.spin_j, params)
-        out = _collide(probe.entries, reservoir_unit_state(spec).entries, u,
-                       _damping_kraus(params))
+        r = np.einsum("kab,ba->k", PAULI, probe.entries)
+        out = np.einsum("k,kab->ab", _transfer_matrices([spec], params)[0] @ r, PAULI) / 2
         tr = np.trace(out)
         worst_trace = max(worst_trace, abs(float(tr.real) - 1.0), abs(float(tr.imag)))
         worst_herm = max(worst_herm, float(np.abs(out - out.conj().T).max()))

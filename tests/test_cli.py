@@ -418,6 +418,16 @@ def test_activation_invalid_spin_exits_8(tmp_path):
     assert res.returncode == 8
 
 
+def test_activation_spin_above_the_largest_exits_8(tmp_path):
+    # 515 has binomials C(1030, k) beyond a float; 514.5 is the largest spin
+    res = cli("activation", "simulate", "--spin", 515, "--points", 5,
+              "--out-dir", tmp_path / "out")
+    assert res.returncode == 8, res.stderr
+    assert res.stderr == ("error: spin 515.0 is too large: the largest spin accepted "
+                          "is 514.5\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("spin", ["nan", "inf"])
 def test_activation_non_finite_spin_exits_8(spin, tmp_path):
     res = cli("activation", "simulate", "--spin", spin, "--points", 5,

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -7,19 +8,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import settle_cycles_per_block
+from reference import (
+    collide as reference_collide,
+    collision_unitary,
+    reservoir_unit_state,
+    settle_cycles_per_block,
+    spin_ladder,
+    transfer_matrices as reference_transfer_matrices,
+)
 
 from qnpflow import qsim
 from qnpflow.errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationError
 from qnpflow.qsim import (
     BLOCK_CYCLES,
     MAX_COLLISIONS,
+    MAX_SPIN,
     PAULI,
     PLUS_PAULI,
     SETTLE_GROUP_ROWS,
     CollisionParams,
     DensityMatrix,
-    _collide,
     _cycle_modes,
     _damping_kraus,
     _prefix_products,
@@ -28,15 +36,13 @@ from qnpflow.qsim import (
     _transfer_matrices,
     PropagatorMode,
     ReservoirSpec,
-    collision_unitary,
     evolve_collisions,
     plus_state,
     pure_state,
-    reservoir_unit_state,
-    spin_ladder,
     steady_state_closed_form,
     steady_states,
     transfer_curve,
+    unit_amplitudes,
 )
 
 EXACT = PropagatorMode.EXACT_EXPONENTIAL
@@ -56,10 +62,11 @@ def expect(rho, op):
     return float((np.trace(rho.entries @ op) / np.trace(rho.entries)).real)
 
 
-def collide(probe, spec, u, params):
-    """The probe after one collision with a fresh unit of spec."""
-    unit = reservoir_unit_state(spec).entries
-    return DensityMatrix(_collide(probe.entries, unit, u, _damping_kraus(params)))
+def collide(probe, spec, params):
+    """The probe after one collision with a fresh unit of spec, through the
+    reservoir's transfer matrix."""
+    r = _transfer_matrices([spec], params)[0] @ np.einsum("kab,ba->k", PAULI, probe.entries).real
+    return DensityMatrix(np.einsum("k,kab->ab", r, PAULI) / 2)
 
 
 def spin_z(spin_j):
@@ -76,9 +83,15 @@ def run_to_cap(probe, reservoirs, params):
 
 # ------------------------------------------------------------ states
 
+def unit_state(spec):
+    """The density matrix of a unit of spec, from the program's amplitudes."""
+    amps = unit_amplitudes(spec.theta, spec.phi, spec.spin_j)
+    return DensityMatrix(np.outer(amps, amps.conj()))
+
+
 def test_reservoir_state_poles():
-    up = reservoir_unit_state(ReservoirSpec(theta=0.0))
-    down = reservoir_unit_state(ReservoirSpec(theta=math.pi))
+    up = unit_state(ReservoirSpec(theta=0.0))
+    down = unit_state(ReservoirSpec(theta=math.pi))
     assert np.allclose(up.entries, np.diag([1.0, 0.0]), atol=1e-15)
     assert np.allclose(down.entries, np.diag([0.0, 1.0]), atol=1e-15)
     assert expect(up, SIGMA_Z) == pytest.approx(1.0)
@@ -86,7 +99,7 @@ def test_reservoir_state_poles():
 
 
 def test_reservoir_state_equator():
-    rho = reservoir_unit_state(ReservoirSpec(theta=math.pi / 2, phi=0.0))
+    rho = unit_state(ReservoirSpec(theta=math.pi / 2, phi=0.0))
     assert np.allclose(rho.entries, 0.5 * np.ones((2, 2)), atol=1e-15)
     assert np.trace(rho.entries @ rho.entries).real == pytest.approx(1.0)
 
@@ -94,7 +107,9 @@ def test_reservoir_state_equator():
 @given(spins, thetas, phis)
 @settings(max_examples=60, deadline=None)
 def test_spin_coherent_magnetization(spin_j, theta, phi):
-    rho = reservoir_unit_state(ReservoirSpec(theta=theta, phi=phi, spin_j=spin_j))
+    rho = unit_state(ReservoirSpec(theta=theta, phi=phi, spin_j=spin_j))
+    assert np.abs(rho.entries - reservoir_unit_state(
+        ReservoirSpec(theta=theta, phi=phi, spin_j=spin_j)).entries).max() < 1e-15
     assert abs(np.trace(rho.entries) - 1.0) < 1e-10
     assert np.abs(rho.entries - rho.entries.conj().T).max() < 1e-10
     assert np.linalg.eigvalsh(rho.entries).min() >= -1e-9
@@ -147,6 +162,21 @@ def test_ladder_identities(spin_j):
 def test_invalid_spin_rejected(bad):
     with pytest.raises(InvalidSpin):
         spin_ladder(bad)
+    with pytest.raises(InvalidSpin):
+        ReservoirSpec(theta=0.0, spin_j=bad)
+
+
+def test_largest_spin_accepted():
+    # the unit amplitudes take sqrt(C(2J, k)), which a float holds up to
+    # 2J = 1029; one step above, the spin is named with the largest accepted
+    assert MAX_SPIN == 514.5
+    assert math.comb(1029, 514) < sys.float_info.max < math.comb(1030, 515)
+    assert np.isfinite(unit_amplitudes(np.pi / 2, 0.3, MAX_SPIN)).all()
+    curve = transfer_curve(MAX_SPIN, n_points=5)
+    assert np.all(np.abs(curve.outputs) <= 1)
+    for spin_j in (MAX_SPIN + 0.5, 1e6):
+        with pytest.raises(InvalidSpin, match=f"spin {spin_j} .* largest spin accepted is 514.5"):
+            transfer_curve(spin_j, n_points=5)
 
 
 # ------------------------------------------------------------ collision unitary
@@ -186,17 +216,15 @@ def test_exact_mode_unitary_random(spin_j, gtau):
 def test_collide_zero_coupling_is_identity():
     spec = ReservoirSpec(theta=0.3, spin_j=1.0, g=0.0)
     params = CollisionParams(tau=3.0, gamma=0.0)
-    u = collision_unitary(spec.g, spec.spin_j, params)
     probe = plus_state()
-    out = collide(probe, spec, u, params)
+    out = collide(probe, spec, params)
     assert np.abs(out.entries - probe.entries).max() < 1e-14
 
 
 def test_collide_aligned_states_invariant():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.01)
     params = CollisionParams(tau=3.0)
-    u = collision_unitary(spec.g, spec.spin_j, params)
-    out = collide(EXCITED, spec, u, params)
+    out = collide(EXCITED, spec, params)
     assert np.abs(out.entries - EXCITED.entries).max() < 1e-12
 
 
@@ -204,8 +232,7 @@ def test_collide_population_transfer_closed_form():
     g, tau = 0.01, 3.0
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=g)
     params = CollisionParams(tau=tau)
-    u = collision_unitary(spec.g, spec.spin_j, params)
-    out = collide(GROUND, spec, u, params)
+    out = collide(GROUND, spec, params)
     # ground probe + excited unit exchange with amplitude sin(g tau)
     expected = -1.0 + 2.0 * math.sin(g * tau) ** 2
     assert expect(out, SIGMA_Z) == pytest.approx(expected, abs=1e-12)
@@ -214,8 +241,7 @@ def test_collide_population_transfer_closed_form():
 def test_damping_pulls_excited_down():
     spec = ReservoirSpec(theta=0.0, spin_j=0.5, g=0.0)
     params = CollisionParams(tau=3.0, gamma=0.1)
-    u = collision_unitary(spec.g, spec.spin_j, params)
-    out = collide(EXCITED, spec, u, params)
+    out = collide(EXCITED, spec, params)
     expected = 2.0 * math.exp(-0.1 * 3.0) - 1.0
     assert expect(out, SIGMA_Z) == pytest.approx(expected, rel=1e-12)
 
@@ -226,12 +252,11 @@ def test_damping_pulls_excited_down():
 def test_collision_is_cptp(theta, phi, spin_j, gtau, seed):
     spec = ReservoirSpec(theta=theta, phi=phi, spin_j=spin_j, g=gtau / 3.0)
     params = CollisionParams(tau=3.0, propagator_mode=EXACT)
-    u = collision_unitary(spec.g, spec.spin_j, params)
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=2) + 1j * rng.normal(size=2)
     vec = vec / np.linalg.norm(vec)
     probe = DensityMatrix(np.outer(vec, vec.conj()))
-    out = collide(probe, spec, u, params)
+    out = collide(probe, spec, params)
     assert abs(np.trace(out.entries).real - 1.0) < 1e-9
     assert np.abs(out.entries - out.entries.conj().T).max() < 1e-10
     assert np.linalg.eigvalsh(out.entries).min() >= -1e-9
@@ -314,14 +339,15 @@ def test_coherent_units_suppress_transfer():
 # ------------------------------------------------------------ transfer-matrix engine
 
 def reference_evolve(probe, reservoirs, params, steady_tol):
-    """evolve_collisions as one _collide per step on the 2x2 density matrix."""
+    """evolve_collisions as one joint-state collision per step on the 2x2
+    density matrix."""
     units = [reservoir_unit_state(r).entries for r in reservoirs]
     kraus = _damping_kraus(params)
     cycle = len(reservoirs)
     unitaries = [collision_unitary(r.g, r.spin_j, params) for r in reservoirs]
 
     def collide_next(arr, k):
-        return _collide(arr, units[k % cycle], unitaries[k % cycle], kraus)
+        return reference_collide(arr, units[k % cycle], unitaries[k % cycle], kraus)
 
     def sigma_z(arr):
         return float(((arr[0, 0] - arr[1, 1]) / (arr[0, 0] + arr[1, 1])).real)
@@ -512,60 +538,32 @@ def curve_sets(spin_j, n_points, g=0.01):
             for u in np.linspace(-1.0, 1.0, n_points)]
 
 
-def per_reservoir_transfer_matrix(spec, params):
-    """One reservoir's transfer matrix, column k the Pauli vector of _collide
-    applied to P_k."""
-    unit = reservoir_unit_state(spec).entries
-    u = collision_unitary(spec.g, spec.spin_j, params)
-    images = np.array([_collide(p, unit, u, _damping_kraus(params)) for p in PAULI])
-    return np.einsum("jab,kba->jk", PAULI, images).real / 2
-
-
 @pytest.mark.parametrize("mode", [EXACT, TRUNCATED])
-@pytest.mark.parametrize("gamma", [0.0, 0.05])
-def test_stacked_transfer_matrices_equal_per_reservoir(mode, gamma):
+@pytest.mark.parametrize("gamma", [0.0, 0.01])
+def test_closed_form_transfer_matrices_match_joint_state_reference(mode, gamma):
+    # every spin from 1/2 to 25 at random angles and g tau up to 0.9, the
+    # pole units, a signed zero and no coupling, against the eigh of the
+    # (4J+2)-dimensional exchange Hamiltonian and the traced joint state.
+    # Rounding the angle g tau c_k moves cos and sin by about eps times the
+    # angle, whose largest value is g tau (J + 1/2); both constructions carry
+    # that error, so the tolerance grows with it
     params = CollisionParams(tau=3.0, gamma=gamma, propagator_mode=mode)
-    rng = np.random.default_rng(4)
-    specs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
-             for spin_j in (0.5, 1.0, 1.5, 2.5) for t, phi, w in CROSS_CHECK_UNITS]
-    specs += [ReservoirSpec(theta=float(rng.uniform(0, math.pi)), phi=float(rng.uniform(-3, 3)),
-                            spin_j=float(rng.choice([0.5, 2.0])), g=float(rng.uniform(0, 0.5)))
-              for _ in range(8)]
-    specs.append(ReservoirSpec(theta=0.0, spin_j=1.0, g=0.0))
-    stacked = _transfer_matrices(specs, params)
-    for maps, spec in zip(stacked, specs):
-        assert np.array_equal(maps, per_reservoir_transfer_matrix(spec, params))
-
-
-@pytest.mark.parametrize("budget", [1, 3 * 4 * 12 * 12], ids=["one-per-chunk", "chunks-of-3"])
-def test_chunked_transfer_matrices_equal_one_stack(budget, monkeypatch):
-    # a budget of 3 * 4 * (2d)^2 entries puts three J = 5/2 reservoirs in a chunk
-    params = CollisionParams(tau=3.0, gamma=0.05)
-    specs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.05 * w)
-             for spin_j in (0.5, 2.5) for t, phi, w in CROSS_CHECK_UNITS]
-    specs += [ReservoirSpec(theta=0.3 * k, phi=0.2 * k, spin_j=2.5, g=0.01 * k) for k in range(7)]
-    whole = _transfer_matrices(specs, params)
-    monkeypatch.setattr(qsim, "MAP_CHUNK_ELEMENTS", budget)
-    assert _transfer_matrices(specs, params).tobytes() == whole.tobytes()
-
-
-def test_unit_states_built_once_per_chunk_and_maps_stay_bitwise(monkeypatch):
-    # repeated and mixed (theta, phi) pairs, a signed zero, two spins, and
-    # chunks of three J = 5/2 reservoirs (a budget of 3 * 4 * (2d)^2 entries)
-    params = CollisionParams(tau=3.0, gamma=0.05)
-    angles = [(0.0, 0.0), (math.pi, 0.0), (1.1, 0.4), (0.0, -0.0),
-              (1.1, 0.4), (math.pi, 0.0), (0.0, 0.0), (1.1, -0.4)]
-    specs = [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=0.01 * (k + 1))
-             for spin_j in (0.5, 2.5) for k, (t, phi) in enumerate(angles)]
-    monkeypatch.setattr(qsim, "MAP_CHUNK_ELEMENTS", 3 * 4 * 12 * 12)
-    built = []
-    monkeypatch.setattr(qsim, "reservoir_unit_state",
-                        lambda spec: built.append(spec) or reservoir_unit_state(spec))
+    rng = np.random.default_rng(22)
+    specs = [ReservoirSpec(theta=float(rng.uniform(0, math.pi)),
+                           phi=float(rng.uniform(-math.pi, math.pi)),
+                           spin_j=spin_j, g=float(rng.uniform(0.001, 0.3)))
+             for spin_j in np.arange(1, 51) / 2 for _ in range(2)]
+    specs += [ReservoirSpec(theta=t, phi=phi, spin_j=spin_j, g=g)
+              for spin_j in (0.5, 2.5, 7.0)
+              for t, phi, g in ((0.0, 0.0, 0.01), (math.pi, 0.0, 0.01), (0.0, -0.0, 0.2),
+                                (1.1, 0.4, 0.0))]
     maps = _transfer_matrices(specs, params)
-    for m, spec in zip(maps, specs):
-        assert m.tobytes() == per_reservoir_transfer_matrix(spec, params).tobytes()
-    # J = 1/2: one chunk with 5 distinct pairs; J = 5/2: chunks of 3, 3 and 2
-    assert len(built) == 5 + 3 + 3 + 2
+    reference = reference_transfer_matrices(specs, params)
+    angle = np.array([params.tau * r.g * (r.spin_j + 0.5) for r in specs])
+    scale = np.maximum(1.0, np.abs(reference).max(axis=(1, 2)))
+    err = np.abs(maps - reference).max(axis=(1, 2)) / scale
+    assert np.all(err <= 4 * np.finfo(float).eps * (1 + angle))
+    assert err.max() > 0            # two constructions, not one
 
 
 def cycle_modes(reservoir_sets, params):
@@ -853,3 +851,42 @@ def test_steady_states_validation():
         steady_states([])
     with pytest.raises(NoCoupling):
         steady_states([one, [ReservoirSpec(theta=0.0, g=0.0)]])
+
+
+def test_truncated_curve_far_above_unit_radius_settles_like_normalized_iteration():
+    # at g tau = 9 the truncated blocks have entries near 40, so the cycle
+    # maps' radii are far above 1 and lam^k leaves the float range within a
+    # block; the scan reads mu = lam / radius, so no power overflows, and its
+    # counts are those of stepping the cycles with r rescaled to r_0 = 1
+    params = CollisionParams(tau=30.0, propagator_mode=TRUNCATED)
+    lam, _, _ = cycle_modes(curve_sets(0.5, 5, g=0.3), params)
+    assert np.abs(lam).max(axis=1).min() > 1e3
+    curve = transfer_curve(0.5, params, n_points=5, g=0.3)
+    for i, reservoirs in enumerate(curve_sets(0.5, 5, g=0.3)):
+        maps = _transfer_matrices(reservoirs, params)
+        r, prev, used = PLUS_PAULI, 0.0, 0
+        while used < params.n_collisions:
+            for m in maps:
+                r = m @ r
+            r, used = r / r[0], used + len(maps)
+            if abs(r[3] - prev) < qsim.STEADY_TOL:
+                break
+            prev = r[3]
+        assert (curve.collisions_used[i], curve.converged[i]) == (used, True)
+    assert list(curve.collisions_used) == [8, 12, 14, 12, 8]
+
+
+def test_large_spin_curve_in_bounded_memory():
+    # each reservoir's map takes O(J) memory, d Kraus operators of 2x2: a
+    # 41-point curve at J = 100 peaks near 3 MB of traced allocations, where
+    # the (4J+2)-dimensional joint states took 37.5 MB
+    transfer_curve(0.5, n_points=5)                    # warm caches and imports
+    tracemalloc.start()
+    try:
+        curve = transfer_curve(100.0, n_points=41)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert np.abs(curve.outputs + curve.outputs[::-1]).max() < 1e-9
+    assert np.all(np.diff(curve.outputs) > 0)
