@@ -1,7 +1,6 @@
 """Transfer-curve container, tanh steepness fitting, and the spin-to-steepness table."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,8 +9,6 @@ from .errors import DegenerateCurve, UnknownSpin, ValidationError
 
 BETA_LO = 1e-3
 BETA_HI = 100.0
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Fitted steepness by reservoir spin, used as named activation presets.
 _BETA_BY_SPIN = {0.5: 2.22, 1.0: 2.78, 1.5: 3.33, 2.5: 4.1}
@@ -56,14 +53,8 @@ class BetaFit:
     n_points: int
 
 
-def _rss(curve: ActivationCurve, beta: float) -> float:
-    r = curve.outputs - np.tanh(beta * curve.inputs)
-    return float(r @ r)
-
-
 def _scan_rss(curve: ActivationCurve, betas: np.ndarray) -> np.ndarray:
-    """_rss at every beta in one pass; each residual dot product is the
-    1x1 matmul r @ r, so the losses equal _rss bit for bit."""
+    """Residual sum of squares of tanh(beta u) against the curve, one per beta."""
     r = curve.outputs - np.tanh(betas[:, None] * curve.inputs)
     return (r[:, None, :] @ r[:, :, None])[:, 0, 0]
 
@@ -71,46 +62,27 @@ def _scan_rss(curve: ActivationCurve, betas: np.ndarray) -> np.ndarray:
 def fit_beta(curve: ActivationCurve) -> BetaFit:
     """Least-squares steepness of tanh(beta u) against the sampled curve.
 
-    Coarse geometric scan over [BETA_LO, BETA_HI] to bracket the minimum,
-    golden-section search inside the bracket, then one parabolic refinement.
-    Raises DegenerateCurve when the samples carry no slope information.
+    A geometric scan of 400 betas over [BETA_LO, BETA_HI] brackets the
+    minimum by the neighbours of its best beta; each further pass scans the
+    bracket at 41 even points and keeps the neighbours of its best, a
+    20-fold narrowing, until the bracket is narrower than 1e-12 max(1, hi).
+    Returns the last pass's best beta and its loss. Raises DegenerateCurve
+    when the samples carry no slope information.
     """
     if np.ptp(curve.outputs) == 0:
         raise DegenerateCurve("curve outputs are constant; no slope to fit")
     if curve.inputs.min() >= 0 or curve.inputs.max() <= 0:
         raise DegenerateCurve("curve inputs must span both signs of u")
 
-    grid = np.geomspace(BETA_LO, BETA_HI, 400)
-    losses = _scan_rss(curve, grid)
-    k = int(np.argmin(losses))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid.size - 1)]
-
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _rss(curve, c), _rss(curve, d)
-    while b - a > 1e-12 * max(1.0, b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _rss(curve, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _rss(curve, d)
-    beta = 0.5 * (a + b)
-
-    # Parabolic vertex through (beta - h, beta, beta + h) as a final polish.
-    h = 1e-7 * max(1.0, beta)
-    f0, f1, f2 = _rss(curve, beta - h), _rss(curve, beta), _rss(curve, beta + h)
-    denom = f0 - 2.0 * f1 + f2
-    if denom > 0:
-        candidate = beta + 0.5 * h * (f0 - f2) / denom
-        if BETA_LO <= candidate <= BETA_HI and _rss(curve, candidate) <= f1:
-            beta = candidate
-
-    return BetaFit(beta=float(beta), rss=_rss(curve, beta), n_points=curve.n_points)
+    betas = np.geomspace(BETA_LO, BETA_HI, 400)
+    while True:
+        losses = _scan_rss(curve, betas)
+        k = int(np.argmin(losses))
+        lo, hi = betas[max(k - 1, 0)], betas[min(k + 1, betas.size - 1)]
+        if hi - lo < 1e-12 * max(1.0, hi):
+            break
+        betas = np.linspace(lo, hi, 41)
+    return BetaFit(beta=float(betas[k]), rss=float(losses[k]), n_points=curve.n_points)
 
 
 def beta_table() -> dict[float, float]:

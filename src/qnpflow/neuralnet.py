@@ -395,8 +395,9 @@ class Hyperparams:
         if self.epochs < 1 or self.batch_size < 1:
             raise ValidationError("epochs and batch_size must be positive")
         OptimizerKind(self.optimizer, self.learning_rate)  # checks the name and step size
-        if self.l1 < 0 or self.l2 < 0:
-            raise ValidationError("penalty strengths must be non-negative")
+        if not (0 <= self.l1 < math.inf and 0 <= self.l2 < math.inf):
+            raise ValidationError(f"penalty strengths must be finite and non-negative, "
+                                  f"got l1={self.l1}, l2={self.l2}")
         if self.seed < 0:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
 

@@ -264,9 +264,16 @@ def evolve_collisions(
     cycle = len(reservoirs)
     n_total = params.n_collisions
     prefixes = _prefix_products(_transfer_matrices(reservoirs, params)[None])[0]
+    # the powers come from the cycle map scaled by a power of two near
+    # 1 / radius, and r is rescaled to r_0 in [1/2, 1) at each block, so
+    # large radii cannot overflow; the scaling is exact and every readout is
+    # a ratio, so the readouts are those of the unscaled powers wherever
+    # those stay in range
+    radius = np.abs(np.linalg.eigvals(prefixes[-1])).max()
+    step = np.ldexp(prefixes[-1], -round(math.log2(radius)))
     powers = [np.eye(4)]
     for _ in range(BLOCK_CYCLES - 1):
-        powers.append(prefixes[-1] @ powers[-1])
+        powers.append(step @ powers[-1])
     powers = np.array(powers)
 
     # Blocks hold whole cycles, so every block starts on a cycle boundary and
@@ -278,6 +285,7 @@ def evolve_collisions(
     converged = False
     while used < n_total and not converged:
         size = min(BLOCK_CYCLES * cycle, n_total - used)
+        r = np.ldexp(r, -np.frexp(r[0])[1])
         cycle_starts = powers[: -(-size // cycle)] @ r
         states = np.einsum("jab,kb->kja", prefixes, cycle_starts).reshape(-1, 4)[:size]
         values = states[:, 3] / states[:, 0]

@@ -9,7 +9,6 @@ from qnpflow.activation import (
     BETA_HI,
     BETA_LO,
     ActivationCurve,
-    _rss,
     _scan_rss,
     beta_table,
     fit_beta,
@@ -17,7 +16,7 @@ from qnpflow.activation import (
 )
 from qnpflow.errors import DegenerateCurve, UnknownSpin, ValidationError
 from qnpflow.neuralnet import _tanh_slope
-from qnpflow.qsim import CollisionParams, transfer_curve
+from qnpflow.qsim import CollisionParams, ReservoirSpec, steady_states, transfer_curve
 
 U41 = np.linspace(-1.0, 1.0, 41)
 
@@ -145,14 +144,40 @@ def test_deriv_matches_finite_difference():
         assert _tanh_slope(a, beta)[0] == pytest.approx(fd, rel=1e-7)
 
 
-def test_scan_losses_equal_per_beta_rss():
-    # the coarse scan's argmin, and so beta and rss, stay those of the per-beta loop
+def test_scan_losses_equal_direct_sums_and_fit_is_a_local_minimum():
+    # each scanned loss is the plain sum of squared residuals, to rounding;
+    # on the criterion-5 curves no loss at beta (1 +- 1e-7) undercuts the fit's
     grid = np.geomspace(BETA_LO, BETA_HI, 400)
-    curves = [transfer_curve(j, CollisionParams(tau=3.0), n_points=41) for j in (0.5, 1.0, 1.5, 2.5)]
+    spin_curves = [transfer_curve(j, CollisionParams(tau=3.0), n_points=41)
+                   for j in (0.5, 1.0, 1.5, 2.5)]
+    curves = list(spin_curves)
     rng = np.random.default_rng(11)
     for _ in range(100):
         u = np.unique(rng.uniform(-1.0, 1.0, int(rng.integers(2, 60))))
         y = np.clip(np.tanh(rng.uniform(0.5, 5.0) * u) + rng.normal(0, 0.05, u.size), -1, 1)
         curves.append(ActivationCurve(inputs=u, outputs=y))
     for curve in curves:
-        assert np.array_equal(_scan_rss(curve, grid), [_rss(curve, b) for b in grid])
+        direct = [np.sum((curve.outputs - np.tanh(b * curve.inputs)) ** 2) for b in grid]
+        np.testing.assert_allclose(_scan_rss(curve, grid), direct, rtol=1e-13, atol=0)
+    for curve in spin_curves:
+        fit = fit_beta(curve)
+        around = _scan_rss(curve, fit.beta * np.array([1 - 1e-7, 1.0, 1 + 1e-7]))
+        assert around[1] == fit.rss
+        assert around[0] >= fit.rss and around[2] >= fit.rss
+
+
+def coherent_pair_beta(spin_j, gamma):
+    # units at theta = arccos u, one at phi = 0 and one at phi = pi
+    us = np.linspace(-1.0, 1.0, 41)
+    sets = [[ReservoirSpec(theta=math.acos(u), phi=phi, spin_j=spin_j, g=0.01)
+             for phi in (0.0, math.pi)] for u in us]
+    sigma_z, _, _ = steady_states(sets, CollisionParams(tau=3.0, gamma=gamma))
+    return fit_beta(ActivationCurve(inputs=us, outputs=sigma_z)).beta
+
+
+@pytest.mark.parametrize("gamma, direction", [(0.0, -1), (1e-4, 1)], ids=["undamped", "damped"])
+def test_coherent_pair_beta_direction_in_spin(gamma, direction):
+    # the README's coherent-pair rows: beta falls with J without damping
+    # (2.1807 ... 2.1748) and rises with it at gamma = 1e-4 (1.102 ... 1.812)
+    betas = [coherent_pair_beta(j, gamma) for j in (0.5, 1.0, 1.5, 2.5)]
+    assert all(direction * (b - a) > 0 for a, b in zip(betas, betas[1:])), betas

@@ -670,6 +670,23 @@ def test_train_non_positive_lr_exits_4(lr, dataset_dir, tmp_path):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--l1", "nan"), ("--l1", "inf"), ("--l2", "nan"), ("--l2", "inf"),
+    ("--config", '{"l2": Infinity}'),
+], ids=["l1-nan", "l1-inf", "l2-nan", "l2-inf", "config-l2-infinity"])
+def test_train_non_finite_penalty_exits_4(option, value, dataset_dir, tmp_path):
+    # a NaN or infinite penalty used to train a full epoch, then exit 9
+    if option == "--config":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(value)
+        value = cfg
+    res = cli("train", dataset_dir / "data", "--preset", "table3", "--epochs", 1,
+              option, value, "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith("error:") and "penalty strengths" in res.stderr
+    assert not (tmp_path / "out" / "model.json").exists()
+
+
 @pytest.mark.parametrize("source", ["dataset --seed", "activation simulate --seed",
                                     "train --seed", "train --config", "sweep seeds"])
 def test_negative_seed_exits_4(source, dataset_dir, tmp_path):

@@ -856,8 +856,10 @@ def test_steady_states_validation():
 def test_truncated_curve_far_above_unit_radius_settles_like_normalized_iteration():
     # at g tau = 9 the truncated blocks have entries near 40, so the cycle
     # maps' radii are far above 1 and lam^k leaves the float range within a
-    # block; the scan reads mu = lam / radius, so no power overflows, and its
-    # counts are those of stepping the cycles with r rescaled to r_0 = 1
+    # block; the scan reads mu = lam / radius and evolve_collisions steps the
+    # cycle map scaled by a power of two near 1 / radius, so neither
+    # overflows, and their counts are those of stepping the cycles with r
+    # rescaled to r_0 = 1
     params = CollisionParams(tau=30.0, propagator_mode=TRUNCATED)
     lam, _, _ = cycle_modes(curve_sets(0.5, 5, g=0.3), params)
     assert np.abs(lam).max(axis=1).min() > 1e3
@@ -873,6 +875,8 @@ def test_truncated_curve_far_above_unit_radius_settles_like_normalized_iteration
                 break
             prev = r[3]
         assert (curve.collisions_used[i], curve.converged[i]) == (used, True)
+        settled, _ = evolve_collisions(plus_state(), reservoirs, params)
+        assert (settled.collisions_used, settled.converged) == (used, True)
     assert list(curve.collisions_used) == [8, 12, 14, 12, 8]
 
 
