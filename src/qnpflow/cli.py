@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .activation import ActivationCurve, beta_table, fit_beta, spin_beta
+from .activation import BETA_HI, BETA_LO, ActivationCurve, beta_table, fit_beta, spin_beta
 from .dataset import (
     Scaler,
     fit_scaler,
@@ -266,6 +266,13 @@ def _fit_doc(fit, curve: ActivationCurve) -> dict:
     }
 
 
+def _note_beta_bound(fit) -> None:
+    """Say on stderr when the fitted beta sits on a bound of its search range."""
+    if fit.beta in (BETA_LO, BETA_HI):
+        print(f"note: fitted beta is pinned at the bound {fit.beta:g}; the least-squares "
+              f"minimum lies outside [{BETA_LO:g}, {BETA_HI:g}]", file=sys.stderr)
+
+
 def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
     # a float either way, so `--spin 1` and a config's "spin": 1 name the same artifacts
     spin = cfg["spin"]
@@ -288,13 +295,13 @@ def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
     (out / f"fit_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(f"spin={cfg['spin']} fitted beta={fit.beta:.6f} rss={fit.rss:.3e} "
           f"-> {out / f'curve_{tag}.csv'}")
+    _note_beta_bound(fit)
     capped = int(np.count_nonzero(~curve.converged))
     if capped:
         print(f"note: {capped} of {curve.n_points} curve points did not settle within the "
               f"{params.n_collisions}-collision cap; sigma_z is exact, only collisions_used "
               f"is capped", file=sys.stderr)
     return EXIT_OK
-
 
 
 def cmd_activation_fit(ns: argparse.Namespace, cfg: dict) -> int:
@@ -304,6 +311,7 @@ def cmd_activation_fit(ns: argparse.Namespace, cfg: dict) -> int:
     _write_snapshot(out, "activation_fit", {**cfg, "curve": str(ns.curve)})
     (out / "fit.json").write_text(json.dumps(_fit_doc(fit, curve), indent=1) + "\n")
     print(f"fitted beta={fit.beta:.6f} rss={fit.rss:.3e} over {fit.n_points} points")
+    _note_beta_bound(fit)
     return EXIT_OK
 
 

@@ -171,13 +171,6 @@ TO_PAULI = PAULI.swapaxes(1, 2).reshape(4, 4) / 2
 # (BLOCK_CYCLES, modes) power table times its scaled readouts.
 BLOCK_CYCLES = 256
 
-# Point-cycles that one pass of the settle test evaluates, as whole blocks
-# (at least one block per point). At 2^12 a pass's largest temporary, the
-# (points, BLOCK_CYCLES, 2 blocks) complex product, holds at most 128 KiB,
-# glibc's default mmap threshold; 2^11 and 2^13 both ran a 5-point curve
-# slower. A 41-point curve still takes one block per pass.
-SETTLE_GROUP_ROWS = 2**12
-
 
 def _liouville(kraus: np.ndarray) -> np.ndarray:
     """Liouville matrix sum_k K_k (x) conj(K_k) of Kraus operators given as
@@ -333,7 +326,8 @@ def steady_states(
     collisions_used and converged are those of stepping the collisions one
     at a time, as evolve_collisions does: the first cycle k at which
     |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops below STEADY_TOL, capped at
-    params.n_collisions. Raises ValidationError when sigma_z has no limit.
+    params.n_collisions. Raises ValidationError when sigma_z has no limit,
+    or when g and tau are so large that a collision map overflows a float.
     """
     params = params if params is not None else CollisionParams()
     sizes = {len(rs) for rs in reservoir_sets}
@@ -346,8 +340,11 @@ def steady_states(
 
     cycle = sizes.pop()
     specs = [r for rs in reservoir_sets for r in rs]
-    maps = _transfer_matrices(specs, params).reshape(-1, cycle, 4, 4)
-    prefixes = _prefix_products(maps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefixes = _prefix_products(_transfer_matrices(specs, params).reshape(-1, cycle, 4, 4))
+    if not np.isfinite(prefixes).all():        # a non-finite map entry spreads to its prefixes
+        raise ValidationError(f"collision maps overflow a float at g = {max(r.g for r in specs):g} "
+                              f"and tau = {params.tau:g}; lower g or tau")
 
     lam, parts, fixed = _cycle_modes(PLUS_PAULI, prefixes)
     states = (prefixes @ fixed[:, None, :, None])[..., 0]
@@ -449,14 +446,12 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     sigma_z is a ratio, so the scan reads mu = lam / radius in place of lam,
     which keeps every power within [0, 1] in modulus. Cycles run in blocks of
     BLOCK_CYCLES, and each point starts at the block that _settle_starts
-    gives it. Each pass takes a group of consecutive blocks for the points
-    not yet settled, at most SETTLE_GROUP_ROWS point-cycles: block b of a
-    group reads (mu^1..mu^BLOCK_CYCLES) @ (mu^(start_b) c_i v_i), and the
-    group's blocks are one stacked matmul against their scaled readouts side
-    by side. The power table is the running product of mu along its rows,
-    and mu^(start_b) is the chain of products by mu^BLOCK_CYCLES from the
-    first block on, whether scanned or not. Settled points leave between
-    groups. Returns k per point, 0 where it does not settle.
+    gives it. Each pass reads one block for every point not yet settled:
+    (mu^1..mu^BLOCK_CYCLES) @ (mu^start c_i v_i), one stacked matmul against
+    the scaled readouts. The power table is the running product of mu along
+    its rows, and mu^start is the chain of products by mu^BLOCK_CYCLES from
+    the first block on, whether scanned or not. Settled points leave after
+    every pass. Returns k per point, 0 where it does not settle.
     """
     cycles = np.zeros(lam.shape[0], dtype=int)
     first = _settle_starts(lam, parts, max_cycles)
@@ -476,26 +471,16 @@ def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
     prev = np.where(first == 0, r0[3] / r0[0], np.nan)
     start = first * BLOCK_CYCLES
     while active.size:
-        left = max_cycles - start
-        blocks = min(max(1, SETTLE_GROUP_ROWS // (BLOCK_CYCLES * active.size)),
-                     -(-left.min() // BLOCK_CYCLES))
-        size = np.minimum(blocks * BLOCK_CYCLES, left)
-        scaled = []
-        for _ in range(blocks):
-            scaled.append(base[:, :, None] * readout)
-            base = base * table[:, -1]
-        ends = table @ np.concatenate(scaled, axis=2)       # (B, BLOCK_CYCLES, 2 blocks)
-        # prev, then the group's cycles in order
-        values = np.empty((active.size, 1 + blocks * BLOCK_CYCLES))
-        values[:, 0] = prev
-        np.divide(ends[..., 1::2].real, ends[..., 0::2].real,
-                  out=values[:, 1:].reshape(active.size, blocks, BLOCK_CYCLES).swapaxes(1, 2))
-        small = np.abs(values[:, 1:] - values[:, :-1]) < STEADY_TOL
-        small &= np.arange(blocks * BLOCK_CYCLES) < size[:, None]
+        size = np.minimum(BLOCK_CYCLES, max_cycles - start)
+        ends = (table @ (base[:, :, None] * readout)).real        # (B, BLOCK_CYCLES, 2)
+        values = np.column_stack([prev, ends[..., 1] / ends[..., 0]])   # prev, then the block
+        small = np.abs(np.diff(values, axis=1)) < STEADY_TOL
+        small &= np.arange(BLOCK_CYCLES) < size[:, None]
         hit = small.any(axis=1)
         cycles[active[hit]] = start[hit] + small[hit].argmax(axis=1) + 1
         prev = values[np.arange(active.size), size]
         start = start + size
+        base = base * table[:, -1]
         keep = ~hit & (start < max_cycles)
         active, table, readout, base, prev, start = (
             x[keep] for x in (active, table, readout, base, prev, start))

@@ -264,9 +264,13 @@ def test_dataset_too_few_converged_exits_7(tmp_path):
     ("activation", "simulate", "--tau", "nan"),
     ("activation", "simulate", "--g", "nan"),
     ("activation", "simulate", "--g", "inf"),
+    ("activation", "simulate", "--g", "1e308"),
+    ("activation", "simulate", "--g", "1e60", "--mode", "truncated"),
+    ("activation", "simulate", "--tau", "1e306", "--g", "1e3"),
     ("dataset", NETWORK, "--n", 20, "--range", "0.8", "inf"),
     ("dataset", NETWORK, "--n", 20, "--range", "nan", "1.2"),
 ], ids=["gamma-nan", "gamma-inf", "tau-inf", "tau-nan", "g-nan", "g-inf",
+        "g-map-overflow", "truncated-prefix-overflow", "tau-map-overflow",
         "range-high-inf", "range-low-nan"])
 def test_non_finite_collision_and_range_inputs_exit_4(args, tmp_path):
     points = ("--points", 5) if args[0] == "activation" else ()
@@ -370,6 +374,34 @@ def test_activation_simulate_has_no_schedule(tmp_path):
     assert res.returncode == 4
     assert res.stderr.startswith("error:") and "'schedule'" in res.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_activation_simulate_notes_beta_at_the_lower_bound(tmp_path):
+    # this truncated curve falls with u, so its least-squares beta lies below 0.001
+    res = cli("activation", "simulate", "--spin", "1/2", "--points", 5, "--mode", "truncated",
+              "--tau", 30, "--g", 0.3, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "fit_spin0.5.json").read_text())["beta"] == 0.001
+    assert res.stderr.count("note: fitted beta") == 1
+    assert ("note: fitted beta is pinned at the bound 0.001; the least-squares minimum lies "
+            "outside [0.001, 100]\n") in res.stderr
+
+
+def test_activation_simulate_default_curve_has_no_beta_note(tmp_path):
+    res = cli("activation", "simulate", "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "fitted beta" not in res.stderr
+
+
+def test_activation_fit_notes_beta_at_the_upper_bound(tmp_path):
+    # a step at u = 0 is steeper than tanh(100 u)
+    curve = tmp_path / "steep.csv"
+    curve.write_text("u,sigma_z\n-1,-1\n-0.001,-0.5\n0,0\n0.001,0.5\n1,1\n")
+    res = cli("activation", "fit", curve, "--out-dir", tmp_path / "out")
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "out" / "fit.json").read_text())["beta"] == 100.0
+    assert res.stderr == ("note: fitted beta is pinned at the bound 100; the least-squares "
+                          "minimum lies outside [0.001, 100]\n")
 
 
 def test_activation_fit_round_trip(curve_dir, tmp_path):

@@ -25,7 +25,6 @@ from qnpflow.qsim import (
     MAX_SPIN,
     PAULI,
     PLUS_PAULI,
-    SETTLE_GROUP_ROWS,
     CollisionParams,
     DensityMatrix,
     _cycle_modes,
@@ -584,7 +583,7 @@ SETTLE_CASES = [(spin_j, n_points, *SETTLE_SETTINGS[7 * i % len(SETTLE_SETTINGS)
 
 
 @pytest.mark.parametrize("spin_j, n_points, gamma, tau, mode", SETTLE_CASES)
-def test_grouped_settle_equals_per_block_reference(spin_j, n_points, gamma, tau, mode):
+def test_settle_scan_equals_per_block_reference(spin_j, n_points, gamma, tau, mode):
     lam, parts, _ = cycle_modes(
         curve_sets(spin_j, n_points), CollisionParams(tau=tau, gamma=gamma, propagator_mode=mode))
     # no cycle, a partial last block, and caps off the block grid
@@ -675,14 +674,17 @@ def test_certified_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
 def test_largest_collision_cap_settles_in_bounded_memory(spin_j):
     # the cleared cycles come from one logarithm and each start's base from a
-    # loop, so no array follows the cap; the points capped at the default
-    # settle past it
+    # loop, so no array follows the cap: the peak stays within twice that of
+    # a cap past every settle cycle, where the same points scan the same
+    # blocks; the points capped at the default settle past it
     params = CollisionParams(n_collisions=MAX_COLLISIONS)
     transfer_curve(spin_j, n_points=5)                 # warm caches and imports
     tracemalloc.start()
     try:
         default = transfer_curve(spin_j, n_points=5)
-        _, default_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        past = transfer_curve(spin_j, CollisionParams(n_collisions=200000), n_points=5)
+        _, past_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         curve = transfer_curve(spin_j, params, n_points=5)
         _, peak = tracemalloc.get_traced_memory()
@@ -693,7 +695,8 @@ def test_largest_collision_cap_settles_in_bounded_memory(spin_j):
     assert np.array_equal(curve.collisions_used[default.converged],
                           default.collisions_used[default.converged])
     assert np.all(curve.collisions_used[~default.converged] > 20000)
-    assert peak < 2 * default_peak
+    assert np.array_equal(past.collisions_used, curve.collisions_used)
+    assert peak < 2 * past_peak
 
 
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
@@ -712,13 +715,11 @@ def test_weak_coupling_resolves_or_raises(spin_j, g):
 
 
 @pytest.mark.parametrize("n_res", [1, 2])
-@pytest.mark.parametrize("blocks", [2, SETTLE_GROUP_ROWS // BLOCK_CYCLES],
-                         ids=["later-block-of-a-group", "first-block-of-next-group"])
-def test_steady_states_settle_on_first_cycle_of_a_block_in_a_group(n_res, blocks, monkeypatch):
-    # one point scans SETTLE_GROUP_ROWS // BLOCK_CYCLES blocks per group, so
-    # cycle 2 B + 1 opens the third block of the first group, and cycle
-    # SETTLE_GROUP_ROWS + 1 opens the second group; that cycle's change is
-    # measured against the cycle before it
+@pytest.mark.parametrize("blocks", [2, 16])
+def test_steady_states_settle_on_first_cycle_of_a_block(n_res, blocks, monkeypatch):
+    # cycle k opens the block after `blocks` whole ones, and the scan reads
+    # one block per pass, so k's change is measured against the last cycle
+    # of the pass before
     reservoirs = [ReservoirSpec(theta=t, phi=phi, g=0.01 * w)
                   for t, phi, w in CROSS_CHECK_UNITS[:n_res]]
     k = blocks * BLOCK_CYCLES + 1
