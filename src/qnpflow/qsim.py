@@ -22,7 +22,7 @@ from .errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, ValidationErr
 
 STEADY_TOL = 1e-9
 
-# Collision caps must fit the int64 counts that steady_states reports.
+# Collision caps must fit the int64 counts that transfer_curve reports.
 MAX_COLLISIONS = 2**63 - 1
 
 # The largest spin whose binomials C(2J, k), which the unit states' amplitudes
@@ -157,9 +157,6 @@ class SteadyStateResult:
 PAULI = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])],
                  dtype=complex)
 
-# r of |+>, where every chain of steady_states starts.
-PLUS_PAULI = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
-
 # A channel acts on the row-major vec(rho), vec(rho)[2a + c] = rho[a, c], as a
 # 4x4 Liouville matrix; these take it to and from the Pauli basis, so that
 # T = Re(TO_PAULI @ L @ FROM_PAULI) with T[j, l] = tr(P_j Phi(P_l)) / 2.
@@ -167,8 +164,7 @@ FROM_PAULI = PAULI.reshape(4, 4).T
 TO_PAULI = PAULI.swapaxes(1, 2).reshape(4, 4) / 2
 
 # Schedule cycles per block in evolve_collisions, where a block is one pair of
-# numpy calls, and in the settle test of steady_states, where a block is one
-# (BLOCK_CYCLES, modes) power table times its scaled readouts.
+# numpy calls.
 BLOCK_CYCLES = 256
 
 
@@ -222,6 +218,13 @@ def _transfer_matrices(specs: list[ReservoirSpec], params: CollisionParams) -> n
     return maps
 
 
+def _check_finite(values: np.ndarray, g: float, tau: float) -> None:
+    """Raise ValidationError when a collision overflowed a float into values."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"collision maps overflow a float at g = {g:g} and tau = {tau:g}; "
+                              f"lower g or tau")
+
+
 def _prefix_products(maps: np.ndarray) -> np.ndarray:
     """Within-cycle prefix products S_j...S_1 of maps (B, n, 4, 4), same shape."""
     prefixes = [maps[:, 0]]
@@ -256,7 +259,9 @@ def evolve_collisions(
 
     cycle = len(reservoirs)
     n_total = params.n_collisions
-    prefixes = _prefix_products(_transfer_matrices(reservoirs, params)[None])[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefixes = _prefix_products(_transfer_matrices(reservoirs, params)[None])[0]
+    _check_finite(prefixes, max(r.g for r in reservoirs), params.tau)
     # the powers come from the cycle map scaled by a power of two near
     # 1 / radius, and r is rescaled to r_0 in [1/2, 1) at each block, so
     # large radii cannot overflow; the scaling is exact and every readout is
@@ -304,189 +309,6 @@ def evolve_collisions(
     return result, trajectory
 
 
-# Eigenvalues of a cycle map count as one when they differ by at most
-# MODE_TOL, and as of equal modulus when their moduli do.
-MODE_TOL = 1e-12
-
-
-def steady_states(
-    reservoir_sets: list[list[ReservoirSpec]],
-    params: CollisionParams | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact steady states of many collision chains started from |+>, one per
-    reservoir set: arrays sigma_z, collisions_used and converged, one entry
-    per set.
-
-    Every set holds the same number n of reservoirs, so one schedule cycle is
-    n collisions in round-robin order, and the cycle map is C = S_n...S_1.
-    sigma_z averages the within-cycle prefixes applied to the fixed point of
-    C, as evolve_collisions averages the final cycle; it does not depend on
-    the cap.
-
-    collisions_used and converged are those of stepping the collisions one
-    at a time, as evolve_collisions does: the first cycle k at which
-    |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops below STEADY_TOL, capped at
-    params.n_collisions. Raises ValidationError when sigma_z has no limit,
-    or when g and tau are so large that a collision map overflows a float.
-    """
-    params = params if params is not None else CollisionParams()
-    sizes = {len(rs) for rs in reservoir_sets}
-    if not sizes or 0 in sizes:
-        raise ValidationError("at least one reservoir is required")
-    if len(sizes) > 1:
-        raise ValidationError(f"reservoir sets must all have one length, got {sorted(sizes)}")
-    if any(all(r.g == 0 for r in rs) for rs in reservoir_sets):
-        raise NoCoupling("all reservoir couplings are zero")
-
-    cycle = sizes.pop()
-    specs = [r for rs in reservoir_sets for r in rs]
-    with np.errstate(over="ignore", invalid="ignore"):
-        prefixes = _prefix_products(_transfer_matrices(specs, params).reshape(-1, cycle, 4, 4))
-    if not np.isfinite(prefixes).all():        # a non-finite map entry spreads to its prefixes
-        raise ValidationError(f"collision maps overflow a float at g = {max(r.g for r in specs):g} "
-                              f"and tau = {params.tau:g}; lower g or tau")
-
-    lam, parts, fixed = _cycle_modes(PLUS_PAULI, prefixes)
-    states = (prefixes @ fixed[:, None, :, None])[..., 0]
-    sigma_z = np.mean(states[..., 3] / states[..., 0], axis=1)
-    settle = _settle_cycles(PLUS_PAULI, lam, parts, params.n_collisions // cycle)
-    converged = settle > 0
-    return sigma_z, np.where(converged, settle * cycle, params.n_collisions), converged
-
-
-def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
-    """Eigenmodes of the cycle maps prefixes[:, -1] as seen from r0, and the
-    fixed points they lead to.
-
-    Returns the eigenvalues (B, 4), the modes parts[b, :, i] = c_i v_i with
-    r0 = sum_i c_i v_i, and the real fixed points (B, 4): r0 projected onto
-    every mode at the positive eigenvalue of maximal modulus. Raises
-    ValidationError when another mode of that modulus moves r_0 or r_3 under
-    some prefix, since sigma_z then oscillates without a limit. Also raises
-    when the coupling is too weak for eig: when a mode outside the fixed ones
-    that moves r_0 or r_3 lies so near the fixed eigenvalue that eig's
-    rounding of the fixed point (about eps / gap, relative) exceeds
-    STEADY_TOL, or when every mode counts as fixed, which would return r0.
-    """
-    lam, vecs = np.linalg.eig(prefixes[:, -1])    # real where every eigenvalue is
-    coef = np.linalg.solve(vecs, np.broadcast_to(r0[:, None], vecs.shape[:-1] + (1,)))
-    parts = vecs * coef[..., 0][:, None, :]
-    radius = np.abs(lam).max(axis=1, keepdims=True)
-    gap = np.abs(lam - radius)
-    fixed = gap <= MODE_TOL
-    moving = (np.abs(np.abs(lam) - radius) <= MODE_TOL) & ~fixed
-    readout = np.abs(prefixes @ parts[:, None])[:, :, [0, 3], :]
-    reaches = np.any(readout > MODE_TOL * np.abs(r0).max(), axis=(1, 2))
-    if np.any(moving & reaches) or not np.all(fixed.any(axis=1)):
-        raise ValidationError("sigma_z has no limit: a cycle map has modes of equal "
-                              "modulus and different eigenvalues that reach the readout")
-    blurred = (reaches & (np.finfo(float).eps * radius > STEADY_TOL * gap)
-               & (~fixed | fixed.all(axis=1, keepdims=True)))
-    if blurred.any():
-        raise ValidationError(
-            f"coupling too weak to resolve: a cycle-map mode that moves sigma_z lies within "
-            f"{(gap / radius)[blurred].max():.1e} of the fixed one, too near for eig to "
-            f"separate them; raise g or tau")
-    return lam, parts, (parts * fixed[:, None, :]).sum(axis=2).real
-
-
-# Slack between STEADY_TOL and the certified lower bound on a cycle's change
-# of sigma_z, which covers the settle scan's own rounding.
-SETTLE_MARGIN = 1e-11
-
-
-def _settle_starts(lam: np.ndarray, parts: np.ndarray, max_cycles: int) -> np.ndarray:
-    """The block of BLOCK_CYCLES cycles at which the settle scan of each point
-    starts; -1 where no cycle up to max_cycles can settle.
-
-    With mu = lam / radius, a and b the modes' r_3 and r_0 parts, d* the sum
-    of b over the modes at mu = 1 exactly, beta the sum of |b| and A the sum
-    of |a| over the others, and j the mode of largest |a_j (mu_j - 1)|, the
-    change of sigma_z at cycle k is at least
-        (|Re a_j| |mu_j - 1| |mu_j|^(k-1) - sum_(i != j) |a_i (mu_i - 1)|)
-        / (|d*| + beta) - 2 A beta / (|d*| - beta)^2
-    when mu_j is real, 0 < |mu_j| < 1 and beta < |d*|. The bound falls with
-    k, so the cycles before the one where it reaches STEADY_TOL +
-    SETTLE_MARGIN cannot settle; that count comes from one logarithm. A
-    point starts one block before its first block that may settle, so that
-    the scanned block gives the next one its previous value; points without
-    the bound start at block 0.
-    """
-    mu = lam / np.abs(lam).max(axis=1, keepdims=True)
-    one = mu == 1
-    a, b = parts[:, 3], parts[:, 0]
-    pull = np.abs(a * (mu - 1))                                 # 0 where mu = 1
-    rows, j = np.arange(lam.shape[0]), pull.argmax(axis=1)
-    mu_j = mu[rows, j]
-    rho = np.abs(mu_j)
-    lead = np.abs(a[rows, j].real) * np.abs(mu_j - 1)
-    rest = pull.sum(axis=1) - pull[rows, j]
-    d_star = np.abs(np.sum(b.real, axis=1, where=one))
-    beta = np.sum(np.abs(b), axis=1, where=~one)
-    bounded = (mu_j.imag == 0) & (0 < rho) & (rho < 1) & (beta < d_star)
-    gap = np.where(bounded, d_star - beta, 1.0)
-    floor = rest + (d_star + beta) * (STEADY_TOL + SETTLE_MARGIN
-                                      + 2 * np.abs(a).sum(axis=1) * beta / gap**2)
-    bounded &= lead > floor
-    starts = np.full(lam.shape[0], 0 if max_cycles else -1, dtype=np.int64)
-    if bounded.any():
-        # the bound exceeds the floor at every cycle k with k - 1 < reach
-        reach = np.log(floor[bounded] / lead[bounded]) / np.log(rho[bounded])
-        cleared = np.minimum(np.ceil(reach), max_cycles)
-        starts[bounded] = np.where(cleared >= max_cycles, -1,
-                                   np.maximum(cleared // BLOCK_CYCLES - 1, 0))
-    return starts
-
-
-def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
-                   max_cycles: int) -> np.ndarray:
-    """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
-    than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
-
-    sigma_z is a ratio, so the scan reads mu = lam / radius in place of lam,
-    which keeps every power within [0, 1] in modulus. Cycles run in blocks of
-    BLOCK_CYCLES, and each point starts at the block that _settle_starts
-    gives it. Each pass reads one block for every point not yet settled:
-    (mu^1..mu^BLOCK_CYCLES) @ (mu^start c_i v_i), one stacked matmul against
-    the scaled readouts. The power table is the running product of mu along
-    its rows, and mu^start is the chain of products by mu^BLOCK_CYCLES from
-    the first block on, whether scanned or not. Settled points leave after
-    every pass. Returns k per point, 0 where it does not settle.
-    """
-    cycles = np.zeros(lam.shape[0], dtype=int)
-    first = _settle_starts(lam, parts, max_cycles)
-    order = np.argsort(-first)          # later starts first, so each base grows as a prefix
-    active = order[first[order] >= 0]
-    first = first[active]
-    mu = lam[active] / np.abs(lam[active]).max(axis=1, keepdims=True)
-    table = np.cumprod(np.broadcast_to(mu[:, None], (mu.shape[0], BLOCK_CYCLES, mu.shape[1])),
-                       axis=1)                                                # mu^k
-    readout = parts[active][:, [0, 3], :].swapaxes(1, 2)                      # (B, modes, 2)
-    base = np.ones_like(mu)                                                   # mu^start
-    for step in range(first.max(initial=0)):
-        n = np.count_nonzero(first > step)
-        base[:n] = base[:n] * table[:n, -1]
-    # a scan from block 0 compares its first cycle with r0; a later start
-    # compares with nothing, since its first block cannot settle
-    prev = np.where(first == 0, r0[3] / r0[0], np.nan)
-    start = first * BLOCK_CYCLES
-    while active.size:
-        size = np.minimum(BLOCK_CYCLES, max_cycles - start)
-        ends = (table @ (base[:, :, None] * readout)).real        # (B, BLOCK_CYCLES, 2)
-        values = np.column_stack([prev, ends[..., 1] / ends[..., 0]])   # prev, then the block
-        small = np.abs(np.diff(values, axis=1)) < STEADY_TOL
-        small &= np.arange(BLOCK_CYCLES) < size[:, None]
-        hit = small.any(axis=1)
-        cycles[active[hit]] = start[hit] + small[hit].argmax(axis=1) + 1
-        prev = values[np.arange(active.size), size]
-        start = start + size
-        base = base * table[:, -1]
-        keep = ~hit & (start < max_cycles)
-        active, table, readout, base, prev, start = (
-            x[keep] for x in (active, table, readout, base, prev, start))
-    return cycles
-
-
 def steady_state_closed_form(reservoirs: list[ReservoirSpec]) -> float:
     """Mean of the unit magnetizations, each with weight g_i^2:
     sum_i g_i^2 cos(theta_i) / sum_i g_i^2."""
@@ -494,6 +316,84 @@ def steady_state_closed_form(reservoirs: list[ReservoirSpec]) -> float:
     if total == 0:
         raise NoCoupling("all reservoir couplings are zero")
     return sum(r.g**2 * math.cos(r.theta) for r in reservoirs) / total
+
+
+def _pole_unit(x: np.ndarray, mode: PropagatorMode):
+    """Population weights (f, y, stay) of one collision with a pole unit at
+    x = g tau sqrt(2J).
+
+    The unit can flip the probe one way only: f is the weight of the flipped
+    population that moves and stay = 1 - y that of the population that stays,
+    with y given apart so that weak couplings keep their digits. The exact
+    propagator has f = y = sin^2 x; the truncated one has f = x^2 and
+    stay = (1 - x^2/2)^2, which is not 1 - f.
+    """
+    if mode is PropagatorMode.SECOND_ORDER_TRUNCATION:
+        f = x * x
+        return f, f * (1 - f / 4), (1 - f / 2) ** 2
+    sin = np.sin(x)
+    # x carries a few ulps of rounding, so a sine below that may belong to a
+    # multiple of pi, where nothing flips
+    sin[np.abs(sin) <= 4 * np.finfo(float).eps * x] = 0.0
+    return sin * sin, sin * sin, np.cos(x) ** 2
+
+
+def _pole_steady_states(x: np.ndarray, params: CollisionParams):
+    """sigma_z and the settle cycle of the chains started from |+> whose
+    units sit at theta = 0 and theta = pi with angles x[0] and x[1]; see
+    transfer_curve. NaN where a collision overflows a float."""
+    f1, y1, stay1 = _pole_unit(x[0], params.propagator_mode)
+    f2, y2, stay2 = _pole_unit(x[1], params.propagator_mode)
+    q = math.exp(-params.gamma * params.tau)
+    p, loss = -math.expm1(-params.gamma * params.tau), -math.expm1(-2 * params.gamma * params.tau)
+    # the cycle map C on (p_e, p_g): every entry is >= 0, and c11 - c22 is
+    # written without the 1s that cancel
+    c11 = q * q * stay2
+    c12 = c11 * f1
+    c21 = q * (p * stay2 + f2) + p
+    c22 = f1 * c21 + stay1
+    h = (y1 - f1 * c21 - loss - q * q * y2) / 2
+    root = np.sqrt(c12) * np.sqrt(c21)
+    r = np.hypot(h, root)                                 # (mu1 - mu2) / 2
+    still = r == 0                                        # no population moves
+    if np.any(still & (c12 + c21 > 0)):
+        raise ValidationError("a cycle map is a Jordan block, which sigma_z approaches with no "
+                              "geometric rate; change g or tau")
+    big = np.abs(h) + r
+    small = root * (root / big)                           # r - |h| = c12 c21 / (r + |h|)
+    plus, minus = np.where(h >= 0, big, small), np.where(h >= 0, small, big)    # r + h, r - h
+    # C - mu2 = [[r + h, c12], [c21, r - h]] has rank one, so its column sum
+    # is the fixed point; the first collision of the next cycle moves it on
+    ve, vg = plus + c12, minus + c21
+    e1, g1 = q * (ve + f1 * vg), p * ve + (p * f1 + stay1) * vg
+    sigma_z = np.where(still, 0.0, ((ve - vg) / (ve + vg) + (e1 - g1) / (e1 + g1)) / 2)
+
+    mu1 = (c11 + c22) / 2 + r
+    m = q * q * stay1 * stay2 / mu1 / mu1                  # mu2 / mu1 = det C / mu1^2
+    gap = 2 * r / mu1                                     # 1 - m
+    log_m = np.where(m < 0.5, np.log(m), np.log1p(-gap))
+    # |+> = (1, 1) / 2 splits into the fixed mode, read as (r_3, r_0) =
+    # (amp, lead), and the other, read as (-amp, 1 - lead)
+    amp = np.abs(plus - minus + c12 - c21) / (4 * r)
+    lead = (2 * r + c12 + c21) / (4 * r)
+    if params.propagator_mode is PropagatorMode.EXACT_EXPONENTIAL:
+        lead = np.ones_like(r)                            # the maps keep the trace
+
+    def change(t):      # |sigma_z(k) - sigma_z(k - 1)| at t = m^(k - 1)
+        return amp * gap * t / ((lead + (1 - lead) * m * t) * (lead + (1 - lead) * t))
+
+    # change < tol where the quadratic tol (lead + (1 - lead) m t)(lead +
+    # (1 - lead) t) - amp gap t is positive; its smaller root t1 ends the
+    # cycles that cannot settle when the first cannot, and one logarithm
+    # turns it into a cycle, checked with its neighbours
+    tol = STEADY_TOL
+    c0, c1 = tol * lead**2, tol * lead * (1 - lead) * (1 + m) - amp * gap
+    t1 = 2 * c0 / (np.sqrt(np.maximum(c1 * c1 - 4 * c0 * tol * (1 - lead)**2 * m, 0)) - c1)
+    ks = np.maximum(np.floor(np.log(t1) / log_m), 1) + np.arange(5)[:, None]
+    hit = change(np.exp(np.where(ks > 1, (ks - 1) * log_m, 0.0))) < tol
+    settle = ks[hit.argmax(axis=0), np.arange(ks.shape[1])]
+    settle = np.where(still | (change(1.0) < tol), 1.0, settle)
+    return sigma_z, np.where(np.isfinite(c12 + c21 + c22), settle, np.nan)
 
 
 def transfer_curve(
@@ -507,8 +407,22 @@ def transfer_curve(
 
     For each u in [-1, 1], two reservoirs at theta = 0 and theta = pi split
     the total coupling as g1^2 = g^2 (1+u)/2, g2^2 = g^2 (1-u)/2, and the
-    probe starts in |+>. All points are solved exactly by one steady_states
-    call; seed is recorded in the provenance and changes nothing.
+    probe starts in |+>; seed is recorded in the provenance and changes
+    nothing.
+
+    The units are |J, J> and |J, -J>, so a collision moves at most one
+    excitation between probe and unit and populations never feed coherences:
+    sigma_z follows the probe's populations (p_e, p_g) through 2x2 maps. The
+    first unit lifts p_g by f1 and keeps stay1 of it, the second drops p_e by
+    f2 and keeps stay2 (see _pole_unit), and damping moves 1 - e^(-gamma tau)
+    of p_e down after each collision. The cycle map C has eigenvalues
+    mu1 > mu2 >= 0, so sigma_z at the end of cycle k is a ratio
+    (a + b m^k) / (c + d m^k) in m = mu2 / mu1, with d = 0 in exact mode, where
+    the maps keep the trace. sigma_z is the mean over the cycle's two
+    prefixes of C's fixed point. collisions_used and converged are those of
+    stepping the collisions one at a time: the first cycle k at which
+    sigma_z(k) moves by less than STEADY_TOL from sigma_z(k - 1), capped at
+    params.n_collisions.
     """
     params = params if params is not None else CollisionParams()
     _check_spin(spin_j)
@@ -517,13 +431,20 @@ def transfer_curve(
         raise ValidationError(f"seed must be non-negative, got {seed}")
     if n_points < 5 or n_points % 2 == 0:
         raise ValidationError(f"n_points must be odd and at least 5, got {n_points}")
+    if g == 0:
+        raise NoCoupling("all reservoir couplings are zero")
     us = np.linspace(-1.0, 1.0, n_points)
-    reservoir_sets = [
-        [ReservoirSpec(theta=0.0, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 + u) / 2.0)),
-         ReservoirSpec(theta=math.pi, phi=0.0, spin_j=spin_j, g=g * math.sqrt((1.0 - u) / 2.0))]
-        for u in us
-    ]
-    sigma_z, collisions_used, converged = steady_states(reservoir_sets, params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = params.tau * (g * np.sqrt([(1.0 + us) / 2.0, (1.0 - us) / 2.0])) * math.sqrt(2 * spin_j)
+        if np.any((x > 0) & (x < math.sqrt(np.finfo(float).tiny))):
+            raise ValidationError(f"coupling too weak to resolve: g tau sqrt(2J) = "
+                                  f"{x[x > 0].min():.1e} squares below the smallest normal float; "
+                                  f"raise g or tau")
+        sigma_z, settle = _pole_steady_states(x, params)
+    _check_finite(np.concatenate([sigma_z, settle]), g, params.tau)
+    converged = settle <= params.n_collisions // 2
+    collisions_used = np.full(n_points, params.n_collisions, dtype=np.int64)
+    collisions_used[converged] = 2 * settle[converged].astype(np.int64)
     return ActivationCurve(
         inputs=us,
         outputs=sigma_z,

@@ -4,7 +4,8 @@ import struct
 
 import numpy as np
 
-from qnpflow.errors import NotConverged
+from qnpflow import qsim
+from qnpflow.errors import NoCoupling, NotConverged, ValidationError
 from qnpflow.grid import NetworkModel
 from qnpflow.powerflow import (
     PowerFlowSolution,
@@ -19,13 +20,16 @@ from qnpflow.powerflow import (
 from qnpflow.qsim import (
     BLOCK_CYCLES,
     PAULI,
-    STEADY_TOL,
     CollisionParams,
     DensityMatrix,
     PropagatorMode,
     ReservoirSpec,
+    _check_finite,
     _check_spin,
     _damping_kraus,
+    _prefix_products,
+    _transfer_matrices,
+    plus_state,
 )
 
 
@@ -80,9 +84,194 @@ def gauss_seidel_oracle(
     )
 
 
+# r of |+>, where every chain of steady_states starts.
+PLUS_PAULI = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
+
+# Eigenvalues of a cycle map count as one when they differ by at most
+# MODE_TOL, and as of equal modulus when their moduli do.
+MODE_TOL = 1e-12
+
+# Slack between STEADY_TOL and the certified lower bound on a cycle's change
+# of sigma_z, which covers the settle scan's own rounding.
+SETTLE_MARGIN = 1e-11
+
+
+def steady_states(
+    reservoir_sets: list[list[ReservoirSpec]],
+    params: CollisionParams | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact steady states of many collision chains started from |+>, one per
+    reservoir set, through the eigenmodes of their 4x4 cycle maps: arrays
+    sigma_z, collisions_used and converged, one entry per set. Units may sit
+    at any theta and phi; qsim.transfer_curve solves its pole units on their
+    2x2 population chain instead.
+
+    Every set holds the same number n of reservoirs, so one schedule cycle is
+    n collisions in round-robin order, and the cycle map is C = S_n...S_1.
+    sigma_z averages the within-cycle prefixes applied to the fixed point of
+    C, as evolve_collisions averages the final cycle; it does not depend on
+    the cap.
+
+    collisions_used and converged are those of stepping the collisions one
+    at a time, as evolve_collisions does: the first cycle k at which
+    |sigma_z(C^k r0) - sigma_z(C^(k-1) r0)| drops below STEADY_TOL, capped at
+    params.n_collisions. Raises ValidationError when sigma_z has no limit,
+    or when g and tau are so large that a collision map overflows a float.
+    """
+    params = params if params is not None else CollisionParams()
+    sizes = {len(rs) for rs in reservoir_sets}
+    if not sizes or 0 in sizes:
+        raise ValidationError("at least one reservoir is required")
+    if len(sizes) > 1:
+        raise ValidationError(f"reservoir sets must all have one length, got {sorted(sizes)}")
+    if any(all(r.g == 0 for r in rs) for rs in reservoir_sets):
+        raise NoCoupling("all reservoir couplings are zero")
+
+    cycle = sizes.pop()
+    specs = [r for rs in reservoir_sets for r in rs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        prefixes = _prefix_products(_transfer_matrices(specs, params).reshape(-1, cycle, 4, 4))
+    _check_finite(prefixes, max(r.g for r in specs), params.tau)
+
+    lam, parts, fixed = _cycle_modes(PLUS_PAULI, prefixes)
+    states = (prefixes @ fixed[:, None, :, None])[..., 0]
+    sigma_z = np.mean(states[..., 3] / states[..., 0], axis=1)
+    settle = _settle_cycles(PLUS_PAULI, lam, parts, params.n_collisions // cycle)
+    converged = settle > 0
+    return sigma_z, np.where(converged, settle * cycle, params.n_collisions), converged
+
+
+def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
+    """Eigenmodes of the cycle maps prefixes[:, -1] as seen from r0, and the
+    fixed points they lead to.
+
+    Returns the eigenvalues (B, 4), the modes parts[b, :, i] = c_i v_i with
+    r0 = sum_i c_i v_i, and the real fixed points (B, 4): r0 projected onto
+    every mode at the positive eigenvalue of maximal modulus. Raises
+    ValidationError when another mode of that modulus moves r_0 or r_3 under
+    some prefix, since sigma_z then oscillates without a limit. Also raises
+    when the coupling is too weak for eig: when a mode outside the fixed ones
+    that moves r_0 or r_3 lies so near the fixed eigenvalue that eig's
+    rounding of the fixed point (about eps / gap, relative) exceeds
+    STEADY_TOL, or when every mode counts as fixed, which would return r0.
+    """
+    lam, vecs = np.linalg.eig(prefixes[:, -1])    # real where every eigenvalue is
+    coef = np.linalg.solve(vecs, np.broadcast_to(r0[:, None], vecs.shape[:-1] + (1,)))
+    parts = vecs * coef[..., 0][:, None, :]
+    radius = np.abs(lam).max(axis=1, keepdims=True)
+    gap = np.abs(lam - radius)
+    fixed = gap <= MODE_TOL
+    moving = (np.abs(np.abs(lam) - radius) <= MODE_TOL) & ~fixed
+    readout = np.abs(prefixes @ parts[:, None])[:, :, [0, 3], :]
+    reaches = np.any(readout > MODE_TOL * np.abs(r0).max(), axis=(1, 2))
+    if np.any(moving & reaches) or not np.all(fixed.any(axis=1)):
+        raise ValidationError("sigma_z has no limit: a cycle map has modes of equal "
+                              "modulus and different eigenvalues that reach the readout")
+    blurred = (reaches & (np.finfo(float).eps * radius > qsim.STEADY_TOL * gap)
+               & (~fixed | fixed.all(axis=1, keepdims=True)))
+    if blurred.any():
+        raise ValidationError(
+            f"coupling too weak to resolve: a cycle-map mode that moves sigma_z lies within "
+            f"{(gap / radius)[blurred].max():.1e} of the fixed one, too near for eig to "
+            f"separate them; raise g or tau")
+    return lam, parts, (parts * fixed[:, None, :]).sum(axis=2).real
+
+
+def _settle_starts(lam: np.ndarray, parts: np.ndarray, max_cycles: int) -> np.ndarray:
+    """The block of BLOCK_CYCLES cycles at which the settle scan of each point
+    starts; -1 where no cycle up to max_cycles can settle.
+
+    With mu = lam / radius, a and b the modes' r_3 and r_0 parts, d* the sum
+    of b over the modes at mu = 1 exactly, beta the sum of |b| and A the sum
+    of |a| over the others, and j the mode of largest |a_j (mu_j - 1)|, the
+    change of sigma_z at cycle k is at least
+        (|Re a_j| |mu_j - 1| |mu_j|^(k-1) - sum_(i != j) |a_i (mu_i - 1)|)
+        / (|d*| + beta) - 2 A beta / (|d*| - beta)^2
+    when mu_j is real, 0 < |mu_j| < 1 and beta < |d*|. The bound falls with
+    k, so the cycles before the one where it reaches STEADY_TOL +
+    SETTLE_MARGIN cannot settle; that count comes from one logarithm. A
+    point starts one block before its first block that may settle, so that
+    the scanned block gives the next one its previous value; points without
+    the bound start at block 0.
+    """
+    mu = lam / np.abs(lam).max(axis=1, keepdims=True)
+    one = mu == 1
+    a, b = parts[:, 3], parts[:, 0]
+    pull = np.abs(a * (mu - 1))                                 # 0 where mu = 1
+    rows, j = np.arange(lam.shape[0]), pull.argmax(axis=1)
+    mu_j = mu[rows, j]
+    rho = np.abs(mu_j)
+    lead = np.abs(a[rows, j].real) * np.abs(mu_j - 1)
+    rest = pull.sum(axis=1) - pull[rows, j]
+    d_star = np.abs(np.sum(b.real, axis=1, where=one))
+    beta = np.sum(np.abs(b), axis=1, where=~one)
+    bounded = (mu_j.imag == 0) & (0 < rho) & (rho < 1) & (beta < d_star)
+    gap = np.where(bounded, d_star - beta, 1.0)
+    floor = rest + (d_star + beta) * (qsim.STEADY_TOL + SETTLE_MARGIN
+                                      + 2 * np.abs(a).sum(axis=1) * beta / gap**2)
+    bounded &= lead > floor
+    starts = np.full(lam.shape[0], 0 if max_cycles else -1, dtype=np.int64)
+    if bounded.any():
+        # the bound exceeds the floor at every cycle k with k - 1 < reach
+        reach = np.log(floor[bounded] / lead[bounded]) / np.log(rho[bounded])
+        cleared = np.minimum(np.ceil(reach), max_cycles)
+        starts[bounded] = np.where(cleared >= max_cycles, -1,
+                                   np.maximum(cleared // BLOCK_CYCLES - 1, 0))
+    return starts
+
+
+def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
+                   max_cycles: int) -> np.ndarray:
+    """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
+    than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
+
+    sigma_z is a ratio, so the scan reads mu = lam / radius in place of lam,
+    which keeps every power within [0, 1] in modulus. Cycles run in blocks of
+    BLOCK_CYCLES, and each point starts at the block that _settle_starts
+    gives it. Each pass reads one block for every point not yet settled:
+    (mu^1..mu^BLOCK_CYCLES) @ (mu^start c_i v_i), one stacked matmul against
+    the scaled readouts. The power table is the running product of mu along
+    its rows, and mu^start is the chain of products by mu^BLOCK_CYCLES from
+    the first block on, whether scanned or not. Settled points leave after
+    every pass. Returns k per point, 0 where it does not settle.
+    """
+    cycles = np.zeros(lam.shape[0], dtype=int)
+    first = _settle_starts(lam, parts, max_cycles)
+    order = np.argsort(-first)          # later starts first, so each base grows as a prefix
+    active = order[first[order] >= 0]
+    first = first[active]
+    mu = lam[active] / np.abs(lam[active]).max(axis=1, keepdims=True)
+    table = np.cumprod(np.broadcast_to(mu[:, None], (mu.shape[0], BLOCK_CYCLES, mu.shape[1])),
+                       axis=1)                                                # mu^k
+    readout = parts[active][:, [0, 3], :].swapaxes(1, 2)                      # (B, modes, 2)
+    base = np.ones_like(mu)                                                   # mu^start
+    for step in range(first.max(initial=0)):
+        n = np.count_nonzero(first > step)
+        base[:n] = base[:n] * table[:n, -1]
+    # a scan from block 0 compares its first cycle with r0; a later start
+    # compares with nothing, since its first block cannot settle
+    prev = np.where(first == 0, r0[3] / r0[0], np.nan)
+    start = first * BLOCK_CYCLES
+    while active.size:
+        size = np.minimum(BLOCK_CYCLES, max_cycles - start)
+        ends = (table @ (base[:, :, None] * readout)).real        # (B, BLOCK_CYCLES, 2)
+        values = np.column_stack([prev, ends[..., 1] / ends[..., 0]])   # prev, then the block
+        small = np.abs(np.diff(values, axis=1)) < qsim.STEADY_TOL
+        small &= np.arange(BLOCK_CYCLES) < size[:, None]
+        hit = small.any(axis=1)
+        cycles[active[hit]] = start[hit] + small[hit].argmax(axis=1) + 1
+        prev = values[np.arange(active.size), size]
+        start = start + size
+        base = base * table[:, -1]
+        keep = ~hit & (start < max_cycles)
+        active, table, readout, base, prev, start = (
+            x[keep] for x in (active, table, readout, base, prev, start))
+    return cycles
+
+
 def settle_cycles_per_block(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
                             max_cycles: int) -> np.ndarray:
-    """qsim._settle_cycles one block of BLOCK_CYCLES cycles at a time.
+    """_settle_cycles one block of BLOCK_CYCLES cycles at a time.
 
     Each block takes the power table's first rows times the readouts scaled
     to the block's start, and settled points leave after every block. The
@@ -100,7 +289,7 @@ def settle_cycles_per_block(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
         size = min(BLOCK_CYCLES, max_cycles - start)
         ends = (table[:, :size] @ (base[:, :, None] * readout)).real
         values = ends[..., 1] / ends[..., 0]
-        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < STEADY_TOL
+        small = np.abs(np.diff(values, axis=1, prepend=prev[:, None])) < qsim.STEADY_TOL
         hit = small.any(axis=1)
         cycles[active[hit]] = start + small[hit].argmax(axis=1) + 1
         base, prev = base * table[:, size - 1], values[:, -1]

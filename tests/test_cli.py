@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from qnpflow import cli as cli_module
 from qnpflow.cli import COMMANDS, build_parser, main
 from qnpflow.dataset import read_dataset_csv, read_meta_json
 from qnpflow.neuralnet import train
+from qnpflow.qsim import ReservoirSpec, evolve_collisions, plus_state
 
 NETWORK = str(NETWORK_PATH)
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -427,13 +429,26 @@ def test_activation_collision_cap_beyond_int64_exits_4(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_activation_weak_coupling_exits_4(tmp_path):
-    # every cycle-map mode lies within MODE_TOL of the fixed one at g tau ~ 1e-6
+def test_activation_weak_coupling_writes_the_closed_form_curve(tmp_path):
+    # at g tau ~ 1e-6 the flip probabilities a and b of the two units are
+    # about 1e-12, and the curve is sigma_z = e + e1 - 1 with
+    # e = a (1 - b) / (a + b - ab) and e1 = e + a (1 - e); the iterated
+    # collisions settle on the first cycle
     res = cli("activation", "simulate", "--points", 5, "--g", "3e-7",
-              "--out-dir", tmp_path / "out")
-    assert res.returncode == 4, res.stderr
-    assert res.stderr.startswith("error:") and "coupling too weak" in res.stderr
-    assert not (tmp_path / "out").exists()
+              "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "curve_spin0.5.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        u = float(row["u"])
+        g1, g2 = (3e-7 * math.sqrt((1.0 + s * u) / 2.0) for s in (1.0, -1.0))
+        a, b = math.sin(3.0 * g1) ** 2, math.sin(3.0 * g2) ** 2
+        e = a * (1 - b) / (a + b - a * b)
+        assert abs(float(row["sigma_z"]) - (e + (e + a * (1 - e)) - 1)) < 1e-13
+        pair = [ReservoirSpec(theta=0.0, g=g1), ReservoirSpec(theta=math.pi, g=g2)]
+        settled, _ = evolve_collisions(plus_state(), pair)
+        assert (int(row["collisions_used"]), row["converged"]) == (
+            settled.collisions_used, str(int(settled.converged)))
 
 
 def test_activation_largest_collision_cap_settles_every_point(tmp_path):

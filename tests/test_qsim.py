@@ -2,18 +2,26 @@ import itertools
 import math
 import sys
 import tracemalloc
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from reference import (
+    PLUS_PAULI,
+    _cycle_modes,
+    _settle_cycles,
+    _settle_starts,
     collide as reference_collide,
     collision_unitary,
     reservoir_unit_state,
     settle_cycles_per_block,
     spin_ladder,
+    steady_states,
     transfer_matrices as reference_transfer_matrices,
 )
 
@@ -24,14 +32,10 @@ from qnpflow.qsim import (
     MAX_COLLISIONS,
     MAX_SPIN,
     PAULI,
-    PLUS_PAULI,
     CollisionParams,
     DensityMatrix,
-    _cycle_modes,
     _damping_kraus,
     _prefix_products,
-    _settle_cycles,
-    _settle_starts,
     _transfer_matrices,
     PropagatorMode,
     ReservoirSpec,
@@ -39,7 +43,6 @@ from qnpflow.qsim import (
     plus_state,
     pure_state,
     steady_state_closed_form,
-    steady_states,
     transfer_curve,
     unit_amplitudes,
 )
@@ -299,6 +302,21 @@ def test_no_coupling_raises():
         evolve_collisions(plus_state(), [ReservoirSpec(theta=0.0, g=0.0)])
     with pytest.raises(NoCoupling):
         steady_state_closed_form([ReservoirSpec(theta=0.0, g=0.0)])
+    with pytest.raises(NoCoupling):
+        transfer_curve(0.5, n_points=5, g=0.0)
+
+
+@pytest.mark.parametrize("mode, g, tau", [(EXACT, 1e308, 3.0), (TRUNCATED, 1e60, 3.0),
+                                          (EXACT, 1e3, 1e306)])
+def test_overflowing_collision_maps_raise_validation_error(mode, g, tau):
+    # warnings are errors under pytest, so none may leak on the way
+    params = CollisionParams(tau=tau, propagator_mode=mode)
+    pair = [ReservoirSpec(theta=0.0, g=g), ReservoirSpec(theta=math.pi, g=g)]
+    for solve in (lambda: evolve_collisions(plus_state(), pair, params),
+                  lambda: steady_states([pair], params),
+                  lambda: transfer_curve(0.5, params, n_points=5, g=g)):
+        with pytest.raises(ValidationError, match="collision maps overflow a float"):
+            solve()
 
 
 def test_sigma_z_bounded():
@@ -645,13 +663,13 @@ def test_certificate_skips_the_decided_blocks(monkeypatch):
         starts.append(_settle_starts(*args))
         return starts[-1]
 
-    monkeypatch.setattr(qsim, "_settle_starts", spy)
-    capped = transfer_curve(0.5, n_points=5)
-    assert np.array_equal(starts[0] == -1, ~capped.converged)
+    monkeypatch.setattr(reference, "_settle_starts", spy)
+    _, _, capped = steady_states(curve_sets(0.5, 5), CollisionParams())
+    assert np.array_equal(starts[0] == -1, ~capped)
     assert np.count_nonzero(starts[0] == -1) == 4
-    settling = transfer_curve(2.5, n_points=5)
-    assert settling.converged.all()
-    scanned = (settling.collisions_used // 2 - 1) // BLOCK_CYCLES - starts[1] + 1
+    _, used, settling = steady_states(curve_sets(2.5, 5), CollisionParams())
+    assert settling.all()
+    scanned = (used // 2 - 1) // BLOCK_CYCLES - starts[1] + 1
     assert np.all((starts[1] > 0) & (scanned >= 1) & (scanned <= 2))
 
 
@@ -671,22 +689,49 @@ def test_certified_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch
     assert _settle_cycles(PLUS_PAULI, lam, parts, 10000)[0] == k
 
 
+@pytest.mark.parametrize("block", [1, 20])
+def test_curve_settles_on_the_cycle_the_tolerance_picks(block, monkeypatch):
+    # a STEADY_TOL between the changes of cycles k - 1 and k of the iterated
+    # pair at u = 0.5 moves the curve's logarithm and its checked window to k
+    pair = curve_sets(0.5, 5)[3]
+    k = block * BLOCK_CYCLES + 1
+    _, trajectory = run_to_cap(plus_state(), pair, CollisionParams(n_collisions=2 * k))
+    changes = np.abs(np.diff(np.concatenate([[0.0], trajectory[1::2]])))
+    tol = (changes[k - 2] + changes[k - 1]) / 2
+    assert changes[k - 1] < tol < changes[:k - 1].min()
+    monkeypatch.setattr(qsim, "STEADY_TOL", tol)
+    params = CollisionParams(n_collisions=4 * k)
+    curve = transfer_curve(0.5, params, n_points=5)
+    assert (curve.collisions_used[3], curve.converged[3]) == (2 * k, True)
+    _, used, converged = steady_states([pair], params)
+    assert (used[0], converged[0]) == (2 * k, True)
+
+
+def reference_curve(spin_j, params, n_points=5, g=0.01):
+    """The reference steady_states of transfer_curve's reservoir pairs."""
+    sigma_z, used, converged = steady_states(curve_sets(spin_j, n_points, g=g), params)
+    return SimpleNamespace(outputs=sigma_z, collisions_used=used, converged=converged)
+
+
+@pytest.mark.parametrize("solve", [reference_curve, partial(transfer_curve, n_points=5)],
+                         ids=["reference", "curve"])
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
-def test_largest_collision_cap_settles_in_bounded_memory(spin_j):
+def test_largest_collision_cap_settles_in_bounded_memory(spin_j, solve):
     # the cleared cycles come from one logarithm and each start's base from a
     # loop, so no array follows the cap: the peak stays within twice that of
     # a cap past every settle cycle, where the same points scan the same
-    # blocks; the points capped at the default settle past it
+    # blocks; the points capped at the default settle past it. The curve
+    # takes every settle cycle from one logarithm
     params = CollisionParams(n_collisions=MAX_COLLISIONS)
-    transfer_curve(spin_j, n_points=5)                 # warm caches and imports
+    solve(spin_j, CollisionParams())                   # warm caches and imports
     tracemalloc.start()
     try:
-        default = transfer_curve(spin_j, n_points=5)
+        default = solve(spin_j, CollisionParams())
         tracemalloc.reset_peak()
-        past = transfer_curve(spin_j, CollisionParams(n_collisions=200000), n_points=5)
+        past = solve(spin_j, CollisionParams(n_collisions=200000))
         _, past_peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        curve = transfer_curve(spin_j, params, n_points=5)
+        curve = solve(spin_j, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -699,15 +744,17 @@ def test_largest_collision_cap_settles_in_bounded_memory(spin_j):
     assert peak < 2 * past_peak
 
 
+@pytest.mark.parametrize("solve", [reference_curve, partial(transfer_curve, n_points=5)],
+                         ids=["reference", "curve"])
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
 @pytest.mark.parametrize("g", [3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7])
-def test_weak_coupling_resolves_or_raises(spin_j, g):
+def test_weak_coupling_resolves_or_raises(spin_j, g, solve):
     # every cycle-map mode crowds toward the fixed one as g tau shrinks; eig
     # then blurs the fixed point, or counts every mode as fixed and returns
     # |+>'s sigma_z = 0 where the closed form is +-1
     closed_form = [steady_state_closed_form(rs) for rs in curve_sets(spin_j, 5, g=g)]
     try:
-        curve = transfer_curve(spin_j, n_points=5, g=g)
+        curve = solve(spin_j, CollisionParams(), g=g)
     except ValidationError as exc:
         assert "coupling too weak" in str(exc)
     else:
@@ -772,6 +819,20 @@ def test_exact_engine_settles_like_iteration_on_mixed_units(n_res):
             assert abs(sigma_z[0] - iterated.sigma_z) < 2e-6
 
 
+def test_curve_rejects_underflowing_flips_and_jordan_blocks():
+    # a flip probability whose square underflows cannot be told from none;
+    # at x = 2 exactly the truncated unit keeps (1 - x^2/2)^2 = 1 of the
+    # ground state and lifts x^2 = 4, so with the other unit uncoupled (u = 1)
+    # and no damping the cycle map is the Jordan block [[1, 4], [0, 1]]
+    with pytest.raises(ValidationError, match="coupling too weak to resolve"):
+        transfer_curve(0.5, n_points=5, g=1e-160)
+    with pytest.raises(ValidationError, match="Jordan block"):
+        transfer_curve(0.5, CollisionParams(propagator_mode=TRUNCATED), n_points=5, g=2 / 3)
+    curve = transfer_curve(0.5, CollisionParams(propagator_mode=TRUNCATED, gamma=0.01),
+                           n_points=5, g=2 / 3)
+    assert np.all(np.abs(curve.outputs) <= 1)
+
+
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
 @pytest.mark.parametrize("mode", [EXACT, TRUNCATED])
 @pytest.mark.parametrize("gamma", [0.0, 0.05])
@@ -788,6 +849,9 @@ def test_fixed_point_matches_long_iteration(spin_j, mode, gamma):
         rho = np.einsum("k,kab->ab", fixed[0] / fixed[0, 0], PAULI) / 2
         assert abs(sigma_z[0] - iterated.sigma_z) < 1e-12
         assert np.abs(rho - iterated.rho.entries).max() < 1e-12
+        if reservoirs is pair:
+            curve = transfer_curve(spin_j, params, n_points=5)
+            assert abs(curve.outputs[3] - iterated.sigma_z) < 1e-12
 
 
 @pytest.mark.parametrize("spin_j, g, bound", [
@@ -881,17 +945,106 @@ def test_truncated_curve_far_above_unit_radius_settles_like_normalized_iteration
     assert list(curve.collisions_used) == [8, 12, 14, 12, 8]
 
 
-def test_large_spin_curve_in_bounded_memory():
+@pytest.mark.parametrize("solve", [reference_curve, transfer_curve], ids=["reference", "curve"])
+def test_large_spin_curve_in_bounded_memory(solve):
     # each reservoir's map takes O(J) memory, d Kraus operators of 2x2: a
     # 41-point curve at J = 100 peaks near 3 MB of traced allocations, where
-    # the (4J+2)-dimensional joint states took 37.5 MB
-    transfer_curve(0.5, n_points=5)                    # warm caches and imports
+    # the (4J+2)-dimensional joint states took 37.5 MB; the curve builds no
+    # map at all
+    solve(0.5, CollisionParams(), 5)                   # warm caches and imports
     tracemalloc.start()
     try:
-        curve = transfer_curve(100.0, n_points=41)
+        curve = solve(100.0, CollisionParams(), 41)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8e6
     assert np.abs(curve.outputs + curve.outputs[::-1]).max() < 1e-9
     assert np.all(np.diff(curve.outputs) > 0)
+
+
+# ------------------------------------------------------------ closed-form curve
+
+# (spin_j, n_points, gamma, tau, g, mode, cap): the curves of the defaults at
+# J = 1/2 to 7, then a truncated cap off the cycle grid, damping with a long
+# cap, the largest cap, g tau = 9 truncated, light damping, J = 50, and the
+# largest spin at g tau = 0.06
+CURVE_RUNS = ([(spin_j, n, 0.0, 3.0, 0.01, EXACT, 20000)
+               for spin_j in (0.5, 1.0, 1.5, 2.5, 7.0) for n in (5, 41)]
+              + [(1.0, 5, 0.0, 3.0, 0.01, TRUNCATED, 777),
+                 (1.5, 5, 0.01, 3.0, 0.01, EXACT, 200000),
+                 (0.5, 5, 0.0, 3.0, 0.01, EXACT, MAX_COLLISIONS),
+                 (0.5, 5, 0.0, 30.0, 0.3, TRUNCATED, 20000),
+                 (2.5, 5, 1e-4, 3.0, 0.01, EXACT, 20000),
+                 (50.0, 41, 0.0, 3.0, 0.01, EXACT, 20000),
+                 (514.5, 5, 0.0, 0.3, 0.2, EXACT, 20000)])
+
+
+def random_curve_runs(seed, n):
+    """Settings drawn over spin, points, damping, tau, g and cap, the modes
+    taking turns."""
+    rng = np.random.default_rng(seed)
+    return [(float(rng.integers(1, 26)) / 2, int(rng.choice([5, 11, 41])),
+             float(rng.choice([0.0, 1e-4, 0.01])), float(rng.choice([0.3, 3.0, 30.0])),
+             float(np.exp(rng.uniform(math.log(3e-3), math.log(0.3)))), (EXACT, TRUNCATED)[i % 2],
+             int(rng.choice([1, 777, 20000, 200000, MAX_COLLISIONS])))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("spin_j, n_points, gamma, tau, g, mode, cap",
+                         CURVE_RUNS + random_curve_runs(0, 64))
+def test_curve_matches_reference_steady_states(spin_j, n_points, gamma, tau, g, mode, cap):
+    # the counts are equal; sigma_z agrees within 1e-11 plus the reference's
+    # eig rounding of the fixed point, about eps / gap with gap = 1 - mu2 / mu1
+    # of the cycle map's population block (up to 4e-11 near g tau = 1e-3)
+    params = CollisionParams(tau=tau, n_collisions=cap, gamma=gamma, propagator_mode=mode)
+    sets = curve_sets(spin_j, n_points, g=g)
+    sigma_z, used, converged = steady_states(sets, params)
+    curve = transfer_curve(spin_j, params, n_points=n_points, g=g)
+    assert np.array_equal(curve.collisions_used, used)
+    assert np.array_equal(curve.converged, converged)
+    specs = [r for rs in sets for r in rs]
+    cycle_map = _prefix_products(_transfer_matrices(specs, params).reshape(-1, 2, 4, 4))[:, -1]
+    mu = np.sort(np.abs(np.linalg.eigvals(cycle_map[:, [0, 3]][:, :, [0, 3]])), axis=1)
+    blur = np.finfo(float).eps / (1 - mu[:, 0] / mu[:, 1])
+    assert np.all(np.abs(curve.outputs - sigma_z) <= 1e-11 + 4 * blur)
+
+
+@pytest.mark.parametrize("spin_j", [0.5, 1.0, 2.5, 7.0, 50.0, MAX_SPIN])
+@pytest.mark.parametrize("g", [0.3, 0.01, 1e-4, 1e-7])
+def test_exact_curve_matches_closed_form_without_damping(spin_j, g):
+    # a and b are the two units' flip probabilities sin^2(g_i tau sqrt(2J));
+    # a cycle ends at e = a (1 - b) / (a + b - ab), the next collision lifts
+    # it to e1 = e + a (1 - e), and sigma_z = e + e1 - 1. At g = 1e-7 the
+    # reference's eig cannot separate the modes
+    curve = transfer_curve(spin_j, n_points=41, g=g)
+    expected = []
+    for u in curve.inputs:
+        a, b = (math.sin(3.0 * (g * math.sqrt((1.0 + s * u) / 2.0)) * math.sqrt(2 * spin_j)) ** 2
+                for s in (1.0, -1.0))
+        e = a * (1 - b) / (a + b - a * b)
+        expected.append(e + (e + a * (1 - e)) - 1)
+    assert np.abs(curve.outputs - expected).max() < 1e-13
+
+
+# (spin_j, n_points, tau, g, gamma, point, settle cycle, sigma_z): the settle
+# cycle and sigma_z of the pole chain in 60-digit arithmetic at the curve's
+# float angles. The reference settles the first three one cycle off, since
+# the change there lies within 2e-6 of STEADY_TOL, and its sigma_z of the
+# last is 9e-11 off: it forms the map entry (1 - b)(1 - p) = 5.8e-7 as a
+# difference of terms near 1
+HIGH_PRECISION_POINTS = [
+    (2.5, 5, 0.3, 0.0010131241013460644, 0.0, 1, 11782432, -0.5000000144340353),
+    (5.5, 41, 0.3, 0.0010256564066214047, 0.0, 8, 6181322, -0.6000000333264313),
+    (2.5, 41, 0.3, 0.001800432054175904, 0.0, 33, 4699060, 0.6500000456299364),
+    (10.5, 41, 30.0, 0.28930029160406784, 0.1, 7, 3, -0.9680095757993923),
+]
+
+
+@pytest.mark.parametrize("spin_j, n_points, tau, g, gamma, i, cycles, sigma_z",
+                         HIGH_PRECISION_POINTS)
+def test_curve_matches_high_precision_chain(spin_j, n_points, tau, g, gamma, i, cycles, sigma_z):
+    params = CollisionParams(tau=tau, gamma=gamma, n_collisions=MAX_COLLISIONS)
+    curve = transfer_curve(spin_j, params, n_points=n_points, g=g)
+    assert (curve.collisions_used[i], curve.converged[i]) == (2 * cycles, True)
+    assert abs(curve.outputs[i] - sigma_z) < 1e-15
