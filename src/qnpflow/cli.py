@@ -9,13 +9,13 @@ EXIT_* constants or the README table.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
 import statistics
 import sys
 from dataclasses import replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -27,9 +27,12 @@ from .dataset import (
     Scaler,
     fit_scaler,
     generate,
+    parse_rows,
+    read_csv,
     read_dataset_csv,
     read_meta_json,
     split,
+    write_csv,
     write_dataset_csv,
     write_meta_json,
 )
@@ -183,12 +186,8 @@ def cmd_solve(ns: argparse.Namespace, cfg: dict) -> int:
         "mismatch_history": list(sol.mismatch_history),
         "buses": rows,
     }, indent=1) + "\n")
-    with open(out / "solution.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bus_id", "kind", "v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"])
-        for r in rows:
-            writer.writerow([r["bus_id"], r["kind"], *(repr(r[k]) for k in
-                             ("v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"))])
+    # the bus records again, as text: str of a float is its repr
+    write_csv(out / "solution.csv", [",".join(rows[0]), *(",".join(map(str, r.values())) for r in rows)])
 
     print(f"converged in {sol.iterations} iterations, "
           f"final mismatch {sol.mismatch_history[-1]:.3e}")
@@ -224,34 +223,20 @@ def cmd_dataset(ns: argparse.Namespace, cfg: dict) -> int:
 
 # ---------------------------------------------------------------- activation
 
-def _write_curve_csv(curve: ActivationCurve, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["u", "sigma_z", "collisions_used", "converged"])
-        for i in range(curve.n_points):
-            writer.writerow([
-                repr(float(curve.inputs[i])),
-                repr(float(curve.outputs[i])),
-                int(curve.collisions_used[i]),
-                int(curve.converged[i]),
-            ])
-
-
 def _read_curve_csv(path: str | Path) -> ActivationCurve:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"u", "sigma_z"} <= set(reader.fieldnames):
-            raise ParseError(f"{path}: expected columns u and sigma_z")
-        try:
-            rows = [(float(r["u"]), float(r["sigma_z"])) for r in reader]
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}: line {reader.line_num}: u and sigma_z must be numbers") from None
+    header, rows = read_csv(path)
+    column = {name: i for i, name in enumerate(header or ())}  # a repeated name: its last column
+    if not {"u", "sigma_z"} <= column.keys():
+        raise ParseError(f"{path}: expected columns u and sigma_z")
+    rows = [(line, row) for line, row in rows if row]  # blank lines are skipped
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    u, y = zip(*rows)
+    for line, row in rows:
+        if len(row) <= max(column["u"], column["sigma_z"]):
+            raise ParseError(f"{path}: line {line}: u and sigma_z must be numbers")
+    u, y = parse_rows(path, rows, itemgetter(column["u"], column["sigma_z"]), float).T
     try:
-        return ActivationCurve(inputs=np.array(u), outputs=np.array(y),
-                               provenance={"source": Path(path).name})
+        return ActivationCurve(inputs=u, outputs=y, provenance={"source": Path(path).name})
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
@@ -290,7 +275,10 @@ def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
     out = _out_dir(cfg)
     _write_snapshot(out, "activation_simulate", cfg)
     tag = f"spin{cfg['spin']}"
-    _write_curve_csv(curve, out / f"curve_{tag}.csv")
+    write_csv(out / f"curve_{tag}.csv", ["u,sigma_z,collisions_used,converged", *(
+        f"{u!r},{y!r},{n:d},{c:d}" for u, y, n, c in zip(
+            curve.inputs.tolist(), curve.outputs.tolist(), curve.collisions_used.tolist(),
+            curve.converged.tolist()))])
     doc = {**_fit_doc(fit, curve), "table_beta": beta_table().get(cfg["spin"])}
     (out / f"fit_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(f"spin={cfg['spin']} fitted beta={fit.beta:.6f} rss={fit.rss:.3e} "
@@ -481,29 +469,20 @@ def cmd_sweep(ns: argparse.Namespace, cfg: dict) -> int:
     # Every run's settings are built, and so checked, before the first one trains.
     grid = [(beta, opt, [settings(beta, opt, seed) for seed in seeds])
             for beta in betas for opt in optimizers]
-    rows = []
-    for beta, opt, runs in grid:
-        finals = [train(data, topology, hyper)[1].final_train_mse for topology, hyper in runs]
-        rows.append({
-            "beta": beta, "optimizer": opt, "n_seeds": len(seeds),
-            "median_final_mse": statistics.median(finals),
-            "mean_final_mse": statistics.fmean(finals),
-            "min_final_mse": min(finals), "max_final_mse": max(finals),
-        })
+    # (beta, optimizer, final train MSE of each seed) per grid point
+    rows = [(beta, opt, [train(data, topology, hyper)[1].final_train_mse for topology, hyper in runs])
+            for beta, opt, runs in grid]
 
     out = _out_dir(cfg)
     _write_snapshot(out, "sweep", {**doc, **cfg, "sweep_config": str(ns.sweep_config)})
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["beta", "optimizer", "n_seeds", "median_final_mse",
-                         "mean_final_mse", "min_final_mse", "max_final_mse"])
-        for r in rows:
-            writer.writerow([repr(float(r["beta"])), r["optimizer"], r["n_seeds"],
-                             *(repr(r[k]) for k in ("median_final_mse", "mean_final_mse",
-                                                    "min_final_mse", "max_final_mse"))])
-    for r in rows:
-        print(f"beta={r['beta']} optimizer={r['optimizer']} "
-              f"median_final_mse={r['median_final_mse']:.6e} (n={r['n_seeds']})")
+    write_csv(out / "sweep.csv", [
+        "beta,optimizer,n_seeds,median_final_mse,mean_final_mse,min_final_mse,max_final_mse", *(
+            f"{float(beta)!r},{opt},{len(finals)},{statistics.median(finals)!r},"
+            f"{statistics.fmean(finals)!r},{min(finals)!r},{max(finals)!r}"
+            for beta, opt, finals in rows)])
+    for beta, opt, finals in rows:
+        print(f"beta={beta} optimizer={opt} median_final_mse={statistics.median(finals):.6e} "
+              f"(n={len(finals)})")
     return EXIT_OK
 
 

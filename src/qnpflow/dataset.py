@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -325,15 +326,45 @@ def _layout(meta: DatasetMeta) -> tuple[list[str], np.ndarray]:
     return header, len(meta.mult_labels) + len(meta.input_labels) + np.flatnonzero(angle)
 
 
-def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> None:
-    """One row per sample; angle targets converted to degrees per the labels.
+def write_csv(path: str | Path, lines: Iterable[str]) -> None:
+    """Write `lines` as a CSV file, as every CSV artifact but epochs.csv is: in
+    the csv module's default dialect, with `\\r\\n` line ends, one `repr` per
+    float, and no cell ever quoted (no label, name, integer or float repr holds
+    a comma, quote or line break). epochs.csv ends its lines in `\\n`."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([*lines, ""]))
 
-    The whole split is formatted as one block, in the bytes of the default csv
-    dialect: `\\r\\n` line ends, and no cell (labels of integer bus ids, float
-    reprs) ever needs quoting. Each row goes through one `%` template that
-    holds as text every column with one bit pattern in all rows (such as the
-    fixed voltages), so only the other cells are formatted per row. An empty
-    split writes only the header line."""
+
+def read_csv(path: str | Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
+    """The header row (None in an empty file) and each further row with the line
+    it ends on, as csv.reader tokenises them (a blank line is an empty row)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        return header, [(reader.line_num, row) for row in reader]
+
+
+def parse_rows(path: str | Path, rows: list[tuple[int, list[str]]],
+               cells: Callable[[list[str]], object], dtype: type) -> np.ndarray:
+    """`cells(row)` of every row, converted to `dtype` by one np.array call.
+    Only when that fails are the rows converted one at a time, so that
+    ParseError names the line of the first bad one."""
+    try:
+        return np.array([cells(row) for _, row in rows], dtype=dtype)
+    except (ValueError, OverflowError):
+        for line, row in rows:
+            try:
+                np.array(cells(row), dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}: line {line}: {exc}") from None
+        raise
+
+
+def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> None:
+    """One row per sample, angle targets in degrees. Each row goes through one
+    `%` template that holds as text every column with one bit pattern in all
+    rows (such as the fixed voltages), so only the other cells are formatted
+    per row. An empty split writes only the header line."""
     header, angle = _layout(meta)
     values = np.hstack([samples.scale_factors, samples.inputs, samples.targets])
     values[:, angle] = np.degrees(values[:, angle])
@@ -345,8 +376,7 @@ def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> 
                                      in zip(values[0].tolist(), same.tolist())), "%d"])
         rows = [template % (idx, *row, flag) for idx, row, flag
                 in zip(samples.sample_id.tolist(), values[:, ~same].tolist(), samples.converged.tolist())]
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([",".join(header), *rows, ""]))
+    write_csv(path, [",".join(header), *rows])
 
 
 def write_meta_json(meta: DatasetMeta, path: str | Path) -> None:
@@ -373,27 +403,17 @@ def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> Samples:
     cell must be finite, except the targets of a row with `converged` 0, and
     `converged` must be 0 or 1. ParseError names the line of a bad row."""
     expected, angle = _layout(meta)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise ParseError(f"{path}: header {header} does not match dataset metadata")
-        rows = [(reader.line_num, row) for row in reader]
-
-    table = np.empty((len(rows), len(expected) - 2))
-    sample_id = np.empty(len(rows), dtype=int)
-    converged = np.empty(len(rows), dtype=bool)
-    for k, (line, row) in enumerate(rows):
-        try:
-            if len(row) != len(expected):
-                raise ValueError(f"row with {len(row)} fields, expected {len(expected)}")
-            if row[-1] not in ("0", "1"):
-                raise ValueError(f"converged must be 0 or 1, got {row[-1]!r}")
-            sample_id[k], converged[k] = int(row[0]), row[-1] == "1"
-            table[k] = row[1:-1]
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: line {line}: {exc}") from None
-
+    header, rows = read_csv(path)
+    if header != expected:
+        raise ParseError(f"{path}: header {header} does not match dataset metadata")
+    for line, row in rows:
+        if len(row) != len(expected):
+            raise ParseError(f"{path}: line {line}: row with {len(row)} fields, expected {len(expected)}")
+        if row[-1] not in ("0", "1"):
+            raise ParseError(f"{path}: line {line}: converged must be 0 or 1, got {row[-1]!r}")
+    sample_id = parse_rows(path, rows, lambda row: row[0], int)
+    table = parse_rows(path, rows, lambda row: row[1:-1], float).reshape(-1, len(expected) - 2)
+    converged = np.array([row[-1] == "1" for _, row in rows], dtype=bool)
     n_m, n_i = len(meta.mult_labels), len(meta.input_labels)
     finite = np.isfinite(table)
     finite[~converged, n_m + n_i:] = True  # the targets of a failed case are NaN

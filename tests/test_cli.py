@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +90,19 @@ def test_solve_writes_artifacts(tmp_path):
             float(cell)  # plain numbers, e.g. no np.float64(...) wrapper
     snap = json.loads((tmp_path / "solve_config.json").read_text())
     assert snap["command"] == "solve" and snap["tol"] == 1e-8
+    # JSON keeps every float's repr, so its bus records rebuild the same rows
+    per_row_solution_csv(doc["buses"], tmp_path / "rows.csv")
+    assert (tmp_path / "solution.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def per_row_solution_csv(buses, path):
+    """The csv.writer loop that wrote solution.csv from the bus records."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["bus_id", "kind", "v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"])
+        for r in buses:
+            writer.writerow([r["bus_id"], r["kind"], *(repr(r[k]) for k in
+                             ("v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"))])
 
 
 def test_solve_missing_file_exits_3(tmp_path):
@@ -251,6 +265,19 @@ def test_dataset_empty_train_split_writes_only_the_header(tmp_path):
     header = (tmp_path / "dataset_test.csv").read_bytes().split(b"\r\n")[0]
     assert (tmp_path / "dataset_train.csv").read_bytes() == header + b"\r\n"
     assert len(data_rows(tmp_path / "dataset_test.csv")) == 1
+    # the header-only split reads as zero rows of each width, and train stops on it
+    meta = read_meta_json(tmp_path / "dataset_meta.json")
+    empty = read_dataset_csv(tmp_path / "dataset_train.csv", meta)
+    assert len(empty) == 0
+    assert empty.scale_factors.shape == (0, len(meta.mult_labels))
+    assert empty.inputs.shape == (0, len(meta.input_labels))
+    assert empty.targets.shape == (0, len(meta.target_labels))
+    assert empty.sample_id.shape == empty.converged.shape == (0,)
+    res = cli("train", tmp_path / "dataset", "--preset", "table3", "--epochs", 1,
+              "--out-dir", tmp_path / "out")
+    assert res.returncode == 4, res.stderr
+    assert res.stderr == f"error: {tmp_path / 'dataset_train.csv'}: no converged rows\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_dataset_too_few_converged_exits_7(tmp_path):
@@ -406,6 +433,26 @@ def test_activation_fit_notes_beta_at_the_upper_bound(tmp_path):
                           "minimum lies outside [0.001, 100]\n")
 
 
+def curve_variants(lines):
+    """The curve CSV `lines` (header first) rewritten in the layouts that a
+    reader by column name takes as the same curve."""
+    rows = [line.split(",") for line in lines]
+    return {
+        "columns-swapped": [f"{r[1]},{r[0]}" for r in rows],
+        "extra-text-column": [",".join([*r, "note" if i == 0 else "a b"]) for i, r in enumerate(rows)],
+        "blank-line": [*lines[:3], "", *lines[3:]],
+        # the last of two u columns holds u
+        "repeated-u": [f"{lines[0]},u", *(",".join(["x", *r[1:], r[0]]) for r in rows[1:])],
+    }
+
+
+def dict_reader_curve(path):
+    """u and sigma_z as csv.DictReader and float() read them."""
+    with open(path, newline="") as fh:
+        rows = [(float(r["u"]), float(r["sigma_z"])) for r in csv.DictReader(fh)]
+    return np.array(rows).T
+
+
 def test_activation_fit_round_trip(curve_dir, tmp_path):
     res = cli("activation", "fit", curve_dir / "curve_spin0.5.csv",
               "--out-dir", tmp_path)
@@ -413,6 +460,19 @@ def test_activation_fit_round_trip(curve_dir, tmp_path):
     fit = json.loads((tmp_path / "fit.json").read_text())
     direct = json.loads((curve_dir / "fit_spin0.5.json").read_text())
     assert fit["beta"] == pytest.approx(direct["beta"], rel=1e-12)
+    # the same curve in other layouts fits to the same bytes
+    lines = (curve_dir / "curve_spin0.5.csv").read_text().splitlines()
+    for name, variant in curve_variants(lines).items():
+        path = tmp_path / name / "curve_spin0.5.csv"
+        path.parent.mkdir()
+        path.write_text("\n".join(variant) + "\n")
+        curve = cli_module._read_curve_csv(path)
+        assert np.stack([curve.inputs, curve.outputs]).tobytes() == \
+            dict_reader_curve(path).tobytes(), name
+        res = cli("activation", "fit", path, "--out-dir", tmp_path / name)
+        assert res.returncode == 0, (name, res.stderr)
+        fit_json = (tmp_path / name / "fit.json").read_bytes()
+        assert fit_json == (tmp_path / "fit.json").read_bytes(), name
 
 
 def test_activation_even_points_exits_4(tmp_path):
@@ -449,6 +509,42 @@ def test_activation_weak_coupling_writes_the_closed_form_curve(tmp_path):
         settled, _ = evolve_collisions(plus_state(), pair)
         assert (int(row["collisions_used"]), row["converged"]) == (
             settled.collisions_used, str(int(settled.converged)))
+
+
+def per_row_curve_csv(curve, path):
+    """The csv.writer loop that wrote curve_<tag>.csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["u", "sigma_z", "collisions_used", "converged"])
+        for i in range(curve.n_points):
+            writer.writerow([
+                repr(float(curve.inputs[i])),
+                repr(float(curve.outputs[i])),
+                int(curve.collisions_used[i]),
+                int(curve.converged[i]),
+            ])
+
+
+def test_curve_csv_matches_per_row_writer_at_the_largest_count(tmp_path, monkeypatch):
+    # one point reports the largest count an int64 holds, as a capped point
+    # at --collisions 2**63 - 1 would
+    curves, simulate = [], cli_module.transfer_curve
+
+    def capped_curve(*args, **kwargs):
+        curve = simulate(*args, **kwargs)
+        curve.collisions_used[1], curve.converged[1] = 2**63 - 1, False
+        curves.append(curve)
+        return curve
+
+    monkeypatch.setattr(cli_module, "transfer_curve", capped_curve)
+    res = cli("activation", "simulate", "--spin", "1/2", "--points", 5,
+              "--collisions", 2**63 - 1, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    (curve,) = curves
+    per_row_curve_csv(curve, tmp_path / "rows.csv")
+    written = (tmp_path / "curve_spin0.5.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert b",9223372036854775807,0\r\n" in written
 
 
 def test_activation_largest_collision_cap_settles_every_point(tmp_path):
@@ -494,12 +590,19 @@ def test_activation_unparseable_spin_exits_2(spin, tmp_path):
 
 def test_activation_fit_rejects_bad_curve(tmp_path):
     bad = tmp_path / "bad.csv"
-    # wrong columns, a non-numeric sigma_z, a short row
-    for text in ("a,b\n1,2\n", "u,sigma_z\n0.0,abc\n", "u,sigma_z\n-1.0,-0.5\n0.0\n"):
+    # wrong columns, a non-numeric sigma_z, a short row, a short row in each
+    # layout of curve_variants, and a header with no data rows
+    texts = ["a,b\n1,2\n", "u,sigma_z\n0.0,abc\n", "u,sigma_z\n-1.0,-0.5\n0.0\n",
+             "sigma_z,u\n-0.5,-1.0\n0.5\n", "u,sigma_z,note\n-1.0,-0.5,a b\n1.0\n",
+             "u,sigma_z\n-1.0,-0.5\n\n0.0\n", "u,sigma_z,u\n-1.0,-0.5,-1.0\n1.0,0.5\n",
+             "u,sigma_z\n"]
+    for text in texts:
         bad.write_text(text)
-        res = cli("activation", "fit", bad, "--out-dir", tmp_path)
+        res = cli("activation", "fit", bad, "--out-dir", tmp_path / "out")
         assert res.returncode == 4, (text, res.stderr)
-        assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+        assert res.stderr.startswith("error:") and res.stderr.count("\n") == 1, (text, res.stderr)
+        assert not (tmp_path / "out").exists()
+    assert res.stderr == f"error: {bad}: no data rows\n"
 
 
 def test_activation_fit_non_finite_curve_exits_4(tmp_path):
@@ -818,6 +921,52 @@ def test_sweep_rows(dataset_dir, tmp_path):
     assert len(rows) == 2
     assert [r[0] for r in rows] == ["2.22", "4.1"]
     assert all(float(r[3]) > 0 for r in rows)
+
+
+def per_row_sweep_csv(rows, path):
+    """The csv.writer loop that wrote sweep.csv from its rows."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["beta", "optimizer", "n_seeds", "median_final_mse",
+                         "mean_final_mse", "min_final_mse", "max_final_mse"])
+        for r in rows:
+            writer.writerow([repr(float(r["beta"])), r["optimizer"], r["n_seeds"],
+                             *(repr(r[k]) for k in ("median_final_mse", "mean_final_mse",
+                                                    "min_final_mse", "max_final_mse"))])
+
+
+def test_sweep_csv_matches_per_row_writer(dataset_dir, tmp_path, monkeypatch):
+    finals = []
+
+    def recorded_train(*args, **kwargs):
+        params, report = train(*args, **kwargs)
+        finals.append(report.final_train_mse)
+        return params, report
+
+    monkeypatch.setattr(cli_module, "train", recorded_train)
+    betas, optimizers, seeds = [2, 2.22], ["adam", "sgd"], [0, 1]
+    cfg = write_doc({"data": str(dataset_dir / "data"), "preset": "table3", "epochs": 1,
+                     "betas": betas, "optimizers": optimizers, "seeds": seeds},
+                    tmp_path, name="sweep.json")
+    res = cli("sweep", cfg, "--out-dir", tmp_path)
+    assert res.returncode == 0, res.stderr
+    runs = iter(finals)
+    rows = []
+    for beta in betas:
+        for opt in optimizers:
+            mse = [next(runs) for _ in seeds]
+            rows.append({"beta": beta, "optimizer": opt, "n_seeds": len(seeds),
+                         "median_final_mse": statistics.median(mse),
+                         "mean_final_mse": statistics.fmean(mse),
+                         "min_final_mse": min(mse), "max_final_mse": max(mse)})
+    assert next(runs, None) is None
+    per_row_sweep_csv(rows, tmp_path / "rows.csv")
+    written = (tmp_path / "sweep.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.split(b"\r\n")[1].startswith(b"2.0,adam,2,")
+    assert res.stdout.splitlines() == [
+        f"beta={r['beta']} optimizer={r['optimizer']} "
+        f"median_final_mse={r['median_final_mse']:.6e} (n={r['n_seeds']})" for r in rows]
 
 
 def test_sweep_matches_train_for_one_beta_and_seed(trained_dir, dataset_dir, tmp_path):

@@ -443,6 +443,34 @@ def test_csv_round_trip(base_net, tmp_path):
     assert np.array_equal(back.converged, samples.converged)
 
 
+def test_csv_reader_keeps_float_bits(base_net, tmp_path):
+    """Every cell reads back as float(repr(x)), bit for bit: random finite bit
+    patterns, -0.0, subnormals, and NaN targets in a failed row."""
+    _, meta = generate(base_net, 1, seed=0)  # the labels only
+    header, angle = dataset._layout(meta)
+    n_rows, width = 400, len(header) - 2
+    rng = np.random.default_rng(27)
+    values = rng.integers(0, 2**64, size=(n_rows, width), dtype=np.uint64).view(np.float64)
+    values[~np.isfinite(values)] = 0.5
+    values[0, :] = -0.0
+    values[1, :] = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308,
+                    *rng.integers(1, 2**52, size=width - 4, dtype=np.uint64).view(np.float64)]
+    converged = np.ones(n_rows, dtype=int)
+    converged[2] = 0
+    values[2, len(meta.mult_labels) + len(meta.input_labels):] = np.nan
+    path = tmp_path / "data.csv"
+    rows = [",".join([str(i), *map(repr, row), str(flag)])
+            for i, (row, flag) in enumerate(zip(values.tolist(), converged.tolist()))]
+    path.write_bytes("".join(line + "\r\n" for line in [",".join(header), *rows]).encode())
+    back = read_dataset_csv(path, meta)
+    expected = np.array([[float(repr(x)) for x in row] for row in values.tolist()])
+    expected[:, angle] = np.radians(expected[:, angle])
+    read = np.hstack([back.scale_factors, back.inputs, back.targets])
+    assert np.array_equal(read.view(np.int64), expected.view(np.int64))
+    assert np.signbit(read[0]).all() and (read[0] == 0).all()
+    assert np.isnan(back.targets[2]).all() and not back.converged[2]
+
+
 def test_csv_header_mismatch_raises(base_net, tmp_path):
     samples, meta = generate(base_net, 3, seed=17)
     path = tmp_path / "data.csv"
