@@ -2,8 +2,8 @@
 
 Every artifact-producing run writes a resolved-config snapshot next to its
 outputs so a rerun with the same flags reproduces the same bytes (no
-timestamps in any artifact).  Exit codes are one per error class; see
-EXIT_* constants or the README table.
+timestamps in any artifact).  Each error class in errors.py carries its
+exit code; the README lists them.
 """
 
 from __future__ import annotations
@@ -36,26 +36,11 @@ from .dataset import (
     write_dataset_csv,
     write_meta_json,
 )
-from .errors import (
-    DegenerateCurve,
-    DimensionMismatch,
-    InvalidDensityMatrix,
-    InvalidSpin,
-    MapeUndefined,
-    NoCoupling,
-    NonFinite,
-    NotConverged,
-    ParseError,
-    ShapeMismatch,
-    SingularJacobian,
-    TooFewConverged,
-    UnknownSpin,
-    ValidationError,
-    VersionMismatch,
-    read_json_object,
-)
+from .errors import ParseError, QnpflowError, ShapeMismatch, ValidationError, read_json_object
 from .grid import load_network
 from .neuralnet import (
+    OPTIMIZER_NAMES,
+    PRESETS,
     Hyperparams,
     OptimizerKind,
     TrainSet,
@@ -69,17 +54,6 @@ from .neuralnet import (
 )
 from .powerflow import SolveOptions, solve
 from .qsim import CollisionParams, PropagatorMode, transfer_curve
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_FILE = 3
-EXIT_PARSE = 4
-EXIT_NOT_CONVERGED = 5
-EXIT_SINGULAR = 6
-EXIT_TOO_FEW_CONVERGED = 7
-EXIT_DOMAIN = 8
-EXIT_NONFINITE = 9
-
 
 class UsageError(Exception):
     pass
@@ -196,7 +170,7 @@ def cmd_solve(ns: argparse.Namespace, cfg: dict) -> int:
     for r in rows:
         print(f"{r['bus_id']:>3} {r['kind']:>5} {r['v_mag_pu']:>10.6f} "
               f"{r['delta_deg']:>10.4f} {r['p_inj_mw']:>10.3f} {r['q_inj_mvar']:>11.3f}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------- dataset
@@ -218,7 +192,7 @@ def cmd_dataset(ns: argparse.Namespace, cfg: dict) -> int:
     write_meta_json(meta, out / f"{prefix}_meta.json")
     print(f"{meta.n_converged}/{meta.n_requested} converged, "
           f"{len(train_s)} train / {len(test_s)} test rows -> {out / prefix}_*.csv")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------- activation
@@ -289,7 +263,7 @@ def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
         print(f"note: {capped} of {curve.n_points} curve points did not settle within the "
               f"{params.n_collisions}-collision cap; sigma_z is exact, only collisions_used "
               f"is capped", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
 def cmd_activation_fit(ns: argparse.Namespace, cfg: dict) -> int:
@@ -300,7 +274,7 @@ def cmd_activation_fit(ns: argparse.Namespace, cfg: dict) -> int:
     (out / "fit.json").write_text(json.dumps(_fit_doc(fit, curve), indent=1) + "\n")
     print(f"fitted beta={fit.beta:.6f} rss={fit.rss:.3e} over {fit.n_points} points")
     _note_beta_bound(fit)
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------- train
@@ -402,7 +376,7 @@ def cmd_train(ns: argparse.Namespace, cfg: dict) -> int:
         line += " mape=" + "/".join(f"{v:.3f}%" for v in report.mape)
     print(line)
     print(f"wall time {report.wall_time:.2f} s -> {out / 'model.json'}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------- evaluate
@@ -425,7 +399,7 @@ def cmd_evaluate(ns: argparse.Namespace, cfg: dict) -> int:
     }, indent=1) + "\n")
     print(f"split={cfg['split']} mse={report.mse:.6e} "
           "mape=" + "/".join(f"{v:.3f}%" for v in report.mape))
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------- sweep
@@ -483,7 +457,7 @@ def cmd_sweep(ns: argparse.Namespace, cfg: dict) -> int:
     for beta, opt, finals in rows:
         print(f"beta={beta} optimizer={opt} median_final_mse={statistics.median(finals):.6e} "
               f"(n={len(finals)})")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -536,11 +510,11 @@ COMMANDS = {
     "train": Command(cmd_train, "train the feedforward network", (
         ("data", "dataset prefix (expects <prefix>_train.csv and <prefix>_meta.json)"),), (
         SEED,
-        Option("preset", choices=("table3", "table4")),
+        Option("preset", choices=tuple(PRESETS)),
         Option("beta", type=float),
         Option("spin", help="look the beta up from the tabulated spin-to-steepness map"),
         Option("beta_from_fit", help="JSON fit record to read beta from"),
-        Option("optimizer", choices=("sgd", "adam", "adamax", "nadam")),
+        Option("optimizer", choices=OPTIMIZER_NAMES),
         Option("learning_rate", type=float, flag="--lr"),
         Option("epochs", type=int),
         Option("batch_size", type=int),
@@ -592,18 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_ERROR_CODES = [
-    ((FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError), EXIT_FILE),
-    ((ParseError, ValidationError, DimensionMismatch, ShapeMismatch, VersionMismatch), EXIT_PARSE),
-    ((NotConverged,), EXIT_NOT_CONVERGED),
-    ((SingularJacobian,), EXIT_SINGULAR),
-    ((TooFewConverged,), EXIT_TOO_FEW_CONVERGED),
-    ((InvalidSpin, UnknownSpin, DegenerateCurve, NoCoupling, InvalidDensityMatrix,
-      MapeUndefined), EXIT_DOMAIN),
-    ((NonFinite,), EXIT_NONFINITE),
-]
-
-
 def main(argv: list[str] | None = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
@@ -611,13 +573,13 @@ def main(argv: list[str] | None = None) -> int:
         return ns.cmd.run(ns, _resolve(ns.cmd.options, vars(ns), config, ns.config))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except Exception as exc:
-        for classes, code in _ERROR_CODES:
-            if isinstance(exc, classes):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
-        raise
+        return 2
+    except QnpflowError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # any input or output path
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

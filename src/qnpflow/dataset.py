@@ -337,11 +337,20 @@ def write_csv(path: str | Path, lines: Iterable[str]) -> None:
 
 def read_csv(path: str | Path) -> tuple[list[str] | None, list[tuple[int, list[str]]]]:
     """The header row (None in an empty file) and each further row with the line
-    it ends on, as csv.reader tokenises them (a blank line is an empty row)."""
+    it ends on, as csv.reader tokenises them (a blank line is an empty row).
+    ParseError when csv rejects a line (such as a cell over its field limit),
+    naming the line, or when the text does not decode, naming only the file:
+    the decoder reads ahead of csv.reader, whose line count then misses the
+    bad byte."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        return header, [(reader.line_num, row) for row in reader]
+        try:
+            header = next(reader, None)
+            return header, [(reader.line_num, row) for row in reader]
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
 
 def parse_rows(path: str | Path, rows: list[tuple[int, list[str]]],

@@ -4,7 +4,9 @@ from pathlib import Path
 
 
 class QnpflowError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors. `exit_code` is the exit
+    status of a CLI run that ends in the error."""
+    exit_code = 4
 
 
 class ParseError(QnpflowError):
@@ -21,6 +23,7 @@ class DimensionMismatch(QnpflowError):
 
 class SingularJacobian(QnpflowError):
     """Raised when the Newton-Raphson linear solve hits a pivot below threshold."""
+    exit_code = 6
 
 
 class NotConverged(QnpflowError):
@@ -28,6 +31,7 @@ class NotConverged(QnpflowError):
 
     Carries the per-iteration mismatch norm history in ``history``.
     """
+    exit_code = 5
 
     def __init__(self, message, history=None):
         super().__init__(message)
@@ -36,22 +40,27 @@ class NotConverged(QnpflowError):
 
 class InvalidSpin(QnpflowError):
     """Raised when a spin quantum number is not a positive half-integer."""
+    exit_code = 8
 
 
 class InvalidDensityMatrix(QnpflowError):
     """Raised when a density matrix is not square or holds non-finite entries."""
+    exit_code = 8
 
 
 class NoCoupling(QnpflowError):
     """Raised when every reservoir coupling is zero and no steady state is defined."""
+    exit_code = 8
 
 
 class DegenerateCurve(QnpflowError):
     """Raised when a transfer curve carries no usable slope information for fitting."""
+    exit_code = 8
 
 
 class UnknownSpin(QnpflowError):
     """Raised when a spin value has no tabulated steepness entry."""
+    exit_code = 8
 
 
 class ShapeMismatch(QnpflowError):
@@ -60,14 +69,17 @@ class ShapeMismatch(QnpflowError):
 
 class NonFinite(QnpflowError):
     """Raised when training produces NaN or Inf values."""
+    exit_code = 9
 
 
 class MapeUndefined(QnpflowError):
     """Raised when MAPE is requested against targets containing exact zeros."""
+    exit_code = 8
 
 
 class TooFewConverged(QnpflowError):
     """Raised when dataset generation loses more than the allowed share of samples."""
+    exit_code = 7
 
 
 class VersionMismatch(QnpflowError):
@@ -76,10 +88,12 @@ class VersionMismatch(QnpflowError):
 
 def read_json_object(path: str | Path) -> dict:
     """The JSON object in the file at `path`; ParseError when the file is not
-    valid JSON or holds another kind of value at the top level."""
+    valid JSON or holds another kind of value at the top level. Undecodable
+    text (a ValueError), an integer longer than int() reads (a ValueError) and
+    nesting deeper than the recursion limit count as invalid JSON."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object")

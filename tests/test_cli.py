@@ -14,6 +14,7 @@ import pytest
 
 from conftest import NETWORK_PATH, write_doc
 from qnpflow import cli as cli_module
+from qnpflow import errors
 from qnpflow.cli import COMMANDS, build_parser, main
 from qnpflow.dataset import read_dataset_csv, read_meta_json
 from qnpflow.neuralnet import train
@@ -1088,3 +1089,115 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     snap = json.loads((tmp_path / "b" / "solve_config.json").read_text())
     assert (snap["tol"], snap["max_iter"], snap["flat_start"]) == (1e-8, 20, True)
     assert build_parser() is parser
+
+
+# ---------------------------------------------------------------------------
+# exit codes
+
+# The README's exit code of every error class; any other OSError exits 3 too.
+EXIT_CODES = {
+    errors.ParseError: 4, errors.ValidationError: 4, errors.DimensionMismatch: 4,
+    errors.ShapeMismatch: 4, errors.VersionMismatch: 4,
+    errors.NotConverged: 5,
+    errors.SingularJacobian: 6,
+    errors.TooFewConverged: 7,
+    errors.InvalidSpin: 8, errors.UnknownSpin: 8, errors.DegenerateCurve: 8,
+    errors.NoCoupling: 8, errors.InvalidDensityMatrix: 8, errors.MapeUndefined: 8,
+    errors.NonFinite: 9,
+}
+OS_ERRORS = (FileNotFoundError, PermissionError, IsADirectoryError, NotADirectoryError, OSError)
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_error_class_exits_with_its_readme_code(monkeypatch, tmp_path):
+    # a new error class fails here until it is given its code in the table
+    assert set(subclasses(errors.QnpflowError)) == EXIT_CODES.keys()
+    for cls, code in [*EXIT_CODES.items(), *((cls, 3) for cls in OS_ERRORS)]:
+        message = f"{cls.__name__} while loading the network"
+
+        def load_network(path, cls=cls, message=message):
+            raise cls(message)
+
+        monkeypatch.setattr(cli_module, "load_network", load_network)
+        res = cli("solve", NETWORK, "--out-dir", tmp_path)
+        assert (res.returncode, res.stderr) == (code, f"error: {message}\n"), cls
+    # anything else is a fault of the program, and stays a traceback
+    monkeypatch.setattr(cli_module, "load_network", lambda path: {}["buses"])
+    with pytest.raises(KeyError):
+        cli("solve", NETWORK, "--out-dir", tmp_path)
+
+
+def too_long_out_dir(tmp_path, dataset_dir):
+    out = tmp_path / ("o" * 300)
+    return ["solve", NETWORK, "--out-dir", out], out
+
+
+def out_dir_is_a_file(tmp_path, dataset_dir):
+    out = tmp_path / "afile"
+    out.write_text("")
+    return ["solve", NETWORK, "--out-dir", out], out
+
+
+def network_with_utf16_mark(tmp_path, dataset_dir):
+    net = tmp_path / "net"
+    net.write_bytes(b"\xff\xfe" + NETWORK_PATH.read_bytes())
+    return ["solve", net], net
+
+
+def config_with_utf16_mark(tmp_path, dataset_dir):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    return ["solve", NETWORK, "--config", cfg], cfg
+
+
+def network_with_5000_digit_integer(tmp_path, dataset_dir):
+    doc = json.loads(NETWORK_PATH.read_text())
+    doc["buses"][1]["p_load"] = "DIGITS"
+    net = tmp_path / "net"
+    net.write_text(json.dumps(doc).replace('"DIGITS"', "7" * 5000))
+    return ["solve", net], net
+
+
+def network_nested_too_deep(tmp_path, dataset_dir):
+    net = tmp_path / "net"
+    net.write_text("[" * 200000)
+    return ["solve", net], net
+
+
+def train_split_with_undecodable_line(tmp_path, dataset_dir):
+    prefix = copy_split(dataset_dir, tmp_path)
+    split = tmp_path / "data_train.csv"
+    split.write_bytes(split.read_bytes() + b"\xff\xff\r\n")
+    return ["train", prefix, "--preset", "table3", "--epochs", 1], split
+
+
+def curve_with_cell_over_field_limit(tmp_path, dataset_dir):
+    curve = tmp_path / "curve.csv"
+    curve.write_text("u,sigma_z\n-1," + "5" * 200000 + "\n1,0.5\n")
+    return ["activation", "fit", curve], f"{curve}: line 2: field larger than field limit"
+
+
+@pytest.mark.parametrize("make, code", [
+    (too_long_out_dir, 3),
+    (out_dir_is_a_file, 3),
+    (network_with_utf16_mark, 4),
+    (config_with_utf16_mark, 4),
+    pytest.param(network_with_5000_digit_integer, 4, marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any number of digits")),
+    (network_nested_too_deep, 4),
+    (train_split_with_undecodable_line, 4),
+    (curve_with_cell_over_field_limit, 4),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_bad_input_path_exits_with_one_error_line(make, code, dataset_dir, tmp_path):
+    argv, named = make(tmp_path, dataset_dir)
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", tmp_path / "out"]
+    res = cli(*argv)
+    assert res.returncode == code, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert str(named) in res.stderr
