@@ -370,22 +370,24 @@ def parse_rows(path: str | Path, rows: list[tuple[int, list[str]]],
 
 
 def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> None:
-    """One row per sample, angle targets in degrees. Each row goes through one
-    `%` template that holds as text every column with one bit pattern in all
-    rows (such as the fixed voltages), so only the other cells are formatted
-    per row. An empty split writes only the header line."""
+    """One row per sample, angle targets in degrees. Each row follows one `%`
+    template that holds as text every column with one bit pattern in all rows
+    (such as the fixed voltages), so only the other cells are formatted; the
+    body is one `%` of that template, repeated per row, over every row's cells.
+    An empty split writes only the header line."""
     header, angle = _layout(meta)
     values = np.hstack([samples.scale_factors, samples.inputs, samples.targets])
     values[:, angle] = np.degrees(values[:, angle])
-    rows = []
+    lines = [",".join(header)]
     if len(values):
         bits = values.view(np.int64)
         same = (bits == bits[0]).all(axis=0)
         template = ",".join(["%d", *(repr(v) if c else "%r" for v, c
                                      in zip(values[0].tolist(), same.tolist())), "%d"])
-        rows = [template % (idx, *row, flag) for idx, row, flag
-                in zip(samples.sample_id.tolist(), values[:, ~same].tolist(), samples.converged.tolist())]
-    write_csv(path, [",".join(header), *rows])
+        cells = np.empty((len(values), 2 + np.count_nonzero(~same)), dtype=object)
+        cells[:, 0], cells[:, 1:-1], cells[:, -1] = samples.sample_id, values[:, ~same], samples.converged
+        lines.append("\r\n".join([template] * len(values)) % tuple(cells.ravel().tolist()))
+    write_csv(path, lines)
 
 
 def write_meta_json(meta: DatasetMeta, path: str | Path) -> None:

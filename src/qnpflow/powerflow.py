@@ -227,14 +227,18 @@ def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tupl
     f (B, m): solve J dx = -F and apply the angle/magnitude update.
 
     Returns the corrected states of the cases whose LU pivots all reach
-    PIVOT_TOL, and the mask of those cases. The steps come from
-    np.linalg.solve; the pivots serve only the check.
+    PIVOT_TOL, as new arrays, and the mask of those cases. The steps come
+    from np.linalg.solve; the pivots serve only the check. Only a failed
+    pivot costs a gather.
     """
     jac = jacobian(state, net)
     ok = _pivots_reach_tol(jac)
-    dx = np.linalg.solve(jac[ok], -f[ok][..., None])[..., 0]
+    if ok.all():
+        delta, v_mag = state.delta.copy(), state.v_mag.copy()
+    else:
+        jac, f, delta, v_mag = jac[ok], f[ok], state.delta[ok], state.v_mag[ok]
+    dx = np.linalg.solve(jac, -f[..., None])[..., 0]
     ns, pq = net.non_slack_indices, net.pq_indices
-    delta, v_mag = state.delta[ok], state.v_mag[ok]
     delta[:, ns] += dx[:, :len(ns)]
     v_mag[:, pq] *= 1.0 + dx[:, len(ns):]
     return StateVector(delta, v_mag), ok
@@ -270,6 +274,10 @@ def solve_batch(
     cap, or a tol that is not finite and positive, raises ValidationError.
     Injections are evaluated once per state. Each row of the result is bit
     for bit what a batch of that case alone gives.
+
+    The cases still stepping keep their state, injections, mismatch,
+    schedule and cap in working rows, which shrink only when a case retires;
+    each retired case's row of the result is written once.
     """
     _check_tol(tol)
     b = len(p_sched)
@@ -284,19 +292,38 @@ def solve_batch(
     norms[:, 0] = _inf_norms(f)
     iterations = np.zeros(b, dtype=int)
     singular = np.zeros(b, dtype=bool)
-    active = np.flatnonzero(~(norms[:, 0] < tol) & (caps > 0))
+    rows = np.flatnonzero(~(norms[:, 0] < tol) & (caps > 0))
+    live = StateVector(state.delta[rows], state.v_mag[rows])
+    live_p, live_q, live_f = p[rows], q[rows], f[rows]
+    live_p_sched, live_q_sched, live_caps = p_sched[rows], q_sched[rows], caps[rows]
+
+    def write(done, k):
+        """The working rows where `done` is set are their cases' result, at k steps."""
+        out = rows[done]
+        state.delta[out], state.v_mag[out] = live.delta[done], live.v_mag[done]
+        p[out], q[out], iterations[out] = live_p[done], live_q[done], k
+
     k = 0
-    while active.size:
+    while rows.size:
         k += 1
-        new, ok = _newton_update(StateVector(state.delta[active], state.v_mag[active]), net, f[active])
-        singular[active[~ok]] = True
-        active = active[ok]
-        state.delta[active], state.v_mag[active] = new.delta, new.v_mag
-        p[active], q[active] = calc_injections(new, net)
-        f[active] = _mismatch(p[active], q[active], p_sched[active], q_sched[active], net)
-        norms[active, k] = _inf_norms(f[active])
-        iterations[active] = k
-        active = active[~(norms[active, k] < tol) & (k < caps[active])]
+        new, ok = _newton_update(live, net, live_f)
+        if not ok.all():  # a singular case keeps its last state
+            singular[rows[~ok]] = True
+            write(~ok, k - 1)
+            rows, live_p_sched, live_q_sched, live_caps = (
+                rows[ok], live_p_sched[ok], live_q_sched[ok], live_caps[ok])
+        live = new
+        live_p, live_q = calc_injections(live, net)
+        live_f = _mismatch(live_p, live_q, live_p_sched, live_q_sched, net)
+        norms[rows, k] = live_norms = _inf_norms(live_f)
+        stop = (live_norms < tol) | (k >= live_caps)
+        if stop.any():
+            write(stop, k)
+            keep = ~stop
+            rows, live_p_sched, live_q_sched, live_caps = (
+                rows[keep], live_p_sched[keep], live_q_sched[keep], live_caps[keep])
+            live = StateVector(live.delta[keep], live.v_mag[keep])
+            live_p, live_q, live_f = live_p[keep], live_q[keep], live_f[keep]
     converged = norms[np.arange(b), iterations] < tol
     return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)
 

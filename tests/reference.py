@@ -4,14 +4,17 @@ import struct
 
 import numpy as np
 
-from qnpflow import qsim
+from qnpflow import powerflow, qsim
 from qnpflow.errors import NoCoupling, NotConverged, ValidationError
 from qnpflow.grid import NetworkModel
 from qnpflow.powerflow import (
+    BatchSolution,
     PowerFlowSolution,
     SolveOptions,
     StateVector,
+    _check_tol,
     _inf_norms,
+    _mismatch,
     _voltages,
     calc_injections,
     initial_state,
@@ -82,6 +85,62 @@ def gauss_seidel_oracle(
     raise NotConverged(
         f"Gauss-Seidel mismatch norm {norm:.3e} after {max_iter} sweeps", history
     )
+
+
+def masked_newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tuple[StateVector, np.ndarray]:
+    """The Newton update that gathers the Jacobian, mismatch and state
+    through the pivot mask on every step, even when every pivot passes."""
+    jac = powerflow.jacobian(state, net)
+    ok = powerflow._pivots_reach_tol(jac)
+    dx = np.linalg.solve(jac[ok], -f[ok][..., None])[..., 0]
+    ns, pq = net.non_slack_indices, net.pq_indices
+    delta, v_mag = state.delta[ok], state.v_mag[ok]
+    delta[:, ns] += dx[:, :len(ns)]
+    v_mag[:, pq] *= 1.0 + dx[:, len(ns):]
+    return StateVector(delta, v_mag), ok
+
+
+def masked_solve_batch(
+    net: NetworkModel,
+    start: StateVector,
+    p_sched: np.ndarray,
+    q_sched: np.ndarray,
+    tol: float,
+    max_iter: int | np.ndarray,
+) -> BatchSolution:
+    """solve_batch as a loop over full-size arrays: every step gathers the
+    active cases' rows by index and scatters their new state, injections,
+    mismatch and norms back. Jacobians and injections are taken through the
+    powerflow module, so a patched `jacobian` or `calc_injections` reaches
+    both solvers."""
+    _check_tol(tol)
+    b = len(p_sched)
+    caps = np.broadcast_to(max_iter, (b,))
+    if np.any(caps < 0):
+        raise ValidationError(f"step caps must be non-negative, got {caps.min()}")
+    state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
+                        np.broadcast_to(start.v_mag, p_sched.shape).copy())
+    p, q = powerflow.calc_injections(state, net)
+    f = _mismatch(p, q, p_sched, q_sched, net)
+    norms = np.full((b, int(caps.max(initial=0)) + 1), np.nan)
+    norms[:, 0] = _inf_norms(f)
+    iterations = np.zeros(b, dtype=int)
+    singular = np.zeros(b, dtype=bool)
+    active = np.flatnonzero(~(norms[:, 0] < tol) & (caps > 0))
+    k = 0
+    while active.size:
+        k += 1
+        new, ok = masked_newton_update(StateVector(state.delta[active], state.v_mag[active]), net, f[active])
+        singular[active[~ok]] = True
+        active = active[ok]
+        state.delta[active], state.v_mag[active] = new.delta, new.v_mag
+        p[active], q[active] = powerflow.calc_injections(new, net)
+        f[active] = _mismatch(p[active], q[active], p_sched[active], q_sched[active], net)
+        norms[active, k] = _inf_norms(f[active])
+        iterations[active] = k
+        active = active[~(norms[active, k] < tol) & (k < caps[active])]
+    converged = norms[np.arange(b), iterations] < tol
+    return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)
 
 
 # r of |+>, where every chain of steady_states starts.

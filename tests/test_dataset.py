@@ -601,20 +601,28 @@ def signed_zero_column(samples):
     return samples
 
 
-@pytest.mark.parametrize("mult_range, opts, pick", [
-    ((0.8, 1.2), {}, None),
-    ((0.8, 1.2), {"coupled": True}, None),
-    ((0.8, 1.2), {"perturb_all_loads": True}, None),
-    ((0.8, 1.2), {"coupled": True, "perturb_all_loads": True}, None),
-    ((1.0, 5.5), {}, None),
-    ((1.0, 5.5), {}, lambda s: s[~s.converged]),
-    ((0.8, 1.2), {}, lambda s: s[:1]),
-    ((0.8, 1.2), {}, lambda s: s[:0]),
-    ((0.8, 1.2), {}, signed_zero_column),
+def one_row_thrice(samples):
+    """Every column, floats included, with one bit pattern: the row template
+    holds no %r and the body is one line repeated."""
+    return samples[[3, 3, 3]]
+
+
+@pytest.mark.parametrize("n, mult_range, opts, pick", [
+    (300, (0.8, 1.2), {}, None),
+    (300, (0.8, 1.2), {"coupled": True}, None),
+    (300, (0.8, 1.2), {"perturb_all_loads": True}, None),
+    (300, (0.8, 1.2), {"coupled": True, "perturb_all_loads": True}, None),
+    (300, (1.0, 5.5), {}, None),
+    (300, (1.0, 5.5), {}, lambda s: s[~s.converged]),
+    (300, (0.8, 1.2), {}, lambda s: s[:1]),
+    (300, (0.8, 1.2), {}, lambda s: s[:0]),
+    (300, (0.8, 1.2), {}, signed_zero_column),
+    (300, (0.8, 1.2), {}, one_row_thrice),
+    (2000, (0.8, 1.2), {}, None),
 ], ids=["default", "coupled", "perturb_all_loads", "coupled_all_loads", "stressed",
-        "nan_targets", "one_row", "empty", "signed_zero"])
-def test_block_writer_matches_per_row_writer(base_net, tmp_path, mult_range, opts, pick):
-    samples, meta = generate(base_net, 300, mult_range=mult_range, seed=5, **opts)
+        "nan_targets", "one_row", "empty", "signed_zero", "one_row_thrice", "rows_2000"])
+def test_block_writer_matches_per_row_writer(base_net, tmp_path, n, mult_range, opts, pick):
+    samples, meta = generate(base_net, n, mult_range=mult_range, seed=5, **opts)
     if mult_range == (1.0, 5.5):
         assert 0 < sum(not s.converged for s in samples) < len(samples)  # rows with nan targets
     if pick is not None:
@@ -626,6 +634,9 @@ def test_block_writer_matches_per_row_writer(base_net, tmp_path, mult_range, opt
         assert b",-0.0," in (tmp_path / "block.csv").read_bytes()
     if mult_range == (1.0, 5.5) and pick is not None:  # every target column NaN
         assert np.isnan(samples.targets).all() and not samples.converged.any()
+    if pick is one_row_thrice:
+        body = (tmp_path / "block.csv").read_bytes().split(b"\r\n")[1:]
+        assert len(body) == 4 and body[0] == body[1] == body[2] and body[3] == b""
 
 
 SCALER_KEYS = {"scaler_kind", "feature_scaler", "target_scaler"}

@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import gauss_seidel_oracle
+from reference import gauss_seidel_oracle, masked_solve_batch
 
-from qnpflow import powerflow
-from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian, ValidationError
+from qnpflow import dataset, powerflow
+from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian, TooFewConverged, ValidationError
 from qnpflow.grid import AdmittanceMatrix, BusKind, BusRecord, NetworkModel, PerUnitBase
 from qnpflow.powerflow import (
     PIVOT_TOL,
@@ -602,6 +602,117 @@ def test_batch_rejects_invalid_tol(base_net, tol):
     _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(62), 2)
     with pytest.raises(ValidationError, match="finite and positive"):
         solve_batch(base_net, initial_state(base_net), p_sched, q_sched, tol, 20)
+
+
+def generate_schedules(net, n, mult_range, seed=5):
+    """The start state and the (B, n) schedules that dataset.generate solves."""
+    calls = []
+
+    def capture(net, start, p_sched, q_sched, tol, max_iter):
+        calls.append((start, p_sched, q_sched))
+        return solve_batch(net, start, p_sched, q_sched, tol, max_iter)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(dataset, "solve_batch", capture)
+        try:
+            dataset.generate(net, n, mult_range=mult_range, seed=seed)
+        except TooFewConverged:
+            pass
+    (call,) = calls
+    return call
+
+
+def assert_same_batch(res, ref):
+    """Every field of two BatchSolutions equal bit for bit."""
+    for name in ("delta", "v_mag", "p_calc", "q_calc", "norms"):
+        got, want = getattr(res, name), getattr(ref, name)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    for name in ("iterations", "converged", "singular"):
+        got, want = getattr(res, name), getattr(ref, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("mult_range", [(0.8, 1.2), (1.0, 5.5), (3.0, 7.0)],
+                         ids=["nominal", "stressed", "collapse"])
+def test_compacted_batch_bitwise_equals_masked_reference(base_net, mult_range):
+    start, p_sched, q_sched = generate_schedules(base_net, 500, mult_range)
+    caps = np.random.default_rng(67).integers(0, 21, len(p_sched))
+    for tol, cap in ((1e-8, 20), (1e-8, caps), (1e-12, 20), (1e-12, caps)):
+        res = solve_batch(base_net, start, p_sched, q_sched, tol, cap)
+        assert_same_batch(res, masked_solve_batch(base_net, start, p_sched, q_sched, tol, cap))
+    # the batches retire cases at several steps, some at their cap
+    assert len(np.unique(res.iterations)) > 3
+    assert np.any(~res.converged & (res.iterations == caps) & (caps > 0))
+
+
+def test_compacted_batch_bitwise_equals_masked_reference_on_edge_batches(base_net):
+    start, p_sched, q_sched = generate_schedules(base_net, 6, (1.0, 5.5))
+    q_sched = q_sched.copy()
+    q_sched[2, base_net.pq_indices[0]] = np.nan  # a NaN norm never drops below tol
+    for rows in (slice(0, 0), slice(0, 1), slice(2, 3), slice(None)):
+        for cap in (0, 7, [0, 3, 9, 1, 20, 5][rows]):
+            res = solve_batch(base_net, start, p_sched[rows], q_sched[rows], 1e-8, cap)
+            ref = masked_solve_batch(base_net, start, p_sched[rows], q_sched[rows], 1e-8, cap)
+            assert_same_batch(res, ref)
+            assert len(res.norms) == len(res.iterations) == len(p_sched[rows])
+    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 9)
+    assert res.iterations[2] == 9 and np.isnan(res.norms[2]).all()
+    assert not res.converged[2] and not res.singular[2]
+
+
+def zero_pivot_hit(state):
+    """A pseudo-random eighth of the states, none of them the flat start."""
+    return state.delta[..., 1].view(np.int64) % 8 == 1
+
+
+def zero_pivot_jacobian(original):
+    """`original` with an all-zero column, so a zero pivot, at the states of
+    zero_pivot_hit."""
+    def patched(state, net):
+        jac = original(state, net)
+        jac[zero_pivot_hit(state), :, 0] = 0.0
+        return jac
+    return patched
+
+
+def test_compacted_batch_retires_singular_cases_at_their_last_state(base_net, monkeypatch):
+    start, p_sched, q_sched = generate_schedules(base_net, 500, (1.0, 5.5))
+    monkeypatch.setattr(powerflow, "jacobian", zero_pivot_jacobian(powerflow.jacobian))
+    res = solve_batch(base_net, start, p_sched, q_sched, 1e-12, 20)
+    assert_same_batch(res, masked_solve_batch(base_net, start, p_sched, q_sched, 1e-12, 20))
+    rows = np.flatnonzero(res.singular)
+    assert len(np.unique(res.iterations[rows])) > 3  # singular at different steps
+    assert not res.converged[rows].any()
+    last = StateVector(res.delta[rows], res.v_mag[rows])
+    assert zero_pivot_hit(last).all()  # the state whose Jacobian failed
+    p, q = calc_injections(last, base_net)
+    assert np.array_equal(p, res.p_calc[rows]) and np.array_equal(q, res.q_calc[rows])
+
+
+@pytest.mark.parametrize("zero_pivots", [False, True], ids=["stressed", "singular"])
+def test_batch_evaluates_each_state_once(base_net, monkeypatch, zero_pivots):
+    counts = {"calc_injections": 0, "jacobian": 0}
+
+    def counting(name):
+        original = getattr(powerflow, name)
+
+        def count(state, net):
+            counts[name] += len(state.delta)
+            return original(state, net)
+        return count
+
+    start, p_sched, q_sched = generate_schedules(base_net, 500, (1.0, 5.5))
+    if zero_pivots:
+        monkeypatch.setattr(powerflow, "jacobian", zero_pivot_jacobian(powerflow.jacobian))
+    for name in counts:
+        monkeypatch.setattr(powerflow, name, counting(name))
+    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
+    assert (~res.converged).sum() > 0 and res.iterations.max() == 20
+    assert res.singular.any() == zero_pivots
+    # every state's injections once; a Jacobian at every state that took a
+    # step, and at the one where each singular case stopped
+    assert counts["calc_injections"] == len(p_sched) + res.iterations.sum()
+    assert counts["jacobian"] == res.iterations.sum() + res.singular.sum()
 
 
 def test_batched_calls_match_single_states(base_net):
