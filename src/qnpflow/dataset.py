@@ -33,7 +33,6 @@ class Samples:
     Targets are radians, NaN unless the case converged."""
 
     sample_id: np.ndarray
-    scale_factors: np.ndarray
     inputs: np.ndarray
     targets: np.ndarray
     converged: np.ndarray
@@ -55,29 +54,10 @@ class DatasetMeta:
     coupled: bool
     perturb_all_loads: bool
     network_fingerprint: str
-    mult_labels: list[str]
     input_labels: list[str]
     target_labels: list[str]
     split_ratio: float | None = None
     split_seed: int | None = None
-
-
-def _labels(net: NetworkModel, coupled: bool,
-            perturb_all_loads: bool) -> tuple[list[str], list[str], list[str]]:
-    perturbed = range(net.n) if perturb_all_loads else net.pq_indices
-    mults = []
-    for i in perturbed:
-        bus = net.buses[i].id
-        if coupled:
-            mults.append(f"mult_pq{bus}")
-        else:
-            mults.extend([f"mult_p{bus}", f"mult_q{bus}"])
-    inputs = [f"p_load_{b.id}" for b in net.buses] + [f"q_load_{b.id}" for b in net.buses]
-    inputs.append(f"v_slack_{net.buses[net.slack_index].id}")
-    inputs.extend(f"v_pv_{net.buses[i].id}" for i in net.pv_indices)
-    targets = [f"v_mag_{net.buses[i].id}" for i in net.pq_indices]
-    targets.extend(f"delta_{net.buses[i].id}_deg" for i in net.non_slack_indices)
-    return mults, inputs, targets
 
 
 # numpy's SeedSequence (hash and mix constants, 4-word pool) and PCG64
@@ -201,7 +181,6 @@ def generate(
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
     perturbed = np.arange(net.n) if perturb_all_loads else net.pq_indices
-    mult_labels, input_labels, target_labels = _labels(net, coupled, perturb_all_loads)
 
     # One draw per perturbed bus when coupled, else a (P, Q) pair per bus.
     per_bus = 1 if coupled else 2
@@ -224,6 +203,7 @@ def generate(
         raise TooFewConverged(
             f"only {n_converged}/{n} samples converged (need {CONVERGED_SHARE:.0%})"
         )
+    ids = [b.id for b in net.buses]
     meta = DatasetMeta(
         seed=seed,
         n_requested=n,
@@ -233,11 +213,12 @@ def generate(
         coupled=coupled,
         perturb_all_loads=perturb_all_loads,
         network_fingerprint=net.fingerprint,
-        mult_labels=mult_labels,
-        input_labels=input_labels,
-        target_labels=target_labels,
+        input_labels=[*(f"p_load_{b}" for b in ids), *(f"q_load_{b}" for b in ids),
+                      f"v_slack_{ids[net.slack_index]}", *(f"v_pv_{ids[i]}" for i in net.pv_indices)],
+        target_labels=[*(f"v_mag_{ids[i]}" for i in net.pq_indices),
+                       *(f"delta_{ids[i]}_deg" for i in net.non_slack_indices)],
     )
-    return Samples(np.arange(n), factors, inputs, targets, res.converged), meta
+    return Samples(np.arange(n), inputs, targets, res.converged), meta
 
 
 def split(samples: Samples, ratio: float, seed: int) -> tuple[Samples, Samples]:
@@ -320,10 +301,10 @@ def fit_scaler(x: np.ndarray, kind: str = "minmax") -> Scaler:
 
 def _layout(meta: DatasetMeta) -> tuple[list[str], np.ndarray]:
     """The CSV header, and the angle targets' columns among a row's float
-    cells (draw factors, inputs, targets)."""
-    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    cells (inputs, targets)."""
+    header = ["sample_id", *meta.input_labels, *meta.target_labels, "converged"]
     angle = [lab.startswith("delta_") and lab.endswith("_deg") for lab in meta.target_labels]
-    return header, len(meta.mult_labels) + len(meta.input_labels) + np.flatnonzero(angle)
+    return header, len(meta.input_labels) + np.flatnonzero(angle)
 
 
 def write_csv(path: str | Path, lines: Iterable[str]) -> None:
@@ -370,13 +351,16 @@ def parse_rows(path: str | Path, rows: list[tuple[int, list[str]]],
 
 
 def write_dataset_csv(samples: Samples, meta: DatasetMeta, path: str | Path) -> None:
-    """One row per sample, angle targets in degrees. Each row follows one `%`
-    template that holds as text every column with one bit pattern in all rows
-    (such as the fixed voltages), so only the other cells are formatted; the
-    body is one `%` of that template, repeated per row, over every row's cells.
-    An empty split writes only the header line."""
+    """One row per sample: sample_id, the inputs, the targets (angles in
+    degrees) and converged, in the order of the meta's labels. The load
+    multipliers are not written: each load is its multiplier times the base
+    load. Each row follows one `%` template that holds as text every column
+    with one bit pattern in all rows (such as the fixed voltages), so only the
+    other cells are formatted; the body is one `%` of that template, repeated
+    per row, over every row's cells. An empty split writes only the header
+    line."""
     header, angle = _layout(meta)
-    values = np.hstack([samples.scale_factors, samples.inputs, samples.targets])
+    values = np.hstack([samples.inputs, samples.targets])
     values[:, angle] = np.degrees(values[:, angle])
     lines = [",".join(header)]
     if len(values):
@@ -402,7 +386,7 @@ def read_meta_json(path: str | Path) -> DatasetMeta:
         meta = DatasetMeta(**{f.name: doc[f.name] for f in fields(DatasetMeta)})
     except KeyError as exc:
         raise ParseError(f"{path}: missing key {exc}") from None
-    for key in ("mult_labels", "input_labels", "target_labels"):
+    for key in ("input_labels", "target_labels"):
         labels = getattr(meta, key)
         if not (isinstance(labels, list) and all(isinstance(lab, str) for lab in labels)):
             raise ParseError(f"{path}: {key!r} must be a list of strings")
@@ -425,11 +409,11 @@ def read_dataset_csv(path: str | Path, meta: DatasetMeta) -> Samples:
     sample_id = parse_rows(path, rows, lambda row: row[0], int)
     table = parse_rows(path, rows, lambda row: row[1:-1], float).reshape(-1, len(expected) - 2)
     converged = np.array([row[-1] == "1" for _, row in rows], dtype=bool)
-    n_m, n_i = len(meta.mult_labels), len(meta.input_labels)
+    n_i = len(meta.input_labels)
     finite = np.isfinite(table)
-    finite[~converged, n_m + n_i:] = True  # the targets of a failed case are NaN
+    finite[~converged, n_i:] = True  # the targets of a failed case are NaN
     bad = np.flatnonzero(~finite.all(axis=1))
     if bad.size:
         raise ParseError(f"{path}: line {rows[bad[0]][0]}: non-finite number")
     table[:, angle] = np.radians(table[:, angle])
-    return Samples(sample_id, *np.split(table, [n_m, n_m + n_i], axis=1), converged)
+    return Samples(sample_id, table[:, :n_i], table[:, n_i:], converged)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NETWORK_PATH, write_doc
+from conftest import NETWORK_PATH, write_doc, write_parent_layout
 from qnpflow import cli as cli_module
 from qnpflow import errors
 from qnpflow.cli import COMMANDS, build_parser, main
@@ -270,7 +270,6 @@ def test_dataset_empty_train_split_writes_only_the_header(tmp_path):
     meta = read_meta_json(tmp_path / "dataset_meta.json")
     empty = read_dataset_csv(tmp_path / "dataset_train.csv", meta)
     assert len(empty) == 0
-    assert empty.scale_factors.shape == (0, len(meta.mult_labels))
     assert empty.inputs.shape == (0, len(meta.input_labels))
     assert empty.targets.shape == (0, len(meta.target_labels))
     assert empty.sample_id.shape == empty.converged.shape == (0,)
@@ -682,18 +681,18 @@ def copy_split(dataset_dir, dest, name="data"):
 def test_train_meta_labels_not_strings_exits_4(dataset_dir, tmp_path):
     prefix = copy_split(dataset_dir, tmp_path)
     meta = json.loads((tmp_path / "data_meta.json").read_text())
-    meta["mult_labels"] = 5
+    meta["input_labels"] = 5
     (tmp_path / "data_meta.json").write_text(json.dumps(meta))
     res = cli("train", prefix, "--preset", "table3", "--epochs", 1, "--out-dir", tmp_path / "out")
     assert res.returncode == 4, res.stderr
-    assert res.stderr.startswith("error:") and "'mult_labels'" in res.stderr
+    assert res.stderr.startswith("error:") and "'input_labels'" in res.stderr
     assert "Traceback" not in res.stderr
 
 
 @pytest.mark.parametrize("cell, text, message", [
     (3, "abc", "could not convert string to float: 'abc'"),
     (-1, "2", "converged must be 0 or 1, got '2'"),
-    (None, "", "row with 0 fields, expected 21"),
+    (None, "", "row with 0 fields, expected 17"),
 ], ids=["value", "converged-2", "blank-line"])
 def test_train_non_numeric_cell_exits_4(dataset_dir, tmp_path, cell, text, message):
     prefix = copy_split(dataset_dir, tmp_path)
@@ -709,6 +708,27 @@ def test_train_non_numeric_cell_exits_4(dataset_dir, tmp_path, cell, text, messa
     assert res.returncode == 4, res.stderr
     assert res.stderr.startswith(f"error: {tmp_path / 'data_train.csv'}: line 3: {message}")
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "sweep"])
+def test_split_with_multiplier_columns_exits_4(command, trained_dir, dataset_dir, tmp_path):
+    # a dataset written before the multiplier columns were dropped
+    prefix = copy_split(dataset_dir, tmp_path)
+    write_parent_layout(prefix)
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"data": str(prefix), "betas": [2.22], "seeds": [0],
+                                 "preset": "table3", "epochs": 1}))
+    args = {"train": ["train", prefix, "--preset", "table3", "--epochs", 1],
+            "evaluate": ["evaluate", trained_dir / "model.json", prefix],
+            "sweep": ["sweep", sweep]}[command]
+    res = cli(*args, "--out-dir", tmp_path / "out")
+    split = "test" if command == "evaluate" else "train"
+    assert res.returncode == 4, res.stderr
+    assert res.stderr.startswith(f"error: {tmp_path / f'data_{split}.csv'}: header ['sample_id', "
+                                 "'mult_p2', 'mult_q2', 'mult_p3', 'mult_q3', 'p_load_1'")
+    assert res.stderr.endswith(" does not match dataset metadata\n")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, split", [("train", "train"), ("evaluate", "test")])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import write_parent_layout
 from qnpflow.dataset import (
     DatasetMeta,
     Samples,
@@ -41,7 +42,6 @@ from qnpflow.powerflow import StateVector, mismatch, solve
 
 def assert_same_samples(a, b):
     assert np.array_equal(a.sample_id, b.sample_id)
-    assert np.array_equal(a.scale_factors, b.scale_factors)
     assert np.array_equal(a.inputs, b.inputs)
     assert np.array_equal(a.targets, b.targets, equal_nan=True)
     assert np.array_equal(a.converged, b.converged)
@@ -71,32 +71,39 @@ def test_batched_draws_bitwise_equal_per_sample_generators(seed, k):
             assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
 
 
+def base_loads(net):
+    """The network's P and Q loads, in MW and Mvar, one entry per bus."""
+    return np.array([b.p_load for b in net.buses]), np.array([b.q_load for b in net.buses])
+
+
 def test_single_sample_draws_are_its_generators(base_net):
     samples, _ = generate(base_net, 1, seed=2**64 + 5)
-    expected = np.random.default_rng([2**64 + 5, 0]).uniform(0.8, 1.2, (1, 4))
-    assert np.array_equal(samples.scale_factors.view(np.uint64), expected.view(np.uint64))
+    draws = np.random.default_rng([2**64 + 5, 0]).uniform(0.8, 1.2, 4)
+    p, q = base_loads(base_net)
+    pq, n = base_net.pq_indices, base_net.n
+    p[pq] *= draws[0::2]
+    q[pq] *= draws[1::2]
+    loads = np.concatenate([base_net.base.to_pu(p), base_net.base.to_pu(q)])
+    assert np.array_equal(samples.inputs[0, :2 * n].view(np.uint64), loads.view(np.uint64))
 
 
 def per_sample_reference(net, n, mult_range, seed, coupled=False, perturb_all_loads=False):
     """The per-sample path that the batched generate replaced: a NetworkModel
-    per sample, then solve(). Returns each sample's draws, inputs, targets,
-    converged flag and Newton step count (None after a singular Jacobian)."""
+    per sample, then solve(). Returns each sample's inputs, targets, converged
+    flag and Newton step count (None after a singular Jacobian)."""
     low, high = mult_range
     perturbed = range(net.n) if perturb_all_loads else net.pq_indices
     n_targets = len(net.pq_indices) + len(net.non_slack_indices)
     rows = []
     for idx in range(n):
         rng = np.random.default_rng([seed, idx])
-        factors = []
         buses = list(net.buses)
         for i in perturbed:
             if coupled:
                 mp = mq = rng.uniform(low, high)
-                factors.append(mp)
             else:
                 mp = rng.uniform(low, high)
                 mq = rng.uniform(low, high)
-                factors.extend([mp, mq])
             buses[i] = replace(buses[i], p_load=buses[i].p_load * mp, q_load=buses[i].q_load * mq)
         case = NetworkModel(buses=tuple(buses), ybus=net.ybus, base=net.base)
         inputs = np.concatenate([
@@ -114,7 +121,7 @@ def per_sample_reference(net, n, mult_range, seed, coupled=False, perturb_all_lo
             steps = len(exc.history)
         except SingularJacobian:
             pass
-        rows.append((np.array(factors), inputs, targets, converged, steps))
+        rows.append((inputs, targets, converged, steps))
     return rows
 
 
@@ -135,9 +142,9 @@ def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_
     monkeypatch.setattr(dataset, "solve_batch", capture)
     samples, meta = generate(base_net, 500, mult_range=mult_range, seed=5, **opts)
     (res,) = batches
-    factors, inputs, targets, converged, steps = zip(
+    inputs, targets, converged, steps = zip(
         *per_sample_reference(base_net, 500, mult_range, 5, **opts))
-    assert_same_samples(samples, Samples(np.arange(500), np.array(factors), np.array(inputs),
+    assert_same_samples(samples, Samples(np.arange(500), np.array(inputs),
                                          np.array(targets), np.array(converged)))
     assert samples.converged.dtype == bool
     for idx, step in enumerate(steps):
@@ -174,14 +181,24 @@ def test_samples_satisfy_power_balance(base_net):
         assert np.abs(mismatch(StateVector(delta, v), case)).max() < 1e-8
 
 
+def assert_loads_are_draws(samples, net, draws, perturbed, per_bus):
+    """Each perturbed bus's P and Q load is its base load times the sample's
+    draw for it (one shared draw when per_bus is 1), bit for bit."""
+    p, q = base_loads(net)
+    n = net.n
+    for side, base, first in ((0, p, 0), (1, q, per_bus - 1)):
+        loads = samples.inputs[:, side * n + perturbed]
+        expected = net.base.to_pu(base[perturbed] * draws[:, first::per_bus])
+        assert np.array_equal(loads.view(np.uint64), expected.view(np.uint64))
+
+
 def test_multipliers_cover_pq_loads_only(base_net):
-    samples, meta = generate(base_net, 30, mult_range=(0.8, 1.2), seed=5)
+    samples, _ = generate(base_net, 30, mult_range=(0.8, 1.2), seed=5)
     n = base_net.n
     pq = set(base_net.pq_indices)
-    assert len(meta.mult_labels) == 2 * len(pq)
-    stacked = samples.scale_factors
-    assert stacked.shape == (30, 2 * len(pq))
-    assert np.all(stacked >= 0.8) and np.all(stacked <= 1.2)
+    draws = dataset._uniform_draws(5, 30, 2 * len(pq), 0.8, 1.2)
+    assert np.all(draws >= 0.8) and np.all(draws <= 1.2)
+    assert_loads_are_draws(samples, base_net, draws, base_net.pq_indices, 2)
     inputs = samples.inputs
     for i in range(n):
         if i not in pq:
@@ -193,23 +210,16 @@ def test_multipliers_cover_pq_loads_only(base_net):
 
 
 def test_coupled_flag_ties_p_and_q(base_net):
-    samples, meta = generate(base_net, 10, seed=2, coupled=True)
-    pq = list(base_net.pq_indices)
-    assert len(meta.mult_labels) == len(pq)
-    n = base_net.n
-    base_p = np.array([base_net.base.to_pu(b.p_load) for b in base_net.buses])
-    base_q = np.array([base_net.base.to_pu(b.q_load) for b in base_net.buses])
-    for s in samples:
-        for k, i in enumerate(pq):
-            m = s.scale_factors[k]
-            assert s.inputs[i] == pytest.approx(base_p[i] * m, rel=1e-12)
-            assert s.inputs[n + i] == pytest.approx(base_q[i] * m, rel=1e-12)
+    samples, _ = generate(base_net, 10, seed=2, coupled=True)
+    pq = base_net.pq_indices
+    draws = dataset._uniform_draws(2, 10, len(pq), 0.8, 1.2)
+    assert_loads_are_draws(samples, base_net, draws, pq, 1)
 
 
 def test_perturb_all_loads_flag(base_net):
-    samples, meta = generate(base_net, 5, seed=4, perturb_all_loads=True)
-    assert len(meta.mult_labels) == 2 * base_net.n
-    assert samples[0].scale_factors.shape == (2 * base_net.n,)
+    samples, _ = generate(base_net, 5, seed=4, perturb_all_loads=True)
+    draws = dataset._uniform_draws(4, 5, 2 * base_net.n, 0.8, 1.2)
+    assert_loads_are_draws(samples, base_net, draws, np.arange(base_net.n), 2)
 
 
 def test_unsolvable_loading_raises(base_net):
@@ -391,8 +401,7 @@ def test_train_set_has_no_test_leakage(base_net, tmp_path):
     prefix, meta, _, test = write_prefix(tmp_path, samples, meta, 0.8, 13)
     _, fs_a, ts_a = _train_set(prefix, "minmax", "minmax", with_test=True)
     # mangle every row on the test side, then refit
-    mangled = replace(test, scale_factors=test.scale_factors * 100.0,
-                      inputs=test.inputs * 100.0, targets=test.targets * 100.0)
+    mangled = replace(test, inputs=test.inputs * 100.0, targets=test.targets * 100.0)
     write_dataset_csv(mangled, meta, f"{prefix}_test.csv")
     data, fs_b, ts_b = _train_set(prefix, "minmax", "minmax", with_test=True)
     assert data.x_test[:, ~fs_b.passthrough].max() > 1.0
@@ -427,15 +436,20 @@ def test_train_set_unscaled_side_and_train_only(base_net, tmp_path):
 # file round trips
 
 
-def test_csv_round_trip(base_net, tmp_path):
-    samples, meta = generate(base_net, 15, seed=16)
+@pytest.mark.parametrize("opts", [
+    {}, {"coupled": True}, {"perturb_all_loads": True}, {"coupled": True, "perturb_all_loads": True},
+], ids=["default", "coupled", "perturb_all_loads", "coupled_all_loads"])
+def test_csv_round_trip(base_net, tmp_path, opts):
+    samples, meta = generate(base_net, 15, seed=16, **opts)
     path = tmp_path / "data.csv"
     write_dataset_csv(samples, meta, path)
+    # the columns are sample_id, the inputs, the targets and converged, whatever the draws
+    assert path.read_bytes().split(b"\r\n")[0].decode().split(",") == [
+        "sample_id", *meta.input_labels, *meta.target_labels, "converged"]
     back = read_dataset_csv(path, meta)
     assert len(back) == len(samples)
     assert np.array_equal(back.sample_id, samples.sample_id)
     assert np.array_equal(back.inputs, samples.inputs)
-    assert np.array_equal(back.scale_factors, samples.scale_factors)
     # angle columns pass through a radians->degrees->radians conversion
     assert np.allclose(back.targets, samples.targets, rtol=1e-13, atol=1e-16)
     angle = np.array([lab.endswith("_deg") for lab in meta.target_labels])
@@ -457,7 +471,7 @@ def test_csv_reader_keeps_float_bits(base_net, tmp_path):
                     *rng.integers(1, 2**52, size=width - 4, dtype=np.uint64).view(np.float64)]
     converged = np.ones(n_rows, dtype=int)
     converged[2] = 0
-    values[2, len(meta.mult_labels) + len(meta.input_labels):] = np.nan
+    values[2, len(meta.input_labels):] = np.nan
     path = tmp_path / "data.csv"
     rows = [",".join([str(i), *map(repr, row), str(flag)])
             for i, (row, flag) in enumerate(zip(values.tolist(), converged.tolist()))]
@@ -465,7 +479,7 @@ def test_csv_reader_keeps_float_bits(base_net, tmp_path):
     back = read_dataset_csv(path, meta)
     expected = np.array([[float(repr(x)) for x in row] for row in values.tolist()])
     expected[:, angle] = np.radians(expected[:, angle])
-    read = np.hstack([back.scale_factors, back.inputs, back.targets])
+    read = np.hstack([back.inputs, back.targets])
     assert np.array_equal(read.view(np.int64), expected.view(np.int64))
     assert np.signbit(read[0]).all() and (read[0] == 0).all()
     assert np.isnan(back.targets[2]).all() and not back.converged[2]
@@ -482,6 +496,20 @@ def test_csv_header_mismatch_raises(base_net, tmp_path):
         read_dataset_csv(path, meta)
 
 
+def test_split_with_multiplier_columns_fails_the_header_check(base_net, tmp_path):
+    # splits written before the multiplier columns were dropped; their meta still reads
+    samples, meta = generate(base_net, 20, seed=23)
+    prefix, meta, *_ = write_prefix(tmp_path, samples, meta, 0.8, 24)
+    write_parent_layout(prefix)
+    assert "mult_labels" in json.loads(Path(f"{prefix}_meta.json").read_text())
+    assert read_meta_json(f"{prefix}_meta.json") == meta
+    for split_name in ("train", "test"):
+        with pytest.raises(ParseError, match=rf"data_{split_name}\.csv: header \['sample_id', "
+                                             r"'mult_p2', 'mult_q2', 'mult_p3', 'mult_q3', 'p_load_1'"
+                                             r".* does not match dataset metadata$"):
+            read_dataset_csv(f"{prefix}_{split_name}.csv", meta)
+
+
 @pytest.mark.parametrize("cell, text, message", [
     (3, "abc", "could not convert string to float: 'abc'"),
     (0, "abc", "invalid literal for int"),
@@ -490,7 +518,7 @@ def test_csv_header_mismatch_raises(base_net, tmp_path):
     (-1, "1.5", "converged must be 0 or 1, got '1.5'"),
     (-1, "2", "converged must be 0 or 1, got '2'"),
     (0, "1" + "0" * 20, ""),
-    (None, "", "row with 0 fields, expected 21"),
+    (None, "", "row with 0 fields, expected 17"),
 ], ids=["value", "sample_id", "converged", "fractional-sample_id", "fractional-converged",
         "converged-2", "huge-sample_id", "blank-line"])
 def test_csv_non_numeric_cell_raises(base_net, tmp_path, cell, text, message):
@@ -558,13 +586,13 @@ def test_csv_degree_columns_are_degrees(base_net, tmp_path):
 
 def reference_dataset_csv(samples, meta):
     """The CSV text cell by cell: repr of each float, angle targets in degrees."""
-    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    header = ["sample_id", *meta.input_labels, *meta.target_labels, "converged"]
     lines = [",".join(header)]
     for s in samples:
         targets = [math.degrees(v) if lab.startswith("delta_") and lab.endswith("_deg") else v
                    for lab, v in zip(meta.target_labels, s.targets)]
         cells = [str(s.sample_id)]
-        cells += [repr(float(v)) for v in (*s.scale_factors, *s.inputs, *targets)]
+        cells += [repr(float(v)) for v in (*s.inputs, *targets)]
         cells.append(str(int(s.converged)))
         lines.append(",".join(cells))
     return "".join(line + "\r\n" for line in lines).encode()
@@ -581,7 +609,7 @@ def test_csv_writer_matches_per_cell_reference(base_net, tmp_path):
 
 def per_row_dataset_csv(samples, meta, path):
     """The per-row csv.writer loop that the block writer replaced."""
-    header = ["sample_id", *meta.mult_labels, *meta.input_labels, *meta.target_labels, "converged"]
+    header = ["sample_id", *meta.input_labels, *meta.target_labels, "converged"]
     angle = np.array([lab.startswith("delta_") and lab.endswith("_deg")
                       for lab in meta.target_labels], dtype=bool)
     with open(path, "w", newline="") as fh:
@@ -589,7 +617,7 @@ def per_row_dataset_csv(samples, meta, path):
         writer.writerow(header)
         for s in samples:
             targets = np.where(angle, np.degrees(s.targets), s.targets)
-            values = np.concatenate([s.scale_factors, s.inputs, targets]).tolist()
+            values = np.concatenate([s.inputs, targets]).tolist()
             writer.writerow([s.sample_id, *map(repr, values), int(s.converged)])
 
 
@@ -665,7 +693,7 @@ def test_meta_json_reads_files_with_scaler_keys(base_net, tmp_path):
 
 
 @pytest.mark.parametrize("labels", [5, "p_load_1", [1, 2], None])
-@pytest.mark.parametrize("key", ["mult_labels", "input_labels", "target_labels"])
+@pytest.mark.parametrize("key", ["input_labels", "target_labels"])
 def test_meta_json_labels_must_be_string_lists(base_net, tmp_path, key, labels):
     _, meta = generate(base_net, 4, seed=22)
     path = tmp_path / "meta.json"
