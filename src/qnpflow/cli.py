@@ -96,8 +96,14 @@ def _fits(opt: Option, value) -> bool:
     if opt.nargs is not None:
         return (isinstance(value, list) and len(value) == opt.nargs
                 and all(_is(v, opt.type) for v in value))
-    if opt.dest == "spin":  # a number, or text such as "3/2"
-        return _is(value, float) or _is(value, str)
+    if opt.dest == "spin":  # a number, or text that _parse_spin reads, such as "3/2"
+        if not _is(value, str):
+            return _is(value, float)
+        try:
+            _parse_spin(value)
+        except UsageError:
+            return False
+        return True
     return _is(value, opt.type) and (opt.choices is None or value in opt.choices)
 
 

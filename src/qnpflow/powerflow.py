@@ -76,9 +76,10 @@ class BatchSolution:
     """Per-case results of solve_batch, stacked along the first axis.
 
     `norms[b, k]` is case b's mismatch norm after k Newton steps (column 0 at
-    the start state), NaN past its last state; `iterations[b]` counts its
-    steps. The state and injections are those of the last state reached. A
-    case is `singular` when it stopped at a pivot below PIVOT_TOL.
+    the start state), NaN past its last state, with columns up to the most
+    steps any case took; `iterations[b]` counts its steps. The state and
+    injections are those of the last state reached. A case is `singular`
+    when it stopped at a pivot below PIVOT_TOL.
     """
 
     delta: np.ndarray
@@ -288,11 +289,10 @@ def solve_batch(
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
     p, q = calc_injections(state, net)
     f = _mismatch(p, q, p_sched, q_sched, net)
-    norms = np.full((b, int(caps.max(initial=0)) + 1), np.nan)
-    norms[:, 0] = _inf_norms(f)
+    norms = [_inf_norms(f)]  # column k: each case's norm after k steps, NaN if it took fewer
     iterations = np.zeros(b, dtype=int)
     singular = np.zeros(b, dtype=bool)
-    rows = np.flatnonzero(~(norms[:, 0] < tol) & (caps > 0))
+    rows = np.flatnonzero(~(norms[0] < tol) & (caps > 0))
     live = StateVector(state.delta[rows], state.v_mag[rows])
     live_p, live_q, live_f = p[rows], q[rows], f[rows]
     live_p_sched, live_q_sched, live_caps = p_sched[rows], q_sched[rows], caps[rows]
@@ -315,7 +315,8 @@ def solve_batch(
         live = new
         live_p, live_q = calc_injections(live, net)
         live_f = _mismatch(live_p, live_q, live_p_sched, live_q_sched, net)
-        norms[rows, k] = live_norms = _inf_norms(live_f)
+        norms.append(np.full(b, np.nan))
+        norms[k][rows] = live_norms = _inf_norms(live_f)
         stop = (live_norms < tol) | (k >= live_caps)
         if stop.any():
             write(stop, k)
@@ -324,6 +325,7 @@ def solve_batch(
                 rows[keep], live_p_sched[keep], live_q_sched[keep], live_caps[keep])
             live = StateVector(live.delta[keep], live.v_mag[keep])
             live_p, live_q, live_f = live_p[keep], live_q[keep], live_f[keep]
+    norms = np.stack(norms, axis=1)[:, :iterations.max(initial=0) + 1]
     converged = norms[np.arange(b), iterations] < tol
     return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)
 

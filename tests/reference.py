@@ -139,6 +139,10 @@ def masked_solve_batch(
         norms[active, k] = _inf_norms(f[active])
         iterations[active] = k
         active = active[~(norms[active, k] < tol) & (k < caps[active])]
+    # solve_batch keeps the columns up to the most steps taken; the others hold no norm
+    width = iterations.max(initial=0) + 1
+    assert np.isnan(norms[:, width:]).all()
+    norms = norms[:, :width]
     converged = norms[np.arange(b), iterations] < tol
     return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)
 

@@ -41,11 +41,11 @@ def cli(*args, cwd=None):
     return subprocess.CompletedProcess(argv, code, out.getvalue(), err.getvalue())
 
 
-def python_m(*args):
-    """A real `python -m qnpflow.cli` run in its own process."""
+def python_m(*args, module="qnpflow.cli"):
+    """A real `python -m <module>` run in its own process."""
     pythonpath = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qnpflow.cli", *map(str, args)],
+        [sys.executable, "-m", module, *map(str, args)],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": pythonpath},
     )
@@ -127,6 +127,17 @@ def test_solve_tol_not_finite_and_positive_exits_4(tol, tmp_path):
     assert not (tmp_path / "solution.json").exists()
 
 
+@pytest.mark.parametrize("cap", [10**12, 10**20])
+def test_solve_huge_step_cap_writes_the_default_solution(tmp_path, cap):
+    # solve_batch keeps a norm for each step taken, not for each step the cap allows
+    for name, args in (("default", []), ("huge", ["--max-iter", cap])):
+        res = cli("solve", NETWORK, *args, "--out-dir", tmp_path / name)
+        assert res.returncode == 0, res.stderr
+    solution = (tmp_path / "huge" / "solution.json").read_bytes()
+    assert json.loads(solution)["iterations"] == 3
+    assert solution == (tmp_path / "default" / "solution.json").read_bytes()
+
+
 def test_solve_config_file_and_cli_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tol": 1e-12, "max_iter": 1}))
@@ -186,6 +197,10 @@ def wrong_type_rows():
     (["activation", "simulate"], {"spin": [1]}),
     (["dataset", NETWORK], {"n": "500"}),
     (["dataset", NETWORK], {"n": None}),  # null only where the default is None
+    (["activation", "simulate"], {"spin": "abc"}),  # text that --spin would reject
+    (["activation", "simulate"], {"spin": "1/0"}),
+    (["train", "missing-data"], {"spin": "abc"}),
+    (["train", "missing-data"], {"spin": "1/0"}),
     *wrong_type_rows(),
 ])
 def test_config_value_of_wrong_type_exits_4(tmp_path, command, config):
@@ -194,7 +209,7 @@ def test_config_value_of_wrong_type_exits_4(tmp_path, command, config):
     res = cli(*command, "--config", cfg, cwd=tmp_path)  # no --out-dir: it would beat out_dir
     assert res.returncode == 4, res.stderr
     (key,) = config
-    assert res.stderr.startswith("error:") and repr(key) in res.stderr
+    assert res.stderr.startswith(f"error: {cfg}: ") and repr(key) in res.stderr
     assert "Traceback" not in res.stderr
 
 
@@ -345,11 +360,13 @@ def test_activation_simulate_untabulated_spin_has_null_table_beta(tmp_path):
     assert fit["spin_j"] == 2.0 and fit["table_beta"] is None
 
 
-def test_activation_simulate_spin_flag_and_config_write_same_files(tmp_path):
-    # the config's integer 1 and the flag's text "1" both resolve to spin 1.0
-    config = write_doc({"spin": 1}, tmp_path, name="spin.json")
+@pytest.mark.parametrize("flag, value, spin", [("1", 1, 1.0), ("3/2", "3/2", 1.5)])
+def test_activation_simulate_spin_flag_and_config_write_same_files(tmp_path, flag, value, spin):
+    # the config's integer 1 and the flag's text "1" both resolve to spin 1.0,
+    # and the text "3/2" reads the same from either
+    config = write_doc({"spin": value}, tmp_path, name="spin.json")
     written = {}
-    for route, args in (("flag", ["--spin", "1"]), ("config", ["--config", config])):
+    for route, args in (("flag", ["--spin", flag]), ("config", ["--config", config])):
         out = tmp_path / "out"
         res = cli("activation", "simulate", *args, "--points", 5, "--collisions", 100,
                   "--out-dir", out)
@@ -358,9 +375,9 @@ def test_activation_simulate_spin_flag_and_config_write_same_files(tmp_path):
         for p in out.iterdir():
             p.unlink()
     assert written["flag"] == written["config"]
-    assert sorted(written["flag"]) == ["activation_simulate_config.json", "curve_spin1.0.csv",
-                                       "fit_spin1.0.json"]
-    assert json.loads(written["flag"]["activation_simulate_config.json"])["spin"] == 1.0
+    assert sorted(written["flag"]) == ["activation_simulate_config.json", f"curve_spin{spin}.csv",
+                                       f"fit_spin{spin}.json"]
+    assert json.loads(written["flag"]["activation_simulate_config.json"])["spin"] == spin
 
 
 def test_activation_simulate_warns_on_capped_points(curve_run):
@@ -1032,7 +1049,7 @@ def test_sweep_axis_not_a_list_exits_2(dataset_dir, tmp_path, axis):
     assert res.stderr.startswith("usage error:") and repr(key) in res.stderr
 
 
-@pytest.mark.parametrize("key, value", [("epochs", "2"), ("bias", "yes"),
+@pytest.mark.parametrize("key, value", [("epochs", "2"), ("bias", "yes"), ("spin", "abc"),
                                         ("learning_rate", -1)])
 def test_sweep_bad_train_key_exits_4(dataset_dir, tmp_path, key, value):
     cfg = tmp_path / "sweep.json"
@@ -1091,8 +1108,9 @@ def test_sweep_prefix_starting_with_dash(dataset_dir, tmp_path):
     assert len(data_rows(tmp_path / "out" / "sweep.csv")) == 1
 
 
-def test_version_flag():
-    res = python_m("--version")
+@pytest.mark.parametrize("module", ["qnpflow", "qnpflow.cli"])
+def test_version_flag(module):
+    res = python_m("--version", module=module)
     assert res.returncode == 0
     assert res.stdout.startswith("qnpflow ")
 
@@ -1109,6 +1127,47 @@ def test_cached_parser_keeps_no_state_between_calls(tmp_path):
     snap = json.loads((tmp_path / "b" / "solve_config.json").read_text())
     assert (snap["tol"], snap["max_iter"], snap["flat_start"]) == (1e-8, 20, True)
     assert build_parser() is parser
+
+
+# ---------------------------------------------------------------------------
+# the pipeline end to end
+
+# (argv, exit code, reason), run in order in one directory: later rows read
+# what earlier rows wrote. pyproject.toml turns warnings into errors, so a row
+# also fails on any overflow or lost digit that numpy warns of.
+PIPELINE = [
+    ("activation simulate --spin 5/2 --points 5 --out-dir act", 0, "every point settles"),
+    ("activation fit act/curve_spin2.5.csv --out-dir act-fit", 0, "the curve the row above wrote"),
+    ("activation simulate --spin 1/2 --points 5 --out-dir act-capped", 0,
+     "spin 1/2: four points reach the collision cap"),
+    ("activation simulate --spin 1/2 --points 41 --out-dir act-capped-41", 0,
+     "the capped curve at 41 points"),
+    ("activation simulate --spin 1/2 --points 5 --collisions 9223372036854775807"
+     " --out-dir act-largest-cap", 0, "the capped points settle after about 30000 collisions"),
+    ("activation simulate --spin 1 --points 5 --mode truncated --out-dir act-truncated", 0,
+     "the mode reaches CollisionParams as its string value"),
+    ("activation simulate --spin 50 --points 41 --out-dir act-spin50", 0, "a large spin"),
+    ("activation simulate --spin 1/2 --points 5 --mode truncated --tau 30 --g 0.3"
+     " --out-dir act-truncated-large", 0, "g tau = 9: the maps grow by about 10^6 per cycle"),
+    ("activation simulate --spin 1/2 --points 5 --g 1e-4 --out-dir act-weak", 0,
+     "g = 1e-4: flip probabilities below 1e-7"),
+    ("dataset paper4bus --n 200 --seed 42 --prefix data --out-dir data", 0,
+     "the dataset that train, sweep and evaluate read"),
+    ("dataset paper4bus --n 500 --range 1.0 5.5 --seed 5 --out-dir data-stressed", 0,
+     "near voltage collapse, cases retire at the step cap and the working rows shrink"),
+    ("train data/data --preset table3 --epochs 2 --out-dir model", 0, "the training path"),
+    ("sweep sweep.json --out-dir sweep", 0, "an integer and a float beta"),
+    ("evaluate model/model.json data/data --out-dir eval", 0, "the model the train row wrote"),
+]
+
+
+def test_pipeline_runs_in_order(tmp_path):
+    (tmp_path / "paper4bus").write_bytes(NETWORK_PATH.read_bytes())
+    write_doc({"data": "data/data", "betas": [2, 2.22], "seeds": [0], "preset": "table3",
+               "epochs": 2}, tmp_path, name="sweep.json")
+    for argv, code, reason in PIPELINE:
+        res = cli(*argv.split(), cwd=tmp_path)
+        assert res.returncode == code, (argv, reason, res.stderr)
 
 
 # ---------------------------------------------------------------------------
