@@ -36,7 +36,7 @@ from .dataset import (
     write_dataset_csv,
     write_meta_json,
 )
-from .errors import ParseError, QnpflowError, ShapeMismatch, ValidationError, read_json_object
+from .errors import NonFinite, ParseError, QnpflowError, ShapeMismatch, ValidationError, read_json_object
 from .grid import load_network
 from .neuralnet import (
     OPTIMIZER_NAMES,
@@ -396,6 +396,9 @@ def cmd_evaluate(ns: argparse.Namespace, cfg: dict) -> int:
     except (ParseError, ShapeMismatch) as exc:
         raise type(exc)(f"{ns.model}: {exc}") from None
     report = evaluate(params, x, y, invert_targets=ts.invert if ts else None)
+    if not np.isfinite([report.mse, *report.mape]).all():  # JSON holds no Infinity or NaN
+        raise NonFinite(f"{ns.model}: evaluation error is not finite: mse={report.mse}, "
+                        f"largest mape={report.mape.max()}%")
     out = _out_dir(cfg)
     _write_snapshot(out, "evaluate", {**cfg, "model": str(ns.model), "data": str(ns.data)})
     (out / "eval_report.json").write_text(json.dumps({

@@ -187,8 +187,9 @@ def generate(
     factors = _uniform_draws(seed, n, per_bus * len(perturbed), low, high)
     p_load = np.tile([b.p_load for b in net.buses], (n, 1))
     q_load = np.tile([b.q_load for b in net.buses], (n, 1))
-    p_load[:, perturbed] *= factors[:, 0::per_bus]
-    q_load[:, perturbed] *= factors[:, per_bus - 1::per_bus]
+    with np.errstate(over="ignore"):  # an infinite load leaves its case unconverged
+        p_load[:, perturbed] *= factors[:, 0::per_bus]
+        q_load[:, perturbed] *= factors[:, per_bus - 1::per_bus]
 
     fixed_v = [net.buses[i].v_mag for i in (net.slack_index, *net.pv_indices)]
     inputs = np.hstack([net.base.to_pu(p_load), net.base.to_pu(q_load), np.tile(fixed_v, (n, 1))])

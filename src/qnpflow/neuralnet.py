@@ -475,21 +475,22 @@ def train(data: TrainSet, topology: LayerTopology, hyper: Hyperparams) -> tuple[
     train_log: list[float] = []
     test_log: list[float] | None = [] if has_test else None
     t = 0
-    for _ in range(hyper.epochs):
-        perm = shuffle_rng.permutation(n)
-        x_epoch, y_epoch = x[perm], y[perm]
-        for lo in range(0, n, size):
-            step = buffers[min(size, n - lo)]
-            acts = forward(params, x_epoch[lo:lo + size], buffers=step)
-            backward(params, acts, y_epoch[lo:lo + size], l1=hyper.l1, l2=hyper.l2, buffers=step)
-            t += 1
-            optimizer_step(kind, state, params, grad, t)
-        epoch_mse = mse(forward(params, x)[-1], y)
-        if not np.isfinite(epoch_mse):
-            raise NonFinite(f"training loss became {epoch_mse} at epoch {len(train_log) + 1}")
-        train_log.append(epoch_mse)
-        if has_test:
-            test_log.append(mse(forward(params, data.x_test)[-1], np.atleast_2d(data.y_test)))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in the NonFinite check
+        for _ in range(hyper.epochs):
+            perm = shuffle_rng.permutation(n)
+            x_epoch, y_epoch = x[perm], y[perm]
+            for lo in range(0, n, size):
+                step = buffers[min(size, n - lo)]
+                acts = forward(params, x_epoch[lo:lo + size], buffers=step)
+                backward(params, acts, y_epoch[lo:lo + size], l1=hyper.l1, l2=hyper.l2, buffers=step)
+                t += 1
+                optimizer_step(kind, state, params, grad, t)
+            epoch_mse = mse(forward(params, x)[-1], y)
+            if not np.isfinite(epoch_mse):
+                raise NonFinite(f"training loss became {epoch_mse} at epoch {len(train_log) + 1}")
+            train_log.append(epoch_mse)
+            if has_test:
+                test_log.append(mse(forward(params, data.x_test)[-1], np.atleast_2d(data.y_test)))
 
     final_mape = None
     if has_test:
@@ -518,14 +519,16 @@ class EvalReport:
 
 def evaluate(params: MLPParams, x: np.ndarray, y: np.ndarray,
              invert_targets: Callable[[np.ndarray], np.ndarray] | None = None) -> EvalReport:
-    """MSE on the given arrays and per-output MAPE in original target units."""
-    pred = forward(params, x)[-1]
-    truth = np.atleast_2d(np.asarray(y, dtype=float))
-    err = mse(pred, truth)
-    if invert_targets is not None:
-        pred = invert_targets(pred)
-        truth = invert_targets(truth)
-    return EvalReport(mse=err, mape=mape(pred, truth))
+    """MSE on the given arrays and per-output MAPE in original target units;
+    either may overflow to inf or NaN, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = forward(params, x)[-1]
+        truth = np.atleast_2d(np.asarray(y, dtype=float))
+        err = mse(pred, truth)
+        if invert_targets is not None:
+            pred = invert_targets(pred)
+            truth = invert_targets(truth)
+        return EvalReport(mse=err, mape=mape(pred, truth))
 
 
 def write_epoch_log(report: TrainReport, path: str | Path) -> None:

@@ -304,27 +304,28 @@ def solve_batch(
         p[out], q[out], iterations[out] = live_p[done], live_q[done], k
 
     k = 0
-    while rows.size:
-        k += 1
-        new, ok = _newton_update(live, net, live_f)
-        if not ok.all():  # a singular case keeps its last state
-            singular[rows[~ok]] = True
-            write(~ok, k - 1)
-            rows, live_p_sched, live_q_sched, live_caps = (
-                rows[ok], live_p_sched[ok], live_q_sched[ok], live_caps[ok])
-        live = new
-        live_p, live_q = calc_injections(live, net)
-        live_f = _mismatch(live_p, live_q, live_p_sched, live_q_sched, net)
-        norms.append(np.full(b, np.nan))
-        norms[k][rows] = live_norms = _inf_norms(live_f)
-        stop = (live_norms < tol) | (k >= live_caps)
-        if stop.any():
-            write(stop, k)
-            keep = ~stop
-            rows, live_p_sched, live_q_sched, live_caps = (
-                rows[keep], live_p_sched[keep], live_q_sched[keep], live_caps[keep])
-            live = StateVector(live.delta[keep], live.v_mag[keep])
-            live_p, live_q, live_f = live_p[keep], live_q[keep], live_f[keep]
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN norm never drops below tol
+        while rows.size:
+            k += 1
+            new, ok = _newton_update(live, net, live_f)
+            if not ok.all():  # a singular case keeps its last state
+                singular[rows[~ok]] = True
+                write(~ok, k - 1)
+                rows, live_p_sched, live_q_sched, live_caps = (
+                    rows[ok], live_p_sched[ok], live_q_sched[ok], live_caps[ok])
+            live = new
+            live_p, live_q = calc_injections(live, net)
+            live_f = _mismatch(live_p, live_q, live_p_sched, live_q_sched, net)
+            norms.append(np.full(b, np.nan))
+            norms[k][rows] = live_norms = _inf_norms(live_f)
+            stop = (live_norms < tol) | (k >= live_caps)
+            if stop.any():
+                write(stop, k)
+                keep = ~stop
+                rows, live_p_sched, live_q_sched, live_caps = (
+                    rows[keep], live_p_sched[keep], live_q_sched[keep], live_caps[keep])
+                live = StateVector(live.delta[keep], live.v_mag[keep])
+                live_p, live_q, live_f = live_p[keep], live_q[keep], live_f[keep]
     norms = np.stack(norms, axis=1)[:, :iterations.max(initial=0) + 1]
     converged = norms[np.arange(b), iterations] < tol
     return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)

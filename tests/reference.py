@@ -154,10 +154,6 @@ PLUS_PAULI = np.einsum("kab,ba->k", PAULI, plus_state().entries).real
 # MODE_TOL, and as of equal modulus when their moduli do.
 MODE_TOL = 1e-12
 
-# Slack between STEADY_TOL and the certified lower bound on a cycle's change
-# of sigma_z, which covers the settle scan's own rounding.
-SETTLE_MARGIN = 1e-11
-
 
 def steady_states(
     reservoir_sets: list[list[ReservoirSpec]],
@@ -240,105 +236,17 @@ def _cycle_modes(r0: np.ndarray, prefixes: np.ndarray):
     return lam, parts, (parts * fixed[:, None, :]).sum(axis=2).real
 
 
-def _settle_starts(lam: np.ndarray, parts: np.ndarray, max_cycles: int) -> np.ndarray:
-    """The block of BLOCK_CYCLES cycles at which the settle scan of each point
-    starts; -1 where no cycle up to max_cycles can settle.
-
-    With mu = lam / radius, a and b the modes' r_3 and r_0 parts, d* the sum
-    of b over the modes at mu = 1 exactly, beta the sum of |b| and A the sum
-    of |a| over the others, and j the mode of largest |a_j (mu_j - 1)|, the
-    change of sigma_z at cycle k is at least
-        (|Re a_j| |mu_j - 1| |mu_j|^(k-1) - sum_(i != j) |a_i (mu_i - 1)|)
-        / (|d*| + beta) - 2 A beta / (|d*| - beta)^2
-    when mu_j is real, 0 < |mu_j| < 1 and beta < |d*|. The bound falls with
-    k, so the cycles before the one where it reaches STEADY_TOL +
-    SETTLE_MARGIN cannot settle; that count comes from one logarithm. A
-    point starts one block before its first block that may settle, so that
-    the scanned block gives the next one its previous value; points without
-    the bound start at block 0.
-    """
-    mu = lam / np.abs(lam).max(axis=1, keepdims=True)
-    one = mu == 1
-    a, b = parts[:, 3], parts[:, 0]
-    pull = np.abs(a * (mu - 1))                                 # 0 where mu = 1
-    rows, j = np.arange(lam.shape[0]), pull.argmax(axis=1)
-    mu_j = mu[rows, j]
-    rho = np.abs(mu_j)
-    lead = np.abs(a[rows, j].real) * np.abs(mu_j - 1)
-    rest = pull.sum(axis=1) - pull[rows, j]
-    d_star = np.abs(np.sum(b.real, axis=1, where=one))
-    beta = np.sum(np.abs(b), axis=1, where=~one)
-    bounded = (mu_j.imag == 0) & (0 < rho) & (rho < 1) & (beta < d_star)
-    gap = np.where(bounded, d_star - beta, 1.0)
-    floor = rest + (d_star + beta) * (qsim.STEADY_TOL + SETTLE_MARGIN
-                                      + 2 * np.abs(a).sum(axis=1) * beta / gap**2)
-    bounded &= lead > floor
-    starts = np.full(lam.shape[0], 0 if max_cycles else -1, dtype=np.int64)
-    if bounded.any():
-        # the bound exceeds the floor at every cycle k with k - 1 < reach
-        reach = np.log(floor[bounded] / lead[bounded]) / np.log(rho[bounded])
-        cleared = np.minimum(np.ceil(reach), max_cycles)
-        starts[bounded] = np.where(cleared >= max_cycles, -1,
-                                   np.maximum(cleared // BLOCK_CYCLES - 1, 0))
-    return starts
-
-
 def _settle_cycles(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
                    max_cycles: int) -> np.ndarray:
     """First cycle k <= max_cycles at which sigma_z of C^k r0 moves by less
     than STEADY_TOL from C^(k-1) r0, with C^k r0 = sum_i lam_i^k c_i v_i.
 
     sigma_z is a ratio, so the scan reads mu = lam / radius in place of lam,
-    which keeps every power within [0, 1] in modulus. Cycles run in blocks of
-    BLOCK_CYCLES, and each point starts at the block that _settle_starts
-    gives it. Each pass reads one block for every point not yet settled:
-    (mu^1..mu^BLOCK_CYCLES) @ (mu^start c_i v_i), one stacked matmul against
-    the scaled readouts. The power table is the running product of mu along
-    its rows, and mu^start is the chain of products by mu^BLOCK_CYCLES from
-    the first block on, whether scanned or not. Settled points leave after
-    every pass. Returns k per point, 0 where it does not settle.
-    """
-    cycles = np.zeros(lam.shape[0], dtype=int)
-    first = _settle_starts(lam, parts, max_cycles)
-    order = np.argsort(-first)          # later starts first, so each base grows as a prefix
-    active = order[first[order] >= 0]
-    first = first[active]
-    mu = lam[active] / np.abs(lam[active]).max(axis=1, keepdims=True)
-    table = np.cumprod(np.broadcast_to(mu[:, None], (mu.shape[0], BLOCK_CYCLES, mu.shape[1])),
-                       axis=1)                                                # mu^k
-    readout = parts[active][:, [0, 3], :].swapaxes(1, 2)                      # (B, modes, 2)
-    base = np.ones_like(mu)                                                   # mu^start
-    for step in range(first.max(initial=0)):
-        n = np.count_nonzero(first > step)
-        base[:n] = base[:n] * table[:n, -1]
-    # a scan from block 0 compares its first cycle with r0; a later start
-    # compares with nothing, since its first block cannot settle
-    prev = np.where(first == 0, r0[3] / r0[0], np.nan)
-    start = first * BLOCK_CYCLES
-    while active.size:
-        size = np.minimum(BLOCK_CYCLES, max_cycles - start)
-        ends = (table @ (base[:, :, None] * readout)).real        # (B, BLOCK_CYCLES, 2)
-        values = np.column_stack([prev, ends[..., 1] / ends[..., 0]])   # prev, then the block
-        small = np.abs(np.diff(values, axis=1)) < qsim.STEADY_TOL
-        small &= np.arange(BLOCK_CYCLES) < size[:, None]
-        hit = small.any(axis=1)
-        cycles[active[hit]] = start[hit] + small[hit].argmax(axis=1) + 1
-        prev = values[np.arange(active.size), size]
-        start = start + size
-        base = base * table[:, -1]
-        keep = ~hit & (start < max_cycles)
-        active, table, readout, base, prev, start = (
-            x[keep] for x in (active, table, readout, base, prev, start))
-    return cycles
-
-
-def settle_cycles_per_block(r0: np.ndarray, lam: np.ndarray, parts: np.ndarray,
-                            max_cycles: int) -> np.ndarray:
-    """_settle_cycles one block of BLOCK_CYCLES cycles at a time.
-
-    Each block takes the power table's first rows times the readouts scaled
-    to the block's start, and settled points leave after every block. The
-    table holds the running products of mu = lam / radius, as the scan's does.
+    which keeps every power within [0, 1] in modulus. Every point starts at
+    cycle 0 and the scan reads BLOCK_CYCLES cycles per block: the power
+    table's first rows, the running products of mu, times the readouts scaled
+    by mu^start. Settled points leave after every block. Returns k per point,
+    0 where it does not settle.
     """
     cycles = np.zeros(lam.shape[0], dtype=int)
     active = np.arange(lam.shape[0])

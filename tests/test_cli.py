@@ -17,7 +17,7 @@ from qnpflow import cli as cli_module
 from qnpflow import errors
 from qnpflow.cli import COMMANDS, build_parser, main
 from qnpflow.dataset import read_dataset_csv, read_meta_json
-from qnpflow.neuralnet import train
+from qnpflow.neuralnet import OPTIMIZER_NAMES, train
 from qnpflow.qsim import ReservoirSpec, evolve_collisions, plus_state
 
 NETWORK = str(NETWORK_PATH)
@@ -1209,6 +1209,32 @@ def test_every_error_class_exits_with_its_readme_code(monkeypatch, tmp_path):
     monkeypatch.setattr(cli_module, "load_network", lambda path: {}["buses"])
     with pytest.raises(KeyError):
         cli("solve", NETWORK, "--out-dir", tmp_path)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["solve", "huge-loads"], 5),
+    (["dataset", NETWORK, "--n", 20, "--range", 1e200, 1e200], 7),
+    (["dataset", NETWORK, "--n", 20, "--range", 1e307, 1e307], 7),
+    *((["train", "DATA", "--preset", "table3", "--epochs", 3, "--optimizer", name, "--lr", 1e200], 9)
+      for name in OPTIMIZER_NAMES),
+    (["evaluate", "huge-weights.json", "DATA"], 9),
+], ids=["solve", "dataset-1e200", "dataset-1e307", *(f"train-{name}" for name in OPTIMIZER_NAMES),
+        "evaluate"])
+def test_overflow_exits_with_one_error_line(args, code, tmp_path, dataset_dir, trained_dir):
+    # pyproject.toml turns warnings into errors, so an overflow that numpy
+    # warns of ends the run in an exception here
+    doc = json.loads(NETWORK_PATH.read_text())
+    for bus in doc["buses"]:
+        bus["p_load"], bus["q_load"] = bus["p_load"] * 1e200, bus["q_load"] * 1e200
+    write_doc(doc, tmp_path, name="huge-loads")
+    model = json.loads((trained_dir / "model.json").read_text())  # finite, so it loads
+    model["weights"][-1] = np.full(np.shape(model["weights"][-1]), 1e300).tolist()
+    write_doc(model, tmp_path, name="huge-weights.json")
+    argv = [dataset_dir / "data" if arg == "DATA" else arg for arg in args]
+    res = cli(*argv, "--out-dir", "out", cwd=tmp_path)
+    assert res.returncode == code, res.stderr
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+    assert "Warning" not in res.stderr and not (tmp_path / "out").exists()
 
 
 def too_long_out_dir(tmp_path, dataset_dir):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import sys
 import tracemalloc
@@ -10,16 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import reference
 from reference import (
     PLUS_PAULI,
     _cycle_modes,
     _settle_cycles,
-    _settle_starts,
     collide as reference_collide,
     collision_unitary,
     reservoir_unit_state,
-    settle_cycles_per_block,
     spin_ladder,
     steady_states,
     transfer_matrices as reference_transfer_matrices,
@@ -591,93 +587,26 @@ def cycle_modes(reservoir_sets, params):
     return _cycle_modes(PLUS_PAULI, _prefix_products(maps))
 
 
-# each spin and curve size meets one of the (gamma, tau, mode) settings, and
-# every setting value comes up; the points settle at once, deep into the
-# scan (93205 cycles at J = 7, tau = 0.3), or not within the cap
-SETTLE_SETTINGS = list(itertools.product((0.0, 1e-4, 0.01), (0.3, 3.0, 30.0), (EXACT, TRUNCATED)))
-SETTLE_CASES = [(spin_j, n_points, *SETTLE_SETTINGS[7 * i % len(SETTLE_SETTINGS)])
-                for i, (spin_j, n_points)
-                in enumerate(itertools.product((0.5, 1.0, 1.5, 2.5, 7.0), (5, 41, 201)))]
-
-
-@pytest.mark.parametrize("spin_j, n_points, gamma, tau, mode", SETTLE_CASES)
-def test_settle_scan_equals_per_block_reference(spin_j, n_points, gamma, tau, mode):
-    lam, parts, _ = cycle_modes(
-        curve_sets(spin_j, n_points), CollisionParams(tau=tau, gamma=gamma, propagator_mode=mode))
-    # no cycle, a partial last block, and caps off the block grid
-    for cap in (1, 777, 20000, 200000):
-        assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap // 2),
-                              settle_cycles_per_block(PLUS_PAULI, lam, parts, cap // 2))
-
-
-def mixed_sets(seed, n_sets=4):
-    """Sets of 1-3 reservoirs at random theta, phi and g, one spin and one
-    length per draw, with the draw's damping rate."""
-    rng = np.random.default_rng(seed)
-    spin_j = float(rng.choice([0.5, 1.0, 1.5, 2.5]))
-    n_res = int(rng.integers(1, 4))
-    sets = [[ReservoirSpec(theta=float(rng.uniform(0, math.pi)),
-                           phi=float(rng.uniform(-math.pi, math.pi)),
-                           spin_j=spin_j, g=float(rng.uniform(0.003, 0.05)))
-             for _ in range(n_res)] for _ in range(n_sets)]
-    return sets, float(rng.choice([0.0, 1e-4, 0.01]))
-
-
-def test_certified_settle_equals_per_block_reference_on_mixed_sets():
-    # off-pole units turn the readout's slowest mode complex, so these sets
-    # mostly scan from block 0; the pole-unit curves of SETTLE_CASES are the
-    # certified ones, and these pin the fallback and the mixed groups
-    complex_lead = 0
-    for seed in range(24):
-        sets, gamma = mixed_sets(seed)
-        mode = (EXACT, TRUNCATED)[seed % 2]
-        lam, parts, _ = cycle_modes(sets, CollisionParams(gamma=gamma, propagator_mode=mode))
-        pull = np.abs(parts[:, 3] * (lam / np.abs(lam).max(axis=1, keepdims=True) - 1))
-        complex_lead += np.count_nonzero(lam[np.arange(len(sets)), pull.argmax(axis=1)].imag)
-        for cap in (1, 777, 20000, 200000):
-            assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap),
-                                  settle_cycles_per_block(PLUS_PAULI, lam, parts, cap))
-    assert complex_lead > 0
-
-
-def test_certified_settle_on_a_real_spectrum():
+def test_settle_scan_on_a_real_spectrum():
     # eig returns float eigenvalues when none is complex; populations relax
-    # toward sigma_z = 0.5 and coherences decay
+    # toward sigma_z = 0.5 and coherences decay. The scan settles where the
+    # direct powers lam^k first move sigma_z by less than STEADY_TOL
     cycle_map = np.array([[1, 0, 0, 0], [0, 0.99, 0, 0], [0, 0, 0.99, 0],
                           [0.001, 0, 0, 0.998]])[None, None]
     lam, parts, _ = _cycle_modes(PLUS_PAULI, cycle_map)
     assert lam.dtype == np.float64
+    ends = lam[0] ** np.arange(20001)[:, None] @ parts[0, [0, 3]].T
+    changes = np.abs(np.diff(ends[:, 1] / ends[:, 0]))      # cycles 1 .. 20000
+    k = np.argmax(changes < qsim.STEADY_TOL) + 1
+    assert 777 < k < 20000
     for cap in (1, 777, 20000):
-        assert np.array_equal(_settle_cycles(PLUS_PAULI, lam, parts, cap),
-                              settle_cycles_per_block(PLUS_PAULI, lam, parts, cap))
-    assert _settle_starts(lam, parts, 20000)[0] > 0
-
-
-def test_certificate_skips_the_decided_blocks(monkeypatch):
-    # at J = 1/2 the four points that hit the 20000-collision cap are cleared
-    # to the cap and scan no block; at J = 5/2 every point settles in the
-    # first or second block it scans
-    starts = []
-
-    def spy(*args):
-        starts.append(_settle_starts(*args))
-        return starts[-1]
-
-    monkeypatch.setattr(reference, "_settle_starts", spy)
-    _, _, capped = steady_states(curve_sets(0.5, 5), CollisionParams())
-    assert np.array_equal(starts[0] == -1, ~capped)
-    assert np.count_nonzero(starts[0] == -1) == 4
-    _, used, settling = steady_states(curve_sets(2.5, 5), CollisionParams())
-    assert settling.all()
-    scanned = (used // 2 - 1) // BLOCK_CYCLES - starts[1] + 1
-    assert np.all((starts[1] > 0) & (scanned >= 1) & (scanned <= 2))
+        assert _settle_cycles(PLUS_PAULI, lam, parts, cap)[0] == (k if k <= cap else 0)
 
 
 @pytest.mark.parametrize("block", [1, 20])
-def test_certified_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch):
-    # the certificate clears every block before the one that the settle cycle
-    # opens; the scan starts one block earlier, so that cycle's change is
-    # measured against the cycle before it
+def test_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch):
+    # the settle cycle opens a block, so the scan measures its change against
+    # the last cycle of the block before
     lam, parts, _ = cycle_modes(curve_sets(0.5, 5)[:1], CollisionParams())
     k = block * BLOCK_CYCLES + 1
     ends = (lam[0] ** np.arange(k + 1)[:, None] @ parts[0, [0, 3]].T).real
@@ -685,7 +614,6 @@ def test_certified_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch
     tol = (changes[k - 2] + changes[k - 1]) / 2
     assert changes[k - 1] < tol < changes[:k - 1].min()
     monkeypatch.setattr(qsim, "STEADY_TOL", tol)
-    assert _settle_starts(lam, parts, 10000)[0] == block - 1
     assert _settle_cycles(PLUS_PAULI, lam, parts, 10000)[0] == k
 
 
@@ -717,11 +645,11 @@ def reference_curve(spin_j, params, n_points=5, g=0.01):
                          ids=["reference", "curve"])
 @pytest.mark.parametrize("spin_j", [0.5, 2.5])
 def test_largest_collision_cap_settles_in_bounded_memory(spin_j, solve):
-    # the cleared cycles come from one logarithm and each start's base from a
-    # loop, so no array follows the cap: the peak stays within twice that of
-    # a cap past every settle cycle, where the same points scan the same
-    # blocks; the points capped at the default settle past it. The curve
-    # takes every settle cycle from one logarithm
+    # the reference scans one block at a time and the curve takes every
+    # settle cycle from one logarithm, so no array follows the cap: the peak
+    # stays within twice that of a cap past every settle cycle, where the
+    # same points settle on the same cycles; the points capped at the
+    # default settle past it
     params = CollisionParams(n_collisions=MAX_COLLISIONS)
     solve(spin_j, CollisionParams())                   # warm caches and imports
     tracemalloc.start()
