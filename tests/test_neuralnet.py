@@ -440,7 +440,6 @@ def test_l2_penalty_shrinks_weight_norm():
     assert norms[2] < norms[0]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_training_raises_on_divergence():
     x, y = toy_linear_data(n=32)
     hyper = Hyperparams(hidden_layers=1, hidden_size=8, epochs=50, batch_size=32,
@@ -495,6 +494,17 @@ def test_evaluate_matches_training_report():
     out = evaluate(params, x[40:], y[40:])
     assert out.mse == pytest.approx(report.final_test_mse, rel=1e-12)
     assert out.mape == pytest.approx(report.mape)
+
+
+def test_evaluate_overflow_gives_inf_without_a_warning():
+    # pyproject.toml turns warnings into errors; the inf is the caller's to
+    # report. The predictions of about 1e300 stay finite, and so does MAPE
+    x, y = toy_linear_data(n=20, seed=25)
+    hyper = Hyperparams(hidden_layers=1, hidden_size=3, epochs=1, batch_size=10, seed=0)
+    params, _ = train(TrainSet(x_train=x, y_train=y), build_topology(2, 1, hyper, beta=2.22), hyper)
+    params.weights[-1][...] = 1e300
+    out = evaluate(params, x, y)
+    assert out.mse == math.inf and np.isfinite(out.mape).all()
 
 
 def test_write_epoch_log_format(tmp_path):

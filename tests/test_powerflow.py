@@ -573,6 +573,20 @@ def test_batch_retires_singular_and_capped_cases(base_net):
     assert sol.iterations == res.iterations[0]
 
 
+def test_batch_overflowing_case_fails_alone_without_a_warning(base_net):
+    # pyproject.toml turns warnings into errors, so an overflow that numpy
+    # warns of ends the solve in an exception here
+    p_load, q_load, _, _ = perturbed_schedules(base_net, np.random.default_rng(4), 3)
+    p_load[1], q_load[1] = p_load[1] * 1e200, q_load[1] * 1e200
+    p_sched, q_sched = base_net.schedule(p_load, q_load)
+    start = initial_state(base_net)
+    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
+    assert res.converged.tolist() == [True, False, True]
+    for i in (0, 2):
+        one = solve_batch(base_net, start, p_sched[i:i + 1], q_sched[i:i + 1], 1e-8, 20)
+        assert np.array_equal(res.v_mag[i], one.v_mag[0]) and res.history(i) == one.history(0)
+
+
 def test_batch_cap_zero_takes_no_step(base_net):
     _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(59), 2)
     start = initial_state(base_net)

@@ -617,6 +617,46 @@ def test_scan_settles_on_the_first_cycle_of_a_block(block, monkeypatch):
     assert _settle_cycles(PLUS_PAULI, lam, parts, 10000)[0] == k
 
 
+def tolerance_settling_at(lam, parts, k):
+    """A STEADY_TOL that the direct powers lam^j of one point first undercut
+    at cycle k, with cycle 1 measured against r0."""
+    ends = (lam ** np.arange(k + 1)[:, None] @ parts[[0, 3]].T).real
+    changes = np.abs(np.diff(ends[:, 1] / ends[:, 0]))      # cycles 1 .. k
+    tol = (changes[k - 2] + changes[k - 1]) / 2 if k > 1 else 2 * changes[0]
+    assert changes[k - 1] < tol < changes[:k - 1].min(initial=np.inf)
+    return tol
+
+
+@pytest.mark.parametrize("k", [1, BLOCK_CYCLES, 20 * BLOCK_CYCLES],
+                         ids=["first-cycle", "end-of-block-1", "end-of-block-20"])
+def test_scan_settles_on_the_cycle_the_direct_powers_pick(k, monkeypatch):
+    # cycle 1 is measured against r0, and the last cycle of a block against
+    # the cycle before it in the same block
+    lam, parts, _ = cycle_modes(curve_sets(0.5, 5)[:1], CollisionParams())
+    monkeypatch.setattr(qsim, "STEADY_TOL", tolerance_settling_at(lam[0], parts[0], k))
+    assert _settle_cycles(PLUS_PAULI, lam, parts, 10000)[0] == k
+
+
+@pytest.mark.parametrize("over", [-1, 0, 1])
+def test_scan_stops_at_its_cap(over, monkeypatch):
+    # k is off the block grid, so the last block a cap near it leaves is
+    # partial; a cap one short of k leaves the point unsettled
+    lam, parts, _ = cycle_modes(curve_sets(0.5, 5)[:1], CollisionParams())
+    k = 3 * BLOCK_CYCLES + 100
+    monkeypatch.setattr(qsim, "STEADY_TOL", tolerance_settling_at(lam[0], parts[0], k))
+    assert _settle_cycles(PLUS_PAULI, lam, parts, k + over)[0] == (k if over >= 0 else 0)
+
+
+def test_scan_settles_each_point_of_a_batch_as_alone():
+    # points leave the scan after the block they settle in, the others keep
+    # their rows; at this cap the outer points of the curve do not settle
+    lam, parts, _ = cycle_modes(curve_sets(0.5, 11), CollisionParams())
+    cycles = _settle_cycles(PLUS_PAULI, lam, parts, 14500)
+    assert (cycles == 0).sum() == 6 and len(np.unique(cycles[cycles > 0] // BLOCK_CYCLES)) == 3
+    for i in range(len(lam)):
+        assert _settle_cycles(PLUS_PAULI, lam[i:i + 1], parts[i:i + 1], 14500)[0] == cycles[i]
+
+
 @pytest.mark.parametrize("block", [1, 20])
 def test_curve_settles_on_the_cycle_the_tolerance_picks(block, monkeypatch):
     # a STEADY_TOL between the changes of cycles k - 1 and k of the iterated
