@@ -59,22 +59,28 @@ class UsageError(Exception):
     pass
 
 
-def _parse_spin(text: str) -> float:
+def _parse_spin(value: str | float) -> float:
+    """A spin from --spin's text, such as "3/2", or from a config's number."""
+    if not isinstance(value, str):
+        return float(value)
     try:
-        if "/" in text:
-            num, den = text.split("/", 1)
+        if "/" in value:
+            num, den = value.split("/", 1)
             return float(num) / float(den)
-        return float(text)
+        return float(value)
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"spin must be a number such as 1.5 or a fraction such as 3/2, "
-                         f"got {text!r}") from None
+                         f"got {value!r}") from None
 
 
 def _is(value, kind: type) -> bool:
-    """isinstance for JSON values: a bool is no number, an int is also a float."""
+    """isinstance for JSON values: a bool is no number, and an int is also a
+    float if a float holds it."""
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float and isinstance(value, int):
+        return abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 class Option(NamedTuple):
@@ -112,7 +118,8 @@ def _resolve(options: tuple[Option, ...], flags: dict, config: dict, source) -> 
 
     A config-file key must name one of `options`, and its value must be one
     the option's flag could have given, or null where the default is None;
-    otherwise ParseError names the key and the file `source`."""
+    otherwise ParseError names the key and the file `source`. A float option's
+    integer becomes the float that its flag would give."""
     unknown = sorted(config.keys() - {opt.dest for opt in options})
     if unknown:
         raise ParseError(f"{source}: no option named {', '.join(map(repr, unknown))}")
@@ -124,6 +131,8 @@ def _resolve(options: tuple[Option, ...], flags: dict, config: dict, source) -> 
             value = config[opt.dest]
             if not (value is None and opt.default is None) and not _fits(opt, value):
                 raise ParseError(f"{source}: {value!r} is not a valid value for {opt.dest!r}")
+            if opt.type is float and value is not None:
+                value = [float(v) for v in value] if opt.nargs else float(value)
             out[opt.dest] = value
         else:
             out[opt.dest] = opt.default
@@ -240,8 +249,7 @@ def _note_beta_bound(fit) -> None:
 
 def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
     # a float either way, so `--spin 1` and a config's "spin": 1 name the same artifacts
-    spin = cfg["spin"]
-    cfg["spin"] = _parse_spin(spin) if isinstance(spin, str) else float(spin)
+    cfg["spin"] = _parse_spin(cfg["spin"])
     params = CollisionParams(
         tau=cfg["tau"],
         n_collisions=cfg["collisions"],
@@ -290,8 +298,9 @@ def _resolve_beta(cfg: dict) -> float:
     if len(given) > 1:
         raise UsageError(f"give at most one of --beta / --spin / --beta-from-fit, got {given}")
     if cfg["spin"] is not None:
-        spin = _parse_spin(cfg["spin"]) if isinstance(cfg["spin"], str) else cfg["spin"]
-        return spin_beta(spin)
+        # a float either way, so `--spin 1` and a config's "spin": 1 write the same snapshot
+        cfg["spin"] = _parse_spin(cfg["spin"])
+        return spin_beta(cfg["spin"])
     if cfg["beta_from_fit"] is not None:
         beta = read_json_object(cfg["beta_from_fit"]).get("beta")
         if not (_is(beta, float) and math.isfinite(beta) and beta > 0):

@@ -276,7 +276,7 @@ class Scaler:
                 scale=np.array(doc["scale"], dtype=float),
                 passthrough=np.array(doc["passthrough"], dtype=bool),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"malformed scaler ({exc!r})") from None
         shapes = {scaler.center.shape, scaler.scale.shape, scaler.passthrough.shape}
         if len(shapes) != 1 or scaler.center.ndim != 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -69,9 +70,9 @@ class LayerTopology:
             raise ValidationError("topology needs at least input and output layers")
         if any(s < 1 for s in self.sizes):
             raise ValidationError(f"layer sizes must be positive, got {self.sizes}")
-        if not 0 < self.beta < math.inf:
+        if not 0 < self.beta <= sys.float_info.max:
             raise ValidationError(f"beta must be finite and positive, got {self.beta}")
-        if self.output_beta is not None and not 0 < self.output_beta < math.inf:
+        if self.output_beta is not None and not 0 < self.output_beta <= sys.float_info.max:
             raise ValidationError(f"output_beta must be finite and positive, got {self.output_beta}")
 
     @property
@@ -574,7 +575,7 @@ def load_model(path: str | Path) -> tuple[MLPParams, dict | None]:
         weights = [np.array(w, dtype=float) for w in doc["weights"]]
         biases = [np.array(b, dtype=float) for b in doc["biases"]]
         scalers = doc["scalers"]
-    except (KeyError, TypeError, ValueError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ValidationError) as exc:
         raise ParseError(f"{path}: missing or malformed field ({exc})") from None
     if scalers is not None and not isinstance(scalers, dict):
         raise ParseError(f"{path}: scalers must be an object or null, got {scalers!r}")
