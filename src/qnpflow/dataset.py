@@ -60,95 +60,6 @@ class DatasetMeta:
     split_seed: int | None = None
 
 
-# numpy's SeedSequence (hash and mix constants, 4-word pool) and PCG64
-# (128-bit LCG multiplier) constants, for the batched draws below.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
-_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
-_U32, _X16, _U = np.uint64(_MASK32), np.uint64(16), np.uint64
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix: the multiplier advances by `mult` on every call
-    and does not depend on the data, so it stays a Python int masked to 32 bits."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ _U(const)
-        const = const * mult & _MASK32
-        value = value * _U(const) & _U32
-        return value ^ (value >> _X16)
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _U32
-    return result ^ (result >> _X16)
-
-
-def _mulhi(a: np.ndarray, b: int) -> np.ndarray:
-    """High 64 bits of each a * b, from 32-bit halves."""
-    a0, a1 = a & _U32, a >> _U(32)
-    b0, b1 = _U(b & _MASK32), _U(b >> 32)
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> _U(32)) + (p01 & _U32) + (p10 & _U32)
-    return a1 * b1 + (p01 >> _U(32)) + (p10 >> _U(32)) + (mid >> _U(32))
-
-
-def _pcg_step(hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray,
-              inc_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """state * multiplier + inc, mod 2**128, on (high, low) word arrays."""
-    new_lo = lo * _U(_PCG_MULT_LO) + inc_lo
-    carry = (new_lo < inc_lo).astype(np.uint64)
-    new_hi = (_mulhi(lo, _PCG_MULT_LO) + lo * _U(_PCG_MULT_HI) + hi * _U(_PCG_MULT_LO)
-              + inc_hi + carry)
-    return new_hi, new_lo
-
-
-def _uniform_draws(seed: int, n: int, k: int, low: float, high: float) -> np.ndarray:
-    """Row idx holds `np.random.default_rng([seed, idx]).uniform(low, high, k)`,
-    bit for bit, computed for every idx < n at once in uint64 arithmetic: the
-    SeedSequence pool of the entropy words, its 4 uint64 state words, PCG64
-    seeding, then k XSL-RR outputs as doubles. Each idx < 2**32 is one word."""
-    words = []
-    while True:  # the little-endian 32-bit words of seed; 0 gives one word
-        words.append(np.full(n, seed & _MASK32, dtype=np.uint64))
-        seed >>= 32
-        if not seed:
-            break
-    words.append(np.arange(n, dtype=np.uint64))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(words[i] if i < len(words) else np.zeros(n, np.uint64)) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    halves = [hashmix(pool[i % 4]) for i in range(8)]
-    init_hi, init_lo, seq_hi, seq_lo = (
-        halves[2 * j] | (halves[2 * j + 1] << _U(32)) for j in range(4))
-
-    inc_hi = (seq_hi << _U(1)) | (seq_lo >> _U(63))
-    inc_lo = (seq_lo << _U(1)) | _U(1)
-    lo = inc_lo + init_lo  # state 0 stepped once is inc; then state += initstate
-    hi = inc_hi + init_hi + (lo < init_lo).astype(np.uint64)
-    hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-
-    out = np.empty((n, k))
-    for j in range(k):
-        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        folded, rot = hi ^ lo, hi >> _U(58)
-        raw = (folded >> rot) | (folded << ((_U(64) - rot) & _U(63)))
-        out[:, j] = (raw >> _U(11)).astype(np.float64) * 2.0 ** -53
-    return low + (high - low) * out
-
-
 def generate(
     net: NetworkModel,
     n: int,
@@ -163,11 +74,10 @@ def generate(
     By default each PQ bus gets its own P and Q multiplier; `coupled` draws
     one multiplier for both, and `perturb_all_loads` perturbs every bus.
 
-    Sample i draws what its own `np.random.default_rng([seed, i])` would, bit
-    for bit, so it is identical no matter how many samples are requested;
-    one batch computes the draws of all samples at once. The cases differ
-    only in their loads, so one solve_batch call solves them all, from a
-    flat start with the default SolveOptions.
+    One `np.random.default_rng(seed)` draws every multiplier, row by row, so
+    the first m samples are the same for any n >= m. The cases differ only
+    in their loads, so one solve_batch call solves them all, from a flat
+    start with the default SolveOptions.
     Non-converged cases are kept with converged=False and NaN targets. Raises
     TooFewConverged when fewer than 90% of the cases solve.
     """
@@ -184,7 +94,7 @@ def generate(
 
     # One draw per perturbed bus when coupled, else a (P, Q) pair per bus.
     per_bus = 1 if coupled else 2
-    factors = _uniform_draws(seed, n, per_bus * len(perturbed), low, high)
+    factors = np.random.default_rng(seed).uniform(low, high, (n, per_bus * len(perturbed)))
     p_load = np.tile([b.p_load for b in net.buses], (n, 1))
     q_load = np.tile([b.q_load for b in net.buses], (n, 1))
     with np.errstate(over="ignore"):  # an infinite load leaves its case unconverged

@@ -47,28 +47,18 @@ def assert_same_samples(a, b):
     assert np.array_equal(a.converged, b.converged)
 
 
-def test_generation_is_deterministic_and_prefix_stable(base_net):
-    short, _ = generate(base_net, 50, seed=3)
-    long, _ = generate(base_net, 200, seed=3)
+@pytest.mark.parametrize("seed, opts", [
+    (3, {}),
+    (3, {"coupled": True}),
+    (3, {"perturb_all_loads": True}),
+    (3, {"coupled": True, "perturb_all_loads": True}),
+    (2**130 + 3, {}),
+], ids=["default", "coupled", "perturb_all_loads", "both", "multi-word-seed"])
+def test_generation_is_deterministic_and_prefix_stable(base_net, seed, opts):
+    short, _ = generate(base_net, 50, seed=seed, **opts)
+    long, _ = generate(base_net, 200, seed=seed, **opts)
     assert len(short) == 50 and len(long) == 200
     assert_same_samples(short, long[:50])
-
-
-# one- to five-word seeds: 2**130 + 3 with the sample index makes six entropy
-# words, past SeedSequence's 4-word pool
-DRAW_SEEDS = [0, 1, 4, 12345, 2**31, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**130 + 3]
-
-
-@pytest.mark.parametrize("seed", DRAW_SEEDS)
-@pytest.mark.parametrize("k", [2, 4, 8], ids=["coupled", "default", "all-loads"])
-def test_batched_draws_bitwise_equal_per_sample_generators(seed, k):
-    for low, high in [(0.8, 1.2), (1.0, 5.5), (1.0, 1.0)]:
-        for n in (1, 300):
-            draws = dataset._uniform_draws(seed, n, k, low, high)
-            reference = np.array([np.random.default_rng([seed, idx]).uniform(low, high, k)
-                                  for idx in range(n)])
-            assert draws.shape == (n, k)
-            assert np.array_equal(draws.view(np.uint64), reference.view(np.uint64))
 
 
 def base_loads(net):
@@ -76,27 +66,18 @@ def base_loads(net):
     return np.array([b.p_load for b in net.buses]), np.array([b.q_load for b in net.buses])
 
 
-def test_single_sample_draws_are_its_generators(base_net):
-    samples, _ = generate(base_net, 1, seed=2**64 + 5)
-    draws = np.random.default_rng([2**64 + 5, 0]).uniform(0.8, 1.2, 4)
-    p, q = base_loads(base_net)
-    pq, n = base_net.pq_indices, base_net.n
-    p[pq] *= draws[0::2]
-    q[pq] *= draws[1::2]
-    loads = np.concatenate([base_net.base.to_pu(p), base_net.base.to_pu(q)])
-    assert np.array_equal(samples.inputs[0, :2 * n].view(np.uint64), loads.view(np.uint64))
-
-
 def per_sample_reference(net, n, mult_range, seed, coupled=False, perturb_all_loads=False):
     """The per-sample path that the batched generate replaced: a NetworkModel
-    per sample, then solve(). Returns each sample's inputs, targets, converged
-    flag and Newton step count (None after a singular Jacobian)."""
+    per sample, then solve(). One `default_rng(seed)` draws the multipliers
+    one scalar at a time in row order (P then Q per perturbed bus, one draw
+    when coupled). Returns each sample's inputs, targets, converged flag and
+    Newton step count (None after a singular Jacobian)."""
     low, high = mult_range
     perturbed = range(net.n) if perturb_all_loads else net.pq_indices
     n_targets = len(net.pq_indices) + len(net.non_slack_indices)
+    rng = np.random.default_rng(seed)
     rows = []
-    for idx in range(n):
-        rng = np.random.default_rng([seed, idx])
+    for _ in range(n):
         buses = list(net.buses)
         for i in perturbed:
             if coupled:
@@ -181,24 +162,26 @@ def test_samples_satisfy_power_balance(base_net):
         assert np.abs(mismatch(StateVector(delta, v), case)).max() < 1e-8
 
 
-def assert_loads_are_draws(samples, net, draws, perturbed, per_bus):
+def assert_loads_are_draws(samples, net, seed, perturbed, per_bus):
     """Each perturbed bus's P and Q load is its base load times the sample's
-    draw for it (one shared draw when per_bus is 1), bit for bit."""
+    draw for it from `default_rng(seed).uniform(0.8, 1.2, ...)` (one shared
+    draw when per_bus is 1), bit for bit. Returns the draws."""
+    draws = np.random.default_rng(seed).uniform(0.8, 1.2, (len(samples), per_bus * len(perturbed)))
     p, q = base_loads(net)
     n = net.n
     for side, base, first in ((0, p, 0), (1, q, per_bus - 1)):
         loads = samples.inputs[:, side * n + perturbed]
         expected = net.base.to_pu(base[perturbed] * draws[:, first::per_bus])
         assert np.array_equal(loads.view(np.uint64), expected.view(np.uint64))
+    return draws
 
 
 def test_multipliers_cover_pq_loads_only(base_net):
     samples, _ = generate(base_net, 30, mult_range=(0.8, 1.2), seed=5)
     n = base_net.n
     pq = set(base_net.pq_indices)
-    draws = dataset._uniform_draws(5, 30, 2 * len(pq), 0.8, 1.2)
+    draws = assert_loads_are_draws(samples, base_net, 5, base_net.pq_indices, 2)
     assert np.all(draws >= 0.8) and np.all(draws <= 1.2)
-    assert_loads_are_draws(samples, base_net, draws, base_net.pq_indices, 2)
     inputs = samples.inputs
     for i in range(n):
         if i not in pq:
@@ -211,15 +194,12 @@ def test_multipliers_cover_pq_loads_only(base_net):
 
 def test_coupled_flag_ties_p_and_q(base_net):
     samples, _ = generate(base_net, 10, seed=2, coupled=True)
-    pq = base_net.pq_indices
-    draws = dataset._uniform_draws(2, 10, len(pq), 0.8, 1.2)
-    assert_loads_are_draws(samples, base_net, draws, pq, 1)
+    assert_loads_are_draws(samples, base_net, 2, base_net.pq_indices, 1)
 
 
 def test_perturb_all_loads_flag(base_net):
     samples, _ = generate(base_net, 5, seed=4, perturb_all_loads=True)
-    draws = dataset._uniform_draws(4, 5, 2 * base_net.n, 0.8, 1.2)
-    assert_loads_are_draws(samples, base_net, draws, np.arange(base_net.n), 2)
+    assert_loads_are_draws(samples, base_net, 4, np.arange(base_net.n), 2)
 
 
 def test_unsolvable_loading_raises(base_net):

@@ -715,7 +715,9 @@ def test_batch_evaluates_each_state_once(base_net, monkeypatch, zero_pivots):
             return original(state, net)
         return count
 
-    start, p_sched, q_sched = generate_schedules(base_net, 500, (1.0, 5.5))
+    # at 2000 samples, as in the paper, both schedules hold a case that runs
+    # to the 20-step cap; at 500 the zero-pivot one holds none
+    start, p_sched, q_sched = generate_schedules(base_net, 2000, (1.0, 5.5))
     if zero_pivots:
         monkeypatch.setattr(powerflow, "jacobian", zero_pivot_jacobian(powerflow.jacobian))
     for name in counts:
