@@ -162,26 +162,52 @@ def test_samples_satisfy_power_balance(base_net):
         assert np.abs(mismatch(StateVector(delta, v), case)).max() < 1e-8
 
 
-def assert_loads_are_draws(samples, net, seed, perturbed, per_bus):
+def batched_draws(seed, n, k, low=0.8, high=1.2):
+    return np.random.default_rng(seed).uniform(low, high, (n, k))
+
+
+def scalar_draws(seed, n, k, low, high):
+    """One `default_rng(seed)` drawing k multipliers per sample one scalar at
+    a time, sample after sample."""
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(low, high) for _ in range(k)] for _ in range(n)])
+
+
+def assert_loads_are_draws(samples, net, draws, perturbed, per_bus):
     """Each perturbed bus's P and Q load is its base load times the sample's
-    draw for it from `default_rng(seed).uniform(0.8, 1.2, ...)` (one shared
-    draw when per_bus is 1), bit for bit. Returns the draws."""
-    draws = np.random.default_rng(seed).uniform(0.8, 1.2, (len(samples), per_bus * len(perturbed)))
+    draw for it (one shared draw when per_bus is 1), bit for bit."""
     p, q = base_loads(net)
     n = net.n
     for side, base, first in ((0, p, 0), (1, q, per_bus - 1)):
         loads = samples.inputs[:, side * n + perturbed]
         expected = net.base.to_pu(base[perturbed] * draws[:, first::per_bus])
         assert np.array_equal(loads.view(np.uint64), expected.view(np.uint64))
-    return draws
+
+
+# one- to five-word seeds
+DRAW_SEEDS = [0, 1, 4, 12345, 2**31, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**130 + 3]
+
+
+@pytest.mark.parametrize("seed", DRAW_SEEDS)
+@pytest.mark.parametrize("opts", [{"coupled": True}, {}, {"perturb_all_loads": True}],
+                         ids=["coupled", "default", "all-loads"])
+def test_loads_are_one_generators_scalar_draws_in_row_order(base_net, seed, opts):
+    perturbed = np.arange(base_net.n) if opts.get("perturb_all_loads") else base_net.pq_indices
+    per_bus = 1 if opts.get("coupled") else 2
+    for low, high in [(0.8, 1.2), (1.0, 2.5), (1.0, 1.0)]:
+        reference = scalar_draws(seed, 300, per_bus * len(perturbed), low, high)
+        for n in (1, 300):
+            samples, _ = generate(base_net, n, (low, high), seed, **opts)
+            assert_loads_are_draws(samples, base_net, reference[:n], perturbed, per_bus)
 
 
 def test_multipliers_cover_pq_loads_only(base_net):
     samples, _ = generate(base_net, 30, mult_range=(0.8, 1.2), seed=5)
     n = base_net.n
     pq = set(base_net.pq_indices)
-    draws = assert_loads_are_draws(samples, base_net, 5, base_net.pq_indices, 2)
+    draws = batched_draws(5, 30, 2 * len(pq))
     assert np.all(draws >= 0.8) and np.all(draws <= 1.2)
+    assert_loads_are_draws(samples, base_net, draws, base_net.pq_indices, 2)
     inputs = samples.inputs
     for i in range(n):
         if i not in pq:
@@ -194,12 +220,14 @@ def test_multipliers_cover_pq_loads_only(base_net):
 
 def test_coupled_flag_ties_p_and_q(base_net):
     samples, _ = generate(base_net, 10, seed=2, coupled=True)
-    assert_loads_are_draws(samples, base_net, 2, base_net.pq_indices, 1)
+    pq = base_net.pq_indices
+    assert_loads_are_draws(samples, base_net, batched_draws(2, 10, len(pq)), pq, 1)
 
 
 def test_perturb_all_loads_flag(base_net):
     samples, _ = generate(base_net, 5, seed=4, perturb_all_loads=True)
-    assert_loads_are_draws(samples, base_net, 4, np.arange(base_net.n), 2)
+    draws = batched_draws(4, 5, 2 * base_net.n)
+    assert_loads_are_draws(samples, base_net, draws, np.arange(base_net.n), 2)
 
 
 def test_unsolvable_loading_raises(base_net):
