@@ -1,7 +1,7 @@
 """Transfer-curve container, tanh steepness fitting, and the spin-to-steepness table."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class ActivationCurve:
     spin_j: float | None = None
     collisions_used: np.ndarray | None = None
     converged: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)

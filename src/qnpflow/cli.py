@@ -175,8 +175,6 @@ def cmd_solve(ns: argparse.Namespace, cfg: dict) -> int:
         "mismatch_history": list(sol.mismatch_history),
         "buses": rows,
     }, indent=1) + "\n")
-    # the bus records again, as text: str of a float is its repr
-    write_csv(out / "solution.csv", [",".join(rows[0]), *(",".join(map(str, r.values())) for r in rows)])
 
     print(f"converged in {sol.iterations} iterations, "
           f"final mismatch {sol.mismatch_history[-1]:.3e}")
@@ -197,7 +195,6 @@ def cmd_dataset(ns: argparse.Namespace, cfg: dict) -> int:
                              coupled=cfg["coupled"], perturb_all_loads=cfg["perturb_all_loads"])
 
     train_s, test_s = split(samples[samples.converged], cfg["split"], cfg["seed"])
-    meta = replace(meta, split_ratio=cfg["split"], split_seed=cfg["seed"])
 
     out = _out_dir(cfg)
     _write_snapshot(out, "dataset", {**cfg, "network": str(ns.network)})
@@ -225,19 +222,13 @@ def _read_curve_csv(path: str | Path) -> ActivationCurve:
             raise ParseError(f"{path}: line {line}: u and sigma_z must be numbers")
     u, y = parse_rows(path, rows, itemgetter(column["u"], column["sigma_z"]), float).T
     try:
-        return ActivationCurve(inputs=u, outputs=y, provenance={"source": Path(path).name})
+        return ActivationCurve(inputs=u, outputs=y)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
 def _fit_doc(fit, curve: ActivationCurve) -> dict:
-    return {
-        "beta": fit.beta,
-        "rss": fit.rss,
-        "n_points": fit.n_points,
-        "spin_j": curve.spin_j,
-        "provenance": curve.provenance,
-    }
+    return {"beta": fit.beta, "rss": fit.rss, "n_points": fit.n_points, "spin_j": curve.spin_j}
 
 
 def _note_beta_bound(fit) -> None:
@@ -250,14 +241,15 @@ def _note_beta_bound(fit) -> None:
 def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
     # a float either way, so `--spin 1` and a config's "spin": 1 name the same artifacts
     cfg["spin"] = _parse_spin(cfg["spin"])
+    if cfg["seed"] is not None and cfg["seed"] < 0:  # recorded in the snapshot, drawn from by nothing
+        raise ValidationError(f"seed must be non-negative, got {cfg['seed']}")
     params = CollisionParams(
         tau=cfg["tau"],
         n_collisions=cfg["collisions"],
         gamma=cfg["gamma"],
         propagator_mode=cfg["mode"],
     )
-    curve = transfer_curve(cfg["spin"], params, n_points=cfg["points"], g=cfg["g"],
-                           seed=cfg["seed"])
+    curve = transfer_curve(cfg["spin"], params, n_points=cfg["points"], g=cfg["g"])
     fit = fit_beta(curve)
 
     out = _out_dir(cfg)

@@ -46,18 +46,13 @@ class Samples:
 
 @dataclass
 class DatasetMeta:
-    seed: int
+    """What the splits hold; the recipe that drew them is in dataset_config.json."""
+
     n_requested: int
     n_converged: int
-    mult_low: float
-    mult_high: float
-    coupled: bool
-    perturb_all_loads: bool
     network_fingerprint: str
     input_labels: list[str]
     target_labels: list[str]
-    split_ratio: float | None = None
-    split_seed: int | None = None
 
 
 def generate(
@@ -87,6 +82,13 @@ def generate(
                               f"got {mult_range}")
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
+    solver = SolveOptions()
+    # the widest arrays per sample: the Jacobian's two stacked complex n x n
+    # derivatives, and the norm of each Newton step
+    most = np.iinfo(np.intp).max // (8 * max(4 * net.n**2, solver.max_iter + 1))
+    if n > most:
+        raise ValidationError(f"n must be at most {most}, as numpy cannot index the arrays "
+                              f"of more samples, got {n}")
     if seed < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
@@ -103,7 +105,6 @@ def generate(
 
     fixed_v = [net.buses[i].v_mag for i in (net.slack_index, *net.pv_indices)]
     inputs = np.hstack([net.base.to_pu(p_load), net.base.to_pu(q_load), np.tile(fixed_v, (n, 1))])
-    solver = SolveOptions()
     res = solve_batch(net, initial_state(net), *net.schedule(p_load, q_load),
                       solver.tol, solver.max_iter)
     targets = np.hstack([res.v_mag[:, net.pq_indices], res.delta[:, net.non_slack_indices]])
@@ -116,13 +117,8 @@ def generate(
         )
     ids = [b.id for b in net.buses]
     meta = DatasetMeta(
-        seed=seed,
         n_requested=n,
         n_converged=n_converged,
-        mult_low=low,
-        mult_high=high,
-        coupled=coupled,
-        perturb_all_loads=perturb_all_loads,
         network_fingerprint=net.fingerprint,
         input_labels=[*(f"p_load_{b}" for b in ids), *(f"q_load_{b}" for b in ids),
                       f"v_slack_{ids[net.slack_index]}", *(f"v_pv_{ids[i]}" for i in net.pv_indices)],

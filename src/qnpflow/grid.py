@@ -146,7 +146,7 @@ class NetworkModel:
 
     @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 of the network file contents that save_network writes."""
+        """SHA-256 of the network's base, bus records and Y-bus entries as sorted-key JSON."""
         return hashlib.sha256(json.dumps(_payload(self), sort_keys=True).encode()).hexdigest()
 
 
@@ -277,9 +277,3 @@ def _payload(net: NetworkModel) -> dict:
         for i in range(net.n)
     ]
     return {"base_mva": net.base.s_base, "buses": bus_rows, "ybus": ybus_rows}
-
-
-def save_network(net: NetworkModel, path: str | Path):
-    """Write a network file that round-trips to bit-identical bus records."""
-    Path(path).write_text(json.dumps(_payload(net), indent=2) + "\n")
-

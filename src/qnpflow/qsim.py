@@ -25,6 +25,10 @@ STEADY_TOL = 1e-9
 # Collision caps must fit the int64 counts that transfer_curve reports.
 MAX_COLLISIONS = 2**63 - 1
 
+# The most curve points: transfer_curve's widest array holds five floats per
+# point, and numpy indexes no array of more bytes than np.intp holds.
+MAX_POINTS = np.iinfo(np.intp).max // 40
+
 # The largest spin whose binomials C(2J, k), which the unit states' amplitudes
 # take the square roots of, fit a float: C(1030, 515) exceeds 1.8e308.
 MAX_SPIN = 514.5
@@ -401,14 +405,12 @@ def transfer_curve(
     params: CollisionParams | None = None,
     n_points: int = 41,
     g: float = 0.01,
-    seed: int | None = None,
 ) -> ActivationCurve:
     """Steady-state response of the probe versus the coupling imbalance u.
 
     For each u in [-1, 1], two reservoirs at theta = 0 and theta = pi split
     the total coupling as g1^2 = g^2 (1+u)/2, g2^2 = g^2 (1-u)/2, and the
-    probe starts in |+>; seed is recorded in the provenance and changes
-    nothing.
+    probe starts in |+>.
 
     The units are |J, J> and |J, -J>, so a collision moves at most one
     excitation between probe and unit and populations never feed coherences:
@@ -427,10 +429,8 @@ def transfer_curve(
     params = params if params is not None else CollisionParams()
     _check_spin(spin_j)
     _check_coupling(g)
-    if seed is not None and seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    if n_points < 5 or n_points % 2 == 0:
-        raise ValidationError(f"n_points must be odd and at least 5, got {n_points}")
+    if not 5 <= n_points <= MAX_POINTS or n_points % 2 == 0:
+        raise ValidationError(f"n_points must be odd and in [5, {MAX_POINTS}], got {n_points}")
     if g == 0:
         raise NoCoupling("all reservoir couplings are zero")
     us = np.linspace(-1.0, 1.0, n_points)
@@ -451,12 +451,4 @@ def transfer_curve(
         spin_j=spin_j,
         collisions_used=collisions_used,
         converged=converged,
-        provenance={
-            "g": g,
-            "tau": params.tau,
-            "gamma": params.gamma,
-            "n_collisions": params.n_collisions,
-            "mode": params.propagator_mode.value,
-            "seed": seed,
-        },
     )

@@ -1,7 +1,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qnpflow.grid import load_network
@@ -26,33 +25,27 @@ def write_doc(doc, tmp_path, name="net"):
     return path
 
 
+# The recipe keys that meta files held before the config snapshot alone kept
+# the recipe, as a `dataset --seed 0` run with the default options wrote them.
+RECIPE_KEYS = {"seed": 0, "mult_low": 0.8, "mult_high": 1.2, "coupled": False,
+               "perturb_all_loads": False, "split_ratio": 0.8, "split_seed": 0}
+
+
 def write_parent_layout(prefix):
     """Rewrite the dataset files under `prefix` in the layout of the releases
     that also wrote the load multipliers: after sample_id, a `mult_p<bus>`,
-    `mult_q<bus>` pair per PQ bus holding the sample's draws, and their labels
-    as the meta's `mult_labels`, formatted as those releases wrote them. The
-    cells hold today's draws, which differ from the ones those releases drew
-    for the same seed; the header check rejects the layout before any cell
-    is read. Only the default draws (neither coupled nor perturbing every
-    load)."""
+    `mult_q<bus>` pair per PQ bus (the layout of the default draws, neither
+    coupled nor perturbing every load), and in the meta their labels as
+    `mult_labels` and the recipe keys. Every multiplier cell holds 1.0: the
+    header check rejects the layout before any cell is read."""
     meta_path = Path(f"{prefix}_meta.json")
     meta = json.loads(meta_path.read_text())
-    assert not (meta["coupled"] or meta["perturb_all_loads"])
     pq = [lab.removeprefix("v_mag_") for lab in meta["target_labels"] if lab.startswith("v_mag_")]
     labels = [f"mult_{side}{bus}" for bus in pq for side in "pq"]
-    draws = np.random.default_rng(meta["seed"]).uniform(
-        meta["mult_low"], meta["mult_high"], (meta["n_requested"], len(labels)))
     for split in ("train", "test"):
         path = Path(f"{prefix}_{split}.csv")
         header, *rows = path.read_bytes().decode().split("\r\n")[:-1]
         lines = [header.replace("sample_id,", f"sample_id,{','.join(labels)},", 1)]
-        for row in rows:
-            sample_id, rest = row.split(",", 1)
-            lines.append(",".join([sample_id, *map(repr, draws[int(sample_id)].tolist()), rest]))
+        lines += [row.replace(",", "," + "1.0," * len(labels), 1) for row in rows]
         path.write_bytes("".join(line + "\r\n" for line in lines).encode())
-    old = {}
-    for key, value in meta.items():
-        if key == "input_labels":
-            old["mult_labels"] = labels
-        old[key] = value
-    meta_path.write_text(json.dumps(old, indent=1) + "\n")
+    meta_path.write_text(json.dumps({**RECIPE_KEYS, "mult_labels": labels, **meta}, indent=1) + "\n")

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import NETWORK_PATH, write_doc, write_parent_layout
+from conftest import NETWORK_PATH, RECIPE_KEYS, write_doc, write_parent_layout
 from qnpflow import cli as cli_module
 from qnpflow import errors
 from qnpflow.cli import COMMANDS, build_parser, main
@@ -90,33 +90,15 @@ def test_solve_writes_artifacts(tmp_path):
     res = cli("solve", NETWORK, "--out-dir", tmp_path)
     assert res.returncode == 0, res.stderr
     assert "converged" in res.stdout
+    # the bus records are solution.json's alone; no CSV repeats them
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["solution.json", "solve_config.json"]
     doc = json.loads((tmp_path / "solution.json").read_text())
     assert doc["converged"] is True
     assert doc["iterations"] <= 5
-    assert len(doc["buses"]) == 4
-    rows = (tmp_path / "solution.csv").read_text().splitlines()
-    assert rows[0] == "bus_id,kind,v_mag_pu,delta_deg,p_inj_mw,q_inj_mvar"
-    assert len(rows) == 5
-    for row in rows[1:]:
-        bus_id, _, *numbers = row.split(",")
-        int(bus_id)
-        for cell in numbers:
-            float(cell)  # plain numbers, e.g. no np.float64(...) wrapper
+    assert [list(bus) for bus in doc["buses"]] == [
+        ["bus_id", "kind", "v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"]] * 4
     snap = json.loads((tmp_path / "solve_config.json").read_text())
     assert snap["command"] == "solve" and snap["tol"] == 1e-8
-    # JSON keeps every float's repr, so its bus records rebuild the same rows
-    per_row_solution_csv(doc["buses"], tmp_path / "rows.csv")
-    assert (tmp_path / "solution.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
-
-
-def per_row_solution_csv(buses, path):
-    """The csv.writer loop that wrote solution.csv from the bus records."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bus_id", "kind", "v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"])
-        for r in buses:
-            writer.writerow([r["bus_id"], r["kind"], *(repr(r[k]) for k in
-                             ("v_mag_pu", "delta_deg", "p_inj_mw", "q_inj_mvar"))])
 
 
 @pytest.mark.parametrize("cap", [10**12, 10**20])
@@ -190,10 +172,13 @@ def test_dataset_split_sizes(dataset_dir):
     assert len(data_rows(dataset_dir / "data_train.csv")) == 32
     assert len(data_rows(dataset_dir / "data_test.csv")) == 8
     meta = json.loads((dataset_dir / "data_meta.json").read_text())
-    assert meta["n_converged"] == 40 and meta["split_ratio"] == 0.8
-    assert meta["split_seed"] == 0
-    # train fits the scalers; the dataset files hold none
-    assert not {"scaler_kind", "feature_scaler", "target_scaler"} & meta.keys()
+    assert meta["n_converged"] == 40
+    # the recipe, split included, is the snapshot's alone, and train fits the
+    # scalers: the meta holds neither
+    assert list(meta) == ["n_requested", "n_converged", "network_fingerprint", "input_labels",
+                          "target_labels"]
+    snap = json.loads((dataset_dir / "dataset_config.json").read_text())
+    assert snap["split"] == 0.8 and snap["seed"] == 0
 
 
 def test_dataset_rerun_is_byte_identical(dataset_dir):
@@ -293,15 +278,18 @@ def test_activation_simulate_silent_when_converged(tmp_path):
 
 
 def test_activation_simulate_ignores_seed(tmp_path):
-    # the seed is recorded in the config and the fit's provenance, nowhere else
-    curves = {}
-    for seed in (1, 2):
+    # the seed is recorded in the config snapshot, nowhere else
+    written = {}
+    for seed in (1, 3):
         out = tmp_path / f"seed{seed}"
         res = cli("activation", "simulate", "--spin", "5/2", "--points", 5,
                   "--seed", seed, "--out-dir", out)
         assert res.returncode == 0, res.stderr
-        curves[seed] = (out / "curve_spin2.5.csv").read_bytes()
-    assert curves[1] == curves[2]
+        written[seed] = {name: (out / name).read_bytes()
+                         for name in ("curve_spin2.5.csv", "fit_spin2.5.json")}
+        assert json.loads((out / "activation_simulate_config.json").read_text())["seed"] == seed
+    assert written[1] == written[3]
+    assert "provenance" not in json.loads(written[1]["fit_spin2.5.json"])
 
 
 def test_activation_simulate_notes_beta_at_the_lower_bound(tmp_path):
@@ -482,6 +470,24 @@ def copy_split(prefix, dest, name="data"):
     for suffix in ("train.csv", "test.csv", "meta.json"):
         (dest / f"{name}_{suffix}").write_bytes(Path(f"{prefix}_{suffix}").read_bytes())
     return dest / name
+
+
+def test_train_and_evaluate_read_a_meta_with_the_recipe_keys(dataset_dir, tmp_path):
+    # meta files written before the snapshot alone kept the recipe hold its
+    # seven keys too; train and evaluate ignore them
+    old = copy_split(dataset_dir / "data", tmp_path)
+    meta = json.loads(Path(f"{old}_meta.json").read_text())
+    write_doc({**RECIPE_KEYS, **meta}, tmp_path, name="data_meta.json")
+    written = []
+    for prefix in (dataset_dir / "data", old):
+        out = tmp_path / f"out{len(written)}"
+        for argv in (("train", prefix, "--preset", "table3", "--epochs", 2, "--out-dir", out),
+                     ("evaluate", out / "model.json", prefix, "--out-dir", out)):
+            res = cli(*argv)
+            assert res.returncode == 0, res.stderr
+        written.append({name: (out / name).read_bytes()
+                        for name in ("model.json", "epochs.csv", "eval_report.json")})
+    assert written[0] == written[1]
 
 
 def test_train_beta_from_fit(dataset_dir, curve_dir, tmp_path):
@@ -969,6 +975,9 @@ FAILURES = [
     row("dataset NET --n 20 --range 0.8 inf", 4, "multiplier range must satisfy"),
     row("dataset NET --n 20 --range nan 1.2", 4, "multiplier range must satisfy"),
     row("dataset NET --n 10 --seed -1", 4, "seed must be non-negative"),
+    # sizes beyond what numpy indexes fail before any array is made
+    *(row(f"dataset NET --n {n}", 4, "error: n must be at most 18014398509481983, as numpy cannot "
+          f"index the arrays of more samples, got {n}\n") for n in (4 * 10**18, 10**20)),
     config_row("dataset NET", "n", "500"),
     config_row("dataset NET", "n", None),  # null only where the default is None
     config_row("dataset NET", "mult_range", [BIG, 1], "[BIG, 1]"),
@@ -983,6 +992,9 @@ FAILURES = [
         ("--collisions 100000000000000000000", "n_collisions"),
     ]),
     row("activation simulate --points 4 --collisions 100", 4, "n_points must be odd"),
+    *(row(f"activation simulate --points {n}", 4,
+          f"error: n_points must be odd and in [5, 230584300921369395], got {n}\n")
+      for n in (2**63 - 1, 10**20 + 1)),
     row("activation simulate --schedule round-robin", 2, "unrecognized arguments: --schedule"),
     row("activation simulate --config cfg.json", 4, "error: cfg.json: no option named 'schedule'\n",
         file("cfg.json", {"schedule": "round-robin"})),

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import write_parent_layout
+from conftest import RECIPE_KEYS, write_parent_layout
 from qnpflow.dataset import (
-    DatasetMeta,
     Samples,
     Scaler,
     fit_scaler,
@@ -34,7 +34,7 @@ from qnpflow.errors import (
     ValidationError,
 )
 from qnpflow.grid import NetworkModel
-from qnpflow.powerflow import StateVector, mismatch, solve
+from qnpflow.powerflow import solve
 
 # ---------------------------------------------------------------------------
 # generation
@@ -138,30 +138,6 @@ def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_
         assert 0 < meta.n_requested - meta.n_converged < 0.05 * meta.n_requested
 
 
-def test_samples_satisfy_power_balance(base_net):
-    # rebuild each perturbed case from the recorded inputs and confirm the
-    # recorded targets zero the mismatch to solver tolerance
-    samples, _ = generate(base_net, 20, seed=1)
-    n = base_net.n
-    pq = list(base_net.pq_indices)
-    ns = list(base_net.non_slack_indices)
-    for s in samples:
-        assert s.converged
-        buses = list(base_net.buses)
-        for i in range(n):
-            buses[i] = replace(
-                buses[i],
-                p_load=base_net.base.from_pu(s.inputs[i]),
-                q_load=base_net.base.from_pu(s.inputs[n + i]),
-            )
-        case = NetworkModel(buses=tuple(buses), ybus=base_net.ybus, base=base_net.base)
-        v = np.array([b.v_mag if b.v_mag is not None else 1.0 for b in case.buses])
-        v[pq] = s.targets[: len(pq)]
-        delta = np.zeros(n)
-        delta[ns] = s.targets[len(pq):]
-        assert np.abs(mismatch(StateVector(delta, v), case)).max() < 1e-8
-
-
 def batched_draws(seed, n, k, low=0.8, high=1.2):
     return np.random.default_rng(seed).uniform(low, high, (n, k))
 
@@ -244,6 +220,14 @@ def test_generate_validation(base_net):
         generate(base_net, 5, mult_range=(-0.5, 1.0))
     with pytest.raises(ValidationError, match="seed"):
         generate(base_net, 5, seed=-1)
+    # no n up to the bound is tried, as it would allocate
+    with pytest.raises(ValidationError, match="n must be at most") as info:
+        generate(base_net, 2**70)
+    most = int(re.search(r"at most (\d+)", str(info.value))[1])
+    # the stacked Jacobian derivatives, 2 n^2 complex numbers a sample, fit np.intp at the bound
+    assert most * 32 * base_net.n**2 <= np.iinfo(np.intp).max
+    with pytest.raises(ValidationError, match=f"at most {most},"):
+        generate(base_net, most + 1)
 
 
 def test_meta_counts(base_net):
@@ -383,7 +367,6 @@ def write_prefix(tmp_path, samples, meta, ratio, seed):
     """Split the converged samples and write them under one prefix, as the
     dataset command does."""
     train, test = split(samples[samples.converged], ratio, seed)
-    meta = replace(meta, split_ratio=ratio, split_seed=seed)
     prefix = str(tmp_path / "data")
     write_dataset_csv(train, meta, f"{prefix}_train.csv")
     write_dataset_csv(test, meta, f"{prefix}_test.csv")
@@ -509,7 +492,7 @@ def test_split_with_multiplier_columns_fails_the_header_check(base_net, tmp_path
     samples, meta = generate(base_net, 20, seed=23)
     prefix, meta, *_ = write_prefix(tmp_path, samples, meta, 0.8, 24)
     write_parent_layout(prefix)
-    assert "mult_labels" in json.loads(Path(f"{prefix}_meta.json").read_text())
+    assert {"mult_labels", *RECIPE_KEYS} <= json.loads(Path(f"{prefix}_meta.json").read_text()).keys()
     assert read_meta_json(f"{prefix}_meta.json") == meta
     for split_name in ("train", "test"):
         with pytest.raises(ParseError, match=rf"data_{split_name}\.csv: header \['sample_id', "
@@ -675,27 +658,25 @@ def test_block_writer_matches_per_row_writer(base_net, tmp_path, n, mult_range, 
         assert len(body) == 4 and body[0] == body[1] == body[2] and body[3] == b""
 
 
-SCALER_KEYS = {"scaler_kind", "feature_scaler", "target_scaler"}
-
-
 def test_meta_json_round_trip(base_net, tmp_path):
     _, meta = generate(base_net, 8, seed=19)
-    meta = replace(meta, split_ratio=0.75, split_seed=20)
     path = tmp_path / "meta.json"
     write_meta_json(meta, path)
     assert read_meta_json(path) == meta
-    assert not SCALER_KEYS & json.loads(path.read_text()).keys()
+    # the recipe (seed, range, flags, split) is dataset_config.json's alone
+    assert list(json.loads(path.read_text())) == [
+        "n_requested", "n_converged", "network_fingerprint", "input_labels", "target_labels"]
 
 
-def test_meta_json_reads_files_with_scaler_keys(base_net, tmp_path):
-    # meta files from earlier releases also hold the dataset's own scalers
+def test_meta_json_reads_files_with_scaler_and_recipe_keys(base_net, tmp_path):
+    # meta files from earlier releases also hold the dataset's own scalers and
+    # the recipe that the config snapshot now holds alone
     _, meta = generate(base_net, 8, seed=21)
-    meta = replace(meta, split_ratio=0.8, split_seed=21)
     path = tmp_path / "meta.json"
     write_meta_json(meta, path)
     doc = json.loads(path.read_text())
     scaler = fit_scaler(np.array([[1.0, 2.0], [3.0, 2.0]]), "standard").to_dict()
-    doc.update(scaler_kind="standard", feature_scaler=scaler, target_scaler=scaler)
+    doc.update(scaler_kind="standard", feature_scaler=scaler, target_scaler=scaler, **RECIPE_KEYS)
     path.write_text(json.dumps(doc, indent=1) + "\n")
     assert read_meta_json(path) == meta
 

@@ -389,19 +389,6 @@ def test_training_fits_linear_map():
     assert report.test_mse is None and report.final_test_mse is None
 
 
-def test_training_is_deterministic_for_fixed_seed():
-    x, y = toy_linear_data(n=40)
-    hyper = Hyperparams(hidden_layers=1, hidden_size=4, epochs=5, batch_size=8, seed=3)
-    topo = build_topology(2, 1, hyper, beta=2.22)
-    p1, r1 = train(TrainSet(x_train=x, y_train=y), topo, hyper)
-    p2, r2 = train(TrainSet(x_train=x, y_train=y), topo, hyper)
-    assert r1.train_mse == r2.train_mse
-    for w1, w2 in zip(p1.weights, p2.weights):
-        assert np.array_equal(w1, w2)
-    for b1, b2 in zip(p1.biases, p2.biases):
-        assert np.array_equal(b1, b2)
-
-
 def test_training_reports_test_metrics():
     x, y = toy_linear_data(n=50)
     data = TrainSet(x_train=x[:40], y_train=y[:40], x_test=x[40:], y_test=y[40:])

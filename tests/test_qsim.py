@@ -26,6 +26,7 @@ from qnpflow.errors import InvalidDensityMatrix, InvalidSpin, NoCoupling, Valida
 from qnpflow.qsim import (
     BLOCK_CYCLES,
     MAX_COLLISIONS,
+    MAX_POINTS,
     MAX_SPIN,
     PAULI,
     CollisionParams,
@@ -487,20 +488,22 @@ def test_curve_takes_a_mode_by_its_value():
     assert np.abs(truncated.outputs - exact.outputs).max() > 1e-3
     for key in ("outputs", "collisions_used", "converged"):
         assert np.array_equal(getattr(by_value, key), getattr(truncated, key))
-    assert by_value.provenance == truncated.provenance
-    assert by_value.provenance["mode"] == "truncated"
 
 
-def test_curve_provenance(small_curve):
+def test_curve_spin_and_size(small_curve):
     assert small_curve.spin_j == 0.5
-    assert small_curve.provenance["g"] == 0.01
-    assert small_curve.provenance["tau"] == 3.0
     assert small_curve.n_points == 5
 
 
 def test_curve_rejects_even_points():
     with pytest.raises(ValidationError):
         transfer_curve(0.5, n_points=6)
+
+
+def test_curve_rejects_more_points_than_numpy_indexes():
+    # MAX_POINTS + 2 is odd; no count up to MAX_POINTS is tried, as it would allocate
+    with pytest.raises(ValidationError, match=rf"n_points must be odd and in \[5, {MAX_POINTS}\]"):
+        transfer_curve(0.5, n_points=MAX_POINTS + 2)
 
 
 # ------------------------------------------------------------ parameter validation
@@ -867,13 +870,6 @@ def test_oscillating_modes_reaching_the_readout_raise():
     assert np.array_equal(fixed[0], plus)
     with pytest.raises(ValidationError):
         _cycle_modes(np.array([1.0, 0.0, 0.0, 1.0]), flip)      # excited: sigma_z = +-1
-
-
-def test_round_robin_curve_ignores_seed():
-    curves = [transfer_curve(2.5, n_points=5, seed=seed) for seed in (1, 2)]
-    for key in ("outputs", "collisions_used", "converged"):
-        assert np.array_equal(getattr(curves[0], key), getattr(curves[1], key))
-    assert [c.provenance["seed"] for c in curves] == [1, 2]
 
 
 def test_steady_states_validation():
