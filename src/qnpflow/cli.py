@@ -227,8 +227,8 @@ def _read_curve_csv(path: str | Path) -> ActivationCurve:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _fit_doc(fit, curve: ActivationCurve) -> dict:
-    return {"beta": fit.beta, "rss": fit.rss, "n_points": fit.n_points, "spin_j": curve.spin_j}
+def _fit_doc(fit) -> dict:
+    return {"beta": fit.beta, "rss": fit.rss, "n_points": fit.n_points}
 
 
 def _note_beta_bound(fit) -> None:
@@ -259,7 +259,7 @@ def cmd_activation_simulate(ns: argparse.Namespace, cfg: dict) -> int:
         f"{u!r},{y!r},{n:d},{c:d}" for u, y, n, c in zip(
             curve.inputs.tolist(), curve.outputs.tolist(), curve.collisions_used.tolist(),
             curve.converged.tolist()))])
-    doc = {**_fit_doc(fit, curve), "table_beta": beta_table().get(cfg["spin"])}
+    doc = {**_fit_doc(fit), "spin_j": curve.spin_j, "table_beta": beta_table().get(cfg["spin"])}
     (out / f"fit_{tag}.json").write_text(json.dumps(doc, indent=1) + "\n")
     print(f"spin={cfg['spin']} fitted beta={fit.beta:.6f} rss={fit.rss:.3e} "
           f"-> {out / f'curve_{tag}.csv'}")
@@ -277,7 +277,7 @@ def cmd_activation_fit(ns: argparse.Namespace, cfg: dict) -> int:
     fit = fit_beta(curve)
     out = _out_dir(cfg)
     _write_snapshot(out, "activation_fit", {**cfg, "curve": str(ns.curve)})
-    (out / "fit.json").write_text(json.dumps(_fit_doc(fit, curve), indent=1) + "\n")
+    (out / "fit.json").write_text(json.dumps(_fit_doc(fit), indent=1) + "\n")
     print(f"fitted beta={fit.beta:.6f} rss={fit.rss:.3e} over {fit.n_points} points")
     _note_beta_bound(fit)
     return 0

@@ -84,8 +84,8 @@ class NetworkModel:
     What the solver reads on every call is computed once, at construction:
     the bus index sets as integer arrays that index directly, and the
     per-unit schedule (`p_sched`, `q_sched`), NaN where the quantity is an
-    unknown. The Jacobian's gather index and the content hash are computed
-    on first read.
+    unknown. conj(Y), the Jacobian's gather table and the content hash are
+    computed on first read.
     """
 
     buses: tuple[BusRecord, ...]
@@ -131,18 +131,40 @@ class NetworkModel:
         return self.base.to_pu(p_gen - p_load), self.base.to_pu(q_gen - q_load)
 
     @cached_property
-    def jacobian_index(self) -> np.ndarray:
-        """Flat positions (m, m) of the mismatch Jacobian's entries in the
-        bus derivatives (dS/d(delta), |V| dS/d|V|), each (n, n) complex,
-        stacked in that order and read as floats (real, imaginary). Rows take
-        P, the real part, at the non-slack buses, then Q, the imaginary part,
-        at the PQ buses; columns take delta at the non-slack buses, then |V|
-        at the PQ buses."""
-        bus = np.concatenate([self.non_slack_indices, self.pq_indices])
-        part = np.repeat([0, 1], [len(self.non_slack_indices), len(self.pq_indices)])
-        index = ((part * self.n + bus[:, None]) * self.n + bus) * 2 + part[:, None]
-        index.setflags(write=False)
-        return index
+    def ybus_conj(self) -> np.ndarray:
+        """conj(Y), read-only."""
+        conj = np.conj(self.ybus.entries)
+        conj.setflags(write=False)
+        return conj
+
+    @cached_property
+    def jacobian_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(position, sign), each (m, m): where powerflow.jacobian reads
+        each entry, and the sign that makes it an injection derivative.
+
+        `position` indexes one case's (n + 1, n) complex table read as
+        floats (real, imaginary): rows 0..n-1 hold vy_ik = V_i conj(Y_ik)
+        conj(V_k) off the diagonal and S_i - vy_ii on it, and row n holds
+        S_i + vy_ii. Rows take P, the real part, at the non-slack buses,
+        then Q, the imaginary part, at the PQ buses; columns take delta at
+        the non-slack buses, then |V| at the PQ buses. sign * table[position]
+        is the entry of dS/d(delta) = j (diag(S) - vy), which takes the
+        other part than the row's (-Im for P, Re for Q), or of
+        |V| dS/d|V| = diag(S) + vy, which takes the row's own.
+        """
+        ns, pq = self.non_slack_indices, self.pq_indices
+        bus = np.concatenate([ns, pq])
+        q_row = np.repeat([False, True], [len(ns), len(pq)])[:, None]
+        v_col = q_row.T
+        diag = bus[:, None] == bus
+        row = np.where(diag & v_col, self.n, bus[:, None])
+        # j A puts -Im A into P and Re A into Q, with A = -vy off the diagonal
+        part = np.where(v_col, q_row, ~q_row)
+        sign = np.where(v_col, 1.0, np.where(q_row, 1.0, -1.0) * np.where(diag, 1.0, -1.0))
+        position = (row * self.n + bus) * 2 + part
+        for table in (position, sign):
+            table.setflags(write=False)
+        return position, sign
 
     @cached_property
     def fingerprint(self) -> str:

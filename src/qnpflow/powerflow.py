@@ -120,19 +120,21 @@ def _voltages(state: StateVector) -> np.ndarray:
     return state.v_mag * np.exp(1j * state.delta)
 
 
-def calc_injections(state: StateVector, net: NetworkModel) -> tuple[np.ndarray, np.ndarray]:
-    """Net injected (P, Q) per bus: S = V conj(Y V) with V = |V| exp(j delta)."""
+def calc_injections(state: StateVector, net: NetworkModel,
+                    v: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Net injected (P, Q) per bus: S = V conj(Y V) with V = |V| exp(j delta),
+    or the state's voltages `v` where given."""
     _check_state(state, net)
-    v = _voltages(state)
+    if v is None:
+        v = _voltages(state)
     s = v * np.conj((net.ybus.entries @ v[..., None])[..., 0])
     return s.real, s.imag
 
 
-def _mismatch(p_calc, q_calc, p_sched, q_sched, net: NetworkModel) -> np.ndarray:
-    ns, pq = net.non_slack_indices, net.pq_indices
-    dp = p_sched[..., ns] - p_calc[..., ns]
-    dq = q_sched[..., pq] - q_calc[..., pq]
-    return np.concatenate([dp, dq], axis=-1)
+def _equations(p, q, net: NetworkModel) -> np.ndarray:
+    """The entries (..., m) of the solvable equations: P at the non-slack
+    buses, then Q at the PQ buses, each in bus order."""
+    return np.concatenate([p[..., net.non_slack_indices], q[..., net.pq_indices]], axis=-1)
 
 
 def _inf_norms(f: np.ndarray) -> np.ndarray:
@@ -143,31 +145,51 @@ def mismatch(state: StateVector, net: NetworkModel) -> np.ndarray:
     """Scheduled minus calculated power over the solvable equations, (..., m):
     P at the non-slack buses, then Q at the PQ buses, each in bus order."""
     p_calc, q_calc = calc_injections(state, net)
-    return _mismatch(p_calc, q_calc, net.p_sched, net.q_sched, net)
+    return _equations(net.p_sched, net.q_sched, net) - _equations(p_calc, q_calc, net)
 
 
-def jacobian(state: StateVector, net: NetworkModel) -> np.ndarray:
+def jacobian(state: StateVector, net: NetworkModel, v: np.ndarray | None = None) -> np.ndarray:
     """Analytic mismatch Jacobian (..., m, m): the negated injection derivatives.
 
     Rows follow mismatch() (P at the non-slack buses, then Q at the PQ
     buses); columns are delta at the non-slack buses, then |V| at the PQ
     buses. The |V| columns carry the |V| d/d|V| scaling that pairs with the
-    multiplicative dV/|V| update. With vy[i, k] = V_i conj(Y_ik V_k), whose
-    row sums are S:
+    multiplicative dV/|V| update. With vy[i, k] = V_i conj(Y_ik) conj(V_k),
+    whose row sums are S:
         dS/d(delta)  = j (diag(S) - vy)
         |V| dS/d|V|  = diag(S) + vy
-    P is the real part and Q the imaginary part of each. The (m, m) entries
-    are taken from the two stacked derivatives with one gather, at the flat
-    positions of NetworkModel.jacobian_index.
+    P is the real part and Q the imaginary part of each. `v` is the state's
+    voltages, formed here where not given.
+
+    Entry rule: entry = -(sign * x + 0.0), where one gather
+    (NetworkModel.jacobian_index) reads x from vy off the diagonal and from
+    S - vy_ii (delta columns) or S + vy_ii (|V| columns) on it.
+    -0.0 rule: the + 0.0 turns x = -0.0 into +0.0, so every zero entry is
+    -0.0, as the two derivatives stacked in full give at each zero entry of
+    Y. The stacked form agrees bit for bit except at three kinds of entry:
+    an off-diagonal vy that is exactly real and positive, and an exactly
+    zero part of S -/+ vy_ii, where its zero takes the other sign; and a
+    part that is inf or NaN, where its j (diag(S) - vy) gives NaN for the
+    other part too.
     """
     _check_state(state, net)
-    v = _voltages(state)
-    vy = v[..., :, None] * np.conj(net.ybus.entries * v[..., None, :])
-    s = np.zeros_like(vy)
-    diag = np.arange(net.n)
-    s[..., diag, diag] = vy.sum(axis=-1)
-    ds = np.stack([1j * (s - vy), s + vy], axis=-3).view(float)
-    return -ds.reshape(*ds.shape[:-3], -1)[..., net.jacobian_index]
+    if v is None:
+        v = _voltages(state)
+    n = net.n
+    table = np.empty((*v.shape[:-1], n + 1, n), dtype=complex)
+    vy = table[..., :n, :]
+    np.multiply(net.ybus_conj, np.conj(v)[..., None, :], out=vy)
+    np.multiply(v[..., :, None], vy, out=vy)
+    s = vy.sum(axis=-1)
+    diag = np.arange(n)
+    vy_diag = vy[..., diag, diag]
+    table[..., n, :] = s + vy_diag
+    vy[..., diag, diag] = s - vy_diag
+    position, sign = net.jacobian_index
+    jac = np.take(table.reshape(*v.shape[:-1], -1).view(float), position, axis=-1)
+    jac *= sign
+    jac += 0.0
+    return np.negative(jac, out=jac)
 
 
 def _lu_pivots(a: np.ndarray) -> np.ndarray:
@@ -223,16 +245,18 @@ def _pivots_reach_tol(jac: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tuple[StateVector, np.ndarray]:
+def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray,
+                   v: np.ndarray | None = None) -> tuple[StateVector, np.ndarray]:
     """Newton corrections for a stack of states (B, n) with stacked mismatches
-    f (B, m): solve J dx = -F and apply the angle/magnitude update.
+    f (B, m) and, where given, voltages v (B, n): solve J dx = -F and apply
+    the angle/magnitude update.
 
     Returns the corrected states of the cases whose LU pivots all reach
     PIVOT_TOL, as new arrays, and the mask of those cases. The steps come
     from np.linalg.solve; the pivots serve only the check. Only a failed
     pivot costs a gather.
     """
-    jac = jacobian(state, net)
+    jac = jacobian(state, net, v)
     ok = _pivots_reach_tol(jac)
     if ok.all():
         delta, v_mag = state.delta.copy(), state.v_mag.copy()
@@ -273,12 +297,14 @@ def solve_batch(
     below tol, when its Jacobian has a pivot below PIVOT_TOL, or at its cap;
     the others step on. A case with cap 0 keeps its start state; a negative
     cap, or a tol that is not finite and positive, raises ValidationError.
-    Injections are evaluated once per state. Each row of the result is bit
-    for bit what a batch of that case alone gives.
+    Voltages V = |V| exp(j delta) and injections are formed once per state,
+    and V is handed to jacobian; the schedule's entries at the solvable
+    equations are gathered once per call. Each row of the result is bit for
+    bit what a batch of that case alone gives.
 
-    The cases still stepping keep their state, injections, mismatch,
-    schedule and cap in working rows, which shrink only when a case retires;
-    each retired case's row of the result is written once.
+    The cases still stepping keep their state, voltages, injections,
+    mismatch, schedule and cap in working rows, which shrink only when a case
+    retires; each retired case's row of the result is written once.
     """
     _check_tol(tol)
     b = len(p_sched)
@@ -287,15 +313,17 @@ def solve_batch(
         raise ValidationError(f"step caps must be non-negative, got {caps.min()}")
     state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
-    p, q = calc_injections(state, net)
-    f = _mismatch(p, q, p_sched, q_sched, net)
+    sched = _equations(p_sched, q_sched, net)
+    v = _voltages(state)
+    p, q = calc_injections(state, net, v)
+    f = sched - _equations(p, q, net)
     norms = [_inf_norms(f)]  # column k: each case's norm after k steps, NaN if it took fewer
     iterations = np.zeros(b, dtype=int)
     singular = np.zeros(b, dtype=bool)
     rows = np.flatnonzero(~(norms[0] < tol) & (caps > 0))
     live = StateVector(state.delta[rows], state.v_mag[rows])
-    live_p, live_q, live_f = p[rows], q[rows], f[rows]
-    live_p_sched, live_q_sched, live_caps = p_sched[rows], q_sched[rows], caps[rows]
+    live_v, live_p, live_q, live_f = v[rows], p[rows], q[rows], f[rows]
+    live_sched, live_caps = sched[rows], caps[rows]
 
     def write(done, k):
         """The working rows where `done` is set are their cases' result, at k steps."""
@@ -307,25 +335,24 @@ def solve_batch(
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN norm never drops below tol
         while rows.size:
             k += 1
-            new, ok = _newton_update(live, net, live_f)
+            new, ok = _newton_update(live, net, live_f, live_v)
             if not ok.all():  # a singular case keeps its last state
                 singular[rows[~ok]] = True
                 write(~ok, k - 1)
-                rows, live_p_sched, live_q_sched, live_caps = (
-                    rows[ok], live_p_sched[ok], live_q_sched[ok], live_caps[ok])
+                rows, live_sched, live_caps = rows[ok], live_sched[ok], live_caps[ok]
             live = new
-            live_p, live_q = calc_injections(live, net)
-            live_f = _mismatch(live_p, live_q, live_p_sched, live_q_sched, net)
+            live_v = _voltages(live)
+            live_p, live_q = calc_injections(live, net, live_v)
+            live_f = live_sched - _equations(live_p, live_q, net)
             norms.append(np.full(b, np.nan))
             norms[k][rows] = live_norms = _inf_norms(live_f)
             stop = (live_norms < tol) | (k >= live_caps)
             if stop.any():
                 write(stop, k)
                 keep = ~stop
-                rows, live_p_sched, live_q_sched, live_caps = (
-                    rows[keep], live_p_sched[keep], live_q_sched[keep], live_caps[keep])
+                rows, live_sched, live_caps = rows[keep], live_sched[keep], live_caps[keep]
                 live = StateVector(live.delta[keep], live.v_mag[keep])
-                live_p, live_q, live_f = live_p[keep], live_q[keep], live_f[keep]
+                live_v, live_p, live_q, live_f = live_v[keep], live_p[keep], live_q[keep], live_f[keep]
     norms = np.stack(norms, axis=1)[:, :iterations.max(initial=0) + 1]
     converged = norms[np.arange(b), iterations] < tol
     return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)

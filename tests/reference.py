@@ -13,8 +13,8 @@ from qnpflow.powerflow import (
     SolveOptions,
     StateVector,
     _check_tol,
+    _equations,
     _inf_norms,
-    _mismatch,
     _voltages,
     calc_injections,
     initial_state,
@@ -87,6 +87,24 @@ def gauss_seidel_oracle(
     )
 
 
+def block_jacobian(state: StateVector, net: NetworkModel, v: np.ndarray | None = None) -> np.ndarray:
+    """The mismatch Jacobian as the np.block assembly of four fancy-indexed
+    slices of the stacked bus derivatives dS/d(delta) = j (diag(S) - vy) and
+    |V| dS/d|V| = diag(S) + vy, with vy[i, k] = V_i conj(Y_ik V_k): the form
+    that powerflow.jacobian's one gather replaced. V is formed from the
+    state, whatever `v` is passed, so a stale `v` shows."""
+    v = _voltages(state)
+    vy = v[..., :, None] * np.conj(net.ybus.entries * v[..., None, :])
+    s = np.zeros_like(vy)
+    diag = np.arange(net.n)
+    s[..., diag, diag] = vy.sum(axis=-1)
+    ds_dd = 1j * (s - vy)
+    ds_dv = s + vy
+    ns, pq = net.non_slack_indices, net.pq_indices
+    return np.block([[-ds_dd.real[..., ns[:, None], ns], -ds_dv.real[..., ns[:, None], pq]],
+                     [-ds_dd.imag[..., pq[:, None], ns], -ds_dv.imag[..., pq[:, None], pq]]])
+
+
 def masked_newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -> tuple[StateVector, np.ndarray]:
     """The Newton update that gathers the Jacobian, mismatch and state
     through the pivot mask on every step, even when every pivot passes."""
@@ -121,7 +139,7 @@ def masked_solve_batch(
     state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
     p, q = powerflow.calc_injections(state, net)
-    f = _mismatch(p, q, p_sched, q_sched, net)
+    f = _equations(p_sched, q_sched, net) - _equations(p, q, net)
     norms = np.full((b, int(caps.max(initial=0)) + 1), np.nan)
     norms[:, 0] = _inf_norms(f)
     iterations = np.zeros(b, dtype=int)
@@ -135,7 +153,7 @@ def masked_solve_batch(
         active = active[ok]
         state.delta[active], state.v_mag[active] = new.delta, new.v_mag
         p[active], q[active] = powerflow.calc_injections(new, net)
-        f[active] = _mismatch(p[active], q[active], p_sched[active], q_sched[active], net)
+        f[active] = _equations(p_sched[active], q_sched[active], net) - _equations(p[active], q[active], net)
         norms[active, k] = _inf_norms(f[active])
         iterations[active] = k
         active = active[~(norms[active, k] < tol) & (k < caps[active])]

@@ -345,6 +345,7 @@ def test_activation_fit_round_trip(curve_dir, tmp_path):
               "--out-dir", tmp_path)
     assert res.returncode == 0, res.stderr
     fit = json.loads((tmp_path / "fit.json").read_text())
+    assert list(fit) == ["beta", "rss", "n_points"]  # a curve CSV holds no spin
     direct = json.loads((curve_dir / "fit_spin0.5.json").read_text())
     assert fit["beta"] == pytest.approx(direct["beta"], rel=1e-12)
     # the same curve in other layouts fits to the same bytes

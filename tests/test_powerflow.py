@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import gauss_seidel_oracle, masked_solve_batch
+from reference import block_jacobian, gauss_seidel_oracle, masked_solve_batch
 
 from qnpflow import dataset, powerflow
 from qnpflow.errors import DimensionMismatch, NotConverged, SingularJacobian, TooFewConverged, ValidationError
@@ -318,7 +319,7 @@ def test_newton_update_flags_any_pivot_below_tol(base_net, monkeypatch):
     stack = np.random.default_rng(29).normal(size=(3, 5, 5))
     stack[1, :, 2] = 0.0  # all-zero column: one exact zero pivot, NaN after it
     stack[2, 3, 1] = np.nan  # NaN pivots, none below PIVOT_TOL
-    monkeypatch.setattr(powerflow, "jacobian", lambda state, net: stack)
+    monkeypatch.setattr(powerflow, "jacobian", lambda state, net, v: stack)
     start = initial_state(base_net)
     states = StateVector(np.tile(start.delta, (3, 1)), np.tile(start.v_mag, (3, 1)))
     with warnings.catch_warnings():
@@ -492,9 +493,9 @@ def test_solve_evaluates_injections_once_per_state(base_net, monkeypatch):
     states = []
     original = powerflow.calc_injections
 
-    def counting(state, net):
+    def counting(state, net, v):
         states.append(len(np.atleast_2d(state.delta)))
-        return original(state, net)
+        return original(state, net, v)
 
     monkeypatch.setattr(powerflow, "calc_injections", counting)
     sol = solve(base_net)
@@ -659,8 +660,8 @@ def zero_pivot_hit(state):
 def zero_pivot_jacobian(original):
     """`original` with an all-zero column, so a zero pivot, at the states of
     zero_pivot_hit."""
-    def patched(state, net):
-        jac = original(state, net)
+    def patched(state, net, v=None):
+        jac = original(state, net, v)
         jac[zero_pivot_hit(state), :, 0] = 0.0
         return jac
     return patched
@@ -682,14 +683,14 @@ def test_compacted_batch_retires_singular_cases_at_their_last_state(base_net, mo
 
 @pytest.mark.parametrize("zero_pivots", [False, True], ids=["stressed", "singular"])
 def test_batch_evaluates_each_state_once(base_net, monkeypatch, zero_pivots):
-    counts = {"calc_injections": 0, "jacobian": 0}
+    counts = {"_voltages": 0, "calc_injections": 0, "jacobian": 0}
 
     def counting(name):
         original = getattr(powerflow, name)
 
-        def count(state, net):
+        def count(state, *args):
             counts[name] += len(state.delta)
-            return original(state, net)
+            return original(state, *args)
         return count
 
     # at 2000 samples, as in the paper, both schedules hold a case that runs
@@ -702,10 +703,39 @@ def test_batch_evaluates_each_state_once(base_net, monkeypatch, zero_pivots):
     res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
     assert (~res.converged).sum() > 0 and res.iterations.max() == 20
     assert res.singular.any() == zero_pivots
-    # every state's injections once; a Jacobian at every state that took a
-    # step, and at the one where each singular case stopped
-    assert counts["calc_injections"] == len(p_sched) + res.iterations.sum()
+    # every state's voltages and injections once; a Jacobian at every state
+    # that took a step, and at the one where each singular case stopped
+    assert counts["_voltages"] == counts["calc_injections"] == len(p_sched) + res.iterations.sum()
     assert counts["jacobian"] == res.iterations.sum() + res.singular.sum()
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200], ids=["stressed", "overflow"])
+def test_batch_bitwise_equals_block_jacobian_batch(base_net, monkeypatch, scale):
+    # at 2000 stressed samples some cases run to the 20-step cap; scaled by
+    # 1e200 the injections overflow after the first step
+    start, p_sched, q_sched = generate_schedules(base_net, 2000, (1.0, 5.5))
+    p_sched, q_sched = p_sched * scale, q_sched * scale
+    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
+    monkeypatch.setattr(powerflow, "jacobian", block_jacobian)
+    assert_same_batch(res, solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20))
+    assert res.iterations.max() == 20
+    if scale > 1:
+        assert not res.converged.any() and not np.isfinite(res.p_calc).all()
+
+
+def test_jacobian_peak_memory_at_paper_batch(base_net):
+    b, n = 2000, base_net.n
+    rng = np.random.default_rng(43)
+    stack = StateVector(rng.normal(0.0, 0.1, (b, n)), rng.uniform(0.9, 1.1, (b, n)))
+    jacobian(stack, base_net)  # the network's tables are made on first read
+    tracemalloc.start()
+    try:
+        jacobian(stack, base_net)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the stacked derivatives took about 6.25 of these
+    assert peak <= 5 * b * n * n * 16
 
 
 def test_batched_calls_match_single_states(base_net):
@@ -718,21 +748,6 @@ def test_batched_calls_match_single_states(base_net):
         p_i, q_i = calc_injections(state, base_net)
         assert np.array_equal(p[i], p_i) and np.array_equal(q[i], q_i)
         assert np.array_equal(jac[i], jacobian(state, base_net))
-
-
-def block_jacobian(state, net):
-    """The np.block assembly of four fancy-indexed slices that jacobian()'s
-    one gather replaced; the same arithmetic."""
-    v = state.v_mag * np.exp(1j * state.delta)
-    vy = v[..., :, None] * np.conj(net.ybus.entries * v[..., None, :])
-    s = np.zeros_like(vy)
-    diag = np.arange(net.n)
-    s[..., diag, diag] = vy.sum(axis=-1)
-    ds_dd = 1j * (s - vy)
-    ds_dv = s + vy
-    ns, pq = net.non_slack_indices, net.pq_indices
-    return np.block([[-ds_dd.real[..., ns[:, None], ns], -ds_dv.real[..., ns[:, None], pq]],
-                     [-ds_dd.imag[..., pq[:, None], ns], -ds_dv.imag[..., pq[:, None], pq]]])
 
 
 def random_ybus(rng, n):
