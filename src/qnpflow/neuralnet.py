@@ -5,10 +5,16 @@ penalties l1 * sum|w| + l2 * sum w^2 over weights only (biases excluded), so
 the penalty gradient is exactly l1 * sign(w) + 2 * l2 * w. Gradients and
 optimizer moments share the layout of `MLPParams.flat`, so a step is one
 elementwise update. Consecutive hidden layers of one width form a run, whose
-activations, tanh slopes and deltas are each one (k, rows, H) array. The
-training step works in place on buffers that `train` reuses from step to
-step, with the same floating-point operations in the same order as the
-textbook formulas, so every result is bit for bit what those formulas give.
+activations, tanh slopes and deltas are each one (k, rows, H) array.
+
+The training step works in place, with the same floating-point operations in
+the same order as the textbook formulas, so every result is bit for bit what
+those formulas give. `train` binds one step plan (`_StepBuffers`) per batch
+row count: the arrays the step writes into and every view it reads, so
+`forward` and `backward` only loop over it; a call without a plan builds one
+for itself. Every 2-D product goes through `np.dot(..., out=)`, which reaches
+the same BLAS routine as `@` at less cost per call, and the optimizer writes
+each update into the scratch vectors of its `OptState`.
 """
 from __future__ import annotations
 
@@ -168,50 +174,85 @@ def _as_batch(x: np.ndarray, n_in: int) -> np.ndarray:
     return arr
 
 
-def _layer_outputs(topo: LayerTopology, rows: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each run's activations as one (k, rows, H) array, and the output slot
-    of every layer: views of those arrays, then a (rows, n_out) array."""
-    runs = [np.empty((k, rows, topo.sizes[first + 1])) for first, k in topo.runs]
-    return runs, [*(a for run in runs for a in run), np.empty((rows, topo.n_outputs))]
-
-
 class _StepBuffers:
-    """The arrays one training step on `rows` rows writes into: per run, its
-    activations, tanh slopes and deltas as (k, rows, H) arrays with views of
-    the gradient for its interior H x H weights, (k - 1, H, H), and its biases,
-    (k, H); each layer's output slot; the output delta; and the gradient
-    `grad`, laid out like `MLPParams.flat`, with its per-layer views."""
+    """The plan of a forward and backward pass on `rows` rows, bound once to
+    `params`: the arrays the pass writes into and the views it reads, so a
+    call only runs its numpy calls.
 
-    def __init__(self, params: MLPParams, rows: int, grad: np.ndarray):
+    `layers` holds per layer its `W.T` view, its bias view or None, its
+    steepness or None (linear output) and its output slot; the slots of a
+    run are the layers of one (k, rows, H) array. `forward` returns `acts`:
+    the batch, then every slot. With the gradient vector `grad`, laid out
+    like `MLPParams.flat`, the plan also holds the backward pass: the output
+    delta, its scale 2 / (rows n_out), its slope scratch or None, the output
+    layer's gradient views and the l1/l2 scratch; and per run, last run
+    first, its slopes and deltas as (k, rows, H) arrays, its delta chain as
+    (delta in, weights, delta out, slope) steps, the views of its stacked
+    interior product, its first layer's gradient and its bias gradient or
+    None. Without `grad` it plans the forward pass only.
+
+    Every 2-D product is `np.dot(..., out=)`, which reaches the BLAS routine
+    that `@` reaches for the shape, so the bits are the same at less cost per
+    call; only a 1 x 1 by 1 x 1 product, which `np.dot` takes as a scalar
+    product, keeps the sign of an exact zero that `@` drops.
+    """
+
+    def __init__(self, params: MLPParams, rows: int, grad: np.ndarray | None = None):
         topo = params.topology
-        acts, self.outputs = _layer_outputs(topo, rows)
+        acts = [np.empty((k, rows, topo.sizes[first + 1])) for first, k in topo.runs]
+        outputs = [*(a for run in acts for a in run), np.empty((rows, topo.n_outputs))]
+        betas = [float(topo.beta)] * (topo.n_layers - 1)
+        betas.append(None if topo.output_beta is None else float(topo.output_beta))
+        self.acts = [None, *outputs]
+        self.layers = tuple((w.T, b if topo.use_bias else None, beta, out)
+                            for w, b, beta, out in zip(params.weights, params.biases, betas, outputs))
+        if grad is None:
+            return
         self.grad = grad
-        self.grad_w, self.grad_b = params.unflatten(grad)
+        self.beta, self.output_beta = float(topo.beta), betas[-1]
+        grad_w, grad_b = params.unflatten(grad)
+        self.out_delta = delta = np.empty((rows, topo.n_outputs))
+        self.scale = 2.0 / (rows * topo.n_outputs)
+        self.out_slope = None if topo.output_beta is None else np.empty_like(delta)
+        self.out_grad = (delta.T, grad_w[-1], grad_b[-1] if topo.use_bias else None)
+        n = topo.n_weights
+        self.penalty = (params.flat[:n], grad[:n], np.empty(n))
         self.runs = []
-        for (first, k), a in zip(topo.runs, acts):
+        for (first, k), a in reversed(list(zip(topo.runs, acts))):
+            slope, deltas = np.empty_like(a), np.empty_like(a)
+            chain = []
+            for i in range(k - 1, -1, -1):
+                chain.append((delta, params.weights[first + i + 1], deltas[i], slope[i]))
+                delta = deltas[i]
             last, width = topo.layout[first + k - 1], a.shape[2]
             interior = grad[topo.layout[first][0].stop:last[0].stop].reshape(k - 1, width, width)
             biases = grad[topo.layout[first][2].start:last[2].stop].reshape(k, width)
-            self.runs.append((first, k, a, np.empty_like(a), np.empty_like(a), interior, biases))
-        self.out_delta = np.empty((rows, topo.n_outputs))
+            self.runs.append((first, a, slope, tuple(chain), deltas[1:].transpose(0, 2, 1), a[:-1],
+                              interior, delta.T, grad_w[first], deltas,
+                              biases if topo.use_bias else None))
 
 
 def forward(params: MLPParams, x: np.ndarray, buffers: _StepBuffers | None = None) -> list[np.ndarray]:
     """Propagate a batch; returns the activations [x, a_1, ..., y] of every layer.
-    Each layer's matmul is written into its output slot, of `buffers` or of new
-    arrays, where bias, steepness and tanh then act in place."""
-    topo = params.topology
-    x = _as_batch(x, topo.n_inputs)
-    acts = [x, *(_layer_outputs(topo, x.shape[0])[1] if buffers is None else buffers.outputs)]
-    betas = [float(topo.beta)] * (topo.n_layers - 1)
-    betas.append(None if topo.output_beta is None else float(topo.output_beta))
-    for l, (w, b, beta) in enumerate(zip(params.weights, params.biases, betas)):
-        z = np.matmul(acts[l], w.T, out=acts[l + 1])
-        if topo.use_bias:
+    Each layer's product is written into its output slot, where bias,
+    steepness and tanh then act in place.
+
+    With `buffers`, bound to `params`, `x` must be a float (rows, n_in) array,
+    and the list returned is `buffers.acts`; without, `x` is checked and the
+    pass runs on a plan of its own, so the arrays returned are new."""
+    if buffers is None:
+        x = _as_batch(x, params.topology.n_inputs)
+        buffers = _StepBuffers(params, x.shape[0])
+    acts = buffers.acts
+    acts[0] = x
+    for w_t, b, beta, z in buffers.layers:
+        np.dot(x, w_t, out=z)
+        if b is not None:
             z += b
         if beta is not None:
             z *= beta
             np.tanh(z, out=z)
+        x = z
     return acts
 
 
@@ -247,51 +288,50 @@ def backward(params: MLPParams, acts: list[np.ndarray], targets: np.ndarray,
     """Exact gradient of the batch-mean squared error plus penalties, laid
     out like `params.flat`, from the activations that `forward` returned.
 
-    With `buffers`, `acts` must be what `forward` wrote into them, and the
-    gradient is `buffers.grad`, overwritten; without, the hidden activations
-    are copied into new buffers and the gradient is a new array. The delta
-    chain runs layer by layer; per run of equal-width layers, the tanh slopes,
-    the interior weight products and the bias sums are each one call."""
-    topo = params.topology
-    t = np.atleast_2d(np.asarray(targets, dtype=float))
-    y = acts[-1]
-    if t.shape != y.shape:
-        raise ShapeMismatch(f"targets shape {t.shape} vs outputs shape {y.shape}")
+    With `buffers`, bound to `params` with a gradient vector, `acts` must be
+    what `forward` wrote into them and `targets` a float (rows, n_out) array,
+    and the gradient is `buffers.grad`, overwritten; without, the targets are
+    checked, the hidden activations are copied into a plan of this call's own
+    and the gradient is a new array. The delta chain runs layer by layer; per
+    run of equal-width layers, the tanh slopes, the interior weight products
+    and the bias sums are each one call."""
     if buffers is None:
-        buffers = _StepBuffers(params, y.shape[0], np.zeros(params.flat.shape))
-        for first, k, a, *_ in buffers.runs:
-            np.stack(acts[first + 1:first + k + 1], out=a)
+        t = np.atleast_2d(np.asarray(targets, dtype=float))
+        if t.shape != acts[-1].shape:
+            raise ShapeMismatch(f"targets shape {t.shape} vs outputs shape {acts[-1].shape}")
+        buffers = _StepBuffers(params, t.shape[0], np.zeros(params.flat.shape))
+        for first, a, *_ in buffers.runs:
+            np.stack(acts[first + 1:first + len(a) + 1], out=a)
+        targets = t
 
-    delta = np.subtract(y, t, out=buffers.out_delta)
-    delta *= 2.0 / (y.shape[0] * topo.n_outputs)
-    if topo.output_beta is not None:
-        delta *= _tanh_slope(y, float(topo.output_beta))
-
-    grad_w, grad_b, use_bias = buffers.grad_w, buffers.grad_b, topo.use_bias
-    l = topo.n_layers - 1
-    np.matmul(delta.T, acts[l], out=grad_w[l])
-    if use_bias:
-        delta.sum(axis=0, out=grad_b[l])
-    beta = float(topo.beta)
-    for first, k, a, slope, deltas, interior, biases in reversed(buffers.runs):
+    y = acts[-1]
+    delta = np.subtract(y, targets, out=buffers.out_delta)
+    delta *= buffers.scale
+    if buffers.out_slope is not None:
+        delta *= _tanh_slope(y, buffers.output_beta, out=buffers.out_slope)
+    delta_t, grad_w, grad_b = buffers.out_grad
+    np.dot(delta_t, acts[-2], out=grad_w)
+    if grad_b is not None:
+        np.add.reduce(delta, axis=0, out=grad_b)
+    beta = buffers.beta
+    for (first, a, slope, chain, deltas_t, a_in, interior, delta_t, grad_w, deltas,
+         grad_b) in buffers.runs:
         _tanh_slope(a, beta, out=slope)
-        for i in range(k - 1, -1, -1):
-            delta = np.matmul(delta, params.weights[first + i + 1], out=deltas[i])
-            delta *= slope[i]
-        np.matmul(deltas[1:].transpose(0, 2, 1), a[:-1], out=interior)
-        np.matmul(delta.T, acts[first], out=grad_w[first])
-        if use_bias:
-            np.add.reduce(deltas, axis=1, out=biases)
-    grad = buffers.grad
+        for delta, w, out, s in chain:
+            np.dot(delta, w, out=out)
+            out *= s
+        np.matmul(deltas_t, a_in, out=interior)
+        np.dot(delta_t, acts[first], out=grad_w)
+        if grad_b is not None:
+            np.add.reduce(deltas, axis=1, out=grad_b)
     if l1 or l2:
-        n = topo.n_weights
-        w, g = params.flat[:n], grad[:n]
-        term = np.sign(w)
+        w, g, term = buffers.penalty
+        np.sign(w, out=term)
         term *= l1
         g += term
         np.multiply(w, 2.0 * l2, out=term)
         g += term
-    return grad
+    return buffers.grad
 
 
 @dataclass(frozen=True)
@@ -315,25 +355,32 @@ class OptimizerKind:
 
 @dataclass
 class OptState:
-    """First and second moments, laid out like `MLPParams.flat`."""
+    """First and second moments, laid out like `MLPParams.flat`, and two
+    scratch vectors of that layout that every update writes into."""
 
     m: np.ndarray
     v: np.ndarray
+    step: np.ndarray = field(init=False, repr=False, compare=False)
+    den: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.step, self.den = np.empty_like(self.m), np.empty_like(self.m)
 
 
 def init_optimizer_state(params: MLPParams) -> OptState:
     return OptState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def _apply_update(kind: OptimizerKind, t: int, g, m, v):
-    """Return the parameter delta and update moment arrays in place; g is
-    left as it is. Each comment gives the formula that the in-place steps
-    below it evaluate, in its order and association."""
+def _apply_update(kind: OptimizerKind, t: int, g: np.ndarray, state: OptState) -> np.ndarray:
+    """Return the parameter delta, written into `state.step`, and update the
+    moments in place; g is left as it is. Each comment gives the formula that
+    the in-place steps below it evaluate, in its order and association."""
     lr, b1, b2, eps = kind.lr, BETA1, BETA2, EPS
+    m, v, step, den = state.m, state.v, state.step, state.den
     if kind.name == "sgd":
-        return g * -lr
+        return np.multiply(g, -lr, out=step)
     # m = b1 m + (1 - b1) g
-    step = g * (1.0 - b1)
+    np.multiply(g, 1.0 - b1, out=step)
     m *= b1
     m += step
     if kind.name == "adamax":
@@ -341,29 +388,31 @@ def _apply_update(kind: OptimizerKind, t: int, g, m, v):
         np.abs(g, out=step)
         v *= b2
         np.maximum(v, step, out=v)
-        den = v + eps
+        np.add(v, eps, out=den)
         np.multiply(m, -(lr / (1.0 - b1**t)), out=step)
         step /= den
         return step
-    # v = b2 v + ((1 - b2) g) g; den = sqrt(v / (1 - b2^t)) + eps
+    # v = b2 v + ((1 - b2) g) g
     np.multiply(g, 1.0 - b2, out=step)
     step *= g
     v *= b2
     v += step
-    den = v / (1.0 - b2**t)
-    np.sqrt(den, out=den)
-    den += eps
     if kind.name == "adam":
         # delta = (-lr (m / (1 - b1^t))) / den
         np.divide(m, 1.0 - b1**t, out=step)
     else:
-        # nadam, Nesterov momentum folded into the Adam step:
+        # nadam, Nesterov momentum folded into the Adam step, with den holding
+        # the second term until den itself is formed:
         # delta = (-lr (b1 (m / (1 - b1^(t+1))) + (1 - b1) (g / (1 - b1^t)))) / den
         np.divide(m, 1.0 - b1 ** (t + 1), out=step)
         step *= b1
-        g_hat = g / (1.0 - b1**t)
-        g_hat *= 1.0 - b1
-        step += g_hat
+        np.divide(g, 1.0 - b1**t, out=den)
+        den *= 1.0 - b1
+        step += den
+    # den = sqrt(v / (1 - b2^t)) + eps
+    np.divide(v, 1.0 - b2**t, out=den)
+    np.sqrt(den, out=den)
+    den += eps
     step *= -lr
     step /= den
     return step
@@ -375,7 +424,7 @@ def optimizer_step(kind: OptimizerKind, state: OptState, params: MLPParams,
     their zero gradient gives a -0.0 delta, which leaves them as they are."""
     if t < 1:
         raise ValidationError(f"step index must be >= 1, got {t}")
-    params.flat += _apply_update(kind, t, grad, state.m, state.v)
+    params.flat += _apply_update(kind, t, grad, state)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -770,6 +771,34 @@ def test_training_without_hidden_layers_bitwise_equals_reference():
     assert_training_matches_reference(mixed_data(), LayerTopology((3, 2), beta=2.22), hyper)
 
 
+# shapes where a 2-D product may leave gemm for gemv, dot or a scalar product:
+# sizes, training rows (of mixed_data's 37) and batch size; 31 rows in
+# batches of 10 leave a 1-row remainder batch
+EDGE_SHAPES = {
+    "one-output": ((3, 4, 1), 31, 10),
+    "width-1": ((3, 1, 1, 2), 31, 10),
+    "1-row-remainder": (MIXED_RUNS, 31, 10),
+    "batch-over-split": (MIXED_RUNS, 37, 50),
+}
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+@pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
+@pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("output_beta", [None, 1.5], ids=["linear-out", "tanh-out"])
+@pytest.mark.parametrize("penalty", [0.0, 1e-4], ids=["plain", "l1l2"])
+def test_edge_shapes_bitwise_equal_per_layer_reference(shape, optimizer, use_bias, output_beta,
+                                                       penalty):
+    sizes, rows, batch_size = EDGE_SHAPES[shape]
+    data = mixed_data(seed=46)
+    data.x_train, data.y_train = data.x_train[:rows], data.y_train[:rows, :sizes[-1]]
+    data.y_test = data.y_test[:, :sizes[-1]]
+    hyper = Hyperparams(hidden_layers=1, hidden_size=1, epochs=3, batch_size=batch_size,
+                        optimizer=optimizer, l1=penalty, l2=penalty, seed=8)
+    topo = LayerTopology(sizes, beta=2.78, output_beta=output_beta, use_bias=use_bias)
+    assert_training_matches_reference(data, topo, hyper)
+
+
 @pytest.mark.parametrize("optimizer, output_beta", [("sgd", None), ("nadam", 1.5)])
 def test_stacked_run_bitwise_equals_reference_at_table3_shape(optimizer, output_beta):
     # one run of 7 hidden layers; 160 rows leave a remainder batch of 10
@@ -783,18 +812,19 @@ def test_stacked_run_bitwise_equals_reference_at_table3_shape(optimizer, output_
                                                            output_beta=output_beta), hyper)
 
 
+@pytest.mark.parametrize("rows", [6, 1])
 @pytest.mark.parametrize("use_bias", [True, False], ids=["bias", "no-bias"])
-def test_reused_step_buffers_equal_fresh_ones(use_bias):
+def test_reused_step_buffers_equal_fresh_ones(use_bias, rows):
     # two steps through one buffer set, whose gradient vector the second step
     # overwrites, against two steps on new arrays; without biases the bias
     # gradient must stay +0.0 bit for bit
     topo = LayerTopology(MIXED_RUNS, beta=3.33, output_beta=1.5, use_bias=use_bias)
     reused, fresh = glorot_init(topo, seed=7), glorot_init(topo, seed=7)
-    buffers = neuralnet._StepBuffers(reused, 6, np.zeros(reused.flat.shape))
+    buffers = neuralnet._StepBuffers(reused, rows, np.zeros(reused.flat.shape))
     states = init_optimizer_state(reused), init_optimizer_state(fresh)
     rng = np.random.default_rng(45)
     for t in (1, 2):
-        x, y = rng.normal(size=(6, 3)), rng.normal(size=(6, 2))
+        x, y = rng.normal(size=(rows, 3)), rng.normal(size=(rows, 2))
         acts = forward(reused, x, buffers)
         got = backward(reused, acts, y, l1=1e-4, l2=1e-4, buffers=buffers)
         want = backward(fresh, forward(fresh, x), y, l1=1e-4, l2=1e-4)
@@ -804,6 +834,35 @@ def test_reused_step_buffers_equal_fresh_ones(use_bias):
         optimizer_step(OptimizerKind("adam"), states[0], reused, got, t)
         optimizer_step(OptimizerKind("adam"), states[1], fresh, want, t)
         assert reused.flat.tobytes() == fresh.flat.tobytes()
+
+
+def test_buffered_step_allocates_less_than_one_parameter_vector():
+    # table4's shape and penalties: after one warm step, forward, backward and
+    # the adamax update write only into the step's buffers and the optimizer's
+    # scratch, so no step allocates a parameter-sized array, not even one the
+    # size of the weight slice (the l1/l2 term)
+    hyper = preset("table4")
+    topo = build_topology(10, 5, hyper, beta=2.22)
+    params = glorot_init(topo, seed=9)
+    rng = np.random.default_rng(47)
+    x, y = rng.normal(size=(hyper.batch_size, 10)), rng.normal(size=(hyper.batch_size, 5))
+    buffers = neuralnet._StepBuffers(params, hyper.batch_size, np.zeros(params.flat.shape))
+    kind, state = OptimizerKind(hyper.optimizer), init_optimizer_state(params)
+
+    def step(t):
+        acts = forward(params, x, buffers)
+        grad = backward(params, acts, y, l1=hyper.l1, l2=hyper.l2, buffers=buffers)
+        optimizer_step(kind, state, params, grad, t)
+
+    step(1)
+    tracemalloc.start()
+    try:
+        for t in (2, 3, 4):
+            step(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat[:topo.n_weights].nbytes < params.flat.nbytes
 
 
 @pytest.mark.parametrize("optimizer", OPTIMIZER_NAMES)
