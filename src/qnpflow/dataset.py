@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ParseError, ShapeMismatch, TooFewConverged, ValidationError, read_json_object
 from .grid import NetworkModel
 # `solve` is not called here; the benchmark's span table looks it up on this module.
-from .powerflow import SolveOptions, initial_state, solve, solve_batch  # noqa: F401
+from .powerflow import SolveOptions, solve, solve_batch  # noqa: F401
 
 CONVERGED_SHARE = 0.9
 CONSTANT_EPS = 1e-12
@@ -83,8 +83,8 @@ def generate(
     if n < 1:
         raise ValidationError(f"need at least one sample, got {n}")
     solver = SolveOptions()
-    # the widest arrays per sample: the Jacobian's two stacked complex n x n
-    # derivatives, and the norm of each Newton step
+    # the widest arrays per sample, in floats: jacobian's complex (n+1) x n table and the
+    # m x m Jacobian (m <= 2n - 2), each at most 4n^2; and the norm of each Newton step
     most = np.iinfo(np.intp).max // (8 * max(4 * net.n**2, solver.max_iter + 1))
     if n > most:
         raise ValidationError(f"n must be at most {most}, as numpy cannot index the arrays "
@@ -105,8 +105,7 @@ def generate(
 
     fixed_v = [net.buses[i].v_mag for i in (net.slack_index, *net.pv_indices)]
     inputs = np.hstack([net.base.to_pu(p_load), net.base.to_pu(q_load), np.tile(fixed_v, (n, 1))])
-    res = solve_batch(net, initial_state(net), *net.schedule(p_load, q_load),
-                      solver.tol, solver.max_iter)
+    res = solve_batch(net, *net.schedule(p_load, q_load), solver)
     targets = np.hstack([res.v_mag[:, net.pq_indices], res.delta[:, net.non_slack_indices]])
     targets[~res.converged] = np.nan
     n_converged = int(res.converged.sum())

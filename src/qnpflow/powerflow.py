@@ -24,19 +24,17 @@ PIVOT_TOL = 1e-12
 PIVOT_MARGIN = 1e6  # see _pivots_reach_tol
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be finite and positive, got {tol}")
-
-
-@dataclass
+@dataclass(frozen=True)
 class SolveOptions:
+    """The settings of one Newton solve (solve_batch), checked here alone."""
+
     tol: float = 1e-8
     max_iter: int = 20
     flat_start: bool = True
 
     def __post_init__(self):
-        _check_tol(self.tol)
+        if not 0 < self.tol < math.inf:
+            raise ValidationError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
 
@@ -246,10 +244,10 @@ def _pivots_reach_tol(jac: np.ndarray) -> np.ndarray:
 
 
 def _newton_update(state: StateVector, net: NetworkModel, f: np.ndarray,
-                   v: np.ndarray | None = None) -> tuple[StateVector, np.ndarray]:
+                   v: np.ndarray) -> tuple[StateVector, np.ndarray]:
     """Newton corrections for a stack of states (B, n) with stacked mismatches
-    f (B, m) and, where given, voltages v (B, n): solve J dx = -F and apply
-    the angle/magnitude update.
+    f (B, m) and voltages v (B, n): solve J dx = -F and apply the
+    angle/magnitude update.
 
     Returns the corrected states of the cases whose LU pivots all reach
     PIVOT_TOL, as new arrays, and the mask of those cases. The steps come
@@ -275,42 +273,33 @@ def nr_step(state: StateVector, net: NetworkModel) -> tuple[StateVector, float]:
     Returns the new state and the mismatch infinity norm at the input state.
     """
     f = mismatch(state, net)
-    new, ok = _newton_update(StateVector(state.delta[None], state.v_mag[None]), net, f[None])
+    stack = StateVector(state.delta[None], state.v_mag[None])
+    new, ok = _newton_update(stack, net, f[None], _voltages(stack))
     if not ok[0]:
         raise SingularJacobian(f"pivot below {PIVOT_TOL} in Newton linear solve")
     return StateVector(new.delta[0], new.v_mag[0]), float(_inf_norms(f))
 
 
-def solve_batch(
-    net: NetworkModel,
-    start: StateVector,
-    p_sched: np.ndarray,
-    q_sched: np.ndarray,
-    tol: float,
-    max_iter: int | np.ndarray,
-) -> BatchSolution:
+def solve_batch(net: NetworkModel, p_sched: np.ndarray, q_sched: np.ndarray,
+                opts: SolveOptions) -> BatchSolution:
     """Newton-Raphson on B load cases of one network at once.
 
     Row b of `p_sched`/`q_sched` (B, n) is case b's per-unit schedule, NaN
-    where unknown. `start` and the step cap `max_iter` broadcast to the
-    cases. A case leaves the active set when its mismatch infinity norm drops
-    below tol, when its Jacobian has a pivot below PIVOT_TOL, or at its cap;
-    the others step on. A case with cap 0 keeps its start state; a negative
-    cap, or a tol that is not finite and positive, raises ValidationError.
-    Voltages V = |V| exp(j delta) and injections are formed once per state,
-    and V is handed to jacobian; the schedule's entries at the solvable
-    equations are gathered once per call. Each row of the result is bit for
-    bit what a batch of that case alone gives.
+    where unknown. Every case starts from initial_state(net, opts.flat_start)
+    and leaves the active set when its mismatch infinity norm drops below
+    opts.tol, when its Jacobian has a pivot below PIVOT_TOL, or after
+    opts.max_iter steps; the others step on. Voltages V = |V| exp(j delta)
+    and injections are formed once per state, and V is handed to jacobian;
+    the schedule's entries at the solvable equations are gathered once per
+    call. Each row of the result is bit for bit what a batch of that case
+    alone gives.
 
     The cases still stepping keep their state, voltages, injections,
-    mismatch, schedule and cap in working rows, which shrink only when a case
+    mismatch and schedule in working rows, which shrink only when a case
     retires; each retired case's row of the result is written once.
     """
-    _check_tol(tol)
-    b = len(p_sched)
-    caps = np.broadcast_to(max_iter, (b,))
-    if np.any(caps < 0):
-        raise ValidationError(f"step caps must be non-negative, got {caps.min()}")
+    tol, b = opts.tol, len(p_sched)
+    start = initial_state(net, opts.flat_start)
     state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
     sched = _equations(p_sched, q_sched, net)
@@ -320,10 +309,9 @@ def solve_batch(
     norms = [_inf_norms(f)]  # column k: each case's norm after k steps, NaN if it took fewer
     iterations = np.zeros(b, dtype=int)
     singular = np.zeros(b, dtype=bool)
-    rows = np.flatnonzero(~(norms[0] < tol) & (caps > 0))
+    rows = np.flatnonzero(~(norms[0] < tol))
     live = StateVector(state.delta[rows], state.v_mag[rows])
-    live_v, live_p, live_q, live_f = v[rows], p[rows], q[rows], f[rows]
-    live_sched, live_caps = sched[rows], caps[rows]
+    live_v, live_p, live_q, live_f, live_sched = v[rows], p[rows], q[rows], f[rows], sched[rows]
 
     def write(done, k):
         """The working rows where `done` is set are their cases' result, at k steps."""
@@ -339,18 +327,18 @@ def solve_batch(
             if not ok.all():  # a singular case keeps its last state
                 singular[rows[~ok]] = True
                 write(~ok, k - 1)
-                rows, live_sched, live_caps = rows[ok], live_sched[ok], live_caps[ok]
+                rows, live_sched = rows[ok], live_sched[ok]
             live = new
             live_v = _voltages(live)
             live_p, live_q = calc_injections(live, net, live_v)
             live_f = live_sched - _equations(live_p, live_q, net)
             norms.append(np.full(b, np.nan))
             norms[k][rows] = live_norms = _inf_norms(live_f)
-            stop = (live_norms < tol) | (k >= live_caps)
+            stop = (live_norms < tol) | (k >= opts.max_iter)
             if stop.any():
                 write(stop, k)
                 keep = ~stop
-                rows, live_sched, live_caps = rows[keep], live_sched[keep], live_caps[keep]
+                rows, live_sched = rows[keep], live_sched[keep]
                 live = StateVector(live.delta[keep], live.v_mag[keep])
                 live_v, live_p, live_q, live_f = live_v[keep], live_p[keep], live_q[keep], live_f[keep]
     norms = np.stack(norms, axis=1)[:, :iterations.max(initial=0) + 1]
@@ -358,13 +346,11 @@ def solve_batch(
     return BatchSolution(state.delta, state.v_mag, p, q, iterations, norms, converged, singular)
 
 
-def solve(net: NetworkModel, opts: SolveOptions | None = None) -> PowerFlowSolution:
+def solve(net: NetworkModel, opts: SolveOptions = SolveOptions()) -> PowerFlowSolution:
     """Newton-Raphson from the configured start until the mismatch infinity
     norm drops below tol: solve_batch on the one case. Raises NotConverged
     (with norm history) or SingularJacobian otherwise."""
-    opts = opts if opts is not None else SolveOptions()
-    start = initial_state(net, flat_start=opts.flat_start)
-    res = solve_batch(net, start, net.p_sched[None], net.q_sched[None], opts.tol, opts.max_iter)
+    res = solve_batch(net, net.p_sched[None], net.q_sched[None], opts)
     if res.singular[0]:
         raise SingularJacobian(f"pivot below {PIVOT_TOL} in Newton linear solve")
     history = res.history(0)

@@ -12,7 +12,6 @@ from qnpflow.powerflow import (
     PowerFlowSolution,
     SolveOptions,
     StateVector,
-    _check_tol,
     _equations,
     _inf_norms,
     _voltages,
@@ -118,33 +117,24 @@ def masked_newton_update(state: StateVector, net: NetworkModel, f: np.ndarray) -
     return StateVector(delta, v_mag), ok
 
 
-def masked_solve_batch(
-    net: NetworkModel,
-    start: StateVector,
-    p_sched: np.ndarray,
-    q_sched: np.ndarray,
-    tol: float,
-    max_iter: int | np.ndarray,
-) -> BatchSolution:
+def masked_solve_batch(net: NetworkModel, p_sched: np.ndarray, q_sched: np.ndarray,
+                       opts: SolveOptions) -> BatchSolution:
     """solve_batch as a loop over full-size arrays: every step gathers the
     active cases' rows by index and scatters their new state, injections,
     mismatch and norms back. Jacobians and injections are taken through the
     powerflow module, so a patched `jacobian` or `calc_injections` reaches
     both solvers."""
-    _check_tol(tol)
-    b = len(p_sched)
-    caps = np.broadcast_to(max_iter, (b,))
-    if np.any(caps < 0):
-        raise ValidationError(f"step caps must be non-negative, got {caps.min()}")
+    tol, b = opts.tol, len(p_sched)
+    start = initial_state(net, opts.flat_start)
     state = StateVector(np.broadcast_to(start.delta, p_sched.shape).copy(),
                         np.broadcast_to(start.v_mag, p_sched.shape).copy())
     p, q = powerflow.calc_injections(state, net)
     f = _equations(p_sched, q_sched, net) - _equations(p, q, net)
-    norms = np.full((b, int(caps.max(initial=0)) + 1), np.nan)
+    norms = np.full((b, opts.max_iter + 1), np.nan)
     norms[:, 0] = _inf_norms(f)
     iterations = np.zeros(b, dtype=int)
     singular = np.zeros(b, dtype=bool)
-    active = np.flatnonzero(~(norms[:, 0] < tol) & (caps > 0))
+    active = np.flatnonzero(~(norms[:, 0] < tol))
     k = 0
     while active.size:
         k += 1
@@ -156,7 +146,7 @@ def masked_solve_batch(
         f[active] = _equations(p_sched[active], q_sched[active], net) - _equations(p[active], q[active], net)
         norms[active, k] = _inf_norms(f[active])
         iterations[active] = k
-        active = active[~(norms[active, k] < tol) & (k < caps[active])]
+        active = active[~(norms[active, k] < tol) & (k < opts.max_iter)]
     # solve_batch keeps the columns up to the most steps taken; the others hold no norm
     width = iterations.max(initial=0) + 1
     assert np.isnan(norms[:, width:]).all()

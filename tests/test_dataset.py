@@ -34,7 +34,7 @@ from qnpflow.errors import (
     ValidationError,
 )
 from qnpflow.grid import NetworkModel
-from qnpflow.powerflow import solve
+from qnpflow.powerflow import SolveOptions, solve
 
 # ---------------------------------------------------------------------------
 # generation
@@ -116,13 +116,14 @@ def test_batched_generate_matches_per_sample_solves(base_net, monkeypatch, mult_
     batches = []
     original = dataset.solve_batch
 
-    def capture(*args):
-        batches.append(original(*args))
-        return batches[-1]
+    def capture(net, p_sched, q_sched, solver):
+        batches.append((solver, original(net, p_sched, q_sched, solver)))
+        return batches[-1][1]
 
     monkeypatch.setattr(dataset, "solve_batch", capture)
     samples, meta = generate(base_net, 500, mult_range=mult_range, seed=5, **opts)
-    (res,) = batches
+    ((solver, res),) = batches
+    assert solver == SolveOptions()
     inputs, targets, converged, steps = zip(
         *per_sample_reference(base_net, 500, mult_range, 5, **opts))
     assert_same_samples(samples, Samples(np.arange(500), np.array(inputs),

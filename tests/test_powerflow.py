@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -325,7 +326,7 @@ def test_newton_update_flags_any_pivot_below_tol(base_net, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         pivots = powerflow._lu_pivots(stack)
-        _, ok = powerflow._newton_update(states, base_net, np.ones((3, 5)))
+        _, ok = powerflow._newton_update(states, base_net, np.ones((3, 5)), powerflow._voltages(states))
     assert ok.tolist() == [True, False, True]
     assert np.isnan(pivots[1]).any() and np.isnan(pivots[2]).any()
     assert not np.min(np.abs(pivots[1])) < PIVOT_TOL  # why the check takes any(), not min()
@@ -432,7 +433,7 @@ def test_ordinary_jacobians_never_reach_the_scan(base_net, monkeypatch):
     assert powerflow._pivots_reach_tol(jacobian(stack, base_net)).all()
     solve(base_net)
     _, _, p_sched, q_sched = perturbed_schedules(base_net, rng, 200)
-    assert solve_batch(base_net, initial_state(base_net), p_sched, q_sched, 1e-8, 20).converged.all()
+    assert solve_batch(base_net, p_sched, q_sched, SolveOptions()).converged.all()
     assert calls == []
 
 
@@ -505,50 +506,64 @@ def test_solve_evaluates_injections_once_per_state(base_net, monkeypatch):
 
 # ------------------------------------------------------------ batched solve
 
-def perturbed_schedules(net, rng, b):
-    """Schedules (B, n) of `net` with every load scaled by a draw in [0.8, 1.2]."""
-    p_load = np.array([bus.p_load for bus in net.buses]) * rng.uniform(0.8, 1.2, (b, net.n))
-    q_load = np.array([bus.q_load for bus in net.buses]) * rng.uniform(0.8, 1.2, (b, net.n))
+def perturbed_schedules(net, rng, b, mult_range=(0.8, 1.2)):
+    """Schedules (B, n) of `net` with every load scaled by a draw in `mult_range`."""
+    p_load = np.array([bus.p_load for bus in net.buses]) * rng.uniform(*mult_range, (b, net.n))
+    q_load = np.array([bus.q_load for bus in net.buses]) * rng.uniform(*mult_range, (b, net.n))
     return p_load, q_load, *net.schedule(p_load, q_load)
 
 
-def test_batch_retires_singular_and_capped_cases(base_net):
-    b, singular_case, capped_case = 12, 4, 7
-    p_load, q_load, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(3), b)
-    start = initial_state(base_net)
-    delta, v = np.tile(start.delta, (b, 1)), np.tile(start.v_mag, (b, 1))
-    v[singular_case, base_net.pq_indices[0]] = 0.0  # a PQ bus at |V| = 0
-    caps = np.full(b, 20)
-    caps[capped_case] = 1
-    res = solve_batch(base_net, StateVector(delta, v), p_sched, q_sched, 1e-8, caps)
+def test_batch_retires_singular_and_capped_cases(base_net, monkeypatch):
+    # stressed cases take 4 or more steps, so at a cap of 4 some converge and
+    # some run to the cap; the patched Jacobian makes others singular
+    b, opts = 12, SolveOptions(max_iter=4)
+    p_load, q_load, p_sched, q_sched = perturbed_schedules(
+        base_net, np.random.default_rng(0), b, (1.0, 5.5))
+    monkeypatch.setattr(powerflow, "jacobian", zero_pivot_jacobian(powerflow.jacobian))
+    res = solve_batch(base_net, p_sched, q_sched, opts)
 
-    assert np.flatnonzero(res.singular).tolist() == [singular_case]
-    assert np.flatnonzero(~res.converged).tolist() == [singular_case, capped_case]
-    assert res.iterations[singular_case] == 0 and res.iterations[capped_case] == 1
+    capped = ~res.converged & ~res.singular
+    assert res.singular.any() and capped.any() and res.converged.any()
+    assert not res.converged[res.singular].any()
+    assert (res.iterations[res.singular] < 4).all() and (res.iterations[capped] == 4).all()
     for i in range(b):
-        one = solve_batch(base_net, StateVector(delta[i], v[i]), p_sched[i:i + 1],
-                          q_sched[i:i + 1], 1e-8, caps[i])
+        one = solve_batch(base_net, p_sched[i:i + 1], q_sched[i:i + 1], opts)
         for name in ("delta", "v_mag", "p_calc", "q_calc", "iterations", "converged", "singular"):
             assert np.array_equal(getattr(res, name)[i], getattr(one, name)[0], equal_nan=True), name
         assert res.history(i) == one.history(0)
         assert np.isnan(res.norms[i, res.iterations[i] + 1:]).all()
 
     # the failing cases raise from solve() as their own networks
-    def case(i, **pq0):
+    def case(i):
         buses = [replace(bus, p_load=p_load[i, k], q_load=q_load[i, k])
                  for k, bus in enumerate(base_net.buses)]
-        k = base_net.pq_indices[0]
-        buses[k] = replace(buses[k], **pq0)
         return NetworkModel(buses=tuple(buses), ybus=base_net.ybus, base=base_net.base)
 
+    singular_case, capped_case, converged_case = (
+        np.flatnonzero(mask)[0] for mask in (res.singular, capped, res.converged))
     with pytest.raises(SingularJacobian):
-        solve(case(singular_case, v_mag=0.0), SolveOptions(flat_start=False))
+        solve(case(singular_case), opts)
     with pytest.raises(NotConverged) as err:
-        solve(case(capped_case), SolveOptions(max_iter=1))
+        solve(case(capped_case), opts)
     assert err.value.history == res.history(capped_case)
-    sol = solve(case(0))
-    assert np.array_equal(sol.v_mag, res.v_mag[0]) and np.array_equal(sol.delta, res.delta[0])
-    assert sol.iterations == res.iterations[0]
+    sol = solve(case(converged_case), opts)
+    assert np.array_equal(sol.v_mag, res.v_mag[converged_case])
+    assert np.array_equal(sol.delta, res.delta[converged_case])
+    assert sol.iterations == res.iterations[converged_case]
+
+
+def test_batch_starts_every_case_from_the_configured_start(base_net):
+    # a PQ bus at |V| = 0 in the bus data: singular there, while the flat start solves
+    k = base_net.pq_indices[0]
+    buses = [*base_net.buses[:k], replace(base_net.buses[k], v_mag=0.0), *base_net.buses[k + 1:]]
+    net = NetworkModel(buses=tuple(buses), ybus=base_net.ybus, base=base_net.base)
+    p_sched, q_sched = np.tile(net.p_sched, (2, 1)), np.tile(net.q_sched, (2, 1))
+    res = solve_batch(net, p_sched, q_sched, SolveOptions(flat_start=False))
+    start = initial_state(net, flat_start=False)
+    assert res.singular.all() and not res.iterations.any()
+    assert np.array_equal(res.v_mag, np.tile(start.v_mag, (2, 1)))
+    assert np.array_equal(res.delta, np.tile(start.delta, (2, 1)))
+    assert solve_batch(net, p_sched, q_sched, SolveOptions()).converged.all()
 
 
 def test_batch_overflowing_case_fails_alone_without_a_warning(base_net):
@@ -557,52 +572,20 @@ def test_batch_overflowing_case_fails_alone_without_a_warning(base_net):
     p_load, q_load, _, _ = perturbed_schedules(base_net, np.random.default_rng(4), 3)
     p_load[1], q_load[1] = p_load[1] * 1e200, q_load[1] * 1e200
     p_sched, q_sched = base_net.schedule(p_load, q_load)
-    start = initial_state(base_net)
-    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
+    res = solve_batch(base_net, p_sched, q_sched, SolveOptions())
     assert res.converged.tolist() == [True, False, True]
     for i in (0, 2):
-        one = solve_batch(base_net, start, p_sched[i:i + 1], q_sched[i:i + 1], 1e-8, 20)
+        one = solve_batch(base_net, p_sched[i:i + 1], q_sched[i:i + 1], SolveOptions())
         assert np.array_equal(res.v_mag[i], one.v_mag[0]) and res.history(i) == one.history(0)
 
 
-def test_batch_cap_zero_takes_no_step(base_net):
-    _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(59), 2)
-    start = initial_state(base_net)
-    p0, q0 = calc_injections(start, base_net)
-    for caps in ([0, 5], 0):
-        res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, caps)
-        capped = [0] if caps else [0, 1]
-        assert res.iterations.tolist() == ([0, 3] if caps else [0, 0])
-        for b in capped:
-            assert np.array_equal(res.delta[b], start.delta) and np.array_equal(res.v_mag[b], start.v_mag)
-            assert np.array_equal(res.p_calc[b], p0) and np.array_equal(res.q_calc[b], q0)
-            assert not res.converged[b] and not res.singular[b]
-            assert res.history(b) == res.norms[b, :1].tolist()
-
-
-@pytest.mark.parametrize("caps", [-1, [3, -2]])
-def test_batch_rejects_negative_cap(base_net, caps):
-    _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(61), 2)
-    with pytest.raises(ValidationError, match="non-negative"):
-        solve_batch(base_net, initial_state(base_net), p_sched, q_sched, 1e-8, caps)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
-def test_batch_rejects_invalid_tol(base_net, tol):
-    # without the check, tol 0, NaN or -1 ran every step and reported no
-    # convergence at a mismatch of 1e-15, and tol inf converged in 0 steps
-    _, _, p_sched, q_sched = perturbed_schedules(base_net, np.random.default_rng(62), 2)
-    with pytest.raises(ValidationError, match="finite and positive"):
-        solve_batch(base_net, initial_state(base_net), p_sched, q_sched, tol, 20)
-
-
 def generate_schedules(net, n, mult_range, seed=5):
-    """The start state and the (B, n) schedules that dataset.generate solves."""
+    """The (B, n) schedules that dataset.generate solves."""
     calls = []
 
-    def capture(net, start, p_sched, q_sched, tol, max_iter):
-        calls.append((start, p_sched, q_sched))
-        return solve_batch(net, start, p_sched, q_sched, tol, max_iter)
+    def capture(net, p_sched, q_sched, opts):
+        calls.append((p_sched, q_sched))
+        return solve_batch(net, p_sched, q_sched, opts)
 
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(dataset, "solve_batch", capture)
@@ -627,27 +610,30 @@ def assert_same_batch(res, ref):
 @pytest.mark.parametrize("mult_range", [(0.8, 1.2), (1.0, 5.5), (3.0, 7.0)],
                          ids=["nominal", "stressed", "collapse"])
 def test_compacted_batch_bitwise_equals_masked_reference(base_net, mult_range):
-    start, p_sched, q_sched = generate_schedules(base_net, 500, mult_range)
-    caps = np.random.default_rng(67).integers(0, 21, len(p_sched))
-    for tol, cap in ((1e-8, 20), (1e-8, caps), (1e-12, 20), (1e-12, caps)):
-        res = solve_batch(base_net, start, p_sched, q_sched, tol, cap)
-        assert_same_batch(res, masked_solve_batch(base_net, start, p_sched, q_sched, tol, cap))
-    # the batches retire cases at several steps, some at their cap
-    assert len(np.unique(res.iterations)) > 3
-    assert np.any(~res.converged & (res.iterations == caps) & (caps > 0))
+    p_sched, q_sched = generate_schedules(base_net, 500, mult_range)
+    steps, capped = set(), False
+    for tol in (1e-8, 1e-12):
+        for cap in (1, 2, 3, 7, 20):
+            opts = SolveOptions(tol=tol, max_iter=cap)
+            res = solve_batch(base_net, p_sched, q_sched, opts)
+            assert_same_batch(res, masked_solve_batch(base_net, p_sched, q_sched, opts))
+            steps.update(res.iterations.tolist())
+            capped |= np.any(~res.converged & (res.iterations == cap))
+    # the batches retire cases at several steps, some at the cap
+    assert len(steps) > 3 and capped
 
 
 def test_compacted_batch_bitwise_equals_masked_reference_on_edge_batches(base_net):
-    start, p_sched, q_sched = generate_schedules(base_net, 6, (1.0, 5.5))
+    p_sched, q_sched = generate_schedules(base_net, 6, (1.0, 5.5))
     q_sched = q_sched.copy()
     q_sched[2, base_net.pq_indices[0]] = np.nan  # a NaN norm never drops below tol
     for rows in (slice(0, 0), slice(0, 1), slice(2, 3), slice(None)):
-        for cap in (0, 7, [0, 3, 9, 1, 20, 5][rows]):
-            res = solve_batch(base_net, start, p_sched[rows], q_sched[rows], 1e-8, cap)
-            ref = masked_solve_batch(base_net, start, p_sched[rows], q_sched[rows], 1e-8, cap)
-            assert_same_batch(res, ref)
+        for cap in (1, 3, 7, 20):
+            opts = SolveOptions(max_iter=cap)
+            res = solve_batch(base_net, p_sched[rows], q_sched[rows], opts)
+            assert_same_batch(res, masked_solve_batch(base_net, p_sched[rows], q_sched[rows], opts))
             assert len(res.norms) == len(res.iterations) == len(p_sched[rows])
-    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 9)
+    res = solve_batch(base_net, p_sched, q_sched, SolveOptions(max_iter=9))
     assert res.iterations[2] == 9 and np.isnan(res.norms[2]).all()
     assert not res.converged[2] and not res.singular[2]
 
@@ -668,10 +654,11 @@ def zero_pivot_jacobian(original):
 
 
 def test_compacted_batch_retires_singular_cases_at_their_last_state(base_net, monkeypatch):
-    start, p_sched, q_sched = generate_schedules(base_net, 500, (1.0, 5.5))
+    p_sched, q_sched = generate_schedules(base_net, 500, (1.0, 5.5))
     monkeypatch.setattr(powerflow, "jacobian", zero_pivot_jacobian(powerflow.jacobian))
-    res = solve_batch(base_net, start, p_sched, q_sched, 1e-12, 20)
-    assert_same_batch(res, masked_solve_batch(base_net, start, p_sched, q_sched, 1e-12, 20))
+    opts = SolveOptions(tol=1e-12)
+    res = solve_batch(base_net, p_sched, q_sched, opts)
+    assert_same_batch(res, masked_solve_batch(base_net, p_sched, q_sched, opts))
     rows = np.flatnonzero(res.singular)
     assert len(np.unique(res.iterations[rows])) > 3  # singular at different steps
     assert not res.converged[rows].any()
@@ -695,12 +682,12 @@ def test_batch_evaluates_each_state_once(base_net, monkeypatch, zero_pivots):
 
     # at 2000 samples, as in the paper, both schedules hold a case that runs
     # to the 20-step cap; at 500 the zero-pivot one holds none
-    start, p_sched, q_sched = generate_schedules(base_net, 2000, (1.0, 5.5))
+    p_sched, q_sched = generate_schedules(base_net, 2000, (1.0, 5.5))
     if zero_pivots:
         monkeypatch.setattr(powerflow, "jacobian", zero_pivot_jacobian(powerflow.jacobian))
     for name in counts:
         monkeypatch.setattr(powerflow, name, counting(name))
-    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
+    res = solve_batch(base_net, p_sched, q_sched, SolveOptions())
     assert (~res.converged).sum() > 0 and res.iterations.max() == 20
     assert res.singular.any() == zero_pivots
     # every state's voltages and injections once; a Jacobian at every state
@@ -713,11 +700,11 @@ def test_batch_evaluates_each_state_once(base_net, monkeypatch, zero_pivots):
 def test_batch_bitwise_equals_block_jacobian_batch(base_net, monkeypatch, scale):
     # at 2000 stressed samples some cases run to the 20-step cap; scaled by
     # 1e200 the injections overflow after the first step
-    start, p_sched, q_sched = generate_schedules(base_net, 2000, (1.0, 5.5))
+    p_sched, q_sched = generate_schedules(base_net, 2000, (1.0, 5.5))
     p_sched, q_sched = p_sched * scale, q_sched * scale
-    res = solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20)
+    res = solve_batch(base_net, p_sched, q_sched, SolveOptions())
     monkeypatch.setattr(powerflow, "jacobian", block_jacobian)
-    assert_same_batch(res, solve_batch(base_net, start, p_sched, q_sched, 1e-8, 20))
+    assert_same_batch(res, solve_batch(base_net, p_sched, q_sched, SolveOptions()))
     assert res.iterations.max() == 20
     if scale > 1:
         assert not res.converged.any() and not np.isfinite(res.p_calc).all()
@@ -808,11 +795,31 @@ def test_solve_options_accept_valid(tol, max_iter):
     SolveOptions(tol=tol, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0},
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"max_iter": 0}, {"max_iter": -3},
                                     {"tol": math.inf}, {"tol": math.nan}])
 def test_solve_options_reject_invalid(kwargs):
     with pytest.raises(ValidationError):
         SolveOptions(**kwargs)
+
+
+def test_solve_options_are_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SolveOptions().tol = 1e-6
+
+
+def test_solve_hands_its_options_to_solve_batch(base_net, monkeypatch):
+    calls = []
+    original = powerflow.solve_batch
+
+    def capture(net, p_sched, q_sched, opts):
+        calls.append(opts)
+        return original(net, p_sched, q_sched, opts)
+
+    monkeypatch.setattr(powerflow, "solve_batch", capture)
+    opts = SolveOptions(tol=1e-10, max_iter=7, flat_start=False)
+    solve(base_net, opts)
+    solve(base_net)
+    assert calls[0] is opts and calls[1] == SolveOptions()
 
 
 @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": math.nan},
