@@ -579,6 +579,29 @@ def test_batch_overflowing_case_fails_alone_without_a_warning(base_net):
         assert np.array_equal(res.v_mag[i], one.v_mag[0]) and res.history(i) == one.history(0)
 
 
+def test_batch_cap_of_one_stops_every_case_after_one_newton_step(base_net):
+    # stressed cases take 4 or more steps, so at a cap of 1 none converges
+    b = 3
+    p_load, q_load, p_sched, q_sched = perturbed_schedules(
+        base_net, np.random.default_rng(59), b, (1.0, 5.5))
+    res = solve_batch(base_net, p_sched, q_sched, SolveOptions(max_iter=1))
+    assert res.iterations.tolist() == [1] * b and res.norms.shape == (b, 2)
+    assert not res.converged.any() and not res.singular.any()
+    for i in range(b):
+        buses = tuple(replace(bus, p_load=p_load[i, k], q_load=q_load[i, k])
+                      for k, bus in enumerate(base_net.buses))
+        net = NetworkModel(buses=buses, ybus=base_net.ybus, base=base_net.base)
+        state, start_norm = nr_step(initial_state(net), net)
+        assert np.array_equal(res.delta[i], state.delta)
+        assert np.array_equal(res.v_mag[i], state.v_mag)
+        p_calc, q_calc = calc_injections(state, net)
+        assert np.array_equal(res.p_calc[i], p_calc)
+        assert np.array_equal(res.q_calc[i], q_calc)
+        assert res.norms[i, 0] == start_norm
+        assert res.history(i) == res.norms[i, 1:].tolist()
+        assert res.norms[i, 1] == np.max(np.abs(mismatch(state, net)))
+
+
 def generate_schedules(net, n, mult_range, seed=5):
     """The (B, n) schedules that dataset.generate solves."""
     calls = []
@@ -805,6 +828,15 @@ def test_solve_options_reject_invalid(kwargs):
 def test_solve_options_are_frozen():
     with pytest.raises(dataclasses.FrozenInstanceError):
         SolveOptions().tol = 1e-6
+
+
+@pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": -1.0}, {"tol": math.nan},
+                                    {"tol": math.inf}, {"max_iter": -1}])
+def test_solve_options_check_a_replaced_copy(kwargs):
+    # a frozen record changes only by a copy, and the copy is checked anew,
+    # so solve_batch never receives these settings
+    with pytest.raises(ValidationError):
+        replace(SolveOptions(tol=1e-10, max_iter=7, flat_start=False), **kwargs)
 
 
 def test_solve_hands_its_options_to_solve_batch(base_net, monkeypatch):
